@@ -3,7 +3,8 @@
 The spatial grid covers an interior window ``[x_lo, x_hi]`` plus symmetric
 padding so nonlocal operators can shift reads by the jump truncation
 radius; reads beyond even the padded range are supplied by an extension
-rule.  Time runs forward from 0 (initial data) to ``t_final``.
+rule (``clamp_payoff`` reads are evaluated once, see :class:`PayoffGhosts`).
+Time runs forward from 0 (initial data) to ``t_final``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import ConfigError, ParameterError
 __all__ = [
     "SpaceTimeGrid",
     "GridFunction",
+    "PayoffGhosts",
     "CoefficientField",
     "EXTENSION_RULES",
 ]
@@ -95,6 +97,25 @@ class SpaceTimeGrid:
                              self.nx * f, self.t_final, self.nt * f)
 
 
+class PayoffGhosts:
+    """Payoff on the ghost nodes past each end of the padded grid: the same
+    for every slice, so evaluated once (at the widest reach asked for)."""
+
+    def __init__(self, grid: SpaceTimeGrid, payoff: Callable):
+        self.grid, self.payoff = grid, payoff
+        self.left = self.right = np.empty(0)
+
+    def take(self, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``n_left`` ghosts nearest the left end and ``n_right`` right."""
+        n = max(n_left, n_right)
+        if n > self.right.size:
+            x, h, k = self.grid.nodes, self.grid.h, np.arange(1, n + 1)
+            vals = np.asarray(self.payoff(np.concatenate(
+                [x[0] - h * k[::-1], x[-1] + h * k])), dtype=float)
+            self.left, self.right = vals[:n], vals[n:]
+        return self.left[self.left.size - n_left:], self.right[:n_right]
+
+
 @dataclass
 class GridFunction:
     """Values on the padded spatial nodes plus a far-field extension rule.
@@ -103,7 +124,7 @@ class GridFunction:
     slice or ``(nx+1, nt+1)`` for a full surface.  Reads beyond the padded
     range use ``extension``:
 
-    * ``clamp_payoff`` -- evaluate ``payoff`` at the outside point
+    * ``clamp_payoff`` -- ``payoff`` at the outside point, via ``ghosts``
     * ``linear``       -- extrapolate from the last edge slope
     * ``zero``         -- zero outside
     """
@@ -112,6 +133,8 @@ class GridFunction:
     values: np.ndarray
     extension: str = "clamp_payoff"
     payoff: Callable[[np.ndarray], np.ndarray] | None = None
+    ghosts: PayoffGhosts | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -121,8 +144,11 @@ class GridFunction:
                 f"node count {self.grid.nx + 1}")
         if self.extension not in EXTENSION_RULES:
             raise ParameterError(f"unknown extension rule {self.extension!r}")
-        if self.extension == "clamp_payoff" and self.payoff is None:
-            raise ParameterError("clamp_payoff extension needs a payoff")
+        if self.extension == "clamp_payoff":
+            if self.payoff is None:
+                raise ParameterError("clamp_payoff extension needs a payoff")
+            if self.ghosts is None:
+                self.ghosts = PayoffGhosts(self.grid, self.payoff)
 
     def slice_at(self, n: int) -> np.ndarray:
         return self.values if self.values.ndim == 1 else self.values[:, n]
@@ -130,28 +156,31 @@ class GridFunction:
     def extended(self, n_left: int, n_right: int, n: int = 0) -> np.ndarray:
         """Values on ``n_left`` extra nodes left + grid + ``n_right`` right."""
         return extend_slice(self.grid, self.slice_at(n), self.extension,
-                            self.payoff, n_left, n_right)
+                            self.ghosts, n_left, n_right)
 
 
 def extend_slice(grid: SpaceTimeGrid, vals: np.ndarray, extension: str,
-                 payoff, n_left: int, n_right: int) -> np.ndarray:
-    """Materialize a slice with its extension rule applied on both sides."""
-    h = grid.h
-    x0 = grid.nodes[0]
-    x1 = grid.nodes[-1]
-    left_x = x0 - h * np.arange(n_left, 0, -1)
-    right_x = x1 + h * np.arange(1, n_right + 1)
+                 ghosts: PayoffGhosts | None, n_left: int, n_right: int,
+                 discount: tuple[float, float] | None = None) -> np.ndarray:
+    """Materialize a slice with its extension rule applied on both sides;
+    ``clamp_payoff`` ghosts are scaled by ``discount`` (left, right)."""
     if extension == "zero":
         left = np.zeros(n_left)
         right = np.zeros(n_right)
     elif extension == "linear":
+        h = grid.h
+        x0, x1 = grid.nodes[[0, -1]]
+        left_x = x0 - h * np.arange(n_left, 0, -1)
+        right_x = x1 + h * np.arange(1, n_right + 1)
         sl = (vals[1] - vals[0]) / h
         sr = (vals[-1] - vals[-2]) / h
         left = vals[0] + sl * (left_x - x0)
         right = vals[-1] + sr * (right_x - x1)
     elif extension == "clamp_payoff":
-        left = np.asarray(payoff(left_x), dtype=float)
-        right = np.asarray(payoff(right_x), dtype=float)
+        left, right = ghosts.take(n_left, n_right)
+        if discount is not None:
+            left = left * discount[0]
+            right = right * discount[1]
     else:
         raise ParameterError(f"unknown extension rule {extension!r}")
     return np.concatenate([left, vals, right])

@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -620,26 +621,24 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _region_label(labels, i: int, m: int) -> str:
-    if labels is None:
-        return "-"
-    return "C" if labels[i, m] == 1 else "S"
-
-
 def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
                    bundle: dict) -> None:
+    """One row per node and natural time level; each column is formatted
+    once and the rows are zipped together, one time level at a time."""
     grid = cfg.grid
-    u = bundle["u"]
-    g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
+    u = bundle["u"].values
+    xs = [repr(x) for x in grid.nodes.tolist()]
+    gs = [repr(g) for g in
+          np.asarray(cfg.payoff(grid.nodes), dtype=float).tolist()]
     labels = bundle["labels"]
-    lines = ["x,t,u,g,region"]
-    for m in range(grid.nt + 1):
-        t = float(grid.times[m])
-        col = u.values[:, m]
-        for i, x in enumerate(grid.nodes):
-            lines.append(f"{float(x)!r},{t!r},{float(col[i])!r},"
-                         f"{float(g[i])!r},{_region_label(labels, i, m)}")
-    path.write_text("\n".join(lines) + "\n")
+    regions = None if labels is None else np.where(labels == 1, "C", "S")
+    with path.open("w") as fh:
+        fh.write("x,t,u,g,region\n")
+        for m, t in enumerate(grid.times.tolist()):
+            us = map(repr, u[:, m].tolist())
+            rs = repeat("-") if regions is None else regions[:, m].tolist()
+            rows = zip(xs, repeat(repr(t)), us, gs, rs)
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write_boundary(path: Path, cfg: SolveConfig, bundle: dict) -> None:

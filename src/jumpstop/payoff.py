@@ -10,7 +10,8 @@ Smoothing uses the standard compactly supported bump kernel
 ``exp(-1/(1-u^2))`` on ``(-1, 1)``, normalized and rescaled to width
 ``eps``; one kernel implementation is shared by the payoff and penalty
 modules.  The convolution is evaluated by fixed 64-point Gauss-Legendre
-rules per smooth piece of the integrand.
+rules per smooth piece of the integrand, one (panel, node, point) array
+expression per block of points, so memory stays flat in the point count.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ __all__ = [
 #: integral of exp(-1/(1-u^2)) over (-1, 1)
 BUMP_NORM = 0.4439938161680794
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES, _GL_WEIGHTS = (a[:, None] for a in
+                          np.polynomial.legendre.leggauss(64))
+#: terms per kernel_average block: 256 points of a two-panel rule, small
+#: enough (256 kB) that the temporaries do not churn fresh pages
+_BLOCK_TERMS = 2 * 64 * 256
 
 
 def bump_kernel(u) -> np.ndarray:
@@ -209,6 +214,8 @@ def kernel_average(f, x: np.ndarray, eps: float, breakpoints: Sequence[float]) -
     evaluated with 64-point Gauss-Legendre per smooth piece: the panel
     bounds are the kernel support edges plus the images of ``breakpoints``
     (clipped into the support, so points outside degrade to empty panels).
+    ``f`` must take arrays of any shape; terms add in panel-then-node order,
+    so no point's value depends on the block it falls in.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bps = sorted(breakpoints, reverse=True)  # (x - b)/eps ascending in b desc
@@ -218,13 +225,19 @@ def kernel_average(f, x: np.ndarray, eps: float, breakpoints: Sequence[float]) -
     for j, b in enumerate(bps):
         cuts[j + 1] = np.clip((x - b) / eps, -1.0, 1.0)
     cuts[1:-1] = np.sort(cuts[1:-1], axis=0)
-    out = np.zeros_like(x)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-            u = mid + half * t
-            out += w * half * bump_kernel(u) * f(x - eps * u)
+    half = 0.5 * (cuts[1:] - cuts[:-1])[:, None, :]
+    mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None, :]
+    out = np.empty_like(x)
+    step = max(1, _BLOCK_TERMS // (half.shape[0] * _GL_NODES.size))
+    for lo in range(0, x.size, step):
+        blk = slice(lo, lo + step)
+        hb = half[..., blk]
+        u = mid[..., blk] + hb * _GL_NODES
+        terms = _GL_WEIGHTS * hb * bump_kernel(u) * f(x[blk] - eps * u)
+        rows = terms.reshape(-1, terms.shape[-1])
+        # numpy sums a leading axis row by row when rows hold >= 2 points;
+        # for one point, the last running sum keeps that same order
+        out[blk] = rows.sum(axis=0) if rows.shape[1] > 1 else rows.cumsum()[-1]
     return out
 
 

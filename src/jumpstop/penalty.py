@@ -7,15 +7,23 @@ linearly with slope ``-2*p0/eps`` for negative ``y``.  The anchor depth
 ``p0`` is chosen from the problem data so that subtracting the penalty
 can dominate every term of the generator applied to the obstacle.
 
-Mollification reuses the bump-kernel averaging of :mod:`jumpstop.payoff`
-at width ``eps/8``; the template is linear within ``eps/2`` of 0 and
+Mollification uses the bump kernel of :mod:`jumpstop.payoff` at width
+``w = eps/8``; the template is linear within ``eps/2`` of 0 and
 identically zero beyond ``eps/2``, so a width below ``eps/2`` keeps both
-the anchor value and the vanishing region exact.
+the anchor value and the vanishing region exact.  Inside the band
+``|y - eps/2| < w`` the mollified template is ``slope_max*w*F(z)`` with
+``z = (y - eps/2)/w``, ``F(z) = integral min(z - u, 0) k(u) du`` and
+``F'(z) = 1 - K(z)``, fixed functions of the kernel ``k``.  Both are
+tabulated once, on first use, by the payoff module's Gauss-Legendre
+rule on 4,097 nodes of ``[-1, 1]``, and read back by cubic Hermite
+interpolation (``F'' = -k`` is exact); the value matches the direct
+quadrature to about ``1e-15 * |p0|``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -23,9 +31,37 @@ from . import levy
 from .errors import ParameterError
 from .grids import CoefficientField, SpaceTimeGrid
 from .levy import LevyModel
-from .payoff import PayoffSpec, kernel_average
+from .payoff import PayoffSpec, bump_kernel, kernel_average
 
 __all__ = ["PenaltySpec", "anchor", "build"]
+
+#: nodes of the ramp table on ``z`` in [-1, 1]
+_RAMP_NODES = 4097
+
+
+@cache
+def _ramp_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``F``, ``F' = 1 - K`` and ``F'' = -k`` on the table nodes."""
+    z = np.linspace(-1.0, 1.0, _RAMP_NODES)
+    f = kernel_average(lambda t: np.minimum(t, 0.0), z, 1.0, (0.0,))
+    fp = kernel_average(lambda t: np.where(t < 0.0, 1.0, 0.0), z, 1.0,
+                        (0.0,))
+    table = (f, fp, -bump_kernel(z))
+    for col in table:  # shared by every caller
+        col.flags.writeable = False
+    return table
+
+
+def _hermite(z: np.ndarray, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of a ramp-table column at ``z`` in (-1, 1)."""
+    dz = 2.0 / (_RAMP_NODES - 1)
+    t = (z + 1.0) / dz
+    i = np.minimum(t.astype(int), _RAMP_NODES - 2)
+    s = t - i
+    r = 1.0 - s
+    return (s * s * (3.0 - 2.0 * s) * vals[i + 1]
+            + r * r * (1.0 + 2.0 * s) * vals[i]
+            + dz * s * r * (r * ders[i] - s * ders[i + 1]))
 
 
 @dataclass(frozen=True)
@@ -65,28 +101,32 @@ class PenaltySpec:
         out = self._eval_slope(arr.ravel()).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
 
+    def _band(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mask of the mollified band and its points in table units."""
+        kink = 0.5 * self.eps
+        band = np.abs(y - kink) < self.kernel_width
+        return band, (y[band] - kink) / self.kernel_width
+
     def _eval(self, y: np.ndarray) -> np.ndarray:
         if self.p0 == 0.0:
             return np.zeros_like(y)
-        kink = 0.5 * self.eps
-        w = self.kernel_width
         out = self._template(y)
-        band = np.abs(y - kink) < w
-        if np.any(band):
-            out[band] = kernel_average(self._template, y[band], w, (kink,))
+        band, z = self._band(y)
+        if z.size:
+            f, fp, _ = _ramp_table()
+            ramp = self.slope_max * self.kernel_width * _hermite(z, f, fp)
+            # interpolation may round just above zero near the band edge
+            out[band] = np.minimum(ramp, 0.0)
         return out
 
     def _eval_slope(self, y: np.ndarray) -> np.ndarray:
         if self.p0 == 0.0:
             return np.zeros_like(y)
-        kink = 0.5 * self.eps
-        w = self.kernel_width
-        s = self.slope_max
-        out = np.where(y < kink, s, 0.0)
-        band = np.abs(y - kink) < w
-        if np.any(band):
-            out[band] = kernel_average(
-                lambda z: np.where(z < kink, s, 0.0), y[band], w, (kink,))
+        out = np.where(y < 0.5 * self.eps, self.slope_max, 0.0)
+        band, z = self._band(y)
+        if z.size:
+            _, fp, fpp = _ramp_table()
+            out[band] = self.slope_max * _hermite(z, fp, fpp)
         return out
 
 

@@ -35,10 +35,10 @@ from scipy.linalg import solve_banded
 from . import generator, levy, penalty as penalty_mod
 from .errors import ConfigError, NumericalError, ParameterError
 from .generator import NonlocalOperator
-from .grids import (CoefficientField, GridFunction, SpaceTimeGrid,
-                    validate_coefficients)
+from .grids import (CoefficientField, GridFunction, PayoffGhosts,
+                    SpaceTimeGrid, extend_slice, validate_coefficients)
 from .levy import LevyModel
-from .payoff import MollifiedPayoff, PayoffSpec, mollify
+from .payoff import PayoffSpec, mollify
 from .penalty import PenaltySpec
 
 __all__ = [
@@ -195,28 +195,18 @@ class _Workspace:
     def __init__(self, cfg: SolveConfig, eps: float | None):
         grid = cfg.grid
         self.cfg = cfg
-        self.eps = eps
         x = grid.nodes
         self.x = x
         self.h = grid.h
         self.dt = grid.dt
-        ne = cfg.op.n_ext
-        self.n_ext = ne
-        left_x = x[0] - grid.h * np.arange(ne, 0, -1)
-        right_x = x[-1] + grid.h * np.arange(1, ne + 1)
+        self.n_ext = cfg.op.n_ext
 
-        if eps is not None:
-            self.g_mollified: MollifiedPayoff | None = \
-                mollify(cfg.payoff, 0.5 * eps)
-            self.obstacle = np.asarray(self.g_mollified(x), dtype=float)
-            self.bc_fn = self.g_mollified
-        else:
-            self.g_mollified = None
-            self.obstacle = np.asarray(cfg.payoff(x), dtype=float)
-            self.bc_fn = cfg.payoff
-        self.g_raw = np.asarray(cfg.payoff(x), dtype=float)
-        self.ext_left = np.asarray(self.bc_fn(left_x), dtype=float)
-        self.ext_right = np.asarray(self.bc_fn(right_x), dtype=float)
+        self.bc_fn = cfg.payoff if eps is None else \
+            mollify(cfg.payoff, 0.5 * eps)
+        self.obstacle = np.asarray(self.bc_fn(x), dtype=float)
+        # jump reads past the grid clamp to the obstacle; the report's
+        # surface shares them with residual_vi
+        self.ghosts = PayoffGhosts(grid, self.bc_fn)
 
         self.time_dependent = cfg.coeffs.time_dependent
         self._stencil_cache: dict[float, tuple] = {}
@@ -225,7 +215,7 @@ class _Workspace:
         self.r_right = float(r_edge[-1])
         if cfg.mode == "european":
             self.initial = np.asarray(
-                cfg.initial(x) if cfg.initial is not None else self.g_raw,
+                cfg.initial(x) if cfg.initial is not None else self.obstacle,
                 dtype=float)
         else:
             self.initial = self.obstacle.copy()
@@ -252,22 +242,16 @@ class _Workspace:
         self._stencil_cache[key] = (lo, dg, up)
         return lo, dg, up
 
+    def edge_discount(self, s: float) -> tuple[float, float]:
+        """Decay of the edge data: the edge discount in european mode."""
+        if self.cfg.mode != "european":
+            return 1.0, 1.0
+        return np.exp(-self.r_left * s), np.exp(-self.r_right * s)
+
     def boundary_values(self, s: float) -> tuple[float, float]:
         """Dirichlet edge values at forward time ``s``."""
-        if self.cfg.mode == "european":
-            return (float(self.obstacle[0]) * np.exp(-self.r_left * s),
-                    float(self.obstacle[-1]) * np.exp(-self.r_right * s))
-        return float(self.obstacle[0]), float(self.obstacle[-1])
-
-    def extended(self, v: np.ndarray, s: float) -> np.ndarray:
-        """Jump-operator reads beyond the grid clamp to the obstacle
-        (discounted in european mode)."""
-        if self.cfg.mode == "european":
-            dl = np.exp(-self.r_left * s)
-            dr = np.exp(-self.r_right * s)
-            return np.concatenate([self.ext_left * dl, v,
-                                   self.ext_right * dr])
-        return np.concatenate([self.ext_left, v, self.ext_right])
+        dl, dr = self.edge_discount(s)
+        return float(self.obstacle[0]) * dl, float(self.obstacle[-1]) * dr
 
 
 def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
@@ -301,7 +285,8 @@ def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
     dt = ws.dt
     s_now = n * dt
     s_new = (n + 1) * dt
-    ext = ws.extended(v_now, s_now)
+    ext = extend_slice(cfg.grid, v_now, "clamp_payoff", ws.ghosts, ws.n_ext,
+                       ws.n_ext, ws.edge_discount(s_now))
     rhs = v_now + dt * generator.apply_nonlocal_ext(
         cfg.op, ext, profile="monotone", with_compensator=True)
     if cfg.theta < 1.0:
@@ -381,7 +366,7 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
             levy.integrate_density(
                 cfg.model, lambda t: 1.0, radius, np.inf, side="-")
     gf = GridFunction(grid, surface, extension="clamp_payoff",
-                      payoff=ws.bc_fn)
+                      payoff=ws.bc_fn, ghosts=ws.ghosts)
     report = SolveReport(
         value=gf, mode=cfg.mode, eps_final=eps, anchor=cfg.anchor,
         boundary=None, residuals=residuals, eps_trace=[],
@@ -485,7 +470,8 @@ def backward_value(report: SolveReport) -> GridFunction:
     """Value in natural time: ``u(x, t) = v(x, T - t)`` (flipped columns)."""
     gf = report.value
     return GridFunction(gf.grid, gf.values[:, ::-1].copy(),
-                        extension=gf.extension, payoff=gf.payoff)
+                        extension=gf.extension, payoff=gf.payoff,
+                        ghosts=gf.ghosts)
 
 
 def residual_vi(value: GridFunction, cfg: SolveConfig,
@@ -515,10 +501,8 @@ def residual_vi(value: GridFunction, cfg: SolveConfig,
     for n in range(n_skip, grid.nt):
         v_n = value.values[:, n]
         dv_ds = (value.values[:, n + 1] - value.values[:, n - 1]) / (2.0 * dt)
-        gf_n = GridFunction(grid, v_n, extension=value.extension,
-                            payoff=value.payoff)
-        lv = generator.apply_local(cfg.coeffs, gf_n, t=n * dt) + \
-            generator.apply_nonlocal(cfg.op, gf_n, profile="accurate")
+        lv = generator.apply_local(cfg.coeffs, value, t=n * dt, n=n) + \
+            generator.apply_nonlocal(cfg.op, value, profile="accurate", n=n)
         rv = np.asarray(cfg.coeffs.r(x, n * dt), dtype=float) * v_n
         pde_part = dv_ds - lv + rv
         obs_part = v_n - g

@@ -1,6 +1,7 @@
 """Reward functions, constants, and bump-kernel smoothing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,3 +170,31 @@ def test_mollified_put_monotone_nonincreasing():
     xs = np.linspace(-3.0, 1.5, 800)
     vals = m(xs)
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+BLOCK_SPECS = (po.put(1.0), po.soft_capped_call(1.0, 0.8),
+               po.tabulated([-1.0, -0.2, 0.1, 0.5], [0.9, 0.4, 0.3, 0.0]))
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("n", (1, 1024, 1025, 40_000))
+def test_kernel_average_blocked_matches_pointwise(spec, n):
+    """Blocks of points give exactly the one-point-at-a-time values."""
+    f = lambda t: po.values(spec, t)  # noqa: E731
+    x = np.linspace(-1.2, 1.0, n)
+    got = po.kernel_average(f, x, 0.1, spec.kinks)
+    idx = np.arange(0, n, 1 if n <= 1025 else 37)
+    want = [po.kernel_average(f, x[i:i + 1], 0.1, spec.kinks)[0]
+            for i in idx]
+    np.testing.assert_array_equal(got[idx], want)
+
+
+def test_kernel_average_memory_is_bounded_by_the_block():
+    x = np.linspace(-2.0, 2.0, 40_000)
+    tracemalloc.start()
+    try:
+        po.kernel_average(po.put(1.0), x, 0.05, (0.0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -12,7 +12,7 @@ import pytest
 from jumpstop import levy
 from jumpstop.errors import ParameterError
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
-from jumpstop.payoff import PayoffSpec, put
+from jumpstop.payoff import PayoffSpec, kernel_average, put
 from jumpstop.penalty import anchor, build
 
 EPS_SET = (0.2, 0.1, 0.05, 0.025)
@@ -70,18 +70,21 @@ def spec(request):
 
 
 def test_nonpositive_everywhere(spec):
-    assert np.all(spec.value(YS) <= 0.0)
+    edge = np.linspace(spec.support_hi - 1e-3 * spec.kernel_width,
+                       spec.support_hi, 1001)
+    assert np.all(spec.value(np.concatenate([YS, edge])) <= 0.0)
 
 
 def test_vanishes_beyond_separation(spec):
-    ys = YS[YS >= spec.eps]
+    ys = np.concatenate([YS[YS >= spec.eps],
+                         np.linspace(spec.support_hi, spec.eps, 1001)])
     assert np.all(spec.value(ys) == 0.0)
     assert spec.value(spec.eps) == 0.0
     assert spec.value(spec.support_hi) == 0.0
 
 
 def test_anchor_exact_at_zero(spec):
-    assert spec.value(0.0) == pytest.approx(spec.p0, abs=1e-12)
+    assert spec.value(0.0) == spec.p0
 
 
 def test_monotone_nondecreasing(spec):
@@ -98,9 +101,7 @@ def test_concave(spec):
 
 def test_linear_branch_exact(spec):
     ys = np.linspace(-3.0, 0.5 * spec.eps - 1.5 * spec.kernel_width, 500)
-    want = spec.slope_max * ys + spec.p0
-    assert np.max(np.abs(spec.value(ys) - want)) <= 1e-12 * max(
-        1.0, float(np.max(np.abs(want))))
+    np.testing.assert_array_equal(spec.value(ys), spec.slope_max * ys + spec.p0)
 
 
 def test_slope_matches_finite_differences(spec):
@@ -114,6 +115,19 @@ def test_slope_bounded(spec):
     s = spec.slope(YS)
     assert np.all(s >= -1e-12)
     assert np.all(s <= spec.slope_max * (1.0 + 1e-9))
+
+
+# --- ramp table against the direct quadrature -----------------------------
+
+def test_ramp_table_matches_direct_quadrature(spec):
+    kink, w, s = 0.5 * spec.eps, spec.kernel_width, spec.slope_max
+    ys = np.linspace(kink - w, kink + w, 20_001)[1:-1]
+    want = kernel_average(spec._template, ys, w, (kink,))
+    want_slope = kernel_average(lambda z: np.where(z < kink, s, 0.0), ys, w,
+                                (kink,))
+    assert np.max(np.abs(spec.value(ys) - want)) <= 1e-14 * abs(spec.p0)
+    # the 64-node rule itself is off by up to 2e-13 * s on the slope
+    assert np.max(np.abs(spec.slope(ys) - want_slope)) <= 1e-13 * s
 
 
 # --- pointwise limit as the separation scale shrinks ----------------------

@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from jumpstop import diagnostics, levy, payoff
+from jumpstop import diagnostics, generator, levy, payoff, solver
 from jumpstop.errors import ConfigError, NumericalError
-from jumpstop.grids import CoefficientField, SpaceTimeGrid
+from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
 from jumpstop.penalty import build as build_penalty
 from jumpstop.solver import (SolveConfig, backward_value, monotone_step_check,
                              plan_steps, required_nt, residual_vi,
@@ -367,7 +367,62 @@ def test_residual_shape_guard(diffusion_american):
     cfg, rep = diffusion_american
     other = SpaceTimeGrid(-0.5, 0.5, 1.0, 100, 1.0, 50)
     from jumpstop.errors import ParameterError
-    from jumpstop.grids import GridFunction
     wrong = GridFunction(other, np.zeros((101, 51)), extension="zero")
     with pytest.raises(ParameterError):
         residual_vi(wrong, cfg)
+
+
+# ---------------------------------------------------------------------------
+# ghost values shared by the march and the residual
+
+
+@pytest.mark.parametrize("mode", ["penalized", "projected"])
+def test_residual_reuses_the_solve_ghosts(mode, monkeypatch):
+    """Same residual as fresh per-level grid functions, without
+    re-mollifying the ghost nodes."""
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 80, 0.5, 40)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0),
+                      eps_schedule=(0.2, 0.1), mode=mode)
+    rep = solve_vi(cfg)
+    calls = []
+    real = payoff.kernel_average
+    monkeypatch.setattr(payoff, "kernel_average",
+                        lambda *a: calls.append(1) or real(*a))
+    got = residual_vi(rep.value, cfg).values
+    assert calls == []
+    monkeypatch.undo()
+
+    v, dt, x = rep.value.values, grid.dt, grid.nodes
+    g = payoff.put(1.0)(x)
+    levels = np.nonzero(np.isfinite(got).any(axis=0))[0]
+    assert levels.size > grid.nt // 2
+    for n in levels:
+        gf = GridFunction(grid, v[:, n], payoff=rep.value.payoff)
+        lv = generator.apply_local(coeffs, gf, t=n * dt) + \
+            generator.apply_nonlocal(cfg.op, gf, profile="accurate")
+        pde = (v[:, n + 1] - v[:, n - 1]) / (2.0 * dt) - lv + \
+            coeffs.r(x, n * dt) * v[:, n]
+        want = np.minimum(pde, v[:, n] - g)
+        ok = np.isfinite(got[:, n])
+        np.testing.assert_array_equal(got[ok, n], want[ok])
+
+
+def test_european_march_discounts_its_ghosts(monkeypatch):
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 20)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode="european")
+    seen = []
+    real = solver.extend_slice
+    monkeypatch.setattr(solver, "extend_slice",
+                        lambda *a: seen.append(real(*a)) or seen[-1])
+    solve_european(cfg)
+    ne, h, x = cfg.op.n_ext, grid.h, grid.nodes
+    k = np.arange(1, ne + 1)
+    ghosts = payoff.put(1.0)(np.concatenate([x[0] - h * k[::-1],
+                                             x[-1] + h * k]))
+    assert len(seen) == grid.nt and ghosts[0] > 0.5
+    for n, ext in enumerate(seen):
+        np.testing.assert_allclose(
+            np.concatenate([ext[:ne], ext[-ne:]]),
+            ghosts * math.exp(-R * n * grid.dt), rtol=1e-14, atol=0.0)
