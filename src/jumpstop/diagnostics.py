@@ -22,7 +22,6 @@ __all__ = [
     "crossings",
     "SmoothFitReport",
     "smooth_fit_gap",
-    "holder_seminorm",
     "parabolic_norms",
     "sobolev_stability",
     "CheckResult",
@@ -156,39 +155,6 @@ def smooth_fit_gap(u: GridFunction, payoff, contact_tol: float | None = None,
     return SmoothFitReport(max_gap=max_gap, median_gap=median_gap,
                            gaps=tuple(gaps), grad_max=grad_max,
                            unreliable=unreliable)
-
-
-def holder_seminorm(u: GridFunction, exp_x: float, exp_t: float,
-                    window: tuple | None = None) -> float:
-    """Discrete Holder quotient, split into pure-space and pure-time parts.
-
-    Maximizes ``|f(x,t) - f(x',t)| / |x - x'|**exp_x`` over spatial pairs
-    closer than the localization radius (one unit, capped at a quarter of
-    the domain width) and the analogous time quotient, returning the
-    larger of the two.
-    """
-    grid = u.grid
-    vals = u.values if u.values.ndim == 2 else u.values[:, None]
-    x = grid.nodes
-    if window is not None:
-        mask = (x >= window[0]) & (x <= window[1])
-        if not mask.any():
-            raise ParameterError("window contains no grid nodes")
-        vals = vals[mask, :]
-        x = x[mask]
-    rho = min(1.0, 0.25 * (grid.x_hi - grid.x_lo + 2.0 * grid.pad))
-    best = 0.0
-    k_max = int(min(np.floor(rho / grid.h), x.size - 1))
-    for k in range(1, k_max + 1):
-        diff = np.max(np.abs(vals[k:, :] - vals[:-k, :]))
-        best = max(best, diff / (k * grid.h) ** exp_x)
-    if vals.shape[1] > 1:
-        dt = grid.dt
-        m_max = int(min(np.floor(rho / dt), vals.shape[1] - 1))
-        for m in range(1, m_max + 1):
-            diff = np.max(np.abs(vals[:, m:] - vals[:, :-m]))
-            best = max(best, diff / (m * dt) ** exp_t)
-    return float(best)
 
 
 def parabolic_norms(u: GridFunction, p: float,

@@ -196,9 +196,7 @@ def _trivial_operator(model, h, n_base, y_core) -> NonlocalOperator:
 def _fv_core(model: LevyModel, y_core: float) -> float | None:
     if not model.finite_variation:
         return None
-    pos = levy.integrate_density(model, lambda t: t, 0.0, y_core, side="+")
-    neg = levy.integrate_density(model, lambda t: -t, 0.0, y_core, side="-")
-    return pos + neg
+    return levy.jump_moment(model, 1, 0.0, y_core)
 
 
 def _cell_edges(h, y_core, radius, forced_edges):

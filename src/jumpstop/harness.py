@@ -385,20 +385,30 @@ def _value_at(report: SolveReport, cfg: SolveConfig,
     return float(np.interp(x, grid.nodes, report.value.values[:, col]))
 
 
+def _risk_neutral(p: ProblemBlock, model: LevyModel) -> bool:
+    """True when the drift is ``rate - sigma^2/2 - exp_compensator``."""
+    if p.drift is None:
+        return True
+    neutral = p.rate - 0.5 * p.sigma * p.sigma - levy.exp_compensator(model)
+    return math.isclose(p.drift, neutral, rel_tol=0.0, abs_tol=1e-12)
+
+
 def _oracle_selection(rc: RunConfig, cfg: SolveConfig) -> set:
     which = set(rc.oracle.which)
     if "none" in which:
         return set()
-    if "auto" not in which:
-        return which
-    names = set(which) - {"auto"}
-    if cfg.model.is_trivial and cfg.payoff.kind == "put":
-        names.add("binomial")
-    if cfg.model.family == "merton" and cfg.payoff.kind == "put" \
-            and cfg.mode == "european":
-        names.add("series")
-    if rc.oracle.mc_paths > 0:
-        names.add("mc")
+    names = which - {"auto"}
+    if "auto" in which:
+        if cfg.model.is_trivial and cfg.payoff.kind == "put":
+            names.add("binomial")
+        if cfg.model.family == "merton" and cfg.payoff.kind == "put" \
+                and cfg.mode == "european":
+            names.add("series")
+        if rc.oracle.mc_paths > 0:
+            names.add("mc")
+    if not _risk_neutral(rc.problem, cfg.model):
+        # the tree and the series price under the risk-neutral drift only
+        names -= {"binomial", "series"}
     return names
 
 

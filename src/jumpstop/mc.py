@@ -89,12 +89,9 @@ def _side_table(model: LevyModel, lo: float, hi: float,
 
 def _suggest_split(model: LevyModel, eps: float, cap: float) -> float:
     """Smallest power-of-two multiple of ``eps`` whose arrival rate fits."""
-    one = np.vectorize(lambda t: 1.0)
     e = max(eps, 1e-8)
     for _ in range(60):
-        rate = (levy.integrate_density(model, one, e, math.inf, side="+")
-                + levy.integrate_density(model, one, e, math.inf, side="-"))
-        if rate <= cap:
+        if levy.jump_moment(model, 0, e, math.inf) <= cap:
             return e
         e *= 2.0
     return e

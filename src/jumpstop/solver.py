@@ -119,17 +119,27 @@ class SolveConfig:
                 f"need nt >= {required_nt(self)} time steps")
 
 
+def _stability_rate(op: NonlocalOperator, coeffs: CoefficientField,
+                    grid: SpaceTimeGrid, theta: float,
+                    penalty_rate: float) -> float:
+    """Worst decay rate of everything treated explicitly in one step.
+
+    The jump operator, the ``1 - theta`` share of the local operator and
+    the penalty slope ``penalty_rate = 2 |p0| / eps_min`` (0 unpenalized).
+    """
+    rate = generator.stability_rate(op, "monotone")
+    if theta < 1.0:
+        a0, b0, _ = coeffs.maxima(grid)
+        h = grid.h
+        rate += (1.0 - theta) * (2.0 * a0 / (h * h) + b0 / h)
+    return rate + penalty_rate
+
+
 def _explicit_rate(cfg: SolveConfig) -> float:
-    """Worst decay rate of everything treated explicitly in one step."""
-    rate = generator.stability_rate(cfg.op, "monotone")
-    if cfg.theta < 1.0:
-        a0, b0, _ = cfg.coeffs.maxima(cfg.grid)
-        h = cfg.grid.h
-        rate += (1.0 - cfg.theta) * (2.0 * a0 / (h * h) + b0 / h)
-    if cfg.mode == "penalized":
-        eps_min = min(cfg.eps_schedule)
-        rate += 2.0 * abs(cfg.anchor) / eps_min
-    return rate
+    """:func:`_stability_rate` of a built config."""
+    pen = (2.0 * abs(cfg.anchor) / min(cfg.eps_schedule)
+           if cfg.mode == "penalized" else 0.0)
+    return _stability_rate(cfg.op, cfg.coeffs, cfg.grid, cfg.theta, pen)
 
 
 def stability_fraction(cfg: SolveConfig) -> float:
@@ -173,14 +183,12 @@ def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
     keeps a margin below the budget; pass the intended ``eps_schedule``
     when planning a penalized run so the penalty slope is counted.
     """
-    op = generator.build_operator(model, grid)
-    rate = generator.stability_rate(op, "monotone")
-    if theta < 1.0:
-        a0, b0, _ = coeffs.maxima(grid)
-        rate += (1.0 - theta) * (2.0 * a0 / (grid.h * grid.h) + b0 / grid.h)
+    pen = 0.0
     if eps_schedule:
         p0 = penalty_mod.anchor(coeffs, payoff, model, grid)
-        rate += 2.0 * abs(p0) / min(eps_schedule)
+        pen = 2.0 * abs(p0) / min(eps_schedule)
+    rate = _stability_rate(generator.build_operator(model, grid), coeffs,
+                           grid, theta, pen)
     return max(grid.nt, int(np.ceil(grid.t_final * rate /
                                     (_BUDGET * safety))))
 
@@ -357,14 +365,7 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
         residuals["penalty_max"] = float(pen.max())
         residuals["obstacle_gap"] = float(
             np.min(surface - ws.obstacle[:, None]))
-    if cfg.model.is_trivial:
-        trunc = 0.0
-    else:
-        radius = cfg.op.radius
-        trunc = levy.integrate_density(
-            cfg.model, lambda t: 1.0, radius, np.inf, side="+") + \
-            levy.integrate_density(
-                cfg.model, lambda t: 1.0, radius, np.inf, side="-")
+    trunc = levy.jump_moment(cfg.model, 0, cfg.op.radius, np.inf)
     gf = GridFunction(grid, surface, extension="clamp_payoff",
                       payoff=ws.bc_fn, ghosts=ws.ghosts)
     report = SolveReport(

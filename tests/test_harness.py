@@ -267,6 +267,33 @@ def test_run_failed_check_exits_3_and_names_it(tmp_path):
     assert "oracle_binomial" in buf.getvalue()
 
 
+@pytest.mark.parametrize("which", [["auto"], ["binomial"]])
+def test_explicit_drift_skips_the_risk_neutral_tree(tmp_path, which):
+    # the binomial tree prices under r - sigma^2/2; a drift of 0.10 is
+    # outside its assumptions, so it is not compared, even when named
+    cfg_path = make_config(tmp_path, problem={"drift": 0.10},
+                           numerics={"nx": 200, "nt": 100},
+                           oracle={"which": which})
+    out = tmp_path / "out"
+    assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert "oracle_binomial" not in diag["checks"]
+    rc = harness.RunConfig.from_text(cfg_path.read_text())
+    assert [row.get("oracle") for row in harness.compare(rc)] == [None]
+
+
+def test_risk_neutral_drift_keeps_the_tree(tmp_path):
+    # default drift, and the same drift written out, both keep the tree
+    neutral = 0.04 - 0.5 * 0.2 ** 2
+    for drift in (None, neutral):
+        cfg_path = make_config(tmp_path, problem={"drift": drift},
+                               numerics={"nx": 200, "nt": 100})
+        out = tmp_path / f"out_{drift}"
+        assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["checks"]["oracle_binomial"]["passed"]
+
+
 def test_run_european_artifacts(tmp_path):
     cfg_path = make_config(tmp_path, problem={"horizon": 0.5},
                            numerics={"nx": 100, "nt": 60,
@@ -362,6 +389,17 @@ def test_cli_solve_and_compare(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "pde" in captured
     assert (out / "compare.csv").read_text().startswith("x,t,pde")
+
+
+def test_cli_solve_slowly_tempered_kou_exits_0(tmp_path):
+    # eta_up = 1.05: the exponential moment is finite but large (the
+    # compensator is about 9.87); its quadrature used to overflow
+    cfg_path = make_config(
+        tmp_path,
+        problem={"family": "kou", "jump_params": [1.0, 0.5, 1.05, 3.0]},
+        numerics={"mode": "european"})
+    assert cli.main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_missing_config_exits_2(tmp_path):

@@ -278,3 +278,187 @@ def test_exp_compensator_divergent_guard():
     with pytest.raises(ParameterError):
         levy.exp_compensator(levy.nig(2.0, 1.5, 0.3))
     assert levy.exp_compensator(levy.none()) == 0.0
+
+
+# Frozen values of integral (e^y - 1 - y 1{|y|<=1}) rho(dy) at 50 digits,
+# rounded to 17-20.  Generated once with mpmath (not a dependency):
+#
+#   mp.mp.dps = 50
+#   def ts_side(c, a, lam, s):   # side s = +-1 of the tempered-stable measure
+#       big = s * c * lam ** (a - 1) * mp.gammainc(1 - a, lam)  # |y| > 1 mean
+#       if a in (0, 1):          # removable pole: integrate directly
+#           f = lambda y: (mp.expm1(s*y) - s*y) * c * y**(-1-a) * mp.exp(-lam*y)
+#           return mp.quad(f, [0, 1, mp.inf]) + big
+#       return c * mp.gamma(-a) * ((lam - s)**a - lam**a
+#                                  + s * a * lam**(a - 1)) + big
+#   value = ts_side(c_plus, a, lam_plus, 1) + ts_side(c_minus, a, lam_minus, -1)
+#
+# The closed forms agree with mp.quad of the defining integral to 1e-9 or
+# better (at a = 1.99 with the part below y = 1e-3 as a power series, since
+# tanh-sinh cannot resolve y^-0.99 there; mp.quad is the weaker of the two
+# for a >= 1.8).  Merton and
+# Kou: mp.quad of the defining integral, checked against
+# lam (e^{mu + s^2/2} - 1) and lam [p eta_up/(eta_up-1) + (1-p) eta_down /
+# (eta_down+1) - 1] minus the mp.quad truncated mean to 1e-40.  VG:
+# c [-log(1 - 1/lam_plus) - 1/lam_plus - log(1 + 1/lam_minus) + 1/lam_minus]
+# + c (e^{-lam_plus}/lam_plus - e^{-lam_minus}/lam_minus).  NIG:
+# d (sqrt(a^2 - b^2) - sqrt(a^2 - (b+1)^2))
+# - (2 d a / pi) mp.quad(sinh(b x) K1(a x), [0, 1]), checked against mp.quad
+# of the defining integral for nig(6, -1, 0.3).
+
+# CGMY(1, lam_minus, lam_plus, alpha): (alpha, lam_minus, lam_plus) -> value
+EXP_COMP_CGMY = {
+    (0.0, 5.0, 10.0): 0.021695909457030830082,
+    (0.0, 0.5, 1.05): 2.1137419240216221517,
+    (0.0, 50.0, 50.0): 0.00040008002133973538202,
+    (0.5, 5.0, 10.0): 0.049628706083312951998,
+    (0.5, 0.5, 1.05): 1.2411045924088171173,
+    (0.5, 50.0, 50.0): 0.0025069416689811285913,
+    (0.999, 5.0, 10.0): 0.1441825264115577104,
+    (0.999, 0.5, 1.05): 1.1374252705505562237,
+    (0.999, 50.0, 50.0): 0.019911762392451059352,
+    (1.0, 5.0, 10.0): 0.14454056122094540575,
+    (1.0, 0.5, 1.05): 1.1377915295600290615,
+    (1.0, 50.0, 50.0): 0.020001333546712392333,
+    (1.001, 5.0, 10.0): 0.14489972955640918224,
+    (1.001, 0.5, 1.05): 1.138160371129863235,
+    (1.001, 50.0, 50.0): 0.020091340678478508355,
+    (1.5, 5.0, 10.0): 0.66806498263309470562,
+    (1.5, 0.5, 1.05): 1.8627305089669799585,
+    (1.5, 50.0, 50.0): 0.25066909476501581721,
+    (1.8, 5.0, 10.0): 3.0999696406078992724,
+    (1.8, 0.5, 1.05): 4.6928624234648840907,
+    (1.8, 50.0, 50.0): 2.0994328190107974309,
+    (1.99, 5.0, 10.0): 97.491694524248422297,
+    (1.99, 0.5, 1.05): 99.557348292898580871,
+    (1.99, 50.0, 50.0): 95.617894612636284508,
+}
+
+# within 1e-6 of the removable poles alpha in {0, 1}
+EXP_COMP_CGMY_NEAR_POLE = {
+    (1e-06, 5.0, 10.0): 0.021695941609158482057,
+    (1e-06, 0.5, 1.05): 2.1137388184734897435,
+    (1e-06, 50.0, 50.0): 0.00040008141725028725328,
+    (0.999999, 5.0, 10.0): 0.14454020262066970277,
+    (0.999999, 0.5, 1.05): 1.137791162011735944,
+    (0.999999, 50.0, 50.0): 0.020001243758170806061,
+    (1.000001, 5.0, 10.0): 0.14454091982235459331,
+    (1.000001, 0.5, 1.05): 1.1377918971109046963,
+    (1.000001, 50.0, 50.0): 0.020001423335689945037,
+}
+
+EXP_COMP_MODELS = {
+    "ts15": (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0),
+             0.20613509692515639293),
+    "ts_slow": (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 1.05),
+                0.35110657956505084929),
+    "merton": (MODELS["merton"], 0.047043228140431966),
+    "merton_centered": (levy.merton(2.0, 0.0, 0.1), 0.010025041718802128),
+    "kou": (MODELS["kou"], 0.011139861581821944),
+    "kou_slow": (levy.kou(1.0, 0.5, 1.05, 3.0), 9.8738907095061144),
+    "vg": (MODELS["vg"], 0.020937525393641574),
+    "nig": (MODELS["nig"], 0.025188479678639572),
+    "nig_slow": (levy.nig(2.0, 0.95, 0.3), 0.27763378608221273),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXP_COMP_CGMY))
+def test_exp_compensator_cgmy_50_digit(key):
+    alpha, lam_minus, lam_plus = key
+    got = levy.exp_compensator(levy.cgmy(1.0, lam_minus, lam_plus, alpha))
+    assert got == pytest.approx(EXP_COMP_CGMY[key], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("key", sorted(EXP_COMP_CGMY_NEAR_POLE))
+def test_exp_compensator_cgmy_near_removable_poles(key):
+    alpha, lam_minus, lam_plus = key
+    got = levy.exp_compensator(levy.cgmy(1.0, lam_minus, lam_plus, alpha))
+    assert got == pytest.approx(EXP_COMP_CGMY_NEAR_POLE[key], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(EXP_COMP_MODELS))
+def test_exp_compensator_families_50_digit(name):
+    model, want = EXP_COMP_MODELS[name]
+    assert levy.exp_compensator(model) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_exp_compensator_slowly_tempered_models_are_finite():
+    # each overflowed math.expm1 on an outer quadrature panel before
+    for model in (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 1.05),
+                  levy.nig(2.0, 0.95, 0.3), levy.kou(1.0, 0.5, 1.05, 3.0)):
+        assert math.isfinite(levy.exp_compensator(model))
+
+
+def test_exp_compensator_one_sided_models():
+    # no up-jumps: no exponential-moment condition on the positive side
+    assert math.isfinite(levy.exp_compensator(
+        levy.tempered_stable(0.4, 0.0, 1.2, 1.2, 2.0, 0.5)))
+    assert math.isfinite(levy.exp_compensator(levy.kou(1.0, 0.0, 0.5, 3.0)))
+    with pytest.raises(ParameterError):
+        levy.exp_compensator(levy.kou(1.0, 0.5, 1.0, 3.0))
+    with pytest.raises(ParameterError):
+        levy.exp_compensator(levy.variance_gamma(0.5, 2.0, 0.4))
+
+
+def test_exp_compensator_overflow_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="overflows"):
+        levy.exp_compensator(levy.merton(1.0, 800.0, 0.1))
+
+
+def _expm1_minus_linear(z):
+    """e^z - 1 - z, by its Taylor series where cancellation would bite."""
+    near = np.clip(z, -0.5, 0.5)
+    term = near * near / 2.0
+    series = term.copy()
+    for n in range(3, 30):
+        term = term * near / n
+        series += term
+    return np.where(np.abs(z) < 0.5, series, np.expm1(z) - z)
+
+
+def _ts_side_by_rule(c, a, lam, s):
+    """integral_0^inf (e^{sy} - 1 - s y 1{y<=1}) c y^{-1-a} e^{-lam y} dy.
+
+    Power series of (e^{sy} - 1 - sy) e^{-lam y} integrated termwise below
+    y0, then 24-node Gauss-Legendre on unit panels of v = log y up to where
+    the slowest exponential has decayed by e^-80.  Returns the integral
+    and the integral of the absolute integrand (its scale).
+    """
+    y0 = 0.01
+    # Taylor coefficients d_k of (e^{sy} - 1 - sy) e^{-lam y}, k = 0..24
+    k = np.arange(25)
+    fact = np.cumprod(np.concatenate([[1.0], np.arange(1, 25)]))
+    e_sy = s ** k / fact
+    e_sy[:2] = 0.0
+    decay = (-lam) ** k / fact
+    d = np.convolve(e_sy, decay)[:25]
+    small = c * float(np.sum(d[2:] * y0 ** (k[2:] - a) / (k[2:] - a)))
+    top = math.log((80.0 + 2.0 * abs(a)) / min(lam, lam - s))
+    edges = np.concatenate([np.arange(math.log(y0), 0.0, 1.0), [0.0],
+                            np.arange(1.0, top, 1.0), [top]])
+    edges = np.unique(edges)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    v = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes[None, :]
+    w = 0.5 * (hi - lo) * weights[None, :]
+    y = np.exp(v)
+    inner = np.where(y <= 1.0,
+                     _expm1_minus_linear(s * np.minimum(y, 1.0))
+                     * np.exp(-lam * y),
+                     np.exp((s - lam) * y) - np.exp(-lam * y))
+    vals = inner * c * y ** (-a)
+    return small + float(np.sum(vals * w)), small + float(np.sum(np.abs(vals) * w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c_m=st.floats(0.01, 2.0), c_p=st.floats(0.01, 2.0),
+    a_m=st.floats(-0.5, 1.95), a_p=st.floats(-0.5, 1.95),
+    l_m=st.floats(0.2, 20.0), l_p=st.floats(1.1, 20.0),
+)
+def test_exp_compensator_matches_log_variable_rule(c_m, c_p, a_m, a_p, l_m, l_p):
+    model = levy.tempered_stable(c_m, c_p, a_m, a_p, l_m, l_p)
+    up, up_scale = _ts_side_by_rule(c_p, a_p, l_p, 1.0)
+    down, down_scale = _ts_side_by_rule(c_m, a_m, l_m, -1.0)
+    got = levy.exp_compensator(model)
+    assert abs(got - (up + down)) <= 1e-10 * (up_scale + down_scale)

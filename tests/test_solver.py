@@ -104,6 +104,37 @@ def test_stability_budget_enforced_and_suggestion_consistent():
     assert required_nt(ok) <= nt
 
 
+def test_plan_steps_counts_frozen():
+    # step counts of the planner before it shared the stability-rate
+    # formula with SolveConfig; explicit drift keeps them independent of
+    # the jump compensator
+    coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, 10)
+    ts = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    mer = levy.merton(1.5, -0.05, 0.25)
+    put = payoff.put(1.0)
+    assert plan_steps(grid, ts, coeffs, put) == 474
+    assert plan_steps(grid, ts, coeffs, put, theta=0.5) == 540
+    assert plan_steps(grid, mer, coeffs, put,
+                      eps_schedule=(0.05, 0.0125)) == 21
+    assert plan_steps(grid, mer, coeffs, put, eps_schedule=(0.05, 0.0125),
+                      theta=0.5, safety=0.9) == 73
+
+
+def test_plan_steps_fits_the_config_budget():
+    # the planner and a built config use one rate: a planned penalized,
+    # theta < 1 config sits at the safety fraction of the budget
+    coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, 10)
+    mer = levy.merton(1.5, -0.05, 0.25)
+    nt = plan_steps(grid, mer, coeffs, payoff.put(1.0),
+                    eps_schedule=(0.05, 0.0125), theta=0.5, safety=0.9)
+    cfg = SolveConfig(SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, nt), mer,
+                      coeffs, payoff.put(1.0), eps_schedule=(0.05, 0.0125),
+                      theta=0.5, mode="penalized")
+    assert 0.9 * (nt - 1) / nt < stability_fraction(cfg) <= 0.9
+
+
 def test_mode_mismatch_rejected():
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 32, 0.5, 16)
     cfg_p = SolveConfig(grid, levy.none(), diffusion_coeffs(),
