@@ -386,10 +386,18 @@ def _value_at(report: SolveReport, cfg: SolveConfig,
 
 
 def _risk_neutral(p: ProblemBlock, model: LevyModel) -> bool:
-    """True when the drift is ``rate - sigma^2/2 - exp_compensator``."""
+    """True when the drift is ``rate - sigma^2/2 - exp_compensator``.
+
+    A model with no finite exponential moment has no risk-neutral drift,
+    so an explicit drift under it is not risk-neutral.
+    """
     if p.drift is None:
         return True
-    neutral = p.rate - 0.5 * p.sigma * p.sigma - levy.exp_compensator(model)
+    try:
+        comp = levy.exp_compensator(model)
+    except ParameterError:
+        return False
+    neutral = p.rate - 0.5 * p.sigma * p.sigma - comp
     return math.isclose(p.drift, neutral, rel_tol=0.0, abs_tol=1e-12)
 
 
@@ -406,7 +414,8 @@ def _oracle_selection(rc: RunConfig, cfg: SolveConfig) -> set:
             names.add("series")
         if rc.oracle.mc_paths > 0:
             names.add("mc")
-    if not _risk_neutral(rc.problem, cfg.model):
+    if names & {"binomial", "series"} \
+            and not _risk_neutral(rc.problem, cfg.model):
         # the tree and the series price under the risk-neutral drift only
         names -= {"binomial", "series"}
     return names

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from jumpstop import cli, harness, levy
-from jumpstop.errors import ConfigError
+from jumpstop.errors import ConfigError, ParameterError
 
 BASE = {
     "problem": {"family": "none", "payoff": "put", "strike": 1.0,
@@ -282,6 +282,21 @@ def test_explicit_drift_skips_the_risk_neutral_tree(tmp_path, which):
     assert [row.get("oracle") for row in harness.compare(rc)] == [None]
 
 
+def test_explicit_drift_with_diverging_exponential_moment_solves(tmp_path):
+    # lam_plus = 0.9 < 1: the exponential moment diverges, so there is no
+    # risk-neutral drift, but a run with the drift written out still solves
+    model = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 0.9)
+    with pytest.raises(ParameterError):
+        levy.exp_compensator(model)
+    cfg_path = make_config(
+        tmp_path,
+        problem={"family": "tempered_stable", "drift": 0.0,
+                 "jump_params": [0.2, 0.2, 1.5, 1.5, 3.0, 0.9]},
+        numerics={"nx": 60, "nt": 100})
+    assert harness.run(cfg_path, out_dir=tmp_path / "out",
+                       stream=io.StringIO()) == 0
+
+
 def test_risk_neutral_drift_keeps_the_tree(tmp_path):
     # default drift, and the same drift written out, both keep the tree
     neutral = 0.04 - 0.5 * 0.2 ** 2
@@ -400,6 +415,21 @@ def test_cli_solve_slowly_tempered_kou_exits_0(tmp_path):
         numerics={"mode": "european"})
     assert cli.main(["solve", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_solve_slowly_tempered_kou_projected_names_the_failure(
+        tmp_path, capsys):
+    # the same model in projected mode: no traceback (exit 1); the run ends
+    # on the named residual gate, whose excluded window after expiry is
+    # shorter than this drift's payoff-kink transient
+    cfg_path = make_config(
+        tmp_path,
+        problem={"family": "kou", "jump_params": [1.0, 0.5, 1.05, 3.0]})
+    assert cli.main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr().out
+    assert "invariant violation: residual_" in out
+    assert "Traceback" not in out
 
 
 def test_cli_missing_config_exits_2(tmp_path):
