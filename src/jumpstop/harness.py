@@ -373,16 +373,26 @@ def _normalized_probes(rc: RunConfig) -> list[tuple[float, float]]:
 
 def _value_at(report: SolveReport, cfg: SolveConfig,
               x: float, t: float) -> float:
-    """Interpolated value at natural time ``t`` (column nearest in time)."""
+    """Value at ``(x, t)``, linear in ``x`` and in time.
+
+    A probe on a time level (to 1e-9 of a step) reads that level alone;
+    any other reads the two levels around it.
+    """
     grid = cfg.grid
     s = grid.t_final - t
     if not 0.0 <= s <= grid.t_final + 1e-12:
         raise ConfigError(f"probe time {t} outside [0, {grid.t_final}]")
-    col = int(round(s / grid.dt))
-    col = min(max(col, 0), grid.nt)
     if not grid.nodes[0] <= x <= grid.nodes[-1]:
         raise ConfigError(f"probe location {x} outside the padded grid")
-    return float(np.interp(x, grid.nodes, report.value.values[:, col]))
+    values = report.value.values
+    pos = min(s / grid.dt, grid.nt)
+    col = round(pos)
+    if abs(pos - col) <= 1e-9:
+        return float(np.interp(x, grid.nodes, values[:, col]))
+    lo = int(pos)
+    w = pos - lo
+    return float((1.0 - w) * np.interp(x, grid.nodes, values[:, lo])
+                 + w * np.interp(x, grid.nodes, values[:, lo + 1]))
 
 
 def _risk_neutral(p: ProblemBlock, model: LevyModel) -> bool:
@@ -471,6 +481,7 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
             row["mc_stderr"] = est.stderr
             if est.flag:
                 row["mc_flag"] = est.flag
+            del batch  # free the paths before the next probe's batch
         rows.append(row)
     return rows
 

@@ -10,11 +10,22 @@ integro-differential operator is carried as an extra drift, so the
 simulated process and the lattice operator describe the same dynamics.
 Finite-activity families skip the split and sample every jump.
 
+Paths are stored time-major, one contiguous row of ``n_paths`` states
+per time level, and each Euler step writes the next row in place.  A
+step draws one normal per path, then the jumps of all paths together:
+one pooled Poisson count, a uniform owner per jump, and one uniform
+level per jump that picks both the side and the size.  The number of
+jump draws thus follows the number of jumps, not ``n_paths * n_steps``.
+Sizes come from a guide table over the tabulated cumulative mass (equal
+mass buckets, each naming a panel), which finds the panel in O(1) and
+reproduces ``np.interp`` on the table bit for bit.
+
 Estimates: ``european_estimate`` averages the discounted terminal
 reward; ``stopping_lower_bound`` builds a regression exercise policy on
 half of the paths and values it on the other half, so the reported
 number is a genuine lower bound for the optimal stopping value (up to
-sampling error) rather than an in-sample artifact.
+sampling error) rather than an in-sample artifact.  Both discount step
+by step along the paths, with the rate at the start of each step.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ EXACT_FAMILIES = ("none", "merton", "kou")
 DEFAULT_SPLIT = 0.01
 DEFAULT_INTENSITY_CAP = 1e6
 _TABLE_PANELS = 4096
+_GUIDE_BUCKETS = 1 << 16
 _TAIL_TOL = 1e-10
 _MIN_POLICY_PATHS = 10_000
 
@@ -52,6 +64,89 @@ class MCEstimate(NamedTuple):
 
 
 @dataclass(frozen=True)
+class _JumpTable:
+    """Signed jump sizes as a function of one level ``w`` in ``[0, rate)``.
+
+    ``w < mass_plus`` is a positive jump at level ``w`` of the positive
+    side's cumulative mass ``cdf_plus``; the rest are negative jumps at
+    level ``w - mass_plus`` of ``cdf_minus``.  With ``w`` uniform, one
+    draw thus picks both the side and the inverse-CDF level, each with
+    its law.
+
+    The panels of both sides, positive first, carry ``offset`` (0 or
+    ``mass_plus``), their left ``cdf`` node ``lo``, their right node
+    ``upper`` (-inf where the slope is not finite, so that the bracket
+    check fails there), and the slope and left magnitude with the side's
+    sign folded in.  Level bucket ``j`` covers
+    ``[j, j+1) * rate / _GUIDE_BUCKETS``, and ``guide[j]`` is the panel
+    holding its lower edge.
+    """
+
+    mass_plus: float
+    cdf_plus: np.ndarray
+    mag_plus: np.ndarray
+    cdf_minus: np.ndarray
+    mag_minus: np.ndarray
+    offset: np.ndarray
+    lo: np.ndarray
+    upper: np.ndarray
+    slope: np.ndarray
+    base: np.ndarray
+    guide: np.ndarray
+    scale: float
+
+    @classmethod
+    def build(cls, plus: tuple, minus: tuple) -> "_JumpTable":
+        (mass_p, cdf_p, mag_p), (mass_m, cdf_m, mag_m) = plus, minus
+        n_panels = cdf_p.size - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope_p = np.diff(mag_p) / np.diff(cdf_p)
+            slope_m = np.diff(mag_m) / np.diff(cdf_m)
+        slope = np.concatenate([slope_p, -slope_m])
+        upper = np.where(np.isfinite(slope),
+                         np.concatenate([cdf_p[1:], cdf_m[1:]]), -np.inf)
+        rate = mass_p + mass_m
+        edges = np.arange(_GUIDE_BUCKETS) * (rate / _GUIDE_BUCKETS)
+        in_p = np.searchsorted(cdf_p, edges, side="right") - 1
+        in_m = np.searchsorted(cdf_m, edges - mass_p, side="right") - 1
+        guide = np.where(edges < mass_p,
+                         np.clip(in_p, 0, n_panels - 1),
+                         n_panels + np.clip(in_m, 0, n_panels - 1))
+        return cls(mass_p, cdf_p, mag_p, cdf_m, mag_m,
+                   np.repeat([0.0, mass_p], n_panels),
+                   np.concatenate([cdf_p[:-1], cdf_m[:-1]]), upper, slope,
+                   np.concatenate([mag_p[:-1], -mag_m[:-1]]),
+                   guide.astype(np.int32), _GUIDE_BUCKETS / rate)
+
+    def sizes(self, w: np.ndarray) -> np.ndarray:
+        """Signed sizes at levels ``w >= 0``: bit for bit
+        ``np.interp(w, cdf_plus, mag_plus)`` where ``w < mass_plus`` and
+        ``-np.interp(w - mass_plus, cdf_minus, mag_minus)`` elsewhere.
+
+        Where the level ``v`` satisfies ``lo <= v < upper`` on the guided
+        panel, the value is ``np.interp``'s own formula on that panel
+        (negating is exact, so the folded sign changes no bit); every
+        other level, from a bucket that spans panels or past the end of
+        the table, goes to ``np.interp`` itself.
+        """
+        j = (w * self.scale).astype(np.intp)
+        np.minimum(j, _GUIDE_BUCKETS - 1, out=j)
+        k = self.guide[j]
+        v = w - self.offset[k]
+        lo = self.lo[k]
+        out = self.slope[k] * (v - lo) + self.base[k]
+        miss = ~((lo <= v) & (v < self.upper[k]))
+        if miss.any():
+            wm = w[miss]
+            out[miss] = np.where(
+                wm < self.mass_plus,
+                np.interp(wm, self.cdf_plus, self.mag_plus),
+                -np.interp(wm - self.mass_plus, self.cdf_minus,
+                           self.mag_minus))
+        return out
+
+
+@dataclass(frozen=True)
 class _JumpScheme:
     """Frozen sampling plan for one model: rates and inverse-CDF tables."""
 
@@ -59,17 +154,10 @@ class _JumpScheme:
     small_var: float   # variance rate of the substituted Brownian term
     comp_drift: float  # drift carried for truncation-at-one compensation
     rate: float        # compound-Poisson arrival rate (mass of the tables)
-    mass_plus: float
-    mass_minus: float
-    cdf_plus: np.ndarray
-    mag_plus: np.ndarray
-    cdf_minus: np.ndarray
-    mag_minus: np.ndarray
+    table: _JumpTable | None
 
 
-_EMPTY = np.zeros(1)
-_TRIVIAL_SCHEME = _JumpScheme(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                              _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+_TRIVIAL_SCHEME = _JumpScheme(0.0, 0.0, 0.0, 0.0, None)
 
 
 def _side_table(model: LevyModel, lo: float, hi: float,
@@ -121,32 +209,16 @@ def _build_scheme(model: LevyModel, eps_mc: float | None,
         comp = ti.comp_drift
         small_var = ti.small_var
         lo = eps_mc
-    mass_p, cdf_p, mag_p = _side_table(model, lo, hi, +1.0)
-    mass_m, cdf_m, mag_m = _side_table(model, lo, hi, -1.0)
-    rate = mass_p + mass_m
+    plus = _side_table(model, lo, hi, +1.0)
+    minus = _side_table(model, lo, hi, -1.0)
+    rate = plus[0] + minus[0]
     if rate > cap:
         hint = _suggest_split(model, eps_mc, cap)
         raise ParameterError(
             f"jump arrival rate {rate:.4g} above the split radius exceeds "
             f"the cap {cap:.4g}; try eps_mc >= {hint:.4g}")
-    return _JumpScheme(eps_mc, small_var, comp, rate, mass_p, mass_m,
-                       cdf_p, mag_p, cdf_m, mag_m)
-
-
-def _draw_jump_sizes(scheme: _JumpScheme, rng: np.random.Generator,
-                     count: int) -> np.ndarray:
-    """Signed jump sizes by inverse CDF on the tabulated mass."""
-    p_plus = scheme.mass_plus / scheme.rate
-    plus = rng.random(count) < p_plus
-    u = rng.random(count)
-    out = np.empty(count)
-    if plus.any():
-        out[plus] = np.interp(u[plus] * scheme.mass_plus,
-                              scheme.cdf_plus, scheme.mag_plus)
-    if (~plus).any():
-        out[~plus] = -np.interp(u[~plus] * scheme.mass_minus,
-                                scheme.cdf_minus, scheme.mag_minus)
-    return out
+    return _JumpScheme(eps_mc, small_var, comp, rate,
+                       _JumpTable.build(plus, minus))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +229,12 @@ def _draw_jump_sizes(scheme: _JumpScheme, rng: np.random.Generator,
 class PathBatch:
     """Simulated state paths, row per path and column per time level.
 
-    ``jump_counts`` records the number of sampled (above-split) jumps per
-    path; ``small_var`` is the variance rate substituted for the
-    below-split sizes (zero when every jump is sampled).
+    ``simulate`` returns ``states`` as the transposed view of a time-major
+    ``(n_steps+1, n_paths)`` buffer, so each column ``states[:, n]`` is
+    contiguous.  ``jump_counts`` records the number of sampled
+    (above-split) jumps per path; ``small_var`` is the variance rate
+    substituted for the below-split sizes (zero when every jump is
+    sampled).
     """
 
     states: np.ndarray
@@ -188,9 +263,22 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
              intensity_cap: float = DEFAULT_INTENSITY_CAP) -> PathBatch:
     """Euler paths of the state started at ``x0`` over horizon ``T``.
 
-    The counter-based generator (Philox) makes the batch reproducible
-    bit-for-bit from ``seed``; draws are consumed in a fixed step-major
-    order.  Diffusion uses ``sqrt(2 a)`` so the paths match the operator
+    The paths live in a time-major ``(n_steps+1, n_paths)`` buffer, so
+    each step reads one contiguous row and writes the next;
+    ``PathBatch.states`` is its transposed view.  The counter-based
+    generator (Philox) makes the batch reproducible bit-for-bit from
+    ``seed``.  Each step draws, in this order: one standard normal per
+    path; the pooled jump count ``N ~ Poisson(rate * dt * n_paths)``;
+    ``N`` owners uniform over the paths; and one uniform level in
+    ``[0, rate)`` per jump, which picks both the side and the size
+    (:class:`_JumpTable`).  By Poisson splitting this is the law of
+    independent ``Poisson(rate * dt)`` counts per path with independent
+    sizes, so the number of draws grows with the number of jumps, not
+    with ``n_paths * n_steps``.  Sizes read the tabulated inverse CDF
+    through a guide table in O(1) per jump and equal ``np.interp`` on
+    it bit for bit.
+
+    Diffusion uses ``sqrt(2 a)`` so the paths match the operator
     convention ``a u'' + b u'``; the substituted small-jump variance is
     folded into the same normal draw (the sum of independent centered
     normals is normal).
@@ -203,30 +291,33 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
-    states = np.empty((n_paths, n_steps + 1))
-    states[:, 0] = float(x0)
+    paths = np.empty((n_steps + 1, n_paths))
+    paths[0] = float(x0)
     jump_counts = np.zeros(n_paths, dtype=np.int64)
     sq_dt = math.sqrt(dt)
     for n in range(n_steps):
-        x = states[:, n]
+        x = paths[n]
         t = times[n]
-        a = np.broadcast_to(np.asarray(coeffs.a(x, t), dtype=float), x.shape)
-        b = np.broadcast_to(np.asarray(coeffs.b(x, t), dtype=float), x.shape)
-        vol = np.sqrt(2.0 * a + scheme.small_var)
-        dx = (b - scheme.comp_drift) * dt \
-            + vol * sq_dt * rng.standard_normal(n_paths)
+        a = np.asarray(coeffs.a(x, t), dtype=float)
+        b = np.asarray(coeffs.b(x, t), dtype=float)
+        # the next row holds dx = (b - c) dt + vol sqrt(dt) z, then x + dx
+        dx = rng.standard_normal(n_paths, out=paths[n + 1])
+        dx *= np.sqrt(2.0 * a + scheme.small_var) * sq_dt
+        dx += (b - scheme.comp_drift) * dt
         if scheme.rate > 0.0:
-            counts = rng.poisson(scheme.rate * dt, n_paths)
-            total = int(counts.sum())
+            total = int(rng.poisson(scheme.rate * dt * n_paths))
             if total:
-                sizes = _draw_jump_sizes(scheme, rng, total)
-                owner = np.repeat(np.arange(n_paths), counts)
-                dx += np.bincount(owner, weights=sizes, minlength=n_paths)
-                jump_counts += counts
-        states[:, n + 1] = x + dx
-    if not np.all(np.isfinite(states)):
+                owner = rng.integers(n_paths, size=total)
+                w = rng.random(total)
+                w *= scheme.rate
+                np.add.at(dx, owner, scheme.table.sizes(w))
+                jump_counts += np.bincount(owner, minlength=n_paths)
+        dx += x
+    # x + dx is non-finite wherever x is, so a non-finite state anywhere
+    # on a path leaves the last row non-finite
+    if not np.isfinite(paths[-1]).all():
         raise NumericalError("simulation produced non-finite states")
-    return PathBatch(states, times, int(seed), scheme.eps_mc,
+    return PathBatch(paths.T, times, int(seed), scheme.eps_mc,
                      scheme.small_var, jump_counts)
 
 
@@ -234,35 +325,30 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
 # estimators
 
 
-def _rate_increments(batch: PathBatch, r) -> np.ndarray:
-    """Per-step ``r * dt`` along each path: (n_paths, n_steps) or (n_steps,).
-
-    A callable rate is integrated along the path with the left-endpoint
-    rule, consistent with the Euler stepping of the state itself.
-    """
-    dts = np.diff(batch.times)
+def _step_discount(r, x: np.ndarray, times: np.ndarray, n: int):
+    """``r(x, t_n) * (t_{n+1} - t_n)`` for the states ``x`` at step ``n``:
+    the left-endpoint rule along the path, consistent with the Euler
+    stepping of the state itself."""
+    dt = times[n + 1] - times[n]
     if callable(r):
-        inc = np.empty((batch.n_paths, batch.n_steps))
-        for n in range(batch.n_steps):
-            rn = np.asarray(r(batch.states[:, n], batch.times[n]),
-                            dtype=float)
-            inc[:, n] = np.broadcast_to(rn, (batch.n_paths,)) * dts[n]
-        return inc
-    return float(r) * dts
+        return np.asarray(r(x, times[n]), dtype=float) * dt
+    return float(r) * dt
 
 
 def european_estimate(batch: PathBatch, g: Callable, r) -> MCEstimate:
     """Discounted terminal-reward mean with its standard error."""
-    inc = _rate_increments(batch, r)
-    total = inc.sum(axis=-1)
-    vals = np.exp(-total) * np.asarray(g(batch.states[:, -1]), dtype=float)
+    x = batch.states
+    total = np.zeros(batch.n_paths)
+    for n in range(batch.n_steps):
+        total += _step_discount(r, x[:, n], batch.times, n)
+    vals = np.exp(-total) * np.asarray(g(x[:, -1]), dtype=float)
     price = float(vals.mean())
     stderr = (float(vals.std(ddof=1)) / math.sqrt(batch.n_paths)
               if batch.n_paths > 1 else 0.0)
     return MCEstimate(price, stderr)
 
 
-def _fit_policy(xa: np.ndarray, inc_a: np.ndarray, g: Callable,
+def _fit_policy(xa: np.ndarray, times: np.ndarray, g: Callable, r,
                 degree: int) -> tuple[list, float, int]:
     """Backward regression pass: per-step continuation-value fits.
 
@@ -271,15 +357,13 @@ def _fit_policy(xa: np.ndarray, inc_a: np.ndarray, g: Callable,
     continuation value at the start, and the count of rank-deficient
     steps.
     """
-    n_paths, width = xa.shape
+    width = xa.shape[1]
     n_steps = width - 1
-    disc = np.exp(-inc_a) if inc_a.ndim == 2 else \
-        np.broadcast_to(np.exp(-inc_a), (n_paths, n_steps))
     cash = np.asarray(g(xa[:, -1]), dtype=float).copy()
     polys: list = [None] * width
     singular = 0
     for n in range(n_steps - 1, 0, -1):
-        cash = cash * disc[:, n]
+        cash *= np.exp(-_step_discount(r, xa[:, n], times, n))
         gn = np.asarray(g(xa[:, n]), dtype=float)
         itm = gn > 0.0
         if int(itm.sum()) < degree + 2:
@@ -299,23 +383,21 @@ def _fit_policy(xa: np.ndarray, inc_a: np.ndarray, g: Callable,
         take = gn[itm] >= cont
         cash[itm] = np.where(take, gn[itm], cash[itm])
         polys[n] = (coef, lo, hi)
-    start = float((cash * disc[:, 0]).mean())
-    return polys, start, singular
+    cash *= np.exp(-_step_discount(r, xa[:, 0], times, 0))
+    return polys, float(cash.mean()), singular
 
 
-def _run_policy(xb: np.ndarray, inc_b: np.ndarray, g: Callable,
+def _run_policy(xb: np.ndarray, times: np.ndarray, g: Callable, r,
                 polys: list, degree: int) -> np.ndarray:
     """Discounted reward of each path under the fitted exercise rule."""
     n_paths, width = xb.shape
     n_steps = width - 1
-    inc2 = inc_b if inc_b.ndim == 2 else \
-        np.broadcast_to(inc_b, (n_paths, n_steps))
     alive = np.ones(n_paths, dtype=bool)
     vals = np.zeros(n_paths)
     cum = np.zeros(n_paths)
-    for n in range(1, n_steps):
-        cum = cum + inc2[:, n - 1]
-        rule = polys[n]
+    for n in range(1, n_steps + 1):
+        cum += _step_discount(r, xb[:, n - 1], times, n - 1)
+        rule = polys[n]  # None at expiry: the fit never reaches n_steps
         if rule is None:
             continue
         coef, lo, hi = rule
@@ -329,7 +411,6 @@ def _run_policy(xb: np.ndarray, inc_b: np.ndarray, g: Callable,
         stop[itm] = gn[itm] >= cont
         vals[stop] = np.exp(-cum[stop]) * gn[stop]
         alive &= ~stop
-    cum = cum + inc2[:, -1]
     vals[alive] = np.exp(-cum[alive]) * \
         np.asarray(g(xb[alive, -1]), dtype=float)
     return vals
@@ -354,13 +435,9 @@ def stopping_lower_bound(batch: PathBatch, g: Callable, r,
             f"got {batch.n_paths}")
     if not 1 <= basis_degree <= 10:
         raise ParameterError("basis_degree must lie in [1, 10]")
-    inc = _rate_increments(batch, r)
     xa, xb = batch.states[::2], batch.states[1::2]
-    if inc.ndim == 2:
-        inc_a, inc_b = inc[::2], inc[1::2]
-    else:
-        inc_a = inc_b = inc
-    polys, start, singular = _fit_policy(xa, inc_a, g, basis_degree)
+    polys, start, singular = _fit_policy(xa, batch.times, g, r,
+                                         basis_degree)
     flag = ""
     if singular:
         flag = (f"rank-deficient regression at {singular} step(s); "
@@ -368,7 +445,7 @@ def stopping_lower_bound(batch: PathBatch, g: Callable, r,
     g0 = float(np.asarray(g(np.array([batch.x0])), dtype=float)[0])
     if g0 > 0.0 and g0 >= start:
         return MCEstimate(g0, 0.0, flag)
-    vals = _run_policy(xb, inc_b, g, polys, basis_degree)
+    vals = _run_policy(xb, batch.times, g, r, polys, basis_degree)
     price = float(vals.mean())
     stderr = (float(vals.std(ddof=1)) / math.sqrt(xb.shape[0])
               if xb.shape[0] > 1 else 0.0)

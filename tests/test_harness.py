@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from jumpstop import cli, harness, levy
+from jumpstop import cli, harness, levy, solver
 from jumpstop.errors import ConfigError, ParameterError
 
 BASE = {
@@ -368,6 +368,25 @@ def test_compare_which_none_disables_oracles():
     rc.oracle.mc_paths = 12000
     rows = harness.compare(rc, which=["none"])
     assert set(rows[0]) == {"x", "t", "pde"}
+
+
+def test_probe_times_interpolate_between_time_levels():
+    rc = harness.RunConfig.from_dict(BASE)  # nt = 100 over horizon 1
+    cfg = rc.build_solve_config()
+    report = solver.solve_vi(cfg)
+    nodes, u = cfg.grid.nodes, report.value.values
+
+    def level(col):  # column col holds time to expiry col * dt
+        return float(np.interp(0.03, nodes, u[:, col]))
+
+    # on a time level: that level alone, bit for bit
+    assert harness._value_at(report, cfg, 0.03, 0.0) == level(100)
+    assert harness._value_at(report, cfg, 0.03, 0.5) == level(50)
+    # between levels: linear in time (t = 0.5025 is 49.75 steps from expiry)
+    got = harness._value_at(report, cfg, 0.03, 0.5025)
+    assert got == pytest.approx(0.25 * level(49) + 0.75 * level(50),
+                                rel=1e-14)
+    assert level(49) < got < level(50)
 
 
 def test_compare_probe_outside_grid_rejected():

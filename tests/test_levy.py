@@ -233,6 +233,54 @@ def test_fv_drift_unsupported_for_infinite_variation():
             t.fv_drift
 
 
+# Merton moments integral_{lo < |y| <= hi} y^k rho(y) dy of
+# merton(1.5, -0.05, 0.25), both sides, at 40 digits, rounded to 20.
+# Generated once with mpmath (not a dependency):
+#
+#   mp.mp.dps = 40
+#   lam, mu, sd = mp.mpf(1.5), mp.mpf(-0.05), mp.mpf(0.25)
+#   def moment(k, lo, hi):
+#       f = lambda y: y**k * lam * mp.npdf(y, mu, sd)
+#       lo, hi = mp.mpf(lo), mp.mpf(hi)
+#       return mp.quad(f, [lo, hi]) + mp.quad(f, [-hi, -lo])
+#
+# Intervals narrower than the jump std are the ones where differences of
+# normal tail probabilities cancel; (0.05, 0.3) is exactly one std wide
+# and (0.05, 0.31) just wider.  The signed means over |y| <= 0.005 and
+# [1e-4, 2e-4] are sums of two sides of opposite sign that cancel to
+# 1e-2 and 2e-5 of either side, which bounds their relative accuracy.
+MERTON_MOMENTS = {
+    (0.0, 0.005, 0): 0.023461060120970827904,
+    (0.0, 0.005, 1): -1.5639855911323727719e-7,
+    (0.0, 0.005, 2): 1.9549882447119764925e-7,
+    (1e-4, 2e-4, 0): 0.00046925114868073473269,
+    (1e-4, 2e-4, 1): -8.7593545078880524735e-12,
+    (1e-4, 2e-4, 2): 1.0949193196926346958e-11,
+    (0.01, 0.02, 0): 0.046841119093275523498,
+    (0.01, 0.02, 1): -8.7410059197053462332e-6,
+    (0.01, 0.02, 2): 0.000010926876623027088453,
+    (0.05, 0.3, 0): 0.90774951783667156313,
+    (0.05, 0.3, 1): -0.022298306347350156872,
+    (0.05, 0.3, 2): 0.02816844667794873263,
+    (0.05, 0.31, 0): 0.93071191278655103205,
+    (0.05, 0.31, 1): -0.023973758356670790031,
+    (0.05, 0.31, 2): 0.030304167596403326705,
+    (0.3, 1.0, 0): 0.35898932905843063502,
+    (0.3, 1.0, 1): -0.05245331208743287648,
+    (0.3, 1.0, 2): 0.06899396131536798208,
+    (1.0, math.inf, 0): 0.0001285406894115394724,
+    (1.0, math.inf, 1): -0.000093803481233672094964,
+    (1.0, math.inf, 2): 0.00014430771473040484057,
+}
+
+
+@pytest.mark.parametrize("key", sorted(MERTON_MOMENTS))
+def test_merton_moments_40_digit(key):
+    lo, hi, k = key
+    got = levy.jump_moment(levy.merton(1.5, -0.05, 0.25), k, lo, hi)
+    assert got == pytest.approx(MERTON_MOMENTS[key], rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # truncation radius
 # ---------------------------------------------------------------------------

@@ -82,6 +82,71 @@ def test_jump_count_matches_poisson_rate(merton_batch):
     assert merton_batch.small_var == 0.0
 
 
+def test_jump_count_variance_matches_poisson(merton_batch):
+    # per-path counts are Poisson(lam T): variance equal to the mean, with
+    # Var(s^2) ~ (lam T + 2 (lam T)^2) / n; owners that were not uniform
+    # and independent would spread or bunch the counts
+    mean = 1.5
+    n = merton_batch.n_paths
+    counts = merton_batch.jump_counts
+    se_var = np.sqrt((mean + 2.0 * mean * mean) / n)
+    assert abs(counts.var(ddof=1) - mean) <= 4.0 * se_var
+    assert abs(counts.mean() - mean) <= 4.0 * np.sqrt(mean / n)
+
+
+def test_positive_jump_fraction_matches_side_mass():
+    # no diffusion and the compensating drift cancelled exactly, so each
+    # step's increment is the sum of its jumps; at rate * dt = 0.01 almost
+    # every nonzero increment is a single jump
+    mod = levy.kou(4.0, 0.3, 10.0, 5.0)
+    scheme = mc._build_scheme(mod, None, mc.DEFAULT_INTENSITY_CAP)
+    batch = mc.simulate(mod, degenerate_coeffs(scheme.comp_drift, 0.0),
+                        0.0, 1.0, 2000, 400, 19)
+    inc = np.diff(batch.states, axis=1)
+    moved = inc != 0.0
+    assert moved.sum() >= 0.99 * batch.jump_counts.sum()
+    p = scheme.table.mass_plus / scheme.rate
+    frac = (inc > 0.0).sum() / moved.sum()
+    assert abs(frac - p) <= 4.0 * np.sqrt(p * (1.0 - p) / moved.sum())
+
+
+def _interp_sizes(table, w):
+    return np.where(w < table.mass_plus,
+                    np.interp(w, table.cdf_plus, table.mag_plus),
+                    -np.interp(w - table.mass_plus, table.cdf_minus,
+                               table.mag_minus))
+
+
+@pytest.mark.parametrize("model", [
+    levy.merton(1.5, -0.05, 0.25), levy.kou(4.0, 0.3, 10.0, 5.0),
+    levy.variance_gamma(0.2, 0.3, -0.1), levy.nig(6.0, -1.0, 0.3),
+    levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)],
+    ids=["merton", "kou", "vg", "nig", "ts"])
+def test_guided_inverse_cdf_is_np_interp_bit_for_bit(model):
+    table = mc._build_scheme(model, None, mc.DEFAULT_INTENSITY_CAP).table
+    plus = (table.mass_plus, table.cdf_plus, table.mag_plus)
+    minus = (float(table.cdf_minus[-1]), table.cdf_minus, table.mag_minus)
+    rng = np.random.default_rng(3)
+    # each side in turn first, so its levels are the draws themselves
+    for first, second in ((plus, minus), (minus, plus)):
+        tab = mc._JumpTable.build(first, second)
+        mass, cdf = first[0], first[1]
+        rate = first[0] + second[0]
+        edges = np.concatenate([
+            [0.0, mass, np.nextafter(mass, np.inf), rate,
+             np.nextafter(rate, np.inf)],
+            cdf, np.nextafter(cdf[1:], 0.0), mass + second[1]])
+        for w in (rng.random(1_000_000) * rate, edges):
+            assert np.array_equal(tab.sizes(w), _interp_sizes(tab, w))
+
+
+def test_states_are_a_time_major_view(merton_batch):
+    assert merton_batch.states.shape == (100_000, 65)
+    assert merton_batch.n_paths == 100_000 and merton_batch.n_steps == 64
+    for n in (0, 31, 64):
+        assert merton_batch.states[:, n].flags.c_contiguous
+
+
 def test_split_scheme_for_infinite_activity():
     mod = levy.nig(6.0, -1.0, 0.3)
     b = R - A - levy.exp_compensator(mod)
