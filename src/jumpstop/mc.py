@@ -217,8 +217,10 @@ def _build_scheme(model: LevyModel, eps_mc: float | None,
         raise ParameterError(
             f"jump arrival rate {rate:.4g} above the split radius exceeds "
             f"the cap {cap:.4g}; try eps_mc >= {hint:.4g}")
-    return _JumpScheme(eps_mc, small_var, comp, rate,
-                       _JumpTable.build(plus, minus))
+    # a model with no jump mass above the split (zero intensity, or a
+    # split at the truncation radius) simulates as a diffusion
+    table = _JumpTable.build(plus, minus) if rate > 0.0 else None
+    return _JumpScheme(eps_mc, small_var, comp, rate, table)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,17 @@ def test_split_scheme_for_infinite_activity():
     assert batch.jump_counts.mean() > 1.0  # activity above the split is high
 
 
+def test_zero_intensity_simulates_as_a_diffusion():
+    # no jump mass above the split: no jump table, no jump draws, and the
+    # same random stream as the jump-free model
+    batch = mc.simulate(levy.merton(0.0, -0.05, 0.25), diffusion_coeffs(),
+                        0.0, 1.0, 1000, 16, 5)
+    plain = mc.simulate(levy.none(), diffusion_coeffs(), 0.0, 1.0,
+                        1000, 16, 5)
+    assert not batch.jump_counts.any()
+    assert np.array_equal(batch.states, plain.states)
+
+
 def test_seed_determinism_and_sensitivity():
     mod, coeffs = merton_setup()
     b1 = mc.simulate(mod, coeffs, 0.0, 1.0, 1000, 16, 99)
