@@ -19,6 +19,7 @@ from .grids import GridFunction
 __all__ = [
     "RegionPartition",
     "partition",
+    "check_no_dip",
     "crossings",
     "SmoothFitReport",
     "smooth_fit_gap",
@@ -65,11 +66,11 @@ class RegionPartition:
         return self.labels == 0
 
 
-def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
-    """Split the (backward-time) surface into contact and continuation sets.
-
-    Raises :class:`InvariantViolation` where the surface dips below the
+def check_no_dip(u: GridFunction, payoff, tol: float) -> np.ndarray:
+    """Raise :class:`InvariantViolation` where the surface dips below the
     obstacle by more than ``tol`` -- that is never a rounding artifact.
+
+    Returns the gap ``u - g`` (one column per time level).
     """
     x = u.grid.nodes
     g = np.asarray(payoff(x), dtype=float)
@@ -81,8 +82,17 @@ def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
         raise InvariantViolation(
             f"surface falls {-worst:.3e} below the obstacle at "
             f"x = {x[i]:.4f} (time level {n}); tolerance {tol:.3e}")
+    return gap
+
+
+def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
+    """Split the (backward-time) surface into contact and continuation sets.
+
+    Raises :class:`InvariantViolation` as :func:`check_no_dip` does.
+    """
+    gap = check_no_dip(u, payoff, tol)
     labels = (gap > tol).astype(np.int8)
-    bnd = [crossings(vals[:, n], g, x, tol) for n in range(vals.shape[1])]
+    bnd = [crossings(col, 0.0, u.grid.nodes, tol) for col in gap.T]
     return RegionPartition(labels=labels, boundary=bnd, tol=tol)
 
 

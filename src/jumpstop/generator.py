@@ -34,6 +34,16 @@ lumped shift through the telescoped second-difference identity
 which is algebraically equal to the direct compensated form, so the two
 halves always recombine to the full operator to rounding regardless of
 where the cut is placed.
+
+Applied to a grid function, the operator is split by linearity.  The
+long kernels read the ``nx + 1`` grid values through a Toeplitz block
+(:func:`_toeplitz`, built lazily once per operator), and the ghost values
+past the grid, which the march and the residual never change, enter as
+one precomputed vector per side (:func:`ghost_terms`).  The short
+stencils -- the centered slope and the core stencil on second
+differences -- still read a :data:`NEAR_GHOSTS`-node extension.
+:func:`apply_nonlocal_ext` is the reference form on any pre-extended
+slice.
 """
 
 from __future__ import annotations
@@ -51,8 +61,12 @@ __all__ = [
     "NonlocalOperator",
     "build_operator",
     "apply_local",
+    "local_form",
     "apply_nonlocal",
     "apply_nonlocal_ext",
+    "apply_nonlocal_grid",
+    "ghost_terms",
+    "NEAR_GHOSTS",
     "apply_nonlocal_split",
     "apply_reduced",
     "consistency_check",
@@ -65,6 +79,10 @@ _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _CORE_PANELS = 40
+
+#: Ghost nodes per side that the short stencils read: the core stencil
+#: reaches two nodes past the grid, and a second difference one more.
+NEAR_GHOSTS = 3
 
 
 @dataclass(eq=False)
@@ -102,6 +120,8 @@ class NonlocalOperator:
     core_var: float
     fv_core: float | None
     edges: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # grid blocks of the long kernels, built on first use
+    blocks: dict = field(default_factory=dict, repr=False)
 
     @property
     def d2_kernel_accurate(self) -> np.ndarray:
@@ -301,8 +321,143 @@ def _frames(op: NonlocalOperator, gf: GridFunction, n: int):
 def apply_nonlocal(op: NonlocalOperator, gf: GridFunction,
                    profile: str = "accurate", n: int = 0) -> np.ndarray:
     """Full jump operator applied to slice ``n`` of ``gf`` on all nodes."""
-    ne = op.n_ext
-    return apply_nonlocal_ext(op, gf.extended(ne, ne, n), profile)
+    near = gf.extended(NEAR_GHOSTS, NEAR_GHOSTS, n)
+    ghost = None
+    if gf.ghosts is not None:
+        left, right = ghost_terms(op, gf.ghosts, profile)
+        ghost = left + right
+    return apply_nonlocal_grid(op, near, profile, ghost)
+
+
+def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
+                        profile: str = "accurate",
+                        ghost: np.ndarray | None = None) -> np.ndarray:
+    """Jump operator from the grid values and a precomputed ghost term.
+
+    ``near`` is the slice with :data:`NEAR_GHOSTS` ghosts per side, or a
+    surface of such slices (space axis first, one level per column), and
+    ``ghost`` the contribution of all ghosts beyond what the short
+    stencils read (a sum of scaled :func:`ghost_terms`; ``None`` for
+    zero ghosts).  Equals :func:`apply_nonlocal_ext` on the full
+    extension up to rounding; a surface gives, column by column, exactly
+    what each slice gives alone.
+    """
+    _check_profile(profile)
+    nb, ng, h = op.n_base, NEAR_GHOSTS, op.h
+    if near.shape[0] != nb + 2 * ng:
+        raise ParameterError(
+            f"near extension has {near.shape[0]} nodes, expected "
+            f"{nb + 2 * ng}")
+    base = near[ng: ng + nb]
+    out = _per_level(_grid_block(op, "far"), base)
+    if ghost is not None:
+        out.T[...] += ghost
+    out -= op.far_mass * base
+    if op.compensator != 0.0:
+        d1 = (near[ng + 1: ng + nb + 1] - near[ng - 1: ng + nb - 1]) / \
+            (2.0 * h)
+        out -= op.compensator * d1
+    # second differences at positions -2 .. nx+2 (the core stencil's reach)
+    d2 = (near[2:] - 2.0 * near[1:-1] + near[:-2]) / (h * h)
+    if profile == "monotone":
+        out += _per_level(
+            lambda d: np.correlate(d, op.core_stencil, mode="valid"), d2)
+    else:
+        out += _per_level(_grid_block(op, "accurate"), d2)
+    return out
+
+
+def _per_level(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` on a contiguous slice, or on each column of a surface."""
+    if x.ndim == 1:
+        return fn(np.ascontiguousarray(x))
+    return np.column_stack([fn(np.ascontiguousarray(col)) for col in x.T])
+
+
+def ghost_terms(op: NonlocalOperator, ghosts,
+                profile: str = "accurate") -> tuple[np.ndarray, np.ndarray]:
+    """Jump term of the left and of the right ghost values alone.
+
+    ``ghosts`` is a :class:`~jumpstop.grids.PayoffGhosts`; the pair is
+    computed once per operator and profile and cached on it.  Each side
+    is the long kernels' reach into that side's ghosts: the far kernel
+    over every ghost node, and (accurate profile) the second-difference
+    kernel over the second differences that
+    :func:`apply_nonlocal_grid` does not form from its near extension.
+    Scale each side by its edge discount before adding.
+    """
+    _check_profile(profile)
+    key = (op, profile)
+    if key not in ghosts.terms:
+        ne, nb, h = op.n_ext, op.n_base, op.h
+        left, right = ghosts.take(ne, ne)
+        zeros = np.zeros(nb + ne)
+        k2, k2_min = _d2_kernel(op, profile)
+        terms = []
+        for ext in (np.concatenate([left, zeros]),
+                    np.concatenate([zeros, right])):
+            term = _kernel_sum(ext, op.far_kernel, op.k_min, ne, nb)
+            d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h)
+            d2[ne - NEAR_GHOSTS: ne + nb + NEAR_GHOSTS - 2] = 0.0
+            term += _d2_kernel_sum(d2, k2, k2_min, ne, nb)
+            terms.append(term)
+        ghosts.terms[key] = tuple(terms)
+    return ghosts.terms[key]
+
+
+def _d2_kernel(op: NonlocalOperator, profile: str) -> tuple[np.ndarray, int]:
+    """Second-difference kernel of ``profile`` and its first shift."""
+    if profile == "accurate":
+        return op.d2_kernel_accurate, op.k_min
+    return op.d2_kernel_monotone, -2
+
+
+def _grid_block(op: NonlocalOperator, kind: str):
+    """Grid block of the far kernel (on the grid values) or of the
+    accurate second-difference kernel (on second differences at
+    positions -2 .. nx+2); built once per operator."""
+    if kind not in op.blocks:
+        nb = op.n_base
+        if kind == "far":
+            op.blocks[kind] = _toeplitz(op.far_kernel, op.k_min, nb, nb, 0)
+        else:
+            op.blocks[kind] = _toeplitz(op.d2_kernel_accurate, op.k_min, nb,
+                                        nb + 2 * NEAR_GHOSTS - 2,
+                                        1 - NEAR_GHOSTS)
+    return op.blocks[kind]
+
+
+def _toeplitz(kernel, k_min, n_rows, n_cols, col0):
+    """``x -> out`` with ``out[i] = sum_c kernel[c + col0 - i - k_min] x[c]``.
+
+    The correlation of ``kernel`` with ``x`` (column ``c`` sits at
+    position ``col0 + c``, row ``i`` at ``i``), reading zero past both
+    ends of ``x``.  A dense ``n_rows x n_cols`` block when the kernel
+    joins every row to every column, else a correlation of the
+    zero-padded ``x`` with the taps that reach it.
+    """
+    lo = max(k_min, col0 - (n_rows - 1))
+    hi = min(k_min + kernel.size - 1, col0 + n_cols - 1)
+    taps = kernel[lo - k_min: max(hi - k_min + 1, 0)]
+    if taps.size == 0 or not np.any(taps):
+        return lambda x: np.zeros(n_rows)
+    if n_cols <= taps.size:
+        shift = (np.arange(n_cols)[None, :] + col0 - lo -
+                 np.arange(n_rows)[:, None])
+        inside = (shift >= 0) & (shift < taps.size)
+        block = np.where(inside, taps[np.clip(shift, 0, taps.size - 1)],
+                         0.0)
+        return lambda x: block @ x
+    # row i reads columns i + lo - col0 .. i + hi - col0
+    start = lo - col0
+    j0, c0 = max(0, -start), max(0, start)
+    m = min(n_cols - c0, n_rows + taps.size - 1 - j0)
+
+    def correlate(x):
+        padded = np.zeros(n_rows + taps.size - 1)
+        padded[j0: j0 + m] = x[c0: c0 + m]
+        return np.correlate(padded, taps, mode="valid")
+    return correlate
 
 
 def apply_nonlocal_ext(op: NonlocalOperator, ext: np.ndarray,
@@ -328,9 +483,7 @@ def apply_nonlocal_ext(op: NonlocalOperator, ext: np.ndarray,
         d1 = (ext[ne + 1: ne + op.n_base + 1] -
               ext[ne - 1: ne + op.n_base - 1]) / (2.0 * op.h)
         out -= op.compensator * d1
-    k2 = op.d2_kernel_accurate if profile == "accurate" \
-        else op.d2_kernel_monotone
-    k2_min = op.k_min if profile == "accurate" else -2
+    k2, k2_min = _d2_kernel(op, profile)
     out += _d2_kernel_sum(d2, k2, k2_min, ne, op.n_base)
     return out
 
@@ -430,9 +583,7 @@ def apply_reduced(op: NonlocalOperator, gf: GridFunction,
     out = _kernel_sum(ext, op.far_kernel, op.k_min, op.n_ext, op.n_base)
     out -= op.far_mass * base
     out += op.fv_core * d1
-    k2 = op.d2_kernel_accurate if profile == "accurate" \
-        else op.d2_kernel_monotone
-    k2_min = op.k_min if profile == "accurate" else -2
+    k2, k2_min = _d2_kernel(op, profile)
     out += _d2_kernel_sum(d2, k2, k2_min, op.n_ext, op.n_base)
     return out
 
@@ -440,14 +591,19 @@ def apply_reduced(op: NonlocalOperator, gf: GridFunction,
 def apply_local(coeffs: CoefficientField, gf: GridFunction,
                 t: float = 0.0, n: int = 0) -> np.ndarray:
     """Diffusion-plus-drift part ``a*u'' + b*u'`` on all padded nodes."""
-    grid = gf.grid
-    h = grid.h
-    ext = gf.extended(1, 1, n)
+    x = gf.grid.nodes
+    return local_form(np.asarray(coeffs.a(x, t), dtype=float),
+                      np.asarray(coeffs.b(x, t), dtype=float),
+                      gf.extended(1, 1, n), gf.grid.h)
+
+
+def local_form(a: np.ndarray, b: np.ndarray, ext: np.ndarray,
+               h: float) -> np.ndarray:
+    """``a*u'' + b*u'`` from a slice or a surface (space axis first) with
+    one ghost node per side; ``a`` and ``b`` broadcast against it."""
     d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h)
     d1 = (ext[2:] - ext[:-2]) / (2.0 * h)
-    x = grid.nodes
-    return np.asarray(coeffs.a(x, t), dtype=float) * d2 + \
-        np.asarray(coeffs.b(x, t), dtype=float) * d1
+    return a * d2 + b * d1
 
 
 def drift_adjustment(op: NonlocalOperator) -> float:

@@ -24,7 +24,7 @@ __all__ = [
     "EXTENSION_RULES",
 ]
 
-EXTENSION_RULES = ("clamp_payoff", "linear", "zero")
+EXTENSION_RULES = ("clamp_payoff", "zero")
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,16 @@ class SpaceTimeGrid:
 
 class PayoffGhosts:
     """Payoff on the ghost nodes past each end of the padded grid: the same
-    for every slice, so evaluated once (at the widest reach asked for)."""
+    for every slice, so evaluated once (at the widest reach asked for).
+
+    ``terms`` caches the jump operator's ghost contribution per operator
+    and profile (see :func:`jumpstop.generator.ghost_terms`).
+    """
 
     def __init__(self, grid: SpaceTimeGrid, payoff: Callable):
         self.grid, self.payoff = grid, payoff
         self.left = self.right = np.empty(0)
+        self.terms: dict = {}
 
     def take(self, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``n_left`` ghosts nearest the left end and ``n_right`` right."""
@@ -125,7 +130,6 @@ class GridFunction:
     range use ``extension``:
 
     * ``clamp_payoff`` -- ``payoff`` at the outside point, via ``ghosts``
-    * ``linear``       -- extrapolate from the last edge slope
     * ``zero``         -- zero outside
     """
 
@@ -162,20 +166,12 @@ class GridFunction:
 def extend_slice(grid: SpaceTimeGrid, vals: np.ndarray, extension: str,
                  ghosts: PayoffGhosts | None, n_left: int, n_right: int,
                  discount: tuple[float, float] | None = None) -> np.ndarray:
-    """Materialize a slice with its extension rule applied on both sides;
-    ``clamp_payoff`` ghosts are scaled by ``discount`` (left, right)."""
+    """Materialize a slice (or a surface, space axis first) with its
+    extension rule applied on both sides; ``clamp_payoff`` ghosts are
+    scaled by ``discount`` (left, right)."""
     if extension == "zero":
         left = np.zeros(n_left)
         right = np.zeros(n_right)
-    elif extension == "linear":
-        h = grid.h
-        x0, x1 = grid.nodes[[0, -1]]
-        left_x = x0 - h * np.arange(n_left, 0, -1)
-        right_x = x1 + h * np.arange(1, n_right + 1)
-        sl = (vals[1] - vals[0]) / h
-        sr = (vals[-1] - vals[-2]) / h
-        left = vals[0] + sl * (left_x - x0)
-        right = vals[-1] + sr * (right_x - x1)
     elif extension == "clamp_payoff":
         left, right = ghosts.take(n_left, n_right)
         if discount is not None:
@@ -183,6 +179,9 @@ def extend_slice(grid: SpaceTimeGrid, vals: np.ndarray, extension: str,
             right = right * discount[1]
     else:
         raise ParameterError(f"unknown extension rule {extension!r}")
+    if vals.ndim == 2:
+        left = np.repeat(left[:, None], vals.shape[1], axis=1)
+        right = np.repeat(right[:, None], vals.shape[1], axis=1)
     return np.concatenate([left, vals, right])
 
 

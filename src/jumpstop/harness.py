@@ -589,7 +589,7 @@ def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
     smooth = None
     res_surface = None
     if cfg.mode != "european":
-        diagnostics.partition(u, cfg.payoff, tol)  # obstacle-dip guard
+        diagnostics.check_no_dip(u, cfg.payoff, tol)
         labels, boundary, contact_tol = _artifact_regions(cfg, report, u)
         smooth = diagnostics.smooth_fit_gap(u, cfg.payoff)
         res_surface = residual_vi(report.value, cfg)
@@ -878,7 +878,8 @@ def _selftest_cases() -> list[tuple[str, callable]]:
         model = levy.merton(1.5, -0.05, 0.25)
         grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 60, 0.5, 10)
         op = generator.build_operator(model, grid)
-        gf = GridFunction(grid, np.ones(grid.nx + 1), extension="linear")
+        flat = payoff_mod.tabulated([-50.0, 50.0], [1.0, 1.0])
+        gf = GridFunction(grid, np.ones(grid.nx + 1), payoff=flat)
         out = generator.apply_nonlocal(op, gf)
         assert np.max(np.abs(out)) < 1e-10, "constants must be annihilated"
 

@@ -30,7 +30,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+# perfbench/tracing.py wraps solver.solve_banded by name; the march solves
+# through the LAPACK factorization below instead
+from scipy.linalg import solve_banded  # noqa: F401
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import generator, levy, penalty as penalty_mod
 from .errors import ConfigError, NumericalError, ParameterError
@@ -59,6 +62,9 @@ __all__ = [
 MODES = ("penalized", "projected", "european")
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _BUDGET = 0.9
+# residual levels per pass: small temporaries, and each grid block of the
+# jump operator stays in cache across the pass
+_LEVEL_BLOCK = 64
 
 
 @dataclass
@@ -207,7 +213,6 @@ class _Workspace:
         self.x = x
         self.h = grid.h
         self.dt = grid.dt
-        self.n_ext = cfg.op.n_ext
 
         self.bc_fn = cfg.payoff if eps is None else \
             mollify(cfg.payoff, 0.5 * eps)
@@ -218,6 +223,7 @@ class _Workspace:
 
         self.time_dependent = cfg.coeffs.time_dependent
         self._stencil_cache: dict[float, tuple] = {}
+        self._factor_cache: dict[float, tuple] = {}
         r_edge = cfg.coeffs.r(x[[0, -1]], 0.0)
         self.r_left = float(r_edge[0])
         self.r_right = float(r_edge[-1])
@@ -250,6 +256,32 @@ class _Workspace:
         self._stencil_cache[key] = (lo, dg, up)
         return lo, dg, up
 
+    def factor(self, t: float):
+        """LU factors of ``I - theta*dt*L`` with Dirichlet edge rows
+        (LAPACK ``dgttrf``), once per stencil of :meth:`local_stencil`."""
+        key = t if self.time_dependent else 0.0
+        if key not in self._factor_cache:
+            theta_dt = self.cfg.theta * self.dt
+            lo, dg, up = self.local_stencil(t)
+            a_dg = 1.0 - theta_dt * dg
+            a_up = -theta_dt * up[:-1]
+            a_lo = -theta_dt * lo[1:]
+            # Dirichlet rows at both edges
+            a_dg[0] = a_dg[-1] = 1.0
+            a_up[0] = a_lo[-1] = 0.0
+            *lu, info = dgttrf(a_lo, a_dg, a_up)
+            if info != 0:
+                raise NumericalError("implicit matrix is singular")
+            self._factor_cache[key] = tuple(lu)
+        return self._factor_cache[key]
+
+    def ghost_term(self, s: float) -> np.ndarray:
+        """Jump term of the ghost values at forward time ``s``."""
+        left, right = generator.ghost_terms(self.cfg.op, self.ghosts,
+                                            "monotone")
+        dl, dr = self.edge_discount(s)
+        return dl * left + dr * right
+
     def edge_discount(self, s: float) -> tuple[float, float]:
         """Decay of the edge data: the edge discount in european mode."""
         if self.cfg.mode != "european":
@@ -264,24 +296,10 @@ class _Workspace:
 
 def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
                     bc: tuple[float, float]) -> np.ndarray:
-    cfg = ws.cfg
-    theta_dt = cfg.theta * ws.dt
-    lo, dg, up = ws.local_stencil(t)
-    n = rhs.shape[0]
-    a_lo = -theta_dt * lo
-    a_dg = 1.0 - theta_dt * dg
-    a_up = -theta_dt * up
-    # Dirichlet rows at both edges
-    a_dg[0] = a_dg[-1] = 1.0
-    a_up[0] = a_lo[-1] = 0.0
     rhs = rhs.copy()
     rhs[0], rhs[-1] = bc
-    ab = np.zeros((3, n))
-    ab[0, 1:] = a_up[:-1]
-    ab[1, :] = a_dg
-    ab[2, :-1] = a_lo[1:]
-    out = solve_banded((1, 1), ab, rhs)
-    if not np.all(np.isfinite(out)):
+    out, info = dgttrs(*ws.factor(t), rhs, overwrite_b=True)
+    if info != 0 or not np.all(np.isfinite(out)):
         raise NumericalError("tridiagonal solve produced non-finite values")
     return out
 
@@ -293,10 +311,11 @@ def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
     dt = ws.dt
     s_now = n * dt
     s_new = (n + 1) * dt
-    ext = extend_slice(cfg.grid, v_now, "clamp_payoff", ws.ghosts, ws.n_ext,
-                       ws.n_ext, ws.edge_discount(s_now))
-    rhs = v_now + dt * generator.apply_nonlocal_ext(
-        cfg.op, ext, profile="monotone", with_compensator=True)
+    ng = generator.NEAR_GHOSTS
+    near = extend_slice(cfg.grid, v_now, "clamp_payoff", ws.ghosts, ng, ng,
+                        ws.edge_discount(s_now))
+    rhs = v_now + dt * generator.apply_nonlocal_grid(
+        cfg.op, near, "monotone", ws.ghost_term(s_now))
     if cfg.theta < 1.0:
         lo, dg, up = ws.local_stencil(s_now)
         expl = np.zeros_like(v_now)
@@ -493,29 +512,56 @@ def residual_vi(value: GridFunction, cfg: SolveConfig,
     grid = cfg.grid
     if value.values.shape != (grid.nx + 1, grid.nt + 1):
         raise ParameterError("value surface does not match the config grid")
-    h, dt = grid.h, grid.dt
-    x = grid.nodes
-    g = np.asarray(cfg.payoff(x), dtype=float)
-    contact_tol = 1e-10 * max(1.0, cfg.payoff.bound)
+    g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
     n_skip = max(1, int(np.ceil(expiry_layer * grid.nt)))
+    ghost = None
+    if value.ghosts is not None:
+        left, right = generator.ghost_terms(cfg.op, value.ghosts, "accurate")
+        ghost = left + right
     out = np.full_like(value.values, np.nan)
-    for n in range(n_skip, grid.nt):
-        v_n = value.values[:, n]
-        dv_ds = (value.values[:, n + 1] - value.values[:, n - 1]) / (2.0 * dt)
-        lv = generator.apply_local(cfg.coeffs, value, t=n * dt, n=n) + \
-            generator.apply_nonlocal(cfg.op, value, profile="accurate", n=n)
-        rv = np.asarray(cfg.coeffs.r(x, n * dt), dtype=float) * v_n
-        pde_part = dv_ds - lv + rv
-        obs_part = v_n - g
-        res = np.minimum(pde_part, obs_part)
-        # 2-node collar around each contact-set edge: the second-derivative
-        # jump across the free boundary makes the stencil inconsistent there
-        contact = obs_part <= contact_tol
-        edge = np.nonzero(contact[:-1] != contact[1:])[0]
-        for i in edge:
-            res[max(0, i - 1): i + 4] = np.nan
-        res[:1] = res[-1:] = np.nan
-        out[:, n] = res
-    interior = grid.interior
-    out[~interior, :] = np.nan
+    for n0 in range(n_skip, grid.nt, _LEVEL_BLOCK):
+        n1 = min(n0 + _LEVEL_BLOCK, grid.nt)
+        out[:, n0:n1] = _residual_levels(value, cfg, n0, n1, g, ghost)
+    out[~grid.interior, :] = np.nan
     return GridFunction(grid, out, extension="zero")
+
+
+def _residual_levels(value: GridFunction, cfg: SolveConfig, n0: int,
+                     n1: int, g: np.ndarray,
+                     ghost: np.ndarray | None) -> np.ndarray:
+    """:func:`residual_vi` at levels ``n0 .. n1-1``, NaN in the contact
+    collars and on the two end nodes."""
+    grid, coeffs = cfg.grid, cfg.coeffs
+    x, h, dt = grid.nodes, grid.h, grid.dt
+    vals = value.values
+    v = vals[:, n0:n1]
+    times = dt * np.arange(n0, n1)
+    ng = generator.NEAR_GHOSTS
+    near = extend_slice(grid, v, value.extension, value.ghosts, ng, ng)
+
+    def per_level(field):
+        if not coeffs.time_dependent:
+            return np.asarray(field(x, float(times[0])), dtype=float)[:, None]
+        return np.stack([np.asarray(field(x, float(t)), dtype=float)
+                         for t in times], axis=1)
+
+    dv_ds = (vals[:, n0 + 1: n1 + 1] - vals[:, n0 - 1: n1 - 1]) / (2.0 * dt)
+    lv = generator.local_form(per_level(coeffs.a), per_level(coeffs.b),
+                              near[ng - 1: near.shape[0] - ng + 1], h)
+    lv += generator.apply_nonlocal_grid(cfg.op, near, "accurate", ghost)
+    pde_part = dv_ds - lv + per_level(coeffs.r) * v
+    obs_part = v - g[:, None]
+    res = np.minimum(pde_part, obs_part)
+    # 2-node collar around each contact-set edge (between nodes i and
+    # i+1: nodes i-1 .. i+3): the second-derivative jump across the free
+    # boundary makes the stencil inconsistent there
+    contact = obs_part <= 1e-10 * max(1.0, cfg.payoff.bound)
+    edge = contact[:-1] != contact[1:]
+    collar = np.zeros_like(contact)
+    n_edge = edge.shape[0]
+    for s in range(-1, 4):
+        i0, i1 = max(0, -s), min(n_edge, n_edge + 1 - s)
+        collar[i0 + s: i1 + s] |= edge[i0: i1]
+    res[collar] = np.nan
+    res[:1] = res[-1:] = np.nan
+    return res

@@ -1,0 +1,62 @@
+"""Obstacle-dip guard shared by the region partition and the harness."""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+from jumpstop import diagnostics, harness, payoff
+from jumpstop.errors import InvariantViolation
+from jumpstop.grids import GridFunction, SpaceTimeGrid
+
+GRID = SpaceTimeGrid(-1.0, 1.0, 1.0, 40, 1.0, 4)
+PUT = payoff.put(1.0)
+
+
+def _surface(dip):
+    g = PUT(GRID.nodes)
+    vals = np.repeat(g[:, None], GRID.nt + 1, axis=1) + 0.01
+    vals[12, 3] = g[12] - dip
+    return GridFunction(GRID, vals, payoff=PUT)
+
+
+def test_dip_guard_names_the_worst_point():
+    want = (f"surface falls {0.25:.3e} below the obstacle at "
+            f"x = {GRID.nodes[12]:.4f} (time level 3); tolerance "
+            f"{1e-3:.3e}")
+    for check in (diagnostics.check_no_dip, diagnostics.partition):
+        with pytest.raises(InvariantViolation) as exc:
+            check(_surface(0.25), PUT, 1e-3)
+        assert str(exc.value) == want
+
+
+def test_dip_within_tolerance_passes():
+    u = _surface(5e-4)
+    gap = diagnostics.check_no_dip(u, PUT, 1e-3)
+    np.testing.assert_array_equal(gap, u.values - PUT(GRID.nodes)[:, None])
+    part = diagnostics.partition(u, PUT, 1e-3)
+    assert part.labels[12, 3] == 0 and part.labels[12, 2] == 1
+
+
+def test_run_guards_dips_without_the_partition(tmp_path, monkeypatch):
+    monkeypatch.setattr(diagnostics, "partition",
+                        lambda *a: pytest.fail("partition called"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "problem": {"family": "none", "payoff": "put", "strike": 1.0,
+                    "sigma": 0.2, "rate": 0.04, "horizon": 1.0},
+        "numerics": {"nx": 60, "nt": 40, "mode": "projected"},
+        "oracle": {"probes": [0.0], "which": ["none"]}}))
+    assert harness.run(path, out_dir=tmp_path / "ok",
+                       stream=io.StringIO()) == 0
+    real = harness.backward_value
+
+    def dipped(report):
+        u = real(report)
+        u.values[30, 5] -= 0.5
+        return u
+    monkeypatch.setattr(harness, "backward_value", dipped)
+    buf = io.StringIO()
+    assert harness.run(path, out_dir=tmp_path / "dip", stream=buf) == 3
+    assert buf.getvalue().startswith("invariant violation: surface falls ")

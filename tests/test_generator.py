@@ -17,12 +17,14 @@ import pytest
 
 from jumpstop import levy
 from jumpstop.errors import ParameterError, UnsupportedOperation
-from jumpstop.generator import (apply_local, apply_nonlocal,
-                                apply_nonlocal_ext, apply_nonlocal_split,
-                                apply_reduced, build_operator,
-                                consistency_check, drift_adjustment,
+from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
+                                apply_nonlocal_ext, apply_nonlocal_grid,
+                                apply_nonlocal_split, apply_reduced,
+                                build_operator, consistency_check,
+                                drift_adjustment, ghost_terms,
                                 operator_summary, stability_rate)
-from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
+from jumpstop.grids import (CoefficientField, GridFunction, SpaceTimeGrid,
+                            extend_slice)
 
 GRID = SpaceTimeGrid(x_lo=-2.0, x_hi=2.0, pad=1.5, nx=280,
                      t_final=1.0, nt=10)
@@ -206,6 +208,50 @@ def test_linearity(ops):
     rhs = 2.0 * apply_nonlocal(op, u) - 3.0 * apply_nonlocal(op, w)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0,
                                                     np.max(np.abs(rhs)))
+
+
+# --- grid block plus ghost term against the full extension ----------------
+
+@pytest.mark.parametrize("discount", [(1.0, 1.0), (0.7, 0.9)])
+@pytest.mark.parametrize("profile", ["monotone", "accurate"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_grid_path_matches_the_full_extension(ops, name, profile, discount):
+    """Kernels narrower and wider than the grid (merton, vg correlate the
+    zero-padded grid values; the others use dense blocks)."""
+    op = ops[name]
+    rng = np.random.default_rng(5)
+    gf = GridFunction(GRID, rng.standard_normal(GRID.nx + 1),
+                      payoff=lambda x: 1.0 + np.sin(3.0 * x) + 0.2 * x)
+    left, right = ghost_terms(op, gf.ghosts, profile)
+    near = extend_slice(GRID, gf.values, "clamp_payoff", gf.ghosts,
+                        NEAR_GHOSTS, NEAR_GHOSTS, discount)
+    got = apply_nonlocal_grid(op, near, profile,
+                              discount[0] * left + discount[1] * right)
+    ext = extend_slice(GRID, gf.values, "clamp_payoff", gf.ghosts,
+                       op.n_ext, op.n_ext, discount)
+    want = apply_nonlocal_ext(op, ext, profile)
+    tol = 1e-13 * stability_rate(op, profile) * np.max(np.abs(ext))
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def test_grid_path_on_a_surface_is_the_path_on_each_slice(ops):
+    op = ops["ts_asym"]
+    rng = np.random.default_rng(6)
+    near = rng.standard_normal((GRID.nx + 1 + 2 * NEAR_GHOSTS, 7))
+    ghost = rng.standard_normal(GRID.nx + 1)
+    for profile in ("monotone", "accurate"):
+        both = apply_nonlocal_grid(op, near, profile, ghost)
+        for k in range(near.shape[1]):
+            np.testing.assert_array_equal(
+                both[:, k], apply_nonlocal_grid(op, near[:, k].copy(),
+                                                profile, ghost))
+
+
+def test_ghost_terms_are_computed_once(ops):
+    gf = _gf(lambda x: np.cos(x))
+    first = ghost_terms(ops["nig"], gf.ghosts, "accurate")
+    assert ghost_terms(ops["nig"], gf.ghosts, "accurate") is first
+    assert ghost_terms(ops["nig"], gf.ghosts, "monotone") is not first
 
 
 # --- reduced form for finite-variation models ------------------------------

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from jumpstop import diagnostics, generator, levy, payoff, solver
 from jumpstop.errors import ConfigError, NumericalError
@@ -394,6 +395,26 @@ def test_residual_nan_pattern(diffusion_american):
     assert np.isfinite(res).any()
 
 
+def test_residual_collars_each_contact_edge(diffusion_american):
+    """NaN exactly on nodes i-1 .. i+3 around each contact edge between
+    nodes i and i+1, at every evaluated level."""
+    cfg, rep = diffusion_american
+    res = residual_vi(rep.value, cfg).values
+    v, g = rep.value.values, payoff.put(1.0)(cfg.grid.nodes)
+    tol = 1e-10 * max(1.0, cfg.payoff.bound)
+    levels = np.nonzero(np.isfinite(res).any(axis=0))[0]
+    edges = 0
+    for n in levels:
+        want = ~cfg.grid.interior
+        want[[0, -1]] = True
+        contact = v[:, n] - g <= tol
+        for i in np.nonzero(contact[:-1] != contact[1:])[0]:
+            want[max(0, i - 1): i + 4] = True
+            edges += 1
+        np.testing.assert_array_equal(np.isnan(res[:, n]), want)
+    assert edges >= levels.size
+
+
 def test_residual_shape_guard(diffusion_american):
     cfg, rep = diffusion_american
     other = SpaceTimeGrid(-0.5, 0.5, 1.0, 100, 1.0, 50)
@@ -401,6 +422,89 @@ def test_residual_shape_guard(diffusion_american):
     wrong = GridFunction(other, np.zeros((101, 51)), extension="zero")
     with pytest.raises(ParameterError):
         residual_vi(wrong, cfg)
+
+
+# ---------------------------------------------------------------------------
+# factored implicit solve
+
+
+def _solve_banded_step(ws, rhs, t, bc):
+    """The implicit step assembled per call and solved by solve_banded."""
+    theta_dt = ws.cfg.theta * ws.dt
+    lo, dg, up = ws.local_stencil(t)
+    a_lo, a_dg, a_up = -theta_dt * lo, 1.0 - theta_dt * dg, -theta_dt * up
+    a_dg[0] = a_dg[-1] = 1.0
+    a_up[0] = a_lo[-1] = 0.0
+    rhs = rhs.copy()
+    rhs[0], rhs[-1] = bc
+    ab = np.zeros((3, rhs.size))
+    ab[0, 1:] = a_up[:-1]
+    ab[1, :] = a_dg
+    ab[2, :-1] = a_lo[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _varying_coeffs():
+    """x- and t-dependent diffusion, drift and discount."""
+    return CoefficientField(
+        a=lambda x, t: A * (1.0 + 0.5 * np.sin(x) ** 2) * (1.0 + 0.4 * t),
+        b=lambda x, t: (R - A) * (1.0 + 0.3 * x) - 0.5 * t,
+        r=lambda x, t: R * (1.0 + 0.5 * t) + 0.0 * x,
+        lambda_floor=0.5 * A, time_dependent=True)
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+@pytest.mark.parametrize("mode", ["projected", "european"])
+def test_factored_solve_matches_solve_banded(time_dependent, mode,
+                                             monkeypatch):
+    mod, coeffs = merton_setup()
+    if time_dependent:
+        coeffs = _varying_coeffs()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), theta=0.5,
+                      mode=mode)
+    solve = solve_vi if mode == "projected" else solve_european
+    got = solve(cfg).value.values
+    monkeypatch.setattr(solver, "_implicit_solve", _solve_banded_step)
+    want = solve(cfg).value.values
+    assert np.abs(got[:, -1] - got[:, 0]).max() > 1e-3
+    np.testing.assert_array_equal(got, want)
+
+
+def test_residual_reads_time_dependent_coefficients_per_level():
+    mod, _ = merton_setup()
+    coeffs = _varying_coeffs()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode="projected")
+    rep = solve_vi(cfg)
+    got = residual_vi(rep.value, cfg).values
+    v, dt, x = rep.value.values, grid.dt, grid.nodes
+    g = payoff.put(1.0)(x)
+    levels = np.nonzero(np.isfinite(got).any(axis=0))[0]
+    assert levels.size > grid.nt // 2
+    for n in levels:
+        gf = GridFunction(grid, v[:, n], payoff=rep.value.payoff)
+        lv = generator.apply_local(coeffs, gf, t=n * dt) + \
+            generator.apply_nonlocal(cfg.op, gf, profile="accurate")
+        pde = (v[:, n + 1] - v[:, n - 1]) / (2.0 * dt) - lv + \
+            coeffs.r(x, n * dt) * v[:, n]
+        ok = np.isfinite(got[:, n])
+        np.testing.assert_array_equal(got[ok, n],
+                                      np.minimum(pde, v[:, n] - g)[ok])
+
+
+def test_time_dependent_march_refactors_per_level():
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, levy.none(), _varying_coeffs(), payoff.put(1.0),
+                      mode="projected")
+    ws = solver._Workspace(cfg, None)
+    assert ws.factor(0.1) is ws.factor(0.1)
+    assert not np.array_equal(ws.factor(0.1)[1], ws.factor(0.4)[1])
+    const = solver._Workspace(SolveConfig(grid, levy.none(),
+                                          diffusion_coeffs(),
+                                          payoff.put(1.0), mode="projected"),
+                              None)
+    assert const.factor(0.1) is const.factor(0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +544,31 @@ def test_residual_reuses_the_solve_ghosts(mode, monkeypatch):
 
 
 def test_european_march_discounts_its_ghosts(monkeypatch):
+    """Each step's near ghosts and ghost term are the payoff's, scaled by
+    the edge discount ``exp(-r s_n)``."""
     mod, coeffs = merton_setup()
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 20)
     cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode="european")
     seen = []
-    real = solver.extend_slice
-    monkeypatch.setattr(solver, "extend_slice",
-                        lambda *a: seen.append(real(*a)) or seen[-1])
+    real = generator.apply_nonlocal_grid
+    monkeypatch.setattr(
+        generator, "apply_nonlocal_grid",
+        lambda op, near, profile, ghost: seen.append((near, ghost)) or
+        real(op, near, profile, ghost))
     solve_european(cfg)
-    ne, h, x = cfg.op.n_ext, grid.h, grid.nodes
-    k = np.arange(1, ne + 1)
+    ng, h, x = generator.NEAR_GHOSTS, grid.h, grid.nodes
+    k = np.arange(1, ng + 1)
     ghosts = payoff.put(1.0)(np.concatenate([x[0] - h * k[::-1],
                                              x[-1] + h * k]))
+    fresh = GridFunction(grid, x, payoff=payoff.put(1.0)).ghosts
+    left, right = generator.ghost_terms(cfg.op, fresh, "monotone")
     assert len(seen) == grid.nt and ghosts[0] > 0.5
-    for n, ext in enumerate(seen):
+    assert np.max(np.abs(left)) > 0.1
+    np.testing.assert_array_equal(seen[0][1], left + right)
+    for n, (near, ghost) in enumerate(seen):
+        scale = math.exp(-R * n * grid.dt)
         np.testing.assert_allclose(
-            np.concatenate([ext[:ne], ext[-ne:]]),
-            ghosts * math.exp(-R * n * grid.dt), rtol=1e-14, atol=0.0)
+            np.concatenate([near[:ng], near[-ng:]]), ghosts * scale,
+            rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(ghost, seen[0][1] * scale, rtol=1e-14,
+                                   atol=0.0)
