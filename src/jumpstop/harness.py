@@ -38,7 +38,7 @@ from .grids import CoefficientField, GridFunction, SpaceTimeGrid
 from .levy import LevyModel
 from .payoff import PayoffSpec
 from .solver import (MODES, SolveConfig, SolveReport, backward_value,
-                     residual_vi, solve_european, solve_vi)
+                     contact_tol, residual_vi, solve_european, solve_vi)
 
 __all__ = [
     "RunConfig", "ProblemBlock", "NumericsBlock", "OracleBlock",
@@ -540,37 +540,15 @@ def _hard_checks(rc: RunConfig, cfg: SolveConfig, report: SolveReport,
     return checks
 
 
-def _artifact_regions(cfg: SolveConfig, report: SolveReport,
-                      u: GridFunction) -> tuple:
-    """Contact labels and free-boundary crossings at contact resolution.
-
-    The value-error tolerance ``c*(h^2 + dt)`` that gates the invariant
-    checks is far coarser than the contact set itself: projection makes
-    ``u == g`` exact there, and the penalty confines ``u - g`` to its
-    band ``[0, eps]``.  Label at that resolution instead, and only where
-    stopping actually pays (``g > 0``) -- far out of the money the value
-    decays below any tolerance without the region being a contact set.
-
-    Returns ``(labels, boundary, tol)`` with ``labels[i, m] == 0`` on
-    the contact set and ``boundary[m]`` the crossing locations at
-    natural time ``t = m * dt``.
-    """
-    grid = cfg.grid
-    if cfg.mode == "penalized":
-        tol = float(report.eps_final)
-    else:
-        tol = 1e-10 * max(1.0, cfg.payoff.bound)
-    g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
-    gap = u.values - g[:, None]
-    contact = (gap <= tol) & (g[:, None] > 0.0)
-    labels = np.where(contact, 0, 1).astype(np.int8)
-    boundary = []
-    for m in range(grid.nt + 1):
-        locs = diagnostics.crossings(u.values[:, m], g, grid.nodes, tol)
-        if locs.size:
-            locs = locs[np.asarray(cfg.payoff(locs), dtype=float) > 0.0]
-        boundary.append(locs)
-    return labels, boundary, tol
+def _contact_labels(cfg: SolveConfig, report: SolveReport,
+                    u: GridFunction) -> tuple:
+    """``(labels, tol)``: ``labels[i, m] == 0`` on the contact set at
+    natural time ``t = m * dt``, resolved at :func:`solver.contact_tol`,
+    the resolution of ``report.boundary``."""
+    tol = contact_tol(cfg, report.eps_final)
+    g = np.asarray(cfg.payoff(cfg.grid.nodes), dtype=float)
+    contact = (u.values - g[:, None] <= tol) & (g[:, None] > 0.0)
+    return np.where(contact, 0, 1).astype(np.int8), tol
 
 
 def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
@@ -584,13 +562,12 @@ def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
     tol = rc.numerics.lemma_constant * (grid.h ** 2 + grid.dt) + 1e-9
 
     labels = None
-    boundary = None
-    contact_tol = None
+    label_tol = None
     smooth = None
     res_surface = None
     if cfg.mode != "european":
         diagnostics.check_no_dip(u, cfg.payoff, tol)
-        labels, boundary, contact_tol = _artifact_regions(cfg, report, u)
+        labels, label_tol = _contact_labels(cfg, report, u)
         smooth = diagnostics.smooth_fit_gap(u, cfg.payoff)
         res_surface = residual_vi(report.value, cfg)
 
@@ -620,8 +597,8 @@ def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
         "report": report,
         "u": u,
         "labels": labels,
-        "boundary": boundary,
-        "contact_tol": contact_tol,
+        "boundary": report.boundary,
+        "contact_tol": label_tol,
         "smooth": smooth,
         "res_stats": res_stats,
         "reduced_gap": reduced_gap,
@@ -654,18 +631,35 @@ def _jsonable(obj):
 def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
                    bundle: dict) -> None:
     """One row per node and natural time level; each column is formatted
-    once and the rows are zipped together, one time level at a time."""
+    once and the rows are zipped together, one time level at a time.
+
+    Where ``u`` equals the payoff bit for bit (the stopping region of a
+    projected solve) the payoff's string is reused.  That saves a
+    ``repr`` per such cell but costs a fixed gather per level, about the
+    ``repr`` of an eighth of a level, so it is taken only on levels where
+    at least that share of the cells match.
+    """
     grid = cfg.grid
     u = bundle["u"].values
+    g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
     xs = [repr(x) for x in grid.nodes.tolist()]
-    gs = [repr(g) for g in
-          np.asarray(cfg.payoff(grid.nodes), dtype=float).tolist()]
+    gs = [repr(v) for v in g.tolist()]
+    gs_obj = np.array(gs, dtype=object)
+    # bit patterns, not floats: -0.0 == 0.0, but their reprs differ
+    same = u.view(np.int64) == g.view(np.int64)[:, None]
+    reuse = 8 * same.sum(axis=0) >= grid.nx + 1
     labels = bundle["labels"]
     regions = None if labels is None else np.where(labels == 1, "C", "S")
     with path.open("w") as fh:
         fh.write("x,t,u,g,region\n")
         for m, t in enumerate(grid.times.tolist()):
-            us = map(repr, u[:, m].tolist())
+            if reuse[m]:
+                miss = np.flatnonzero(~same[:, m])
+                us = gs_obj.copy()
+                us[miss] = list(map(repr, u[miss, m].tolist()))
+                us = us.tolist()
+            else:
+                us = map(repr, u[:, m].tolist())
             rs = repeat("-") if regions is None else regions[:, m].tolist()
             rows = zip(xs, repeat(repr(t)), us, gs, rs)
             fh.write("\n".join(map(",".join, rows)) + "\n")
@@ -674,10 +668,10 @@ def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
 def _write_boundary(path: Path, cfg: SolveConfig, bundle: dict) -> None:
     lines = ["t,b"]
     if bundle["boundary"] is not None:
-        for m, curve in enumerate(bundle["boundary"]):
-            t = cfg.grid.times[m]
+        times = cfg.grid.times.tolist()
+        for t, curve in zip(times, bundle["boundary"]):
             for b in np.atleast_1d(curve):
-                lines.append(f"{float(t)!r},{float(b)!r}")
+                lines.append(f"{t!r},{float(b)!r}")
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -24,6 +24,13 @@ normal/exponential moments, the tempered-stable and NIG Laplace
 exponents -- for every family except that NIG moments fall back to
 :func:`integrate_density`: adaptive Gauss-Kronrod quadrature on panels
 refining geometrically toward the singular point.
+
+``scipy`` is imported inside the functions that use it, so a run loads
+only what its family needs: ``scipy.special`` (incomplete gamma, Bessel
+``K1``) for tempered stable, CGMY, variance gamma and NIG, and
+``scipy.integrate`` (which pulls in ``scipy.optimize``) only in
+:func:`integrate_density`, reached by NIG tails.  Merton and Kou load
+neither.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, NumericalError, ParameterError, UnsupportedOperation
 
@@ -264,6 +270,7 @@ def _density_array(model: LevyModel, y: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return p["c"] / ay * np.exp(-rate * ay)
     if model.family == "nig":
+        from scipy import special  # local import; see the module docstring
         # scaled Bessel keeps exp(skew*y)*K1(shape*|y|) finite for large |y|
         with np.errstate(divide="ignore", over="ignore"):
             return (p["scale"] * p["shape"] / math.pi) \
@@ -345,6 +352,7 @@ def integrate_density(model: LevyModel, f: Callable[[float], float],
         raise ParameterError("side must be '+' or '-'")
     if model.is_trivial:
         return 0.0
+    from scipy import integrate  # local import; see the module docstring
     sgn = 1.0 if side == "+" else -1.0
 
     def g(t: float) -> float:
@@ -408,6 +416,7 @@ def _upper_gamma(s: float, x: float) -> float:
     """Upper incomplete gamma for any real s (recurrence below s <= 0)."""
     if x <= 0.0:
         raise ParameterError("upper incomplete gamma needs x > 0")
+    from scipy import special  # local import; see the module docstring
     if s > 0.0:
         return float(special.gammaincc(s, x) * special.gamma(s))
     if s == 0.0:
@@ -425,6 +434,7 @@ def _ts_power_integral(c: float, a: float, lam: float, k: float,
     if lo <= 0.0:
         if s <= 0.0:
             raise UnsupportedOperation("divergent small-jump integral")
+        from scipy import special  # local import; see the module docstring
         lo_term = float(special.gamma(s))
     else:
         lo_term = _upper_gamma(s, lam * lo)
@@ -672,6 +682,7 @@ def _nig_small_jump_drift(shape: float, skew: float, scale: float) -> float:
     Gauss-Legendre rule in ``t`` is accurate to rounding (checked against
     50-digit values for shapes 1.5 to 80).
     """
+    from scipy import special  # local import; see the module docstring
     t = 0.5 * (_GL64_NODES + 1.0)
     x = t ** 3
     f = np.sinh(skew * x) * np.exp(-shape * x) * special.k1e(shape * x) \

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import levy
 from .errors import NumericalError, ParameterError
@@ -171,7 +170,10 @@ def _side_table(model: LevyModel, lo: float, hi: float,
     # rejects y = 0 outright; nudge that single node
     t_eval = np.where(t > 0.0, t, hi * 1e-12)
     dens = np.asarray(levy.density(model, sign * t_eval), dtype=float)
-    mass = cumulative_trapezoid(dens, t, initial=0.0)
+    # the trapezoid sums of scipy's cumulative_trapezoid, term for term,
+    # without importing scipy.integrate
+    mass = np.concatenate(
+        ([0.0], np.cumsum(np.diff(t) * (dens[1:] + dens[:-1]) / 2.0)))
     return float(mass[-1]), mass, t
 
 

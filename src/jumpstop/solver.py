@@ -57,6 +57,7 @@ __all__ = [
     "plan_steps",
     "stability_fraction",
     "monotone_step_check",
+    "contact_tol",
 ]
 
 MODES = ("penalized", "projected", "european")
@@ -407,7 +408,7 @@ class SolveReport:
     mode: str
     eps_final: float | None
     anchor: float | None
-    boundary: list | None
+    boundary: list | None   # free-boundary crossings per natural time level
     residuals: dict
     eps_trace: list
     truncation_mass: float
@@ -444,6 +445,9 @@ def solve_vi(cfg: SolveConfig) -> SolveReport:
     sup-norm delta between consecutive solutions, and returns the last
     report with the trace; a non-decreasing tail of the trace adds a
     non-convergence warning.  Projected mode is a single march.
+    Either way ``report.boundary[m]`` holds the free boundary at natural
+    time level ``m``: the crossings of ``u - g`` over :func:`contact_tol`
+    where ``g > 0``.
     """
     t0 = time.perf_counter()
     if cfg.mode == "projected":
@@ -472,18 +476,33 @@ def solve_vi(cfg: SolveConfig) -> SolveReport:
                 "eps continuation: last sup-norm delta did not decrease")
     else:
         raise ConfigError("solve_vi requires penalized or projected mode")
-    report.boundary = _boundary_curves(cfg, report)
+    from .diagnostics import crossings  # local import; diagnostics sits above
+    tol = contact_tol(cfg, report.eps_final)
+    x = cfg.grid.nodes
+    g = np.asarray(cfg.payoff(x), dtype=float)
+    report.boundary = []
+    # natural time level m is forward column nt - m
+    for col in report.value.values[:, ::-1].T:
+        locs = crossings(col, g, x, tol)
+        if locs.size:
+            locs = locs[np.asarray(cfg.payoff(locs), dtype=float) > 0.0]
+        report.boundary.append(locs)
     return report
 
 
-def _boundary_curves(cfg: SolveConfig, report: SolveReport) -> list:
-    """Free-boundary crossings per backward time level."""
-    from .diagnostics import crossings  # local import; diagnostics sits above
-    u = backward_value(report)
-    g = np.asarray(cfg.payoff(cfg.grid.nodes), dtype=float)
-    tol = 10.0 * (cfg.grid.h ** 2 + cfg.grid.dt) + 1e-9
-    return [crossings(u.values[:, m], g, cfg.grid.nodes, tol)
-            for m in range(cfg.grid.nt + 1)]
+def contact_tol(cfg: SolveConfig, eps_final: float | None) -> float:
+    """Resolution at which ``u - g <= tol`` marks the contact set.
+
+    The value-error tolerance ``c*(h^2 + dt)`` that gates the invariant
+    checks is far coarser than the contact set itself: projection makes
+    ``u == g`` exact there, and the penalty confines ``u - g`` to its
+    band ``[0, eps]``.  Contact counts only where stopping pays
+    (``g > 0``): far out of the money the value decays below any
+    tolerance without the region being a contact set.
+    """
+    if cfg.mode == "penalized":
+        return float(eps_final)
+    return 1e-10 * max(1.0, cfg.payoff.bound)
 
 
 def backward_value(report: SolveReport) -> GridFunction:

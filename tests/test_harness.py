@@ -13,6 +13,7 @@ import pytest
 
 from jumpstop import cli, harness, levy, solver
 from jumpstop.errors import ConfigError, ParameterError
+from jumpstop.grids import GridFunction
 
 BASE = {
     "problem": {"family": "none", "payoff": "put", "strike": 1.0,
@@ -307,6 +308,33 @@ def test_risk_neutral_drift_keeps_the_tree(tmp_path):
         assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["checks"]["oracle_binomial"]["passed"]
+
+
+def test_surface_writer_reuses_payoff_strings_bit_for_bit(tmp_path):
+    # levels where u equals g on many cells take the reuse path; -0.0
+    # equals 0.0 as a float but must still be written as "-0.0"
+    rc = harness.RunConfig.from_dict(
+        {**BASE, "numerics": {"nx": 40, "nt": 6, "mode": "projected"}})
+    cfg = rc.build_solve_config()
+    x = cfg.grid.nodes
+    g = np.asarray(cfg.payoff(x), dtype=float)
+    rng = np.random.default_rng(4)
+    u = g[:, None] + rng.random((x.size, cfg.grid.nt + 1))
+    u[:20, 1:4] = g[:20, None]          # 20 of 41 cells match
+    u[g == 0.0, 2] = -0.0
+    u[:3, 5] = g[:3]                     # too few to reuse
+    labels = (u > g[:, None]).astype(np.int8)
+    bundle = {"u": GridFunction(cfg.grid, u, payoff=cfg.payoff),
+              "labels": labels}
+    harness._write_surface(tmp_path / "surface.csv", rc, cfg, bundle)
+    xs, gs, us = x.tolist(), g.tolist(), u.tolist()
+    expected = ["x,t,u,g,region"] + [
+        f"{xs[i]!r},{t!r},{us[i][m]!r},{gs[i]!r},{'SC'[labels[i, m]]}"
+        for m, t in enumerate(cfg.grid.times.tolist())
+        for i in range(x.size)]
+    text = (tmp_path / "surface.csv").read_text()
+    assert text.splitlines() == expected
+    assert ",-0.0,0.0," in text
 
 
 def test_run_european_artifacts(tmp_path):

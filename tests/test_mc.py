@@ -110,6 +110,13 @@ def test_positive_jump_fraction_matches_side_mass():
     assert abs(frac - p) <= 4.0 * np.sqrt(p * (1.0 - p) / moved.sum())
 
 
+table_models = pytest.mark.parametrize("model", [
+    levy.merton(1.5, -0.05, 0.25), levy.kou(4.0, 0.3, 10.0, 5.0),
+    levy.variance_gamma(0.2, 0.3, -0.1), levy.nig(6.0, -1.0, 0.3),
+    levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)],
+    ids=["merton", "kou", "vg", "nig", "ts"])
+
+
 def _interp_sizes(table, w):
     return np.where(w < table.mass_plus,
                     np.interp(w, table.cdf_plus, table.mag_plus),
@@ -117,11 +124,7 @@ def _interp_sizes(table, w):
                                table.mag_minus))
 
 
-@pytest.mark.parametrize("model", [
-    levy.merton(1.5, -0.05, 0.25), levy.kou(4.0, 0.3, 10.0, 5.0),
-    levy.variance_gamma(0.2, 0.3, -0.1), levy.nig(6.0, -1.0, 0.3),
-    levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)],
-    ids=["merton", "kou", "vg", "nig", "ts"])
+@table_models
 def test_guided_inverse_cdf_is_np_interp_bit_for_bit(model):
     table = mc._build_scheme(model, None, mc.DEFAULT_INTENSITY_CAP).table
     plus = (table.mass_plus, table.cdf_plus, table.mag_plus)
@@ -138,6 +141,21 @@ def test_guided_inverse_cdf_is_np_interp_bit_for_bit(model):
             cdf, np.nextafter(cdf[1:], 0.0), mass + second[1]])
         for w in (rng.random(1_000_000) * rate, edges):
             assert np.array_equal(tab.sizes(w), _interp_sizes(tab, w))
+
+
+@table_models
+@pytest.mark.parametrize("lo", [0.0, mc.DEFAULT_SPLIT],
+                         ids=["linspace", "geomspace"])
+def test_side_table_is_cumulative_trapezoid_bit_for_bit(model, lo):
+    from scipy.integrate import cumulative_trapezoid
+    hi = levy.truncation_radius(model, mc._TAIL_TOL)
+    for sign in (1.0, -1.0):
+        total, mass, t = mc._side_table(model, lo, hi, sign)
+        assert t[0] == lo and t[-1] == hi
+        dens = levy.density(model, sign * np.where(t > 0.0, t, hi * 1e-12))
+        ref = cumulative_trapezoid(dens, t, initial=0.0)
+        assert mass.view(np.int64).tolist() == ref.view(np.int64).tolist()
+        assert total == ref[-1]
 
 
 def test_states_are_a_time_major_view(merton_batch):
