@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import levy
-from .errors import ParameterError, UnsupportedOperation
+from .errors import ParameterError
 from .grids import CoefficientField, GridFunction, SpaceTimeGrid
 from .levy import LevyModel
 
@@ -68,9 +68,6 @@ __all__ = [
     "ghost_terms",
     "NEAR_GHOSTS",
     "apply_nonlocal_split",
-    "apply_reduced",
-    "consistency_check",
-    "drift_adjustment",
     "stability_rate",
     "operator_summary",
 ]
@@ -567,27 +564,6 @@ def _triangular_kernel(nodes, w_lo, w_hi, h):
     return kernel, -c0
 
 
-def apply_reduced(op: NonlocalOperator, gf: GridFunction,
-                  profile: str = "accurate", n: int = 0) -> np.ndarray:
-    """Uncompensated jump form for finite-variation models.
-
-    Direct lumped differences over all cells plus the core stencil and the
-    exact small-jump mean times a centered slope; pairs with a drift
-    reduced by the full first absolute-moment integral.
-    """
-    _check_profile(profile)
-    if op.fv_core is None:
-        raise UnsupportedOperation(
-            "reduced (uncompensated) form needs finite jump variation")
-    ext, base, d1, d2 = _frames(op, gf, n)
-    out = _kernel_sum(ext, op.far_kernel, op.k_min, op.n_ext, op.n_base)
-    out -= op.far_mass * base
-    out += op.fv_core * d1
-    k2, k2_min = _d2_kernel(op, profile)
-    out += _d2_kernel_sum(d2, k2, k2_min, op.n_ext, op.n_base)
-    return out
-
-
 def apply_local(coeffs: CoefficientField, gf: GridFunction,
                 t: float = 0.0, n: int = 0) -> np.ndarray:
     """Diffusion-plus-drift part ``a*u'' + b*u'`` on all padded nodes."""
@@ -604,44 +580,6 @@ def local_form(a: np.ndarray, b: np.ndarray, ext: np.ndarray,
     d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h)
     d1 = (ext[2:] - ext[:-2]) / (2.0 * h)
     return a * d2 + b * d1
-
-
-def drift_adjustment(op: NonlocalOperator) -> float:
-    """Discrete first moment over the unit band, ``sum y * nu`` on |y|<=1.
-
-    Subtracting it from the drift converts the compensated operator pair
-    to the reduced pair; only defined for finite-variation models.
-    """
-    if op.fv_core is None:
-        raise UnsupportedOperation(
-            "drift adjustment needs finite jump variation")
-    return op.compensator + op.fv_core
-
-
-def consistency_check(op: NonlocalOperator, coeffs: CoefficientField,
-                      gf: GridFunction, t: float = 0.0, n: int = 0) -> float:
-    """Max gap between the compensated and reduced generator forms.
-
-    Both forms of the full generator (local + jump) are applied to the
-    same slice; the reduced drift is lowered by the quadrature value of
-    the unit-band first moment, so the result measures how well the
-    discrete cell means reproduce it.  Finite-variation models only.
-    """
-    if op.fv_core is None:
-        raise UnsupportedOperation(
-            "consistency check needs finite jump variation")
-    full = apply_local(coeffs, gf, t, n) + apply_nonlocal(op, gf, n=n)
-    if op.model.is_trivial:
-        fvd = 0.0
-    else:
-        fvd = levy.tails(op.model, min(1.0, max(op.y_core, 0.5))).fv_drift
-    grid = gf.grid
-    h = grid.h
-    ext = gf.extended(1, 1, n)
-    d1 = (ext[2:] - ext[:-2]) / (2.0 * h)
-    reduced = apply_local(coeffs, gf, t, n) - fvd * d1 + \
-        apply_reduced(op, gf, n=n)
-    return float(np.max(np.abs(full - reduced)))
 
 
 def stability_rate(op: NonlocalOperator, profile: str = "monotone") -> float:

@@ -55,7 +55,6 @@ __all__ = [
     "tempered_stable",
     "cgmy",
     "density",
-    "singularity_exponent",
     "tails",
     "integrate_density",
     "jump_moment",
@@ -299,11 +298,6 @@ def density(model: LevyModel, y):
         raise DomainError("jump density is singular at y = 0")
     out = _density_array(model, arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def singularity_exponent(model: LevyModel) -> float:
-    """Order of the small-jump singularity (0 for finite-activity families)."""
-    return model.alpha
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,6 @@ from .penalty import PenaltySpec
 __all__ = [
     "SolveConfig",
     "SolveReport",
-    "step_penalized",
-    "solve_penalized",
     "solve_vi",
     "solve_european",
     "residual_vi",
@@ -333,16 +331,6 @@ def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
     return v_new
 
 
-def step_penalized(v_now: np.ndarray, n: int, eps: float,
-                   pspec: PenaltySpec, cfg: SolveConfig) -> np.ndarray:
-    """One public IMEX step of the penalized march (forward level ``n``)."""
-    v_now = np.asarray(v_now, dtype=float)
-    if not np.all(np.isfinite(v_now)):
-        raise NumericalError("step input is not finite")
-    ws = _Workspace(cfg, eps)
-    return _one_step(ws, v_now, n, pspec)
-
-
 # ---------------------------------------------------------------------------
 # full marches
 
@@ -416,16 +404,6 @@ class SolveReport:
     steps: int
     warnings: list
     grad_max_per_eps: list
-
-
-def solve_penalized(cfg: SolveConfig, eps: float) -> SolveReport:
-    """Single penalized march at separation ``eps``."""
-    if cfg.mode != "penalized":
-        raise ConfigError("solve_penalized requires penalized mode")
-    t0 = time.perf_counter()
-    pspec = penalty_mod.build(eps, cfg.anchor)
-    surface, ws = _march(cfg, eps, pspec)
-    return _build_report(cfg, surface, ws, eps, pspec, t0, cfg.grid.nt)
 
 
 def solve_european(cfg: SolveConfig) -> SolveReport:

@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from jumpstop import levy
-from jumpstop.errors import ParameterError, UnsupportedOperation
+from jumpstop.errors import ParameterError
 from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
                                 apply_nonlocal_ext, apply_nonlocal_grid,
-                                apply_nonlocal_split, apply_reduced,
-                                build_operator, consistency_check,
-                                drift_adjustment, ghost_terms,
-                                operator_summary, stability_rate)
+                                apply_nonlocal_split, build_operator,
+                                ghost_terms, operator_summary,
+                                stability_rate)
 from jumpstop.grids import (CoefficientField, GridFunction, SpaceTimeGrid,
                             extend_slice)
 
@@ -254,34 +253,23 @@ def test_ghost_terms_are_computed_once(ops):
     assert ghost_terms(ops["nig"], gf.ghosts, "monotone") is not first
 
 
-# --- reduced form for finite-variation models ------------------------------
+# --- first moment of the unit band -----------------------------------------
 
-@pytest.mark.parametrize("name", ["merton", "kou", "vg"])
-def test_reduced_form_consistency(ops, name):
-    coeffs = CoefficientField.constants(a=0.05, b=0.1, r=0.04)
-    gf = _gf(lambda x: np.cos(0.9 * x) + 0.1 * x * x)
-    gap = consistency_check(ops[name], coeffs, gf)
-    assert gap <= 1e-5
-
-
-def test_reduced_form_consistency_fv_tempered_stable():
-    model = levy.tempered_stable(0.3, 0.6, 0.4, 0.9, 2.0, 4.0)
-    op = build_operator(model, GRID)
-    coeffs = CoefficientField.constants(a=0.05, b=0.1, r=0.04)
-    gap = consistency_check(op, coeffs, _gf(lambda x: np.sin(x)))
-    assert gap <= 1e-5
-    assert drift_adjustment(op) == pytest.approx(
-        levy.tails(model, 0.5).fv_drift, rel=1e-7, abs=1e-10)
-
-
-def test_reduced_form_rejects_infinite_variation(ops):
-    coeffs = CoefficientField.constants(a=0.05, b=0.1, r=0.04)
-    gf = _gf(lambda x: np.sin(x))
-    for name in ("nig", "ts_asym"):
-        with pytest.raises(UnsupportedOperation):
-            consistency_check(ops[name], coeffs, gf)
-        with pytest.raises(UnsupportedOperation):
-            apply_reduced(ops[name], gf)
+@pytest.mark.parametrize("name", sorted(MODELS) + ["ts_fv"])
+def test_compensator_reproduces_unit_band_mean(ops, name):
+    """The band compensator plus the exact core mean is the first moment
+    of the jumps in ``|y| <= 1``; the core mean exists only under finite
+    variation."""
+    if name == "ts_fv":
+        model = levy.tempered_stable(0.3, 0.6, 0.4, 0.9, 2.0, 4.0)
+        op = build_operator(model, GRID)
+    else:
+        model, op = MODELS[name], ops[name]
+    if not model.finite_variation:
+        assert op.fv_core is None
+        return
+    assert op.compensator + op.fv_core == pytest.approx(
+        levy.jump_moment(model, 1, 0.0, 1.0), rel=1e-12)
 
 
 # --- local part and trivial model ------------------------------------------
@@ -298,7 +286,7 @@ def test_trivial_model_gives_zero_operator():
     gf = _gf(lambda x: np.sin(x))
     assert np.max(np.abs(apply_nonlocal(op, gf))) == 0.0
     assert stability_rate(op) == 0.0
-    assert drift_adjustment(op) == 0.0
+    assert op.compensator == op.fv_core == 0.0
     summary = operator_summary(op)
     assert summary["cells"] == 0 and summary["far_mass"] == 0.0
 

@@ -85,7 +85,7 @@ def test_wrong_value_types_rejected():
     ("problem", "family", "gamma"),
     ("problem", "payoff", "butterfly"),
     ("numerics", "mode", "implicit"),
-    ("numerics", "operator_form", "spectral"),
+    ("oracle", "seed", -1),
     ("oracle", "which", ["fft"]),
     ("output", "formats", ["parquet"]),
 ])
@@ -156,18 +156,13 @@ def test_default_drift_compensates_jumps_under_discounting():
     assert rc.build_coeffs(model).b(x0, 0.0)[0] == 0.123
 
 
-def test_reduced_form_needs_finite_jump_variation():
-    rc = harness.RunConfig.from_dict({
-        "problem": {"family": "nig", "jump_params": [6.0, -1.0, 0.3]},
-        "numerics": {"operator_form": "reduced"}})
-    with pytest.raises(ConfigError, match="finite jump variation"):
-        rc.build_solve_config()
-
-
 def test_refine_halves_both_steps():
     rc = harness.RunConfig.from_dict(BASE)
     cfg = rc.build_solve_config(refine=1)
     assert cfg.grid.nx == 200 and cfg.grid.nt == 200
+    coarse = rc.build_solve_config().grid
+    assert abs(cfg.grid.h - 0.5 * coarse.h) < 1e-15
+    assert abs(cfg.grid.dt - 0.5 * coarse.dt) < 1e-15
     with pytest.raises(ConfigError, match="refine"):
         rc.build_solve_config(refine=-1)
 
@@ -196,6 +191,11 @@ def test_run_writes_full_artifact_set(tmp_path):
     assert len(surface) == 1 + 101 * 101
     labels = {line.rsplit(",", 1)[1] for line in surface[1:]}
     assert labels == {"C", "S"}
+    # at expiry u == g, so every node where stopping pays is contact
+    expiry = [line.split(",") for line in surface[-101:]]
+    assert {t for _, t, _, _, _ in expiry} == {"1.0"}
+    assert all(region == "S" for _, _, _, g, region in expiry
+               if float(g) > 0.0)
 
     boundary = (out / "boundary.csv").read_text().splitlines()
     assert boundary[0] == "t,b"
@@ -250,14 +250,14 @@ def test_run_unknown_key_exits_2(tmp_path):
     assert "typo_key" in buf.getvalue()
 
 
-def test_run_reduced_with_infinite_variation_exits_2(tmp_path):
+def test_run_operator_form_is_an_unknown_key(tmp_path):
+    # the march has one operator form, the compensated one
     path = tmp_path / "bad.txt"
-    path.write_text("problem.family = nig\n"
-                    "problem.jump_params = [6.0, -1.0, 0.3]\n"
-                    "numerics.operator_form = reduced\n")
+    path.write_text("numerics.operator_form = compensated\n")
     buf = io.StringIO()
     assert harness.run(path, stream=buf) == 2
-    assert "finite jump variation" in buf.getvalue()
+    assert "unknown key(s) in block 'numerics': operator_form" \
+        in buf.getvalue()
 
 
 def test_run_failed_check_exits_3_and_names_it(tmp_path):
@@ -352,6 +352,40 @@ def test_run_european_artifacts(tmp_path):
     assert "oracle_binomial" in diag["checks"]
 
 
+DIAGNOSTICS_KEYS = {
+    "mode", "family", "grid", "seed", "tolerance", "checks", "failed_checks",
+    "residuals", "eps_trace", "eps_final", "anchor", "truncation_mass",
+    "warnings", "smooth_fit", "residual_vi", "regions", "boundary_points",
+    "probes",
+}
+CONFIG_KEYS = {
+    "problem": {"sigma", "rate", "drift", "family", "jump_params", "payoff",
+                "strike", "cap", "table_path", "horizon"},
+    "numerics": {"x_lo", "x_hi", "pad", "nx", "nt", "eps_schedule", "theta",
+                 "mode", "radius_tol", "lemma_constant"},
+    "oracle": {"mc_paths", "mc_steps", "seed", "binomial_steps", "which",
+               "probes"},
+    "output": {"out_dir", "formats"},
+}
+
+
+@pytest.mark.parametrize("mode", ["penalized", "projected", "european"])
+def test_artifact_key_sets_are_pinned(tmp_path, mode):
+    # readers of the artifacts (the bench sampler among them) look keys up
+    # by name, so a renamed or dropped key must fail here first
+    cfg_path = make_config(tmp_path, problem={"family": "merton",
+                                              "jump_params": [1.5, -0.05,
+                                                              0.25]},
+                           numerics={"nx": 40, "nt": 20, "mode": mode})
+    out = tmp_path / "out"
+    harness.run(cfg_path, out_dir=out, stream=io.StringIO())
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert set(diag) == DIAGNOSTICS_KEYS
+    config = json.loads((out / "effective_config.json").read_text())
+    assert {block: set(body) for block, body in config.items()} == \
+        CONFIG_KEYS
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -431,9 +465,9 @@ def test_compare_probe_outside_grid_rejected():
 def test_selftest_passes():
     buf = io.StringIO()
     assert harness.selftest(stream=buf) == 0
-    out = buf.getvalue()
-    assert out.count("PASS") == len(harness._selftest_cases())
-    assert "FAIL" not in out
+    assert buf.getvalue().splitlines() == [
+        "PASS operator-kills-constants", "PASS constant-fixed-point",
+        "PASS mc-constant-reward", "selftest passed (3 cases)"]
 
 
 def test_cli_selftest():

@@ -94,14 +94,14 @@ def test_parameter_validation():
 
 
 def test_singularity_exponent_by_family():
-    assert levy.singularity_exponent(levy.none()) == 0.0
-    assert levy.singularity_exponent(MODELS["merton"]) == 0.0
-    assert levy.singularity_exponent(MODELS["kou"]) == 0.0
+    assert levy.none().alpha == 0.0
+    assert MODELS["merton"].alpha == 0.0
+    assert MODELS["kou"].alpha == 0.0
     # subordinated-Brownian families: twice the subordinator index
-    assert levy.singularity_exponent(MODELS["vg"]) == 0.0
-    assert levy.singularity_exponent(MODELS["nig"]) == 1.0
-    assert levy.singularity_exponent(levy.cgmy(0.1, 3.0, 5.0, 1.3)) == 1.3
-    assert levy.singularity_exponent(MODELS["ts_asym"]) == 1.5
+    assert MODELS["vg"].alpha == 0.0
+    assert MODELS["nig"].alpha == 1.0
+    assert levy.cgmy(0.1, 3.0, 5.0, 1.3).alpha == 1.3
+    assert MODELS["ts_asym"].alpha == 1.5
 
 
 def test_singularity_bound_holds_on_samples():
@@ -110,6 +110,7 @@ def test_singularity_bound_holds_on_samples():
     for name, m in MODELS.items():
         for side in (1.0, -1.0):
             vals = levy.density(m, side * y) * y ** (1.0 + m.alpha)
+            assert np.all(vals >= 0.0), name
             assert np.max(vals) <= m.sing_const * (1 + 1e-9), name
 
 

@@ -50,6 +50,7 @@ def test_put_values_and_constants():
     xs = np.linspace(-6.0, 3.0, 1001)
     vals = p(xs)
     assert np.all((vals >= 0.0) & (vals <= p.bound))
+    assert np.max(np.abs(np.diff(vals)) / np.diff(xs)) <= p.lipschitz + 1e-9
 
 
 def test_soft_capped_call_constants_frozen():

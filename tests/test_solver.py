@@ -12,13 +12,11 @@ import pytest
 from scipy.linalg import solve_banded
 
 from jumpstop import diagnostics, generator, levy, payoff, solver
-from jumpstop.errors import ConfigError, NumericalError
+from jumpstop.errors import ConfigError
 from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
-from jumpstop.penalty import build as build_penalty
 from jumpstop.solver import (SolveConfig, backward_value, monotone_step_check,
                              plan_steps, required_nt, residual_vi,
-                             solve_european, solve_penalized, solve_vi,
-                             stability_fraction, step_penalized)
+                             solve_european, solve_vi, stability_fraction)
 
 SIG = 0.2
 R = 0.04
@@ -141,8 +139,6 @@ def test_mode_mismatch_rejected():
     cfg_p = SolveConfig(grid, levy.none(), diffusion_coeffs(),
                         payoff.put(1.0), mode="projected")
     with pytest.raises(ConfigError):
-        solve_penalized(cfg_p, 0.1)
-    with pytest.raises(ConfigError):
         solve_european(cfg_p)
     cfg_e = SolveConfig(grid, levy.none(), diffusion_coeffs(),
                         payoff.put(1.0), mode="european")
@@ -184,28 +180,6 @@ def test_penalized_initial_slice_is_mollified_obstacle(merton_penalized_report):
     cfg, rep = merton_penalized_report
     g_eps = payoff.mollify(cfg.payoff, 0.5 * rep.eps_final)(cfg.grid.nodes)
     assert np.array_equal(rep.value.values[:, 0], g_eps)
-
-
-def test_step_matches_march_and_is_deterministic():
-    mod, coeffs = merton_setup()
-    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 120, 0.5, 60)
-    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0),
-                      eps_schedule=(0.2,), mode="penalized")
-    rep = solve_penalized(cfg, 0.2)
-    pspec = build_penalty(0.2, cfg.anchor)
-    v1 = step_penalized(rep.value.values[:, 0], 0, 0.2, pspec, cfg)
-    v1_again = step_penalized(rep.value.values[:, 0], 0, 0.2, pspec, cfg)
-    assert np.array_equal(v1, rep.value.values[:, 1])
-    assert np.array_equal(v1, v1_again)
-
-
-def test_step_rejects_non_finite_input():
-    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 32, 0.5, 16)
-    cfg = SolveConfig(grid, levy.none(), diffusion_coeffs(), payoff.put(1.0),
-                      eps_schedule=(0.2,), mode="penalized")
-    bad = np.full(grid.nx + 1, np.nan)
-    with pytest.raises(NumericalError):
-        step_penalized(bad, 0, 0.2, build_penalty(0.2, cfg.anchor), cfg)
 
 
 # ---------------------------------------------------------------------------
