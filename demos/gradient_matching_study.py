@@ -14,7 +14,8 @@ import time
 
 from jumpstop import diagnostics, levy, payoff
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
-from jumpstop.solver import SolveConfig, backward_value, plan_steps, solve_vi
+from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
+                             plan_steps, solve_vi)
 
 SIGMA, RATE, HORIZON = 0.2, 0.04, 0.5
 DIFF = 0.5 * SIGMA * SIGMA
@@ -37,9 +38,10 @@ def study(label, model, base_nx, base_nt, budget_planned):
             nt = base_nt * 2 ** k
         grid = SpaceTimeGrid(-0.5, 0.5, 1.5, nx, HORIZON, nt)
         tic = time.perf_counter()
-        report = solve_vi(SolveConfig(grid, model, coeffs, PUT,
-                                      mode="projected"))
-        fit = diagnostics.smooth_fit_gap(backward_value(report), PUT)
+        cfg = SolveConfig(grid, model, coeffs, PUT, mode="projected")
+        u = backward_value(solve_vi(cfg))
+        regions = diagnostics.partition(u, PUT, contact_tol(cfg, None))
+        fit = diagnostics.smooth_fit_gap(u, regions)
         ratio = "" if prev is None else f"{fit.max_gap / prev:7.3f}"
         print(f"{nx:>6} {nt:>6} {fit.max_gap:>10.5f} {fit.median_gap:>10.5f} "
               f"{ratio:>7} {time.perf_counter() - tic:>8.2f}")

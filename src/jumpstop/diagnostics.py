@@ -1,9 +1,9 @@
 """Post-solve analysis: regions, free boundary, regularity estimators.
 
-Everything here consumes plain arrays or :class:`~jumpstop.grids.GridFunction`
-surfaces (plus duck-typed solve reports) and never imports the solver, so
-the solver may call into this module for boundary extraction without a
-cycle.
+:func:`partition` is the one definition of the stopping region and free
+boundary.  Everything here consumes plain arrays or
+:class:`~jumpstop.grids.GridFunction` surfaces (plus duck-typed solve
+reports) and never imports the solver.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError
-from .grids import GridFunction
+from .grids import GridFunction, SpaceTimeGrid
 
 __all__ = [
     "RegionPartition",
     "partition",
     "check_no_dip",
+    "check_tolerance",
     "crossings",
     "SmoothFitReport",
     "smooth_fit_gap",
@@ -28,6 +29,11 @@ __all__ = [
     "CheckResult",
     "lemma_suite",
 ]
+
+
+def check_tolerance(grid: SpaceTimeGrid, c: float) -> float:
+    """Value-error tolerance of the invariant checks."""
+    return c * (grid.h ** 2 + grid.dt) + 1e-9
 
 
 def crossings(u_slice: np.ndarray, g_slice: np.ndarray,
@@ -57,14 +63,6 @@ class RegionPartition:
     boundary: list
     tol: float
 
-    @property
-    def continuation(self) -> np.ndarray:
-        return self.labels == 1
-
-    @property
-    def contact(self) -> np.ndarray:
-        return self.labels == 0
-
 
 def check_no_dip(u: GridFunction, payoff, tol: float) -> np.ndarray:
     """Raise :class:`InvariantViolation` where the surface dips below the
@@ -88,12 +86,26 @@ def check_no_dip(u: GridFunction, payoff, tol: float) -> np.ndarray:
 def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
     """Split the (backward-time) surface into contact and continuation sets.
 
-    Raises :class:`InvariantViolation` as :func:`check_no_dip` does.
+    Contact is ``u - g <= tol`` where stopping pays (``g > 0``): far out
+    of the money the value decays below any tolerance without the region
+    being a stopping region.  ``labels[i, m]`` is 0 on contact at natural
+    time level ``m``, and ``boundary[m]`` holds the crossings of ``u - g``
+    over ``tol`` at which ``g > 0``.  The surface is not checked against
+    the obstacle here; :func:`check_no_dip` is the guard.
     """
-    gap = check_no_dip(u, payoff, tol)
-    labels = (gap > tol).astype(np.int8)
-    bnd = [crossings(col, 0.0, u.grid.nodes, tol) for col in gap.T]
-    return RegionPartition(labels=labels, boundary=bnd, tol=tol)
+    x = u.grid.nodes
+    g = np.asarray(payoff(x), dtype=float)
+    vals = u.values if u.values.ndim == 2 else u.values[:, None]
+    gap = vals - g[:, None]
+    contact = (gap <= tol) & (g[:, None] > 0.0)
+    boundary = []
+    for col in gap.T:
+        locs = crossings(col, 0.0, x, tol)
+        if locs.size:
+            locs = locs[np.asarray(payoff(locs), dtype=float) > 0.0]
+        boundary.append(locs)
+    return RegionPartition(labels=(~contact).astype(np.int8),
+                           boundary=boundary, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -113,25 +125,23 @@ class SmoothFitReport:
     unreliable: bool     # boundary within 3 nodes of the domain edge
 
 
-def smooth_fit_gap(u: GridFunction, payoff, contact_tol: float | None = None,
+def smooth_fit_gap(u: GridFunction, regions: RegionPartition,
                    expiry_layer: float = 0.02) -> SmoothFitReport:
     """Measure the jump of the space derivative across the free boundary.
 
-    ``u`` is the backward-time surface.  Boundary points are the edges of
-    the contact set (``u - g <= contact_tol``; exact zeros under
-    projection, so the default tolerance is rounding-level).  One-sided
-    slopes use second-order three-point quotients from nodes strictly on
-    each side of the edge, so the stopping-side slope is the payoff's and
-    the gap is the physical matching defect.  Columns within
-    ``expiry_layer`` of the terminal time are skipped: the payoff kink's
-    start-up transient is below grid resolution there at any step size.
+    ``u`` is the backward-time surface; boundary points are the edges of
+    the contact set of its :func:`partition` ``regions``.  Meaningful for
+    a projected solve only: a penalized iterate meets the obstacle only
+    to within its penalty width.  One-sided slopes use second-order
+    three-point quotients from nodes strictly on each side of the edge,
+    so the stopping-side slope is the payoff's and the gap is the
+    physical matching defect.  Columns within ``expiry_layer`` of the
+    terminal time are skipped: the payoff kink's start-up transient is
+    below grid resolution there at any step size.
     """
     x = u.grid.nodes
     h = u.grid.h
     interior = u.grid.interior
-    g = np.asarray(payoff(x), dtype=float)
-    if contact_tol is None:
-        contact_tol = 1e-10 * max(1.0, float(np.max(np.abs(g))))
     vals = u.values if u.values.ndim == 2 else u.values[:, None]
     n_time = vals.shape[1]
     last = n_time - max(1, int(np.ceil(expiry_layer * n_time))) \
@@ -143,7 +153,7 @@ def smooth_fit_gap(u: GridFunction, payoff, contact_tol: float | None = None,
         col = vals[:, n]
         grad_max = max(grad_max, float(
             np.max(np.abs(col[2:] - col[:-2])) / (2.0 * h)))
-        contact = (col - g) <= contact_tol
+        contact = regions.labels[:, n] == 0
         for i in np.nonzero(contact[:-1] != contact[1:])[0]:
             # nodes <= i on one side of the edge, >= i+1 on the other;
             # edges in the padding (e.g. where a tail decays through the
@@ -237,9 +247,9 @@ def lemma_suite(report, payoff, grid, c: float = 10.0) -> dict:
     ``report`` is duck-typed: needs ``residuals`` (with ``v_min``,
     ``v_max``, ``obstacle_gap``, ``penalty_min``, ``penalty_max``),
     ``anchor``, and optionally ``grad_max_per_eps``.  Tolerance is
-    ``c * (h**2 + dt) + 1e-9``.
+    :func:`check_tolerance`.
     """
-    tol = c * (grid.h ** 2 + grid.dt) + 1e-9
+    tol = check_tolerance(grid, c)
     res = report.residuals
     bound_hi = payoff.bound + 1.0
     checks = {

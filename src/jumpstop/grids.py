@@ -154,13 +154,11 @@ class GridFunction:
             if self.ghosts is None:
                 self.ghosts = PayoffGhosts(self.grid, self.payoff)
 
-    def slice_at(self, n: int) -> np.ndarray:
-        return self.values if self.values.ndim == 1 else self.values[:, n]
-
     def extended(self, n_left: int, n_right: int, n: int = 0) -> np.ndarray:
         """Values on ``n_left`` extra nodes left + grid + ``n_right`` right."""
-        return extend_slice(self.grid, self.slice_at(n), self.extension,
-                            self.ghosts, n_left, n_right)
+        vals = self.values if self.values.ndim == 1 else self.values[:, n]
+        return extend_slice(self.grid, vals, self.extension, self.ghosts,
+                            n_left, n_right)
 
 
 def extend_slice(grid: SpaceTimeGrid, vals: np.ndarray, extension: str,

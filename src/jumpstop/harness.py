@@ -444,17 +444,15 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
 
 
 def _hard_checks(rc: RunConfig, cfg: SolveConfig, report: SolveReport,
-                 res_surface: GridFunction | None,
-                 rows: list[dict]) -> dict:
-    """Invariant gates deciding the exit status."""
+                 res_surface: GridFunction | None, rows: list[dict],
+                 gap_min: float | None) -> dict:
+    """Invariant gates deciding the exit status (``gap_min``: min u - g)."""
     grid = cfg.grid
     c = rc.numerics.lemma_constant
-    tol = c * (grid.h ** 2 + grid.dt) + 1e-9
+    tol = diagnostics.check_tolerance(grid, c)
     checks = dict(diagnostics.lemma_suite(report, cfg.payoff, grid, c=c))
     if cfg.mode == "projected":
-        g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
-        gap = float(np.min(report.value.values - g[:, None]))
-        checks["obstacle"] = CheckResult(gap >= -tol, gap, -tol)
+        checks["obstacle"] = CheckResult(gap_min >= -tol, gap_min, -tol)
     if cfg.mode == "european" and (cfg.source is not None
                                    or cfg.initial is not None):
         # bounds presume the plain obstacle data; overrides void them
@@ -497,39 +495,27 @@ def _hard_checks(rc: RunConfig, cfg: SolveConfig, report: SolveReport,
     return checks
 
 
-def _contact_labels(cfg: SolveConfig, report: SolveReport,
-                    u: GridFunction) -> tuple:
-    """``(labels, tol)``: ``labels[i, m] == 0`` on the contact set at
-    natural time ``t = m * dt``, resolved at :func:`solver.contact_tol`,
-    the resolution of ``report.boundary``."""
-    tol = contact_tol(cfg, report.eps_final)
-    g = np.asarray(cfg.payoff(cfg.grid.nodes), dtype=float)
-    contact = (u.values - g[:, None] <= tol) & (g[:, None] > 0.0)
-    return np.where(contact, 0, 1).astype(np.int8), tol
+def _solve(cfg: SolveConfig) -> SolveReport:
+    return solve_european(cfg) if cfg.mode == "european" else solve_vi(cfg)
 
 
 def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
     """Solve, diagnose, and assemble everything the artifacts need."""
-    grid = cfg.grid
-    if cfg.mode == "european":
-        report = solve_european(cfg)
-    else:
-        report = solve_vi(cfg)
+    report = _solve(cfg)
     u = backward_value(report)
-    tol = rc.numerics.lemma_constant * (grid.h ** 2 + grid.dt) + 1e-9
+    tol = diagnostics.check_tolerance(cfg.grid, rc.numerics.lemma_constant)
 
-    labels = None
-    label_tol = None
-    smooth = None
-    res_surface = None
+    regions = smooth = res_surface = gap_min = None
     if cfg.mode != "european":
-        diagnostics.check_no_dip(u, cfg.payoff, tol)
-        labels, label_tol = _contact_labels(cfg, report, u)
-        smooth = diagnostics.smooth_fit_gap(u, cfg.payoff)
+        gap_min = float(diagnostics.check_no_dip(u, cfg.payoff, tol).min())
+        regions = diagnostics.partition(
+            u, cfg.payoff, contact_tol(cfg, report.eps_final))
+        if cfg.mode == "projected":
+            smooth = diagnostics.smooth_fit_gap(u, regions)
         res_surface = residual_vi(report.value, cfg)
 
     rows = _probe_rows(rc, cfg, report)
-    checks = _hard_checks(rc, cfg, report, res_surface, rows)
+    checks = _hard_checks(rc, cfg, report, res_surface, rows, gap_min)
     failed = sorted(k for k, v in checks.items() if not v.passed)
 
     res_stats = None
@@ -544,9 +530,7 @@ def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
     return {
         "report": report,
         "u": u,
-        "labels": labels,
-        "boundary": report.boundary,
-        "contact_tol": label_tol,
+        "regions": regions,
         "smooth": smooth,
         "res_stats": res_stats,
         "rows": rows,
@@ -595,8 +579,9 @@ def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
     # bit patterns, not floats: -0.0 == 0.0, but their reprs differ
     same = u.view(np.int64) == g.view(np.int64)[:, None]
     reuse = 8 * same.sum(axis=0) >= grid.nx + 1
-    labels = bundle["labels"]
-    regions = None if labels is None else np.where(labels == 1, "C", "S")
+    regions = bundle["regions"]
+    marks = None if regions is None else \
+        np.where(regions.labels == 1, "C", "S")
     with path.open("w") as fh:
         fh.write("x,t,u,g,region\n")
         for m, t in enumerate(grid.times.tolist()):
@@ -607,17 +592,17 @@ def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
                 us = us.tolist()
             else:
                 us = map(repr, u[:, m].tolist())
-            rs = repeat("-") if regions is None else regions[:, m].tolist()
+            rs = repeat("-") if marks is None else marks[:, m].tolist()
             rows = zip(xs, repeat(repr(t)), us, gs, rs)
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write_boundary(path: Path, cfg: SolveConfig, bundle: dict) -> None:
     lines = ["t,b"]
-    if bundle["boundary"] is not None:
+    if bundle["regions"] is not None:
         times = cfg.grid.times.tolist()
-        for t, curve in zip(times, bundle["boundary"]):
-            for b in np.atleast_1d(curve):
+        for t, curve in zip(times, bundle["regions"].boundary):
+            for b in curve:
                 lines.append(f"{t!r},{float(b)!r}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -629,7 +614,7 @@ def _diagnostics_payload(rc: RunConfig, cfg: SolveConfig,
                      "observed": res.observed, "bound": res.bound}
               for name, res in bundle["checks"].items()}
     smooth = bundle["smooth"]
-    labels = bundle["labels"]
+    regions = bundle["regions"]
     payload = {
         "mode": cfg.mode,
         "family": cfg.model.family,
@@ -651,13 +636,13 @@ def _diagnostics_payload(rc: RunConfig, cfg: SolveConfig,
             "grad_max": smooth.grad_max, "unreliable": smooth.unreliable,
         },
         "residual_vi": bundle["res_stats"],
-        "regions": None if labels is None else {
-            "continuation": int((labels == 1).sum()),
-            "stopping": int((labels == 0).sum()),
-            "contact_tol": bundle["contact_tol"],
+        "regions": None if regions is None else {
+            "continuation": int((regions.labels == 1).sum()),
+            "stopping": int((regions.labels == 0).sum()),
+            "contact_tol": regions.tol,
         },
-        "boundary_points": 0 if bundle["boundary"] is None else
-        int(sum(len(np.atleast_1d(c)) for c in bundle["boundary"])),
+        "boundary_points": 0 if regions is None else
+        sum(len(c) for c in regions.boundary),
         "probes": bundle["rows"],
     }
     return _jsonable(payload)
@@ -758,11 +743,7 @@ def compare(rc: RunConfig, which: Sequence[str] | None = None,
         rc = dataclasses.replace(
             rc, oracle=dataclasses.replace(rc.oracle, which=list(which)))
     cfg = rc.build_solve_config(refine)
-    if cfg.mode == "european":
-        report = solve_european(cfg)
-    else:
-        report = solve_vi(cfg)
-    return _probe_rows(rc, cfg, report)
+    return _probe_rows(rc, cfg, _solve(cfg))
 
 
 def compare_cli(config_path, seed=None, out_dir=None, refine: int = 0,

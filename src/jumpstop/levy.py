@@ -394,16 +394,6 @@ def _local_power(f) -> float | None:
     return math.log(abs(f2 / f1)) / math.log(y2 / y1)
 
 
-def _quad_signed(model: LevyModel, f, lo: float, hi: float, rel_tol: float) -> float:
-    """integral f(y) rho(y) dy over a signed one-sided interval [lo, hi]."""
-    if lo >= 0.0:
-        return integrate_density(model, f, lo, hi, rel_tol, side="+")
-    if hi > 0.0:
-        raise ParameterError("interval must not straddle 0")
-    return integrate_density(model, lambda t: f(-t), max(-hi, 0.0), -lo,
-                             rel_tol, side="-")
-
-
 # --- closed forms ----------------------------------------------------------
 
 def _upper_gamma(s: float, x: float) -> float:
@@ -496,8 +486,8 @@ def _kou_exp_integral(rate: float, k: int, lo: float, hi: float) -> float:
     return anti(lo) - top
 
 
-def _side_moment(model: LevyModel, k: int, lo: float, hi: float, side: str,
-                 rel_tol: float = QUAD_REL_TOL) -> float:
+def _side_moment(model: LevyModel, k: int, lo: float, hi: float,
+                 side: str) -> float:
     """Signed ``integral y^k rho dy`` over one side; interval in |y| terms.
 
     ``side='+'`` integrates over [lo, hi], ``side='-'`` over [-hi, -lo].
@@ -523,21 +513,18 @@ def _side_moment(model: LevyModel, k: int, lo: float, hi: float, side: str,
         rate = p["eta_up"] if side == "+" else p["eta_down"]
         return sign * w * _kou_exp_integral(rate, k, lo, hi)
     # adaptive fallback (nig)
-    val = _quad_signed(model, lambda t: t ** k,
-                       lo if side == "+" else -hi,
-                       hi if side == "+" else -lo, rel_tol)
-    return val
+    return sign * integrate_density(model, lambda t: t ** k, lo, hi,
+                                    side=side)
 
 
-def jump_moment(model: LevyModel, k: int, lo: float, hi: float,
-                rel_tol: float = QUAD_REL_TOL) -> float:
+def jump_moment(model: LevyModel, k: int, lo: float, hi: float) -> float:
     """``integral_{lo < |y| <= hi} y^k rho(y) dy`` over both sides, k in {0, 1, 2}.
 
     Closed form for every family but NIG, which uses
-    :func:`integrate_density` with relative tolerance ``rel_tol``.
+    :func:`integrate_density` at its default tolerance.
     """
-    return (_side_moment(model, k, lo, hi, "+", rel_tol)
-            + _side_moment(model, k, lo, hi, "-", rel_tol))
+    return (_side_moment(model, k, lo, hi, "+")
+            + _side_moment(model, k, lo, hi, "-"))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +565,7 @@ class TailIntegrals:
         return self._fv_drift
 
 
-def tails(model: LevyModel, eps: float, rel_tol: float = QUAD_REL_TOL) -> TailIntegrals:
+def tails(model: LevyModel, eps: float) -> TailIntegrals:
     """Small-jump variance, compensator drift and big-jump tails at split ``eps``.
 
     Parameters
@@ -586,21 +573,18 @@ def tails(model: LevyModel, eps: float, rel_tol: float = QUAD_REL_TOL) -> TailIn
     model : LevyModel
     eps : float
         Split radius in ``(0, 1]``.
-    rel_tol : float
-        Relative tolerance of the adaptive-quadrature fallback; closed forms
-        are used where the family admits them.
     """
     if not 0.0 < eps <= 1.0:
         raise ParameterError(f"split radius {eps} outside (0, 1]")
-    sv = jump_moment(model, 2, 0.0, eps, rel_tol)
-    cd = jump_moment(model, 1, eps, 1.0, rel_tol)
-    bm = jump_moment(model, 0, 1.0, math.inf, rel_tol)
-    ba = (_side_moment(model, 1, 1.0, math.inf, "+", rel_tol)
-          - _side_moment(model, 1, 1.0, math.inf, "-", rel_tol))
+    sv = jump_moment(model, 2, 0.0, eps)
+    cd = jump_moment(model, 1, eps, 1.0)
+    bm = jump_moment(model, 0, 1.0, math.inf)
+    ba = (_side_moment(model, 1, 1.0, math.inf, "+")
+          - _side_moment(model, 1, 1.0, math.inf, "-"))
     fv = None
     if model.alpha < 1.0:
         try:
-            fv = jump_moment(model, 1, 0.0, 1.0, rel_tol)
+            fv = jump_moment(model, 1, 0.0, 1.0)
         except UnsupportedOperation:
             fv = None
     return TailIntegrals(eps, sv, cd, bm, ba, fv)

@@ -265,11 +265,6 @@ class MollifiedPayoff:
     def semiconvexity(self) -> float:
         return self.base.semiconvexity
 
-    @property
-    def sup_gap(self) -> float:
-        """Guaranteed bound on ``sup |g_eps - g|``."""
-        return self.base.lipschitz * self.eps
-
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = kernel_average(lambda t: values(self.base, t), arr, self.eps,

@@ -378,7 +378,7 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
                       payoff=ws.bc_fn, ghosts=ws.ghosts)
     report = SolveReport(
         value=gf, mode=cfg.mode, eps_final=eps, anchor=cfg.anchor,
-        boundary=None, residuals=residuals, eps_trace=[],
+        residuals=residuals, eps_trace=[],
         truncation_mass=float(trunc), wallclock=time.perf_counter() - t0,
         steps=steps, warnings=[], grad_max_per_eps=[],
     )
@@ -396,7 +396,6 @@ class SolveReport:
     mode: str
     eps_final: float | None
     anchor: float | None
-    boundary: list | None   # free-boundary crossings per natural time level
     residuals: dict
     eps_trace: list
     truncation_mass: float
@@ -423,9 +422,6 @@ def solve_vi(cfg: SolveConfig) -> SolveReport:
     sup-norm delta between consecutive solutions, and returns the last
     report with the trace; a non-decreasing tail of the trace adds a
     non-convergence warning.  Projected mode is a single march.
-    Either way ``report.boundary[m]`` holds the free boundary at natural
-    time level ``m``: the crossings of ``u - g`` over :func:`contact_tol`
-    where ``g > 0``.
     """
     t0 = time.perf_counter()
     if cfg.mode == "projected":
@@ -454,29 +450,19 @@ def solve_vi(cfg: SolveConfig) -> SolveReport:
                 "eps continuation: last sup-norm delta did not decrease")
     else:
         raise ConfigError("solve_vi requires penalized or projected mode")
-    from .diagnostics import crossings  # local import; diagnostics sits above
-    tol = contact_tol(cfg, report.eps_final)
-    x = cfg.grid.nodes
-    g = np.asarray(cfg.payoff(x), dtype=float)
-    report.boundary = []
-    # natural time level m is forward column nt - m
-    for col in report.value.values[:, ::-1].T:
-        locs = crossings(col, g, x, tol)
-        if locs.size:
-            locs = locs[np.asarray(cfg.payoff(locs), dtype=float) > 0.0]
-        report.boundary.append(locs)
     return report
 
 
 def contact_tol(cfg: SolveConfig, eps_final: float | None) -> float:
-    """Resolution at which ``u - g <= tol`` marks the contact set.
+    """Resolution at which ``u - g <= tol`` marks the contact set in
+    :func:`jumpstop.diagnostics.partition`.
 
     The value-error tolerance ``c*(h^2 + dt)`` that gates the invariant
     checks is far coarser than the contact set itself: projection makes
     ``u == g`` exact there, and the penalty confines ``u - g`` to its
-    band ``[0, eps]``.  Contact counts only where stopping pays
-    (``g > 0``): far out of the money the value decays below any
-    tolerance without the region being a contact set.
+    band ``[0, eps]``.  The contact collars of :func:`residual_vi` are a
+    stencil-validity mask, not the stopping region, and keep their own
+    rounding-level tolerance.
     """
     if cfg.mode == "penalized":
         return float(eps_final)

@@ -43,8 +43,9 @@ from jumpstop import diagnostics, harness, levy, mc, oracles, payoff, penalty
 from jumpstop.generator import (apply_nonlocal, apply_nonlocal_split,
                                 build_operator)
 from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
-from jumpstop.solver import (SolveConfig, backward_value, plan_steps,
-                             residual_vi, solve_european, solve_vi)
+from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
+                             plan_steps, residual_vi, solve_european,
+                             solve_vi)
 
 SIG, RATE = 0.2, 0.04
 DIFF = 0.5 * SIG * SIG
@@ -238,7 +239,9 @@ def test_07_gradient_matching_at_boundary():
             grid = SpaceTimeGrid(-0.5, 0.5, 1.5, nx, 0.5, nt)
             cfg = SolveConfig(grid, model, coeffs, PUT, mode="projected")
             report = solve_vi(cfg)
-            fit = diagnostics.smooth_fit_gap(backward_value(report), PUT)
+            u = backward_value(report)
+            regions = diagnostics.partition(u, PUT, contact_tol(cfg, None))
+            fit = diagnostics.smooth_fit_gap(u, regions)
             assert not fit.unreliable
             gaps.append(fit.max_gap)
             grad = report.residuals["grad_max"]

@@ -1,4 +1,4 @@
-"""Obstacle-dip guard shared by the region partition and the harness."""
+"""The obstacle-dip guard and the one definition of the contact set."""
 
 import io
 import json
@@ -25,10 +25,9 @@ def test_dip_guard_names_the_worst_point():
     want = (f"surface falls {0.25:.3e} below the obstacle at "
             f"x = {GRID.nodes[12]:.4f} (time level 3); tolerance "
             f"{1e-3:.3e}")
-    for check in (diagnostics.check_no_dip, diagnostics.partition):
-        with pytest.raises(InvariantViolation) as exc:
-            check(_surface(0.25), PUT, 1e-3)
-        assert str(exc.value) == want
+    with pytest.raises(InvariantViolation) as exc:
+        diagnostics.check_no_dip(_surface(0.25), PUT, 1e-3)
+    assert str(exc.value) == want
 
 
 def test_dip_within_tolerance_passes():
@@ -39,9 +38,31 @@ def test_dip_within_tolerance_passes():
     assert part.labels[12, 3] == 0 and part.labels[12, 2] == 1
 
 
-def test_run_guards_dips_without_the_partition(tmp_path, monkeypatch):
-    monkeypatch.setattr(diagnostics, "partition",
-                        lambda *a: pytest.fail("partition called"))
+def test_partition_is_the_contact_definition():
+    # contact is u - g <= tol where g > 0; crossings are kept where g > 0
+    tol = 1e-3
+    x = GRID.nodes
+    g = PUT(x)
+    vals = np.repeat(g[:, None], GRID.nt + 1, axis=1) + 0.01
+    vals[:5, 0] = g[:5]                  # left edge: stopping
+    vals[g == 0.0, 1] = 0.0              # out of the money: u <= tol, g = 0
+    vals[g == 0.0, 2] = 0.02             # a crossing inside g = 0 ...
+    vals[np.flatnonzero(g == 0.0)[3], 2] = 0.0
+    u = GridFunction(GRID, vals, payoff=PUT)
+    part = diagnostics.partition(u, PUT, tol)
+    gap = vals - g[:, None]
+    np.testing.assert_array_equal(
+        part.labels == 0, (gap <= tol) & (g[:, None] > 0.0))
+    assert part.labels.dtype == np.int8 and part.tol == tol
+    assert (part.labels[g == 0.0, 1] == 1).all()
+    assert part.boundary[2].size == 0    # ... is not a free boundary
+    np.testing.assert_allclose(part.boundary[0],
+                               [x[4] + (x[5] - x[4]) * 0.1])
+    assert all((PUT(b) > 0.0).all() for b in part.boundary)
+    assert part.boundary[3].size == 0
+
+
+def test_run_exits_3_on_an_obstacle_dip(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "problem": {"family": "none", "payoff": "put", "strike": 1.0,

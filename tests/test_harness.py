@@ -5,13 +5,16 @@ tree pricers in ``jumpstop.oracles``, which were written and checked
 against textbook values before the solver existed.
 """
 
+import dataclasses
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jumpstop import cli, harness, levy, solver
+from jumpstop import cli, diagnostics, harness, levy, solver
 from jumpstop.errors import ConfigError, ParameterError
 from jumpstop.grids import GridFunction
 
@@ -325,7 +328,7 @@ def test_surface_writer_reuses_payoff_strings_bit_for_bit(tmp_path):
     u[:3, 5] = g[:3]                     # too few to reuse
     labels = (u > g[:, None]).astype(np.int8)
     bundle = {"u": GridFunction(cfg.grid, u, payoff=cfg.payoff),
-              "labels": labels}
+              "regions": diagnostics.RegionPartition(labels, [], 0.0)}
     harness._write_surface(tmp_path / "surface.csv", rc, cfg, bundle)
     xs, gs, us = x.tolist(), g.tolist(), u.tolist()
     expected = ["x,t,u,g,region"] + [
@@ -335,6 +338,22 @@ def test_surface_writer_reuses_payoff_strings_bit_for_bit(tmp_path):
     text = (tmp_path / "surface.csv").read_text()
     assert text.splitlines() == expected
     assert ",-0.0,0.0," in text
+
+
+def test_smooth_fit_is_reported_for_projected_runs_only(tmp_path):
+    # a penalized iterate has no sharp contact set, so no smooth-fit gap
+    fits = {}
+    for mode in ("penalized", "projected"):
+        cfg_path = make_config(tmp_path, name=f"{mode}.json",
+                               numerics={"mode": mode},
+                               oracle={"which": ["none"]})
+        out = tmp_path / mode
+        assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        fits[mode] = diag["smooth_fit"]
+        assert diag["boundary_points"] > 0
+    assert fits["penalized"] is None
+    assert fits["projected"]["max_gap"] > 0.0
 
 
 def test_run_european_artifacts(tmp_path):
@@ -367,6 +386,25 @@ CONFIG_KEYS = {
                "probes"},
     "output": {"out_dir", "formats"},
 }
+
+
+def test_readme_config_table_names_every_key():
+    # the README's key table is the config reference: each block's rows
+    # must name exactly the keys that block parses
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    start = lines.index("| block | key | default | meaning |") + 2
+    table, block = {}, None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")
+        block = cells[1].strip() or block
+        table.setdefault(block, set()).update(
+            re.findall(r"`(\w+)`", cells[2]))
+    assert table == {
+        f.name: {k.name for k in dataclasses.fields(f.default_factory)}
+        for f in dataclasses.fields(harness.RunConfig)}
 
 
 @pytest.mark.parametrize("mode", ["penalized", "projected", "european"])

@@ -14,9 +14,10 @@ from scipy.linalg import solve_banded
 from jumpstop import diagnostics, generator, levy, payoff, solver
 from jumpstop.errors import ConfigError
 from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
-from jumpstop.solver import (SolveConfig, backward_value, monotone_step_check,
-                             plan_steps, required_nt, residual_vi,
-                             solve_european, solve_vi, stability_fraction)
+from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
+                             monotone_step_check, plan_steps, required_nt,
+                             residual_vi, solve_european, solve_vi,
+                             stability_fraction)
 
 SIG = 0.2
 R = 0.04
@@ -283,14 +284,18 @@ def test_report_scalars_finite_and_sane(merton_penalized_report):
     assert 0.0 <= rep.truncation_mass < 1e-6
     assert rep.steps == 3 * cfg.grid.nt
     assert rep.mode == "penalized"
-    assert len(rep.boundary) == cfg.grid.nt + 1
+    regions = diagnostics.partition(backward_value(rep), cfg.payoff,
+                                    contact_tol(cfg, rep.eps_final))
+    assert len(regions.boundary) == cfg.grid.nt + 1
 
 
 def test_boundary_curve_rises_toward_strike(diffusion_american):
     cfg, rep = diffusion_american
     # backward-time column m: boundary at t = m*dt; the put boundary
     # should approach the strike kink (x = 0) as t -> T
-    first = [b[0] for b in rep.boundary if len(b)]
+    regions = diagnostics.partition(backward_value(rep), cfg.payoff,
+                                    contact_tol(cfg, rep.eps_final))
+    first = [b[0] for b in regions.boundary if len(b)]
     assert len(first) > cfg.grid.nt // 2
     early = np.median(first[:20])
     late = np.median(first[-20:])
