@@ -191,6 +191,10 @@ class CoefficientField:
     :meth:`CoefficientField.constants` for the constant case.  ``a`` must
     stay above the ellipticity floor and ``r`` nonnegative (checked on the
     grid by :func:`validate_coefficients`).
+
+    ``constant`` is set by :meth:`constants` alone: ``a``, ``b`` and ``r``
+    then depend on neither ``x`` nor ``t``, so the state's increment over
+    any horizon has the law of one Euler step over it.
     """
 
     a: Callable[[np.ndarray, float], np.ndarray]
@@ -198,6 +202,7 @@ class CoefficientField:
     r: Callable[[np.ndarray, float], np.ndarray]
     lambda_floor: float = 1e-8
     time_dependent: bool = False
+    constant: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.lambda_floor <= 0.0:
@@ -212,13 +217,15 @@ class CoefficientField:
             raise ParameterError("discount rate must be >= 0")
         floor = 0.5 * a if lambda_floor is None else lambda_floor
         av, bv, rv = float(a), float(b), float(r)
-        return CoefficientField(
+        out = CoefficientField(
             a=lambda x, t: np.full_like(np.asarray(x, dtype=float), av),
             b=lambda x, t: np.full_like(np.asarray(x, dtype=float), bv),
             r=lambda x, t: np.full_like(np.asarray(x, dtype=float), rv),
             lambda_floor=floor,
             time_dependent=False,
         )
+        object.__setattr__(out, "constant", True)
+        return out
 
     def maxima(self, grid: SpaceTimeGrid) -> tuple[float, float, float]:
         """(max a, max |b|, max r) over the padded grid and time levels."""

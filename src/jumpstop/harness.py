@@ -413,6 +413,11 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
                 report: SolveReport) -> list[dict]:
     """Per-probe comparison table: PDE vs oracle vs path lower bound."""
     names = _oracle_selection(rc, cfg)
+    european = cfg.mode == "european"
+    # the terminal estimate reads the last level only, and with constant
+    # coefficients one step over the horizon has the exact law of many
+    mc_steps = 1 if european and cfg.coeffs.constant \
+        else rc.oracle.mc_steps
     rows = []
     for k, (x, t) in enumerate(_normalized_probes(rc)):
         horizon = cfg.grid.t_final - t
@@ -426,8 +431,8 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
         if "mc" in names and rc.oracle.mc_paths > 0 and horizon > 0.0:
             batch = mc.simulate(
                 cfg.model, cfg.coeffs, x, horizon, rc.oracle.mc_paths,
-                rc.oracle.mc_steps, rc.oracle.seed + k)
-            if cfg.mode == "european":
+                mc_steps, rc.oracle.seed + k)
+            if european:
                 est = mc.european_estimate(batch, cfg.payoff, cfg.coeffs.r)
                 row["mc_kind"] = "terminal"
             else:
@@ -436,6 +441,7 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
                 row["mc_kind"] = "lower_bound"
             row["mc_value"] = est.price
             row["mc_stderr"] = est.stderr
+            row["mc_steps"] = batch.n_steps
             if est.flag:
                 row["mc_flag"] = est.flag
             del batch  # free the paths before the next probe's batch
@@ -737,7 +743,8 @@ def compare(rc: RunConfig, which: Sequence[str] | None = None,
     """Probe table: PDE value vs oracles vs path estimates.
 
     Returns one dict per probe with keys among ``x, t, pde, oracle,
-    oracle_value, abs_gap, rel_gap, mc_kind, mc_value, mc_stderr``.
+    oracle_value, abs_gap, rel_gap, mc_kind, mc_value, mc_stderr,
+    mc_steps`` (``mc_steps``: the steps per path the estimate simulated).
     """
     if which is not None:
         rc = dataclasses.replace(

@@ -20,11 +20,19 @@ Sizes come from a guide table over the tabulated cumulative mass (equal
 mass buckets, each naming a panel), which finds the panel in O(1) and
 reproduces ``np.interp`` on the table bit for bit.
 
+With constant coefficients the increment over a horizon has the law of
+one such step over all of it: the normal, the drift and the pooled
+Poisson count all scale with ``dt``, and a sum of independent normals
+(or Poisson counts) is again one.  A batch of ``n_steps = 1`` thus draws
+the terminal state exactly in law (Cont & Tankov 2004, secs. 6.2-6.3).
+
 Estimates: ``european_estimate`` averages the discounted terminal
-reward; ``stopping_lower_bound`` builds a regression exercise policy on
-half of the paths and values it on the other half, so the reported
-number is a genuine lower bound for the optimal stopping value (up to
-sampling error) rather than an in-sample artifact.  Both discount step
+reward, and needs only the terminal level, so under constant
+coefficients a 1-step batch serves it; ``stopping_lower_bound`` builds a
+regression exercise policy on half of the paths and values it on the
+other half, so the reported number is a genuine lower bound for the
+optimal stopping value (up to sampling error) rather than an in-sample
+artifact, and decides on every step of the batch.  Both discount step
 by step along the paths, with the rate at the start of each step.
 """
 
@@ -340,7 +348,13 @@ def _step_discount(r, x: np.ndarray, times: np.ndarray, n: int):
 
 
 def european_estimate(batch: PathBatch, g: Callable, r) -> MCEstimate:
-    """Discounted terminal-reward mean with its standard error."""
+    """Discounted terminal-reward mean with its standard error.
+
+    Only the last level and the discount along the path enter.  Under
+    constant coefficients a 1-step batch gives the exact terminal law and
+    the discount ``exp(-r T)``; otherwise the batch's Euler steps carry
+    both.
+    """
     x = batch.states
     total = np.zeros(batch.n_paths)
     for n in range(batch.n_steps):

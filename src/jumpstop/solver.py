@@ -226,6 +226,14 @@ class _Workspace:
         r_edge = cfg.coeffs.r(x[[0, -1]], 0.0)
         self.r_left = float(r_edge[0])
         self.r_right = float(r_edge[-1])
+        if cfg.mode == "european" and self.time_dependent:
+            # integral of r along the march at each edge, by the trapezoid
+            # rule on the time levels (exact for a rate linear in time)
+            r = np.array([cfg.coeffs.r(x[[0, -1]], float(t))
+                          for t in grid.times], dtype=float)
+            self.edge_rate_integral = np.concatenate(
+                [np.zeros((1, 2)),
+                 np.cumsum(0.5 * grid.dt * (r[1:] + r[:-1]), axis=0)])
         if cfg.mode == "european":
             self.initial = np.asarray(
                 cfg.initial(x) if cfg.initial is not None else self.obstacle,
@@ -282,9 +290,15 @@ class _Workspace:
         return dl * left + dr * right
 
     def edge_discount(self, s: float) -> tuple[float, float]:
-        """Decay of the edge data: the edge discount in european mode."""
+        """Decay of the edge data: in european mode the discount
+        ``exp(-integral_0^s r)`` at each edge, ``exp(-r s)`` when the
+        coefficients do not depend on time."""
         if self.cfg.mode != "european":
             return 1.0, 1.0
+        if self.time_dependent:
+            times, cum = self.cfg.grid.times, self.edge_rate_integral
+            return (np.exp(-np.interp(s, times, cum[:, 0])),
+                    np.exp(-np.interp(s, times, cum[:, 1])))
         return np.exp(-self.r_left * s), np.exp(-self.r_right * s)
 
     def boundary_values(self, s: float) -> tuple[float, float]:

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jumpstop import cli, diagnostics, harness, levy, solver
+from jumpstop import cli, diagnostics, harness, levy, mc, solver
 from jumpstop.errors import ConfigError, ParameterError
-from jumpstop.grids import GridFunction
+from jumpstop.grids import CoefficientField, GridFunction
 
 BASE = {
     "problem": {"family": "none", "payoff": "put", "strike": 1.0,
@@ -461,6 +461,67 @@ def test_compare_includes_path_lower_bound():
     row = rows[0]
     assert row["mc_kind"] == "lower_bound"
     assert row["pde"] >= row["mc_value"] - 4.0 * row["mc_stderr"]
+
+
+MERTON_JUMPS = {"family": "merton", "jump_params": [1.5, -0.05, 0.25]}
+
+
+def _spy_steps(monkeypatch) -> list:
+    """Steps per path of every batch ``mc.simulate`` returns from now on."""
+    seen, simulate = [], mc.simulate
+
+    def spy(*args, **kwargs):
+        batch = simulate(*args, **kwargs)
+        seen.append(batch.n_steps)
+        return batch
+    monkeypatch.setattr(mc, "simulate", spy)
+    return seen
+
+
+def test_european_run_draws_the_terminal_state_in_one_step(tmp_path,
+                                                           monkeypatch):
+    seen = _spy_steps(monkeypatch)
+    cfg_path = make_config(tmp_path, problem=MERTON_JUMPS,
+                           numerics={"nx": 60, "nt": 40, "mode": "european"},
+                           oracle={"probes": [-0.1, 0.0],
+                                   "mc_paths": 2000, "mc_steps": 8})
+    out = tmp_path / "out"
+    assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+    rows = json.loads((out / "diagnostics.json").read_text())["probes"]
+    assert seen == [1, 1]
+    assert [(row["mc_kind"], row["mc_steps"]) for row in rows] == \
+        [("terminal", 1)] * 2
+
+
+def test_projected_run_keeps_mc_steps(monkeypatch):
+    # the exercise policy decides on every one of the mc_steps dates
+    seen = _spy_steps(monkeypatch)
+    rc = harness.RunConfig.from_dict(BASE)
+    rc.numerics.nx, rc.numerics.nt = 60, 40
+    rc.oracle.mc_paths, rc.oracle.mc_steps = 10000, 8
+    rows = harness.compare(rc)
+    assert seen == [8]
+    assert (rows[0]["mc_kind"], rows[0]["mc_steps"]) == ("lower_bound", 8)
+
+
+def test_european_run_with_varying_coefficients_keeps_mc_steps(monkeypatch):
+    # a field not built by CoefficientField.constants may vary along the
+    # path, so its terminal law needs the Euler steps
+    build = harness.RunConfig.build_coeffs
+
+    def varying(self, model):
+        c = build(self, model)
+        return CoefficientField(c.a, c.b, c.r, c.lambda_floor,
+                                time_dependent=True)
+    monkeypatch.setattr(harness.RunConfig, "build_coeffs", varying)
+    seen = _spy_steps(monkeypatch)
+    rc = harness.RunConfig.from_dict({
+        "problem": MERTON_JUMPS, "numerics": {"nx": 60, "nt": 40,
+                                              "mode": "european"},
+        "oracle": {"probes": [0.0], "mc_paths": 2000, "mc_steps": 8}})
+    rows = harness.compare(rc)
+    assert seen == [8]
+    assert (rows[0]["mc_kind"], rows[0]["mc_steps"]) == ("terminal", 8)
 
 
 def test_compare_which_none_disables_oracles():

@@ -402,6 +402,30 @@ EXP_COMP_CGMY_NEAR_POLE = {
     (1.000001, 50.0, 50.0): 0.020001423335689945037,
 }
 
+# Gamma(s, x) at the binary inputs, mp.gammainc at 50 digits
+UPPER_GAMMA_NEAR_ZERO = {
+    (-0.25, 1e-06): 121.58948176056756463,
+    (-0.25, 0.5): 0.57126730309992037938,
+    (-0.25, 1.0): 0.1969865104349430181,
+    (-0.25, 1.5): 0.082999602323698211163,
+    (-0.25, 40.0): 4.0981407719552347253e-20,
+    (-0.1, 1e-06): 29.1244344575684916,
+    (-0.1, 0.5): 0.5634030016753887588,
+    (-0.1, 1.0): 0.2099448741946453876,
+    (-0.1, 1.5): 0.092773075748452141043,
+    (-0.1, 40.0): 7.1522594341292396626e-20,
+    (-1e-06, 1e-06): 13.238390338625884803,
+    (-1e-06, 0.5): 0.55977362450652279724,
+    (-1e-06, 1.0): 0.21938383655235866049,
+    (-1e-06, 1.5): 0.10001950677305185977,
+    (-1e-06, 40.0): 1.0367694122021647452e-19,
+    (-1e-12, 1e-06): 13.238295893156936414,
+    (-1e-12, 0.5): 0.55977359477619054204,
+    (-1e-12, 1.0): 0.21938393439542243048,
+    (-1e-12, 1.5): 0.10001958240655701829,
+    (-1e-12, 40.0): 1.0367732614478077155e-19,
+}
+
 EXP_COMP_MODELS = {
     "ts15": (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0),
              0.20613509692515639293),
@@ -428,7 +452,30 @@ def test_exp_compensator_cgmy_50_digit(key):
 def test_exp_compensator_cgmy_near_removable_poles(key):
     alpha, lam_minus, lam_plus = key
     got = levy.exp_compensator(levy.cgmy(1.0, lam_minus, lam_plus, alpha))
-    assert got == pytest.approx(EXP_COMP_CGMY_NEAR_POLE[key], rel=1e-9, abs=0.0)
+    assert got == pytest.approx(EXP_COMP_CGMY_NEAR_POLE[key], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [-0.25, -0.1, -1e-6, -1e-12])
+@pytest.mark.parametrize("x", [1e-6, 0.5, 1.0, 1.5, 40.0])
+def test_upper_gamma_near_zero_keeps_full_accuracy(s, x):
+    # the recurrence from s+1 cancelled to ~1e-16/|s| here (0.18 relative
+    # at s = -1e-12, x = 40)
+    assert levy._upper_gamma(s, x) == pytest.approx(
+        UPPER_GAMMA_NEAR_ZERO[(s, x)], rel=1e-14, abs=0.0)
+
+
+def test_ts15_levy_quantities_skip_the_near_zero_branch(monkeypatch):
+    # ts15 reaches only s in {-1.5, -0.5, 0.5}: its compensator, tails and
+    # radius stay on the recurrence, whose bits the ts15_projected
+    # reference rests on
+    def forbidden(s, x):
+        raise AssertionError(f"near-zero branch reached at s={s}")
+    monkeypatch.setattr(levy, "_upper_gamma_near_zero", forbidden)
+    model = EXP_COMP_MODELS["ts15"][0]
+    levy.exp_compensator(model)
+    for eps in (1.0, 0.01):
+        levy.tails(model, eps)
+    levy.truncation_radius(model, 1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(EXP_COMP_MODELS))

@@ -215,6 +215,47 @@ def test_intensity_cap_error_suggests_larger_split():
 
 
 # ---------------------------------------------------------------------------
+# one exact step over the horizon under constant coefficients
+
+
+def _mean_var_gaps(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Gaps in mean and in variance between two independent samples, each
+    in standard errors of the difference."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    n, m = u.size, v.size
+    se_mean = np.sqrt(u.var(ddof=1) / n + v.var(ddof=1) / m)
+    se_var = np.sqrt(((u - u.mean()) ** 2).var(ddof=1) / n
+                     + ((v - v.mean()) ** 2).var(ddof=1) / m)
+    return (abs(u.mean() - v.mean()) / se_mean,
+            abs(u.var(ddof=1) - v.var(ddof=1)) / se_var)
+
+
+@pytest.mark.parametrize("model, n_paths", [
+    (levy.merton(1.5, -0.05, 0.25), 100_000),
+    (levy.kou(4.0, 0.3, 10.0, 5.0), 100_000),
+    (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0), 20_000)],
+    ids=["merton", "kou", "ts15"])
+def test_one_step_terminal_law_matches_many_steps(model, n_paths):
+    # constant coefficients: the increment over T has the law of one Euler
+    # step over T (Gaussian part, compensating drift and a Poisson(rate T)
+    # count of table jumps), so terminal states and per-path jump counts of
+    # a 1-step batch match a 64-step one; T != 1 keeps dt and sqrt(dt)
+    # apart
+    coeffs = CoefficientField.constants(
+        A, R - A - levy.exp_compensator(model), R)
+    T = 0.5
+    one = mc.simulate(model, coeffs, 0.0, T, n_paths, 1, 101)
+    many = mc.simulate(model, coeffs, 0.0, T, n_paths, 64, 102)
+    assert one.n_steps == 1 and one.eps_mc == many.eps_mc
+    if model.family == "tempered_stable":
+        assert one.eps_mc == mc.DEFAULT_SPLIT and one.small_var > 0.0
+    for u, v in ((one.states[:, -1], many.states[:, -1]),
+                 (one.jump_counts, many.jump_counts)):
+        mean_gap, var_gap = _mean_var_gaps(u, v)
+        assert mean_gap <= 4.0 and var_gap <= 4.0
+
+
+# ---------------------------------------------------------------------------
 # european estimates
 
 

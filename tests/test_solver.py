@@ -486,6 +486,28 @@ def test_time_dependent_march_refactors_per_level():
     assert const.factor(0.1) is const.factor(0.4)
 
 
+def test_european_edges_discount_by_the_integrated_rate():
+    # r(s) = r0 + r1 s: the Dirichlet edges carry g exp(-(r0 s + r1 s^2/2)),
+    # which the trapezoid rule on the time levels integrates exactly; the
+    # rate at s = 0 alone would leave them off by exp(r1 s^2 / 2)
+    r0, r1 = 0.02, 0.3
+    coeffs = CoefficientField(
+        a=lambda x, t: np.full_like(np.asarray(x, dtype=float), A),
+        b=lambda x, t: np.full_like(np.asarray(x, dtype=float), R - A),
+        r=lambda x, t: np.full_like(np.asarray(x, dtype=float),
+                                    r0 + r1 * t),
+        lambda_floor=0.5 * A, time_dependent=True)
+    reward = payoff.tabulated([-3.0, 3.0], [1.0, 0.5])
+    mod, _ = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 1.0, 40)
+    cfg = SolveConfig(grid, mod, coeffs, reward, mode="european")
+    v = solve_european(cfg).value.values
+    s = grid.times
+    want = np.outer(reward(grid.nodes[[0, -1]]),
+                    np.exp(-(r0 * s + 0.5 * r1 * s * s)))
+    np.testing.assert_allclose(v[[0, -1]], want, rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # ghost values shared by the march and the residual
 
