@@ -79,7 +79,8 @@ def check_no_dip(u: GridFunction, payoff, tol: float) -> np.ndarray:
         i, n = np.unravel_index(np.argmin(gap), gap.shape)
         raise InvariantViolation(
             f"surface falls {-worst:.3e} below the obstacle at "
-            f"x = {x[i]:.4f} (time level {n}); tolerance {tol:.3e}")
+            f"x = {x[i]:.4f} (time level {n}); tolerance {tol:.3e} "
+            f"(layer diagnostics.check_no_dip, quantity min(u - g))")
     return gap
 
 

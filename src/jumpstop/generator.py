@@ -44,6 +44,12 @@ stencils -- the centered slope and the core stencil on second
 differences -- still read a :data:`NEAR_GHOSTS`-node extension.
 :func:`apply_nonlocal_ext` is the reference form on any pre-extended
 slice.
+
+The time stepper treats the core implicitly, next to the diffusion: it
+reads the core stencil on the grid values (:func:`core_band`, seven
+shifts) and its reads of the near ghosts as one vector per side
+(:func:`core_ghost_terms`), and scales the core of
+:func:`apply_nonlocal_grid` down to the explicit share.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ __all__ = [
     "apply_nonlocal_ext",
     "apply_nonlocal_grid",
     "ghost_terms",
+    "core_band",
+    "core_ghost_terms",
     "NEAR_GHOSTS",
     "apply_nonlocal_split",
     "stability_rate",
@@ -328,7 +336,8 @@ def apply_nonlocal(op: NonlocalOperator, gf: GridFunction,
 
 def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
                         profile: str = "accurate",
-                        ghost: np.ndarray | None = None) -> np.ndarray:
+                        ghost: np.ndarray | None = None,
+                        core: float = 1.0) -> np.ndarray:
     """Jump operator from the grid values and a precomputed ghost term.
 
     ``near`` is the slice with :data:`NEAR_GHOSTS` ghosts per side, or a
@@ -337,9 +346,13 @@ def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
     stencils read (a sum of scaled :func:`ghost_terms`; ``None`` for
     zero ghosts).  Equals :func:`apply_nonlocal_ext` on the full
     extension up to rounding; a surface gives, column by column, exactly
-    what each slice gives alone.
+    what each slice gives alone.  ``core`` scales the core stencil of the
+    monotone profile (the explicit share of a step that treats the rest
+    implicitly); at 0 no second differences are formed.
     """
     _check_profile(profile)
+    if core != 1.0 and profile != "monotone":
+        raise ParameterError("only the monotone core can be scaled")
     nb, ng, h = op.n_base, NEAR_GHOSTS, op.h
     if near.shape[0] != nb + 2 * ng:
         raise ParameterError(
@@ -354,10 +367,12 @@ def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
         d1 = (near[ng + 1: ng + nb + 1] - near[ng - 1: ng + nb - 1]) / \
             (2.0 * h)
         out -= op.compensator * d1
+    if profile == "monotone" and core == 0.0:
+        return out
     # second differences at positions -2 .. nx+2 (the core stencil's reach)
     d2 = (near[2:] - 2.0 * near[1:-1] + near[:-2]) / (h * h)
     if profile == "monotone":
-        out += _per_level(
+        out += core * _per_level(
             lambda d: np.correlate(d, op.core_stencil, mode="valid"), d2)
     else:
         out += _per_level(_grid_block(op, "accurate"), d2)
@@ -399,6 +414,34 @@ def ghost_terms(op: NonlocalOperator, ghosts,
             term += _d2_kernel_sum(d2, k2, k2_min, ne, nb)
             terms.append(term)
         ghosts.terms[key] = tuple(terms)
+    return ghosts.terms[key]
+
+
+def core_band(op: NonlocalOperator) -> np.ndarray:
+    """The core stencil on the grid values: weights ``c_j`` of
+    ``v[i + j]``, ``j = -3 .. 3``, with ``c_j = (s_{j-1} - 2 s_j +
+    s_{j+1}) / h^2`` from the stencil ``s`` on second differences.  The
+    weights sum to zero."""
+    s = np.pad(op.core_stencil, 2)
+    return (s[:-2] - 2.0 * s[1:-1] + s[2:]) / (op.h * op.h)
+
+
+def core_ghost_terms(op: NonlocalOperator,
+                     ghosts) -> tuple[np.ndarray, np.ndarray]:
+    """The core stencil's reads of the :data:`NEAR_GHOSTS` ghost nodes
+    left and right, one vector per side (nonzero on the three nodes
+    nearest that edge); cached on ``ghosts`` like :func:`ghost_terms`.
+    Scale each side by its edge discount before adding."""
+    key = (op, "core")
+    if key not in ghosts.terms:
+        ng, nb = NEAR_GHOSTS, op.n_base
+        left, right = ghosts.take(ng, ng)
+        c = core_band(op)
+        zeros = np.zeros(nb + ng)
+        ghosts.terms[key] = tuple(
+            np.correlate(ext, c, mode="valid")
+            for ext in (np.concatenate([left, zeros]),
+                        np.concatenate([zeros, right])))
     return ghosts.terms[key]
 
 
@@ -582,21 +625,25 @@ def local_form(a: np.ndarray, b: np.ndarray, ext: np.ndarray,
     return a * d2 + b * d1
 
 
-def stability_rate(op: NonlocalOperator, profile: str = "monotone") -> float:
-    """Worst explicit decay rate: far mass plus twice the stencil sum / h^2.
+def stability_rate(op: NonlocalOperator, profile: str = "monotone",
+                   core: float = 1.0) -> float:
+    """Worst explicit decay rate: far mass plus ``core`` times twice the
+    stencil sum / h^2.
 
     An explicit Euler step of size ``dt`` keeps nonnegative diagonal
-    weight iff ``dt * stability_rate <= 1``.
+    weight iff ``dt * stability_rate <= 1``; ``core`` is the share of the
+    core stencil stepped explicitly (see :func:`apply_nonlocal_grid`).
     """
     _check_profile(profile)
     h2 = op.h * op.h
-    if profile == "monotone":
-        return op.far_mass + 2.0 * float(op.core_stencil.sum()) / h2
-    return op.far_mass + 2.0 * float(np.abs(op.d2_kernel_accurate).sum()) / h2
+    k2 = op.core_stencil if profile == "monotone" else op.d2_kernel_accurate
+    return op.far_mass + core * 2.0 * float(np.abs(k2).sum()) / h2
 
 
 def operator_summary(op: NonlocalOperator) -> dict:
-    """Scalar facts about the assembled operator, for reports."""
+    """Scalar facts about the assembled operator, for reports; the rates
+    are :func:`stability_rate` with the core stepped implicitly
+    (``rate_far``) and explicitly."""
     return {
         "family": op.model.family,
         "y_core": op.y_core,
@@ -606,6 +653,7 @@ def operator_summary(op: NonlocalOperator) -> dict:
         "compensator": op.compensator,
         "core_var": op.core_var,
         "fv_core": op.fv_core,
+        "rate_far": stability_rate(op, "monotone", core=0.0),
         "rate_monotone": stability_rate(op, "monotone"),
         "rate_accurate": stability_rate(op, "accurate"),
     }

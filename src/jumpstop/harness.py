@@ -37,7 +37,8 @@ from .grids import CoefficientField, GridFunction, SpaceTimeGrid
 from .levy import LevyModel
 from .payoff import PayoffSpec
 from .solver import (MODES, SolveConfig, SolveReport, backward_value,
-                     contact_tol, residual_vi, solve_european, solve_vi)
+                     contact_tol, explicit_rate, residual_vi, solve_european,
+                     solve_vi, stability_fraction)
 
 __all__ = [
     "RunConfig", "ProblemBlock", "NumericsBlock", "OracleBlock",
@@ -636,6 +637,11 @@ def _diagnostics_payload(rc: RunConfig, cfg: SolveConfig,
         "eps_final": report.eps_final,
         "anchor": report.anchor,
         "truncation_mass": report.truncation_mass,
+        "stability": {
+            "fraction": stability_fraction(cfg),
+            "explicit_rate": explicit_rate(cfg),
+            "operator": generator.operator_summary(cfg.op),
+        },
         "warnings": list(report.warnings),
         "smooth_fit": None if smooth is None else {
             "max_gap": smooth.max_gap, "median_gap": smooth.median_gap,

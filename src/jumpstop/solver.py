@@ -3,9 +3,12 @@
 The equation is marched in the forward variable ``s`` with initial data
 at ``s = 0``; the optimal-stopping value in natural (backward) time is
 ``u(x, t) = v(x, T - t)``.  One step treats the local
-convection-diffusion-discount part implicitly (theta-weighted tridiagonal
-solve, drift upwinded wherever the grid Peclet number demands it) and the
-jump operator plus the penalty explicitly at the old level.
+convection-diffusion-discount part (drift upwinded wherever the grid
+Peclet number demands it) and the small-jump core of the jump operator
+implicitly, theta-weighted, as one 7-band matrix factored once per
+stencil with LAPACK ``dgbtrf``; the core's reads of the ghost nodes at
+the new level enter the right-hand side.  The far jumps, their ghost
+term, the compensator and the penalty are explicit at the old level.
 
 Three modes:
 
@@ -19,8 +22,10 @@ Three modes:
   source term); used for closed-form comparisons and heat-kernel tests.
 
 Stability of the explicit part is enforced at configuration time: the
-step size must satisfy ``dt * (jump rate + explicit local rate + penalty
-slope) <= 0.9`` so the explicit update keeps nonnegative diagonal weight.
+step size must satisfy ``dt * (far jump mass + (1 - theta) * (local +
+core rate) + penalty slope) <= 0.9`` so the explicit update keeps
+nonnegative diagonal weight.  :func:`plan_steps` also caps the step at
+``h / 4`` for accuracy.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 # perfbench/tracing.py wraps solver.solve_banded by name; the march solves
 # through the LAPACK factorization below instead
 from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import generator, levy, penalty as penalty_mod
 from .errors import ConfigError, NumericalError, ParameterError
@@ -54,6 +59,7 @@ __all__ = [
     "required_nt",
     "plan_steps",
     "stability_fraction",
+    "explicit_rate",
     "monotone_step_check",
     "contact_tol",
 ]
@@ -61,6 +67,11 @@ __all__ = [
 MODES = ("penalized", "projected", "european")
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _BUDGET = 0.9
+# largest step per grid step that plan_steps allows: the far-mass budget
+# alone leaves the time error above the space error on coarse grids
+_DT_PER_H = 0.25
+# half-bandwidth of the implicit matrix: the core stencil reads v[i-3..i+3]
+_KL = 3
 # residual levels per pass: small temporaries, and each grid block of the
 # jump operator stays in cache across the pass
 _LEVEL_BLOCK = 64
@@ -129,10 +140,11 @@ def _stability_rate(op: NonlocalOperator, coeffs: CoefficientField,
                     penalty_rate: float) -> float:
     """Worst decay rate of everything treated explicitly in one step.
 
-    The jump operator, the ``1 - theta`` share of the local operator and
-    the penalty slope ``penalty_rate = 2 |p0| / eps_min`` (0 unpenalized).
+    The far jump mass, the ``1 - theta`` share of the local operator and
+    of the core stencil, and the penalty slope ``penalty_rate = 2 |p0| /
+    eps_min`` (0 unpenalized).
     """
-    rate = generator.stability_rate(op, "monotone")
+    rate = generator.stability_rate(op, "monotone", core=1.0 - theta)
     if theta < 1.0:
         a0, b0, _ = coeffs.maxima(grid)
         h = grid.h
@@ -140,8 +152,9 @@ def _stability_rate(op: NonlocalOperator, coeffs: CoefficientField,
     return rate + penalty_rate
 
 
-def _explicit_rate(cfg: SolveConfig) -> float:
-    """:func:`_stability_rate` of a built config."""
+def explicit_rate(cfg: SolveConfig) -> float:
+    """:func:`_stability_rate` of a built config: the decay rate of its
+    explicit part."""
     pen = (2.0 * abs(cfg.anchor) / min(cfg.eps_schedule)
            if cfg.mode == "penalized" else 0.0)
     return _stability_rate(cfg.op, cfg.coeffs, cfg.grid, cfg.theta, pen)
@@ -149,30 +162,30 @@ def _explicit_rate(cfg: SolveConfig) -> float:
 
 def stability_fraction(cfg: SolveConfig) -> float:
     """``dt * explicit rate`` as a fraction of the allowed budget."""
-    return cfg.grid.dt * _explicit_rate(cfg) / _BUDGET
+    return cfg.grid.dt * explicit_rate(cfg) / _BUDGET
 
 
 def monotone_step_check(cfg: SolveConfig) -> bool:
-    """Verify the step preserves ordering: implicit matrix is an M-matrix
-    (off-diagonals <= 0, strictly diagonally dominant) and the explicit
-    update keeps nonnegative diagonal weight under the budget."""
+    """Verify the step preserves ordering: the assembled 7-band implicit
+    matrix is an M-matrix (off-diagonals <= 0, strictly diagonally
+    dominant) and the explicit update keeps nonnegative diagonal weight
+    under the budget."""
     ws = _Workspace(cfg, min(cfg.eps_schedule) if cfg.mode == "penalized"
                     else None)
     for t in ([0.0] if not cfg.coeffs.time_dependent else
-              [float(s) for s in cfg.grid.times[:-1]]):
-        lo, dg, up = ws.local_stencil(t)
-        theta_dt = cfg.theta * ws.dt
-        a_lo, a_dg, a_up = -theta_dt * lo, 1.0 - theta_dt * dg, -theta_dt * up
-        if np.any(a_lo[1:] > 1e-15) or np.any(a_up[:-1] > 1e-15):
+              [float(s) for s in cfg.grid.times]):
+        rows = ws.band(t)
+        off = np.delete(rows, _KL, axis=0)
+        if np.any(off > 1e-15):
             return False
-        if np.any(a_dg - np.abs(a_lo) - np.abs(a_up) < 1e-15):
+        if np.any(rows[_KL] - np.abs(off).sum(axis=0) < 1e-15):
             return False
     return stability_fraction(cfg) <= 1.0
 
 
 def required_nt(cfg: SolveConfig) -> int:
     """Smallest step count satisfying the explicit stability budget."""
-    rate = _explicit_rate(cfg)
+    rate = explicit_rate(cfg)
     return max(cfg.grid.nt,
                int(np.ceil(cfg.grid.t_final * rate / _BUDGET)))
 
@@ -181,12 +194,19 @@ def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
                coeffs: CoefficientField, payoff: PayoffSpec,
                eps_schedule: tuple = (), theta: float = 1.0,
                safety: float = 0.75) -> int:
-    """Step count that fits the stability budget, before building a config.
+    """Step count for a grid, before building a config: the largest of
+    ``grid.nt``, the count that fits the stability budget, and
+    ``T / (h/4)``.
 
-    Useful for refinement studies where the admissible step size shrinks
-    faster than linearly in ``h`` (activity order above one).  ``safety``
-    keeps a margin below the budget; pass the intended ``eps_schedule``
-    when planning a penalized run so the penalty slope is counted.
+    With the small-jump core implicit the budget is set by the far jump
+    mass (and the penalty): it still grows like ``h^-alpha``, but for an
+    alpha = 1.5 tempered-stable model it asks for 122 steps at nx = 400
+    where the core alone used to ask for 1,765.  The ``dt <= h/4`` cap keeps the first-order time error in step with
+    the space error, which the budget alone does not on coarse grids (an
+    alpha = 1.5 tempered-stable put at nx = 60 is 2.5e-3 off a refined
+    value at the budget's step, 6e-4 at ``h/4``).  ``safety`` keeps a margin
+    below the budget; pass the intended ``eps_schedule`` when planning a
+    penalized run so the penalty slope is counted.
     """
     pen = 0.0
     if eps_schedule:
@@ -194,8 +214,9 @@ def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
         pen = 2.0 * abs(p0) / min(eps_schedule)
     rate = _stability_rate(generator.build_operator(model, grid), coeffs,
                            grid, theta, pen)
-    return max(grid.nt, int(np.ceil(grid.t_final * rate /
-                                    (_BUDGET * safety))))
+    return max(grid.nt,
+               int(np.ceil(grid.t_final * rate / (_BUDGET * safety))),
+               int(np.ceil(grid.t_final / (_DT_PER_H * grid.h))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +284,56 @@ class _Workspace:
         self._stencil_cache[key] = (lo, dg, up)
         return lo, dg, up
 
+    def band(self, t: float) -> np.ndarray:
+        """``I - theta*dt*(L_local + L_core)`` with Dirichlet edge rows, as
+        diagonals: ``rows[d + 3, i]`` is the entry of row ``i``, column
+        ``i + d``.  Core reads past the grid are left out; they enter the
+        right-hand side through :meth:`core_ghost`."""
+        n = self.x.size
+        lo, dg, up = self.local_stencil(t)
+        coef = np.repeat(generator.core_band(self.cfg.op)[:, None], n, axis=1)
+        coef[_KL - 1] += lo
+        coef[_KL] += dg
+        coef[_KL + 1] += up
+        rows = -(self.cfg.theta * self.dt) * coef
+        rows[_KL] += 1.0
+        for d in range(1, _KL + 1):
+            rows[_KL - d, :d] = 0.0
+            rows[_KL + d, n - d:] = 0.0
+        rows[:, [0, -1]] = 0.0
+        rows[_KL, [0, -1]] = 1.0
+        return rows
+
     def factor(self, t: float):
-        """LU factors of ``I - theta*dt*L`` with Dirichlet edge rows
-        (LAPACK ``dgttrf``), once per stencil of :meth:`local_stencil`."""
+        """LU factors of :meth:`band` (LAPACK ``dgbtrf``), once per stencil
+        of :meth:`local_stencil`."""
         key = t if self.time_dependent else 0.0
         if key not in self._factor_cache:
-            theta_dt = self.cfg.theta * self.dt
-            lo, dg, up = self.local_stencil(t)
-            a_dg = 1.0 - theta_dt * dg
-            a_up = -theta_dt * up[:-1]
-            a_lo = -theta_dt * lo[1:]
-            # Dirichlet rows at both edges
-            a_dg[0] = a_dg[-1] = 1.0
-            a_up[0] = a_lo[-1] = 0.0
-            *lu, info = dgttrf(a_lo, a_dg, a_up)
+            rows = self.band(t)
+            n = rows.shape[1]
+            # dgbtrf storage: row 2*KL - d holds diagonal d, shifted by d,
+            # and rows 0 .. KL-1 are fill-in room for the pivoting
+            ab = np.zeros((3 * _KL + 1, n))
+            for d in range(-_KL, _KL + 1):
+                i0, i1 = max(0, -d), n - max(0, d)
+                ab[2 * _KL - d, i0 + d: i1 + d] = rows[_KL + d, i0:i1]
+            lu, piv, info = dgbtrf(ab, _KL, _KL, overwrite_ab=True)
             if info != 0:
-                raise NumericalError("implicit matrix is singular")
-            self._factor_cache[key] = tuple(lu)
+                what = (f"zero pivot U[{info - 1}, {info - 1}]" if info > 0
+                        else f"illegal argument {-info}")
+                raise NumericalError(
+                    f"solver.factor: the implicit band matrix at t = "
+                    f"{key:g} has no LU factors (dgbtrf: {what})")
+            self._factor_cache[key] = (lu, piv)
         return self._factor_cache[key]
+
+    def core_ghost(self, s: float) -> np.ndarray:
+        """The core stencil's reads of the ghost values at forward time
+        ``s``: one precomputed vector per side, scaled by its edge
+        discount."""
+        left, right = generator.core_ghost_terms(self.cfg.op, self.ghosts)
+        dl, dr = self.edge_discount(s)
+        return dl * left + dr * right
 
     def ghost_term(self, s: float) -> np.ndarray:
         """Jump term of the ghost values at forward time ``s``."""
@@ -311,9 +364,14 @@ def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
                     bc: tuple[float, float]) -> np.ndarray:
     rhs = rhs.copy()
     rhs[0], rhs[-1] = bc
-    out, info = dgttrs(*ws.factor(t), rhs, overwrite_b=True)
+    lu, piv = ws.factor(t)
+    out, info = dgbtrs(lu, _KL, _KL, rhs, piv, overwrite_b=True)
     if info != 0 or not np.all(np.isfinite(out)):
-        raise NumericalError("tridiagonal solve produced non-finite values")
+        bad = np.flatnonzero(~np.isfinite(out))
+        raise NumericalError(
+            f"solver.banded: band solve at t = {t:g} gave {bad.size} "
+            f"non-finite values, first at nodes {bad[:3].tolist()} "
+            f"(dgbtrs info {info})")
     return out
 
 
@@ -328,7 +386,7 @@ def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
     near = extend_slice(cfg.grid, v_now, "clamp_payoff", ws.ghosts, ng, ng,
                         ws.edge_discount(s_now))
     rhs = v_now + dt * generator.apply_nonlocal_grid(
-        cfg.op, near, "monotone", ws.ghost_term(s_now))
+        cfg.op, near, "monotone", ws.ghost_term(s_now), core=1.0 - cfg.theta)
     if cfg.theta < 1.0:
         lo, dg, up = ws.local_stencil(s_now)
         expl = np.zeros_like(v_now)
@@ -339,6 +397,7 @@ def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
         rhs -= dt * pspec.value(v_now - ws.obstacle)
     if cfg.source is not None:
         rhs += dt * np.asarray(cfg.source(ws.x, s_now), dtype=float)
+    rhs += (cfg.theta * dt) * ws.core_ghost(s_new)
     v_new = _implicit_solve(ws, rhs, s_new, ws.boundary_values(s_new))
     if cfg.mode == "projected":
         v_new = np.maximum(v_new, ws.obstacle)

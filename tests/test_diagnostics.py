@@ -24,7 +24,8 @@ def _surface(dip):
 def test_dip_guard_names_the_worst_point():
     want = (f"surface falls {0.25:.3e} below the obstacle at "
             f"x = {GRID.nodes[12]:.4f} (time level 3); tolerance "
-            f"{1e-3:.3e}")
+            f"{1e-3:.3e} (layer diagnostics.check_no_dip, quantity "
+            f"min(u - g))")
     with pytest.raises(InvariantViolation) as exc:
         diagnostics.check_no_dip(_surface(0.25), PUT, 1e-3)
     assert str(exc.value) == want

@@ -20,8 +20,8 @@ from jumpstop.errors import ParameterError
 from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
                                 apply_nonlocal_ext, apply_nonlocal_grid,
                                 apply_nonlocal_split, build_operator,
-                                ghost_terms, operator_summary,
-                                stability_rate)
+                                core_band, core_ghost_terms, ghost_terms,
+                                operator_summary, stability_rate)
 from jumpstop.grids import (CoefficientField, GridFunction, SpaceTimeGrid,
                             extend_slice)
 
@@ -244,6 +244,32 @@ def test_grid_path_on_a_surface_is_the_path_on_each_slice(ops):
             np.testing.assert_array_equal(
                 both[:, k], apply_nonlocal_grid(op, near[:, k].copy(),
                                                 profile, ghost))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_core_band_and_its_ghosts_are_the_core_stencil(ops, name):
+    """The 7-point core on the grid values plus its discounted ghost reads
+    is what the monotone profile adds for the core; ``core`` scales it."""
+    op = ops[name]
+    rng = np.random.default_rng(8)
+    gf = GridFunction(GRID, rng.standard_normal(GRID.nx + 1),
+                      payoff=lambda x: 1.0 + np.sin(3.0 * x) + 0.2 * x)
+    discount = (0.7, 0.9)
+    near = extend_slice(GRID, gf.values, "clamp_payoff", gf.ghosts,
+                        NEAR_GHOSTS, NEAR_GHOSTS, discount)
+    left, right = core_ghost_terms(op, gf.ghosts)
+    c = core_band(op)
+    grid_part = np.correlate(np.pad(gf.values, 3), c, mode="valid")
+    want = grid_part + discount[0] * left + discount[1] * right
+    full = apply_nonlocal_grid(op, near, "monotone")
+    far = apply_nonlocal_grid(op, near, "monotone", core=0.0)
+    half = apply_nonlocal_grid(op, near, "monotone", core=0.5)
+    tol = 1e-13 * stability_rate(op) * np.max(np.abs(near))
+    assert np.max(np.abs(full - far - want)) <= tol
+    assert np.max(np.abs(half - far - 0.5 * want)) <= tol
+    assert core_ghost_terms(op, gf.ghosts)[0] is left
+    with pytest.raises(ParameterError):
+        apply_nonlocal_grid(op, near, "accurate", core=0.0)
 
 
 def test_ghost_terms_are_computed_once(ops):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jumpstop import cli, diagnostics, harness, levy, mc, solver
+from jumpstop import cli, diagnostics, generator, harness, levy, mc, solver
 from jumpstop.errors import ConfigError, ParameterError
 from jumpstop.grids import CoefficientField, GridFunction
 
@@ -375,7 +375,7 @@ DIAGNOSTICS_KEYS = {
     "mode", "family", "grid", "seed", "tolerance", "checks", "failed_checks",
     "residuals", "eps_trace", "eps_final", "anchor", "truncation_mass",
     "warnings", "smooth_fit", "residual_vi", "regions", "boundary_points",
-    "probes",
+    "probes", "stability",
 }
 CONFIG_KEYS = {
     "problem": {"sigma", "rate", "drift", "family", "jump_params", "payoff",
@@ -422,6 +422,31 @@ def test_artifact_key_sets_are_pinned(tmp_path, mode):
     config = json.loads((out / "effective_config.json").read_text())
     assert {block: set(body) for block, body in config.items()} == \
         CONFIG_KEYS
+
+
+@pytest.mark.parametrize("mode", ["penalized", "projected"])
+def test_diagnostics_report_the_stability_budget(tmp_path, mode):
+    cfg_path = make_config(
+        tmp_path, problem={"family": "tempered_stable",
+                           "jump_params": [0.2, 0.2, 1.5, 1.5, 3.0, 3.0]},
+        numerics={"nx": 60, "nt": 60, "mode": mode,
+                  "eps_schedule": [0.2, 0.1]},
+        oracle={"which": ["none"]})
+    out = tmp_path / "out"
+    harness.run(cfg_path, out_dir=out, stream=io.StringIO())
+    stab = json.loads((out / "diagnostics.json").read_text())["stability"]
+    cfg = harness.RunConfig.from_path(cfg_path).build_solve_config()
+    assert stab["fraction"] == solver.stability_fraction(cfg)
+    assert stab["explicit_rate"] == solver.explicit_rate(cfg)
+    assert stab["fraction"] == pytest.approx(
+        cfg.grid.dt * stab["explicit_rate"] / 0.9, rel=1e-15)
+    summary = stab["operator"]
+    assert summary == generator.operator_summary(cfg.op)
+    # theta = 1: the core is implicit, so the jumps add only the far mass
+    assert summary["rate_far"] == cfg.op.far_mass
+    assert summary["rate_monotone"] > 10.0 * summary["rate_far"]
+    pen = stab["explicit_rate"] - summary["rate_far"]
+    assert (pen > 0.0) == (mode == "penalized")
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,25 @@ UPPER_GAMMA_NEAR_ZERO = {
     (-1e-12, 40.0): 1.0367732614478077155e-19,
 }
 
+# Gamma(s, x) below s = -1/4 with x > 1, mp.gammainc at 40 digits
+UPPER_GAMMA_FRACTION = {
+    (-0.5, 1.01): 1.745144316588724287e-1,
+    (-0.5, 2.0): 3.0098757100186466344e-2,
+    (-0.5, 10.0): 1.2609042613241570681e-6,
+    (-0.5, 100.0): 3.6656231225114085412e-47,
+    (-0.5, 500.0): 6.3533925410341613539e-222,
+    (-1.5, 1.01): 1.2287251094292860451e-1,
+    (-1.5, 2.0): 1.1832994103345997091e-2,
+    (-1.5, 10.0): 1.1651171685802436755e-7,
+    (-1.5, 100.0): 3.6301902339618281156e-49,
+    (-1.5, 500.0): 1.2681547674480532127e-224,
+    (-2.5, 1.01): 9.2959192879567303666e-2,
+    (-2.5, 2.0): 4.8364520097026935598e-3,
+    (-2.5, 10.0): 1.0822186721237997758e-8,
+    (-2.5, 100.0): 3.5954296823603138949e-51,
+    (-2.5, 500.0): 2.5312820244492870869e-227,
+}
+
 EXP_COMP_MODELS = {
     "ts15": (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0),
              0.20613509692515639293),
@@ -464,10 +483,18 @@ def test_upper_gamma_near_zero_keeps_full_accuracy(s, x):
         UPPER_GAMMA_NEAR_ZERO[(s, x)], rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("key", sorted(UPPER_GAMMA_FRACTION))
+def test_upper_gamma_below_minus_quarter_uses_the_fraction_for_x_above_1(key):
+    # the recurrence from s+1 was off by up to 1.8e-9 (s = -1.5, x = 500)
+    # and 3.6e-7 (s = -2.5, x = 500)
+    assert levy._upper_gamma(*key) == pytest.approx(
+        UPPER_GAMMA_FRACTION[key], rel=1e-13, abs=0.0)
+
+
 def test_ts15_levy_quantities_skip_the_near_zero_branch(monkeypatch):
     # ts15 reaches only s in {-1.5, -0.5, 0.5}: its compensator, tails and
-    # radius stay on the recurrence, whose bits the ts15_projected
-    # reference rests on
+    # radius take the fraction (x > 1) or the recurrence (x <= 1), never
+    # the near-zero series
     def forbidden(s, x):
         raise AssertionError(f"near-zero branch reached at s={s}")
     monkeypatch.setattr(levy, "_upper_gamma_near_zero", forbidden)

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from jumpstop import diagnostics, generator, levy, payoff, solver
-from jumpstop.errors import ConfigError
+from jumpstop.errors import ConfigError, NumericalError
 from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
 from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
                              monotone_step_check, plan_steps, required_nt,
@@ -105,34 +105,47 @@ def test_stability_budget_enforced_and_suggestion_consistent():
 
 
 def test_plan_steps_counts_frozen():
-    # step counts of the planner before it shared the stability-rate
-    # formula with SolveConfig; explicit drift keeps them independent of
-    # the jump compensator
+    # h = 0.015 and T = 0.5: the dt <= h/4 cap asks for 134 steps; the
+    # implicit core leaves the far mass, the theta < 1 shares and the
+    # penalty to the budget, which binds in the other cases.  Explicit
+    # drift keeps the counts independent of the jump compensator
     coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, 10)
     ts = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
     mer = levy.merton(1.5, -0.05, 0.25)
     put = payoff.put(1.0)
-    assert plan_steps(grid, ts, coeffs, put) == 474
-    assert plan_steps(grid, ts, coeffs, put, theta=0.5) == 540
+    assert plan_steps(grid, ts, coeffs, put) == 134
+    assert plan_steps(grid, ts, coeffs, put, theta=0.5) == 319
     assert plan_steps(grid, mer, coeffs, put,
-                      eps_schedule=(0.05, 0.0125)) == 21
+                      eps_schedule=(0.05, 0.0125)) == 134
     assert plan_steps(grid, mer, coeffs, put, eps_schedule=(0.05, 0.0125),
-                      theta=0.5, safety=0.9) == 73
+                      theta=0.5, safety=0.9) == 134
+    assert plan_steps(grid, mer, coeffs, put,
+                      eps_schedule=(0.05, 0.001)) == 250
 
 
 def test_plan_steps_fits_the_config_budget():
     # the planner and a built config use one rate: a planned penalized,
-    # theta < 1 config sits at the safety fraction of the budget
+    # theta < 1 config whose budget binds sits at the safety fraction
     coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, 10)
     mer = levy.merton(1.5, -0.05, 0.25)
     nt = plan_steps(grid, mer, coeffs, payoff.put(1.0),
-                    eps_schedule=(0.05, 0.0125), theta=0.5, safety=0.9)
+                    eps_schedule=(0.05, 0.001), theta=0.5, safety=0.9)
+    assert nt > grid.t_final / (0.25 * grid.h)
     cfg = SolveConfig(SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, nt), mer,
-                      coeffs, payoff.put(1.0), eps_schedule=(0.05, 0.0125),
+                      coeffs, payoff.put(1.0), eps_schedule=(0.05, 0.001),
                       theta=0.5, mode="penalized")
     assert 0.9 * (nt - 1) / nt < stability_fraction(cfg) <= 0.9
+
+
+def test_plan_steps_caps_the_step_at_a_quarter_grid_step():
+    # far mass alone would allow about 122 steps for ts15 at nx = 400
+    coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
+    ts = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    for nx in (60, 200, 400, 800):
+        grid = SpaceTimeGrid(-1.0, 1.0, 1.0, nx, 1.0, 10)
+        assert plan_steps(grid, ts, coeffs, payoff.put(1.0)) == nx
 
 
 def test_mode_mismatch_rejected():
@@ -318,6 +331,73 @@ def test_step_matrix_is_monotone():
     assert monotone_step_check(cfg_w)
 
 
+BAND_FAMILIES = {
+    "ts15": levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0),
+    "cgmy18": levy.cgmy(1.0, 5.0, 10.0, 1.8),
+    "nig": levy.nig(6.0, -1.0, 0.3),
+    "vg": levy.variance_gamma(0.2, 0.3, -0.1),
+    "merton": levy.merton(1.5, -0.05, 0.25),
+    # slowly tempered upward jumps: drift -9.85, and a negative c_{-1}
+    "kou": levy.kou(1.0, 0.5, 1.05, 3.0),
+}
+
+
+def _band_config(name, mode="projected"):
+    mod = BAND_FAMILIES[name]
+    coeffs = CoefficientField.constants(A, R - A - levy.exp_compensator(mod),
+                                        R)
+    probe = SpaceTimeGrid(-1.0, 1.0, 1.0, 400, 1.0, 10)
+    nt = plan_steps(probe, mod, coeffs, payoff.put(1.0))
+    return SolveConfig(SpaceTimeGrid(-1.0, 1.0, 1.0, 400, 1.0, nt), mod,
+                       coeffs, payoff.put(1.0), mode=mode)
+
+
+@pytest.mark.parametrize("name", sorted(BAND_FAMILIES))
+def test_band_matrix_is_monotone(name):
+    cfg = _band_config(name)
+    c = generator.core_band(cfg.op)
+    assert abs(c.sum()) <= 1e-12 * np.abs(c).max()
+    assert np.all(c[[0, 1, 5, 6]] >= 0.0)
+    assert monotone_step_check(cfg)
+
+
+def test_band_diffusion_absorbs_a_negative_core_neighbour():
+    cfg = _band_config("kou")
+    c = generator.core_band(cfg.op)
+    assert c[2] < 0.0                     # c_{-1}
+    lo, _, _ = solver._Workspace(cfg, None).local_stencil(0.0)
+    assert np.all(lo + c[2] > 0.0)
+    assert monotone_step_check(cfg)
+
+
+def test_band_check_rejects_a_positive_off_diagonal():
+    cfg = _band_config("merton")
+    # a negative weight two shifts out gives c_{-3} < 0, so the implicit
+    # matrix picks up a positive entry three columns left of the diagonal
+    cfg.op.core_stencil = np.array([-1e-4, 0.0, 0.0, 0.0, 0.0])
+    assert generator.core_band(cfg.op)[0] < 0.0
+    assert not monotone_step_check(cfg)
+
+
+def test_time_error_is_first_order_at_fixed_grid():
+    # projected TS alpha = 1.5 put at nx = 200: the x = 0 value moves by
+    # 3.3e-5, 1.7e-5, 8.3e-6 as nt doubles from 100 to 800
+    mod = BAND_FAMILIES["ts15"]
+    coeffs = CoefficientField.constants(A, R - A - levy.exp_compensator(mod),
+                                        R)
+    vals = []
+    for nt in (100, 200, 400, 800):
+        grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 200, 1.0, nt)
+        rep = solve_vi(SolveConfig(grid, mod, coeffs, payoff.put(1.0),
+                                   mode="projected"))
+        vals.append(float(np.interp(0.0, grid.nodes,
+                                    rep.value.values[:, -1])))
+    diffs = np.abs(np.diff(vals))
+    assert diffs[0] > 1e-6
+    ratios = diffs[:-1] / diffs[1:]
+    assert np.all((1.6 <= ratios) & (ratios <= 2.5)), (diffs, ratios)
+
+
 def test_comparison_principle_random_trials():
     mod, coeffs = merton_setup()
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 60, 0.5, 25)
@@ -408,19 +488,27 @@ def test_residual_shape_guard(diffusion_american):
 
 
 def _solve_banded_step(ws, rhs, t, bc):
-    """The implicit step assembled per call and solved by solve_banded."""
+    """The implicit step assembled per call as a dense matrix and solved
+    by solve_banded: ``I - theta*dt*(L_local + L_core)`` with Dirichlet
+    edge rows, the core's columns past the grid dropped."""
     theta_dt = ws.cfg.theta * ws.dt
     lo, dg, up = ws.local_stencil(t)
-    a_lo, a_dg, a_up = -theta_dt * lo, 1.0 - theta_dt * dg, -theta_dt * up
-    a_dg[0] = a_dg[-1] = 1.0
-    a_up[0] = a_lo[-1] = 0.0
+    core = generator.core_band(ws.cfg.op)
+    n = rhs.size
+    dense = np.zeros((n, n))
+    for i in range(1, n - 1):
+        for j in range(-3, 4):
+            if 0 <= i + j < n:
+                coef = core[j + 3] + {-1: lo, 0: dg, 1: up}.get(
+                    j, np.zeros(n))[i]
+                dense[i, i + j] = (1.0 if j == 0 else 0.0) - theta_dt * coef
+    dense[0, 0] = dense[-1, -1] = 1.0
+    ab = np.zeros((7, n))
+    for i, j in zip(*np.nonzero(dense)):
+        ab[3 + i - j, j] = dense[i, j]
     rhs = rhs.copy()
     rhs[0], rhs[-1] = bc
-    ab = np.zeros((3, rhs.size))
-    ab[0, 1:] = a_up[:-1]
-    ab[1, :] = a_dg
-    ab[2, :-1] = a_lo[1:]
-    return solve_banded((1, 1), ab, rhs)
+    return solve_banded((3, 3), ab, rhs)
 
 
 def _varying_coeffs():
@@ -478,12 +566,37 @@ def test_time_dependent_march_refactors_per_level():
                       mode="projected")
     ws = solver._Workspace(cfg, None)
     assert ws.factor(0.1) is ws.factor(0.1)
-    assert not np.array_equal(ws.factor(0.1)[1], ws.factor(0.4)[1])
+    assert not np.array_equal(ws.factor(0.1)[0], ws.factor(0.4)[0])
     const = solver._Workspace(SolveConfig(grid, levy.none(),
                                           diffusion_coeffs(),
                                           payoff.put(1.0), mode="projected"),
                               None)
     assert const.factor(0.1) is const.factor(0.4)
+
+
+def test_singular_band_names_the_factor_and_the_pivot():
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, levy.none(), diffusion_coeffs(), payoff.put(1.0),
+                      mode="projected")
+    ws = solver._Workspace(cfg, None)
+    rows = ws.band(0.0)
+    rows[:, 5] = 0.0                    # row 5 of the matrix is zero
+    ws.band = lambda t: rows
+    with pytest.raises(NumericalError, match=r"solver\.factor: .* t = 0 .*"
+                       r"zero pivot U\[\d+, \d+\]"):
+        ws.factor(0.0)
+
+
+def test_non_finite_band_solve_names_the_nodes():
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, levy.none(), diffusion_coeffs(), payoff.put(1.0),
+                      mode="projected")
+    rhs = np.zeros(grid.nx + 1)
+    rhs[30] = np.inf
+    with pytest.raises(NumericalError, match=r"solver\.banded: .* t = 0\.25 "
+                       r"gave \d+ non-finite values, first at nodes \["):
+        solver._implicit_solve(solver._Workspace(cfg, None), rhs, 0.25,
+                               (0.0, 0.0))
 
 
 def test_european_edges_discount_by_the_integrated_rate():
@@ -546,16 +659,21 @@ def test_residual_reuses_the_solve_ghosts(mode, monkeypatch):
 
 def test_european_march_discounts_its_ghosts(monkeypatch):
     """Each step's near ghosts and ghost term are the payoff's, scaled by
-    the edge discount ``exp(-r s_n)``."""
+    the edge discount ``exp(-r s_n)``, and the implicit core's ghost
+    vector is scaled by ``exp(-r s_{n+1})``."""
     mod, coeffs = merton_setup()
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 20)
     cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode="european")
-    seen = []
+    seen, cores = [], []
     real = generator.apply_nonlocal_grid
     monkeypatch.setattr(
         generator, "apply_nonlocal_grid",
-        lambda op, near, profile, ghost: seen.append((near, ghost)) or
-        real(op, near, profile, ghost))
+        lambda op, near, profile, ghost, **kw: seen.append((near, ghost)) or
+        real(op, near, profile, ghost, **kw))
+    real_core = solver._Workspace.core_ghost
+    monkeypatch.setattr(
+        solver._Workspace, "core_ghost",
+        lambda ws, s: cores.append((s, real_core(ws, s))) or cores[-1][1])
     solve_european(cfg)
     ng, h, x = generator.NEAR_GHOSTS, grid.h, grid.nodes
     k = np.arange(1, ng + 1)
@@ -573,3 +691,11 @@ def test_european_march_discounts_its_ghosts(monkeypatch):
             rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(ghost, seen[0][1] * scale, rtol=1e-14,
                                    atol=0.0)
+    c_left, c_right = generator.core_ghost_terms(cfg.op, fresh)
+    assert np.all(c_left[:3] > 0.0) and not c_left[3:].any()
+    assert not c_right.any()     # the put vanishes past the right edge
+    assert len(cores) == grid.nt
+    for n, (s, core) in enumerate(cores):
+        assert s == (n + 1) * grid.dt
+        np.testing.assert_allclose(core, (c_left + c_right) * math.exp(-R * s),
+                                   rtol=1e-14, atol=0.0)
