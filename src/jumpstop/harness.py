@@ -420,7 +420,7 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
     mc_steps = 1 if european and cfg.coeffs.constant \
         else rc.oracle.mc_steps
     rows = []
-    for k, (x, t) in enumerate(_normalized_probes(rc)):
+    for x, t in _normalized_probes(rc):
         horizon = cfg.grid.t_final - t
         row: dict = {"x": x, "t": t, "pde": _value_at(report, cfg, x, t)}
         ref = _reference_price(rc, cfg, names, x, horizon)
@@ -429,24 +429,33 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
             row["abs_gap"] = abs(row["pde"] - row["oracle_value"])
             scale = abs(row["oracle_value"])
             row["rel_gap"] = row["abs_gap"] / scale if scale > 0 else None
-        if "mc" in names and rc.oracle.mc_paths > 0 and horizon > 0.0:
-            batch = mc.simulate(
-                cfg.model, cfg.coeffs, x, horizon, rc.oracle.mc_paths,
-                mc_steps, rc.oracle.seed + k)
-            if european:
-                est = mc.european_estimate(batch, cfg.payoff, cfg.coeffs.r)
-                row["mc_kind"] = "terminal"
-            else:
-                est = mc.stopping_lower_bound(batch, cfg.payoff,
-                                              cfg.coeffs.r)
-                row["mc_kind"] = "lower_bound"
-            row["mc_value"] = est.price
-            row["mc_stderr"] = est.stderr
-            row["mc_steps"] = batch.n_steps
+        rows.append(row)
+    mc_on = "mc" in names and rc.oracle.mc_paths > 0
+    estimate, kind = (mc.european_estimate, "terminal") if european \
+        else (mc.stopping_lower_bound, "lower_bound")
+    for k, first in enumerate(rows):
+        horizon = cfg.grid.t_final - first["t"]
+        if not mc_on or horizon <= 0.0 or "mc_kind" in first:
+            continue
+        batch = mc.simulate(
+            cfg.model, cfg.coeffs, first["x"], horizon, rc.oracle.mc_paths,
+            mc_steps, rc.oracle.seed + k)
+        # with constant coefficients the increments do not depend on the
+        # state: the paths from a later probe at this time are this batch
+        # moved by its x - x_0 in law (Cont & Tankov 2004, secs. 6.2-6.3)
+        sharing = [row for row in rows[k:] if row["t"] == first["t"]] \
+            if cfg.coeffs.constant else [first]
+        for row in sharing:
+            shift = row["x"] - first["x"]
+
+            def reward(y, shift=shift):
+                return cfg.payoff(y + shift)
+            est = estimate(batch, reward, cfg.coeffs.r)
+            row.update(mc_kind=kind, mc_value=est.price, mc_stderr=est.stderr,
+                       mc_steps=batch.n_steps, mc_shift=shift)
             if est.flag:
                 row["mc_flag"] = est.flag
-            del batch  # free the paths before the next probe's batch
-        rows.append(row)
+        del batch  # free the paths before the next time's batch
     return rows
 
 

@@ -281,6 +281,8 @@ class _Workspace:
         lo = np.where(central_ok, lo, uw_lo)
         up = np.where(central_ok, up, uw_up)
         dg = -(lo + up) - r
+        if len(self._stencil_cache) == 2:  # a step reads s_now and s_new
+            del self._stencil_cache[next(iter(self._stencil_cache))]
         self._stencil_cache[key] = (lo, dg, up)
         return lo, dg, up
 
@@ -306,7 +308,7 @@ class _Workspace:
 
     def factor(self, t: float):
         """LU factors of :meth:`band` (LAPACK ``dgbtrf``), once per stencil
-        of :meth:`local_stencil`."""
+        of :meth:`local_stencil`; only the latest level's are kept."""
         key = t if self.time_dependent else 0.0
         if key not in self._factor_cache:
             rows = self.band(t)
@@ -324,7 +326,7 @@ class _Workspace:
                 raise NumericalError(
                     f"solver.factor: the implicit band matrix at t = "
                     f"{key:g} has no LU factors (dgbtrf: {what})")
-            self._factor_cache[key] = (lu, piv)
+            self._factor_cache = {key: (lu, piv)}
         return self._factor_cache[key]
 
     def core_ghost(self, s: float) -> np.ndarray:

@@ -249,8 +249,8 @@ def test_07_gradient_matching_at_boundary():
         assert gaps[2] / gaps[1] <= 0.7, gaps
         assert gaps[-1] <= 1e-2 * grad, (gaps[-1], grad)
 
-    # singularity order 1 (infinite variation), and order 1.5 where the
-    # stability budget forces superlinear time-step growth
+    # singularity order 1 (infinite variation), and order 1.5 with the step
+    # count from plan_steps, where the h/4 cap sets it (nt 100/200/400)
     refinement_study(JUMP_FAMILIES["nig"], 320, 80, plan_budget=False)
     refinement_study(JUMP_FAMILIES["ts_super"], 200, 25, plan_budget=True)
     elapsed = time.perf_counter() - start

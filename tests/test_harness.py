@@ -513,7 +513,7 @@ def test_european_run_draws_the_terminal_state_in_one_step(tmp_path,
     out = tmp_path / "out"
     assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
     rows = json.loads((out / "diagnostics.json").read_text())["probes"]
-    assert seen == [1, 1]
+    assert seen == [1]  # two probes at t = 0 share one batch
     assert [(row["mc_kind"], row["mc_steps"]) for row in rows] == \
         [("terminal", 1)] * 2
 
@@ -529,9 +529,9 @@ def test_projected_run_keeps_mc_steps(monkeypatch):
     assert (rows[0]["mc_kind"], rows[0]["mc_steps"]) == ("lower_bound", 8)
 
 
-def test_european_run_with_varying_coefficients_keeps_mc_steps(monkeypatch):
-    # a field not built by CoefficientField.constants may vary along the
-    # path, so its terminal law needs the Euler steps
+def _vary_coefficients(monkeypatch) -> None:
+    """Runs build their coefficients as a field that may vary along the
+    path, not through ``CoefficientField.constants``."""
     build = harness.RunConfig.build_coeffs
 
     def varying(self, model):
@@ -539,6 +539,12 @@ def test_european_run_with_varying_coefficients_keeps_mc_steps(monkeypatch):
         return CoefficientField(c.a, c.b, c.r, c.lambda_floor,
                                 time_dependent=True)
     monkeypatch.setattr(harness.RunConfig, "build_coeffs", varying)
+
+
+def test_european_run_with_varying_coefficients_keeps_mc_steps(monkeypatch):
+    # a field not built by CoefficientField.constants may vary along the
+    # path, so its terminal law needs the Euler steps
+    _vary_coefficients(monkeypatch)
     seen = _spy_steps(monkeypatch)
     rc = harness.RunConfig.from_dict({
         "problem": MERTON_JUMPS, "numerics": {"nx": 60, "nt": 40,
@@ -547,6 +553,66 @@ def test_european_run_with_varying_coefficients_keeps_mc_steps(monkeypatch):
     rows = harness.compare(rc)
     assert seen == [8]
     assert (rows[0]["mc_kind"], rows[0]["mc_steps"]) == ("terminal", 8)
+
+
+def _spy_batches(monkeypatch) -> list:
+    """``(x0, horizon, seed)`` of every ``mc.simulate`` call from now on."""
+    calls, simulate = [], mc.simulate
+
+    def spy(model, coeffs, x0, T, n_paths, n_steps, seed, **kwargs):
+        calls.append((x0, T, seed))
+        return simulate(model, coeffs, x0, T, n_paths, n_steps, seed,
+                        **kwargs)
+    monkeypatch.setattr(mc, "simulate", spy)
+    return calls
+
+
+def _path_config(probes) -> harness.RunConfig:
+    rc = harness.RunConfig.from_dict(
+        {**BASE, "problem": {**BASE["problem"], **MERTON_JUMPS}})
+    rc.numerics.nx, rc.numerics.nt = 60, 40
+    rc.oracle.mc_paths, rc.oracle.mc_steps, rc.oracle.seed = 10000, 8, 5
+    rc.oracle.probes = probes
+    return rc
+
+
+@pytest.mark.parametrize("constant", [True, False],
+                         ids=["constant", "varying"])
+def test_probes_at_one_time_share_a_batch(constant, monkeypatch):
+    # constant coefficients: one batch per probe time, drawn from the first
+    # probe there with its seed + k; otherwise one batch per probe
+    if not constant:
+        _vary_coefficients(monkeypatch)
+    calls = _spy_batches(monkeypatch)
+    rows = harness.compare(_path_config([0.0, [-0.1, 0.5], -0.1]))
+    if constant:
+        assert calls == [(0.0, 1.0, 5), (-0.1, 0.5, 6)]
+        assert [row["mc_shift"] for row in rows] == [0.0, 0.0, -0.1]
+    else:
+        assert calls == [(0.0, 1.0, 5), (-0.1, 0.5, 6), (-0.1, 1.0, 7)]
+        assert [row["mc_shift"] for row in rows] == [0.0] * 3
+    assert [row["mc_kind"] for row in rows] == ["lower_bound"] * 3
+
+
+def test_first_probe_at_each_time_values_its_own_batch():
+    rc = _path_config([-0.1, [0.0, 0.5], 0.0, [0.1, 0.5]])
+    rows = harness.compare(rc)
+    cfg = rc.build_solve_config()
+
+    def direct(row, seed):
+        batch = mc.simulate(cfg.model, cfg.coeffs, row["x"],
+                            cfg.grid.t_final - row["t"], 10000, 8, seed)
+        return mc.stopping_lower_bound(batch, cfg.payoff, cfg.coeffs.r)
+    # the probe that drew the batch: bit for bit its own seed + k
+    for k in (0, 1):
+        est = direct(rows[k], 5 + k)
+        assert (rows[k]["mc_value"], rows[k]["mc_stderr"]) == \
+            (est.price, est.stderr)
+    # a later probe: the same seed started at its own x, up to rounding
+    for k, first in ((2, 0), (3, 1)):
+        est = direct(rows[k], 5 + first)
+        assert abs(rows[k]["mc_value"] - est.price) <= 0.1 * est.stderr
+    assert [row["mc_shift"] for row in rows] == [0.0, 0.0, 0.1, 0.1]
 
 
 def test_compare_which_none_disables_oracles():

@@ -344,6 +344,49 @@ def test_policy_preconditions(diffusion_batch):
         mc.stopping_lower_bound(diffusion_batch, PUT, R, basis_degree=0)
 
 
+def test_halving_the_split_keeps_the_tempered_stable_lower_bound():
+    # the Gaussian stand-in for jumps below eps_mc is the split's only
+    # approximation (Asmussen & Rosinski 2001); halving eps_mc must move
+    # the ts15 lower bound by less than 3 combined standard errors
+    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    coeffs = CoefficientField.constants(
+        A, R - A - levy.exp_compensator(mod), R)
+    coarse, fine = (mc.stopping_lower_bound(
+        mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 7, eps_mc=eps),
+        PUT, R) for eps in (0.01, 0.005))
+    assert coarse.flag == fine.flag == ""
+    assert abs(fine.price - coarse.price) <= \
+        3.0 * np.hypot(coarse.stderr, fine.stderr)
+
+
+# ---------------------------------------------------------------------------
+# one batch for every start: shifted rewards
+
+
+@pytest.mark.parametrize("model", [
+    levy.merton(1.5, -0.05, 0.25),
+    levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)], ids=["merton", "ts"])
+def test_shifted_reward_matches_a_batch_started_at_the_shift(model):
+    # with constant coefficients the increments do not depend on the
+    # state, so the paths from x0 + d are those from x0 moved by d: on the
+    # same seed they differ only by the rounding of the running sums
+    coeffs = CoefficientField.constants(
+        A, R - A - levy.exp_compensator(model), R)
+    d = -0.1
+    moved = mc.simulate(model, coeffs, 0.0, 1.0, 20_000, 16, 23)
+    direct = mc.simulate(model, coeffs, d, 1.0, 20_000, 16, 23)
+
+    def shifted(y):
+        return PUT(y + d)
+    eu_moved = mc.european_estimate(moved, shifted, R)
+    eu_direct = mc.european_estimate(direct, PUT, R)
+    assert eu_moved.price == pytest.approx(eu_direct.price, rel=1e-12)
+    assert eu_moved.stderr == pytest.approx(eu_direct.stderr, rel=1e-12)
+    lb_moved = mc.stopping_lower_bound(moved, shifted, R)
+    lb_direct = mc.stopping_lower_bound(direct, PUT, R)
+    assert abs(lb_moved.price - lb_direct.price) <= 0.1 * lb_direct.stderr
+
+
 # ---------------------------------------------------------------------------
 # value-function regularity seen through paths
 

@@ -574,6 +574,24 @@ def test_time_dependent_march_refactors_per_level():
     assert const.factor(0.1) is const.factor(0.4)
 
 
+def test_time_dependent_march_keeps_only_the_next_steps_caches(monkeypatch):
+    # a step reads the stencils at s_now and s_new and the factor at s_new;
+    # older levels are dropped, and recomputing every entry changes no bit
+    mod, _ = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, mod, _varying_coeffs(), payoff.put(1.0),
+                      theta=0.5, mode="projected")
+    got, ws = solver._march(cfg, None, None)
+    assert len(ws._stencil_cache) == 2 and len(ws._factor_cache) == 1
+    for name in ("local_stencil", "factor"):
+        def fresh(self, t, real=getattr(solver._Workspace, name)):
+            self._stencil_cache, self._factor_cache = {}, {}
+            return real(self, t)
+        monkeypatch.setattr(solver._Workspace, name, fresh)
+    want, _ = solver._march(cfg, None, None)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_singular_band_names_the_factor_and_the_pivot():
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
     cfg = SolveConfig(grid, levy.none(), diffusion_coeffs(), payoff.put(1.0),
