@@ -48,8 +48,8 @@ slice.
 The time stepper treats the core implicitly, next to the diffusion: it
 reads the core stencil on the grid values (:func:`core_band`, seven
 shifts) and its reads of the near ghosts as one vector per side
-(:func:`core_ghost_terms`), and scales the core of
-:func:`apply_nonlocal_grid` down to the explicit share.
+(:func:`core_ghost_terms`), and leaves the core out of its explicit
+:func:`apply_nonlocal_grid`.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def apply_nonlocal(op: NonlocalOperator, gf: GridFunction,
 def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
                         profile: str = "accurate",
                         ghost: np.ndarray | None = None,
-                        core: float = 1.0) -> np.ndarray:
+                        core: bool = True) -> np.ndarray:
     """Jump operator from the grid values and a precomputed ghost term.
 
     ``near`` is the slice with :data:`NEAR_GHOSTS` ghosts per side, or a
@@ -346,13 +346,11 @@ def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
     stencils read (a sum of scaled :func:`ghost_terms`; ``None`` for
     zero ghosts).  Equals :func:`apply_nonlocal_ext` on the full
     extension up to rounding; a surface gives, column by column, exactly
-    what each slice gives alone.  ``core`` scales the core stencil of the
-    monotone profile (the explicit share of a step that treats the rest
-    implicitly); at 0 no second differences are formed.
+    what each slice gives alone.  With ``core=False`` no second
+    differences are formed: in the monotone profile they are the core
+    stencil alone, which the time stepper treats implicitly.
     """
     _check_profile(profile)
-    if core != 1.0 and profile != "monotone":
-        raise ParameterError("only the monotone core can be scaled")
     nb, ng, h = op.n_base, NEAR_GHOSTS, op.h
     if near.shape[0] != nb + 2 * ng:
         raise ParameterError(
@@ -367,12 +365,12 @@ def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
         d1 = (near[ng + 1: ng + nb + 1] - near[ng - 1: ng + nb - 1]) / \
             (2.0 * h)
         out -= op.compensator * d1
-    if profile == "monotone" and core == 0.0:
+    if not core:
         return out
     # second differences at positions -2 .. nx+2 (the core stencil's reach)
     d2 = (near[2:] - 2.0 * near[1:-1] + near[:-2]) / (h * h)
     if profile == "monotone":
-        out += core * _per_level(
+        out += _per_level(
             lambda d: np.correlate(d, op.core_stencil, mode="valid"), d2)
     else:
         out += _per_level(_grid_block(op, "accurate"), d2)
@@ -501,14 +499,8 @@ def _toeplitz(kernel, k_min, n_rows, n_cols, col0):
 
 
 def apply_nonlocal_ext(op: NonlocalOperator, ext: np.ndarray,
-                       profile: str = "accurate",
-                       with_compensator: bool = True) -> np.ndarray:
-    """Jump operator on a pre-extended slice (``n_ext`` ghosts per side).
-
-    With ``with_compensator=False`` the centered-slope compensation term
-    is omitted; callers that fold it into the drift of the local part use
-    this to keep the explicit kernel monotone.
-    """
+                       profile: str = "accurate") -> np.ndarray:
+    """Jump operator on a pre-extended slice (``n_ext`` ghosts per side)."""
     _check_profile(profile)
     ne = op.n_ext
     if ext.shape[0] != op.n_base + 2 * ne:
@@ -519,7 +511,7 @@ def apply_nonlocal_ext(op: NonlocalOperator, ext: np.ndarray,
     d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (op.h * op.h)
     out = _kernel_sum(ext, op.far_kernel, op.k_min, ne, op.n_base)
     out -= op.far_mass * base
-    if with_compensator and op.compensator != 0.0:
+    if op.compensator != 0.0:
         d1 = (ext[ne + 1: ne + op.n_base + 1] -
               ext[ne - 1: ne + op.n_base - 1]) / (2.0 * op.h)
         out -= op.compensator * d1
@@ -625,25 +617,23 @@ def local_form(a: np.ndarray, b: np.ndarray, ext: np.ndarray,
     return a * d2 + b * d1
 
 
-def stability_rate(op: NonlocalOperator, profile: str = "monotone",
-                   core: float = 1.0) -> float:
-    """Worst explicit decay rate: far mass plus ``core`` times twice the
+def stability_rate(op: NonlocalOperator, profile: str = "monotone") -> float:
+    """Worst explicit decay rate: far mass plus twice the second-difference
     stencil sum / h^2.
 
     An explicit Euler step of size ``dt`` keeps nonnegative diagonal
-    weight iff ``dt * stability_rate <= 1``; ``core`` is the share of the
-    core stencil stepped explicitly (see :func:`apply_nonlocal_grid`).
+    weight iff ``dt * stability_rate <= 1``.
     """
     _check_profile(profile)
     h2 = op.h * op.h
     k2 = op.core_stencil if profile == "monotone" else op.d2_kernel_accurate
-    return op.far_mass + core * 2.0 * float(np.abs(k2).sum()) / h2
+    return op.far_mass + 2.0 * float(np.abs(k2).sum()) / h2
 
 
 def operator_summary(op: NonlocalOperator) -> dict:
-    """Scalar facts about the assembled operator, for reports; the rates
-    are :func:`stability_rate` with the core stepped implicitly
-    (``rate_far``) and explicitly."""
+    """Scalar facts about the assembled operator, for reports: the far
+    mass is the explicit rate of the jumps in a step (``rate_far``), and
+    :func:`stability_rate` is the rate with the core stepped explicitly."""
     return {
         "family": op.model.family,
         "y_core": op.y_core,
@@ -653,7 +643,7 @@ def operator_summary(op: NonlocalOperator) -> dict:
         "compensator": op.compensator,
         "core_var": op.core_var,
         "fv_core": op.fv_core,
-        "rate_far": stability_rate(op, "monotone", core=0.0),
+        "rate_far": op.far_mass,
         "rate_monotone": stability_rate(op, "monotone"),
         "rate_accurate": stability_rate(op, "accurate"),
     }

@@ -93,7 +93,6 @@ class NumericsBlock:
     nt: int = 100
     eps_schedule: list[float] = field(
         default_factory=lambda: [0.2, 0.1, 0.05])
-    theta: float = 1.0
     mode: str = "penalized"
     radius_tol: float = 1e-12       # jump-tail mass kept outside the radius
     lemma_constant: float = 10.0    # c in tol = c*(h^2 + dt) + 1e-9
@@ -311,8 +310,7 @@ class RunConfig:
             grid = grid.refined(refine)
         return SolveConfig(grid, model, coeffs, g,
                            eps_schedule=tuple(n.eps_schedule),
-                           theta=n.theta, mode=n.mode,
-                           radius_tol=n.radius_tol)
+                           mode=n.mode, radius_tol=n.radius_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ at ``s = 0``; the optimal-stopping value in natural (backward) time is
 ``u(x, t) = v(x, T - t)``.  One step treats the local
 convection-diffusion-discount part (drift upwinded wherever the grid
 Peclet number demands it) and the small-jump core of the jump operator
-implicitly, theta-weighted, as one 7-band matrix factored once per
-stencil with LAPACK ``dgbtrf``; the core's reads of the ghost nodes at
-the new level enter the right-hand side.  The far jumps, their ghost
-term, the compensator and the penalty are explicit at the old level.
+by backward Euler, as one 7-band matrix ``I - dt (L_local + L_core)``
+factored once per stencil with LAPACK ``dgbtrf``; the core's reads of
+the ghost nodes at the new level enter the right-hand side.  The far
+jumps, their ghost term, the compensator and the penalty are explicit at
+the old level.
 
 Three modes:
 
@@ -22,15 +23,13 @@ Three modes:
   source term); used for closed-form comparisons and heat-kernel tests.
 
 Stability of the explicit part is enforced at configuration time: the
-step size must satisfy ``dt * (far jump mass + (1 - theta) * (local +
-core rate) + penalty slope) <= 0.9`` so the explicit update keeps
-nonnegative diagonal weight.  :func:`plan_steps` also caps the step at
-``h / 4`` for accuracy.
+step size must satisfy ``dt * (far jump mass + penalty slope) <= 0.9`` so
+the explicit update keeps nonnegative diagonal weight.  :func:`plan_steps`
+also caps the step at ``h / 4`` for accuracy.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -91,7 +90,6 @@ class SolveConfig:
     coeffs: CoefficientField
     payoff: PayoffSpec
     eps_schedule: tuple = DEFAULT_EPS_SCHEDULE
-    theta: float = 1.0
     mode: str = "penalized"
     source: Callable | None = None
     initial: Callable | None = None
@@ -102,8 +100,6 @@ class SolveConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; pick from {MODES}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError("theta must lie in [0, 1]")
         validate_coefficients(self.coeffs, self.grid)
         self.eps_schedule = tuple(float(e) for e in self.eps_schedule)
         if self.mode == "penalized":
@@ -135,29 +131,20 @@ class SolveConfig:
                 f"need nt >= {required_nt(self)} time steps")
 
 
-def _stability_rate(op: NonlocalOperator, coeffs: CoefficientField,
-                    grid: SpaceTimeGrid, theta: float,
-                    penalty_rate: float) -> float:
-    """Worst decay rate of everything treated explicitly in one step.
-
-    The far jump mass, the ``1 - theta`` share of the local operator and
-    of the core stencil, and the penalty slope ``penalty_rate = 2 |p0| /
-    eps_min`` (0 unpenalized).
-    """
-    rate = generator.stability_rate(op, "monotone", core=1.0 - theta)
-    if theta < 1.0:
-        a0, b0, _ = coeffs.maxima(grid)
-        h = grid.h
-        rate += (1.0 - theta) * (2.0 * a0 / (h * h) + b0 / h)
-    return rate + penalty_rate
+def _stability_rate(op: NonlocalOperator, anchor: float,
+                    eps_schedule: tuple) -> float:
+    """Worst decay rate of everything treated explicitly in one step: the
+    far jump mass plus the penalty slope ``2 |p0| / eps_min`` (an empty
+    ``eps_schedule`` for no penalty)."""
+    pen = 2.0 * abs(anchor) / min(eps_schedule) if eps_schedule else 0.0
+    return op.far_mass + pen
 
 
 def explicit_rate(cfg: SolveConfig) -> float:
     """:func:`_stability_rate` of a built config: the decay rate of its
     explicit part."""
-    pen = (2.0 * abs(cfg.anchor) / min(cfg.eps_schedule)
-           if cfg.mode == "penalized" else 0.0)
-    return _stability_rate(cfg.op, cfg.coeffs, cfg.grid, cfg.theta, pen)
+    return _stability_rate(cfg.op, cfg.anchor, cfg.eps_schedule
+                           if cfg.mode == "penalized" else ())
 
 
 def stability_fraction(cfg: SolveConfig) -> float:
@@ -192,28 +179,25 @@ def required_nt(cfg: SolveConfig) -> int:
 
 def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
                coeffs: CoefficientField, payoff: PayoffSpec,
-               eps_schedule: tuple = (), theta: float = 1.0,
-               safety: float = 0.75) -> int:
+               eps_schedule: tuple = (), safety: float = 0.75) -> int:
     """Step count for a grid, before building a config: the largest of
     ``grid.nt``, the count that fits the stability budget, and
     ``T / (h/4)``.
 
-    With the small-jump core implicit the budget is set by the far jump
-    mass (and the penalty): it still grows like ``h^-alpha``, but for an
-    alpha = 1.5 tempered-stable model it asks for 122 steps at nx = 400
-    where the core alone used to ask for 1,765.  The ``dt <= h/4`` cap keeps the first-order time error in step with
-    the space error, which the budget alone does not on coarse grids (an
-    alpha = 1.5 tempered-stable put at nx = 60 is 2.5e-3 off a refined
-    value at the budget's step, 6e-4 at ``h/4``).  ``safety`` keeps a margin
-    below the budget; pass the intended ``eps_schedule`` when planning a
-    penalized run so the penalty slope is counted.
+    The local part and the small-jump core are implicit, so the budget is
+    set by the far jump mass and the penalty: it grows like ``h^-alpha``,
+    and asks for 122 steps at nx = 400 for an alpha = 1.5 tempered-stable
+    model.  The ``dt <= h/4`` cap keeps the first-order time error in
+    step with the space error, which the budget alone does not on coarse
+    grids (an alpha = 1.5 tempered-stable put at nx = 60 is 2.5e-3 off a
+    refined value at the budget's step, 6e-4 at ``h/4``).  ``safety``
+    keeps a margin below the budget; pass the intended ``eps_schedule``
+    when planning a penalized run so the penalty slope is counted.
     """
-    pen = 0.0
-    if eps_schedule:
-        p0 = penalty_mod.anchor(coeffs, payoff, model, grid)
-        pen = 2.0 * abs(p0) / min(eps_schedule)
-    rate = _stability_rate(generator.build_operator(model, grid), coeffs,
-                           grid, theta, pen)
+    p0 = (penalty_mod.anchor(coeffs, payoff, model, grid) if eps_schedule
+          else 0.0)
+    rate = _stability_rate(generator.build_operator(model, grid), p0,
+                           eps_schedule)
     return max(grid.nt,
                int(np.ceil(grid.t_final * rate / (_BUDGET * safety))),
                int(np.ceil(grid.t_final / (_DT_PER_H * grid.h))))
@@ -242,7 +226,6 @@ class _Workspace:
         self.ghosts = PayoffGhosts(grid, self.bc_fn)
 
         self.time_dependent = cfg.coeffs.time_dependent
-        self._stencil_cache: dict[float, tuple] = {}
         self._factor_cache: dict[float, tuple] = {}
         r_edge = cfg.coeffs.r(x[[0, -1]], 0.0)
         self.r_left = float(r_edge[0])
@@ -263,10 +246,8 @@ class _Workspace:
             self.initial = self.obstacle.copy()
 
     def local_stencil(self, t: float):
-        """Rows (l, d, u) of ``L_D - r`` with upwinded drift; cached."""
+        """Rows (l, d, u) of ``L_D - r`` with upwinded drift."""
         key = t if self.time_dependent else 0.0
-        if key in self._stencil_cache:
-            return self._stencil_cache[key]
         cfg = self.cfg
         x, h = self.x, self.h
         a = np.asarray(cfg.coeffs.a(x, key), dtype=float)
@@ -281,13 +262,10 @@ class _Workspace:
         lo = np.where(central_ok, lo, uw_lo)
         up = np.where(central_ok, up, uw_up)
         dg = -(lo + up) - r
-        if len(self._stencil_cache) == 2:  # a step reads s_now and s_new
-            del self._stencil_cache[next(iter(self._stencil_cache))]
-        self._stencil_cache[key] = (lo, dg, up)
         return lo, dg, up
 
     def band(self, t: float) -> np.ndarray:
-        """``I - theta*dt*(L_local + L_core)`` with Dirichlet edge rows, as
+        """``I - dt*(L_local + L_core)`` with Dirichlet edge rows, as
         diagonals: ``rows[d + 3, i]`` is the entry of row ``i``, column
         ``i + d``.  Core reads past the grid are left out; they enter the
         right-hand side through :meth:`core_ghost`."""
@@ -297,7 +275,7 @@ class _Workspace:
         coef[_KL - 1] += lo
         coef[_KL] += dg
         coef[_KL + 1] += up
-        rows = -(self.cfg.theta * self.dt) * coef
+        rows = -self.dt * coef
         rows[_KL] += 1.0
         for d in range(1, _KL + 1):
             rows[_KL - d, :d] = 0.0
@@ -388,18 +366,12 @@ def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
     near = extend_slice(cfg.grid, v_now, "clamp_payoff", ws.ghosts, ng, ng,
                         ws.edge_discount(s_now))
     rhs = v_now + dt * generator.apply_nonlocal_grid(
-        cfg.op, near, "monotone", ws.ghost_term(s_now), core=1.0 - cfg.theta)
-    if cfg.theta < 1.0:
-        lo, dg, up = ws.local_stencil(s_now)
-        expl = np.zeros_like(v_now)
-        expl[1:-1] = (lo[1:-1] * v_now[:-2] + dg[1:-1] * v_now[1:-1] +
-                      up[1:-1] * v_now[2:])
-        rhs += dt * (1.0 - cfg.theta) * expl
+        cfg.op, near, "monotone", ws.ghost_term(s_now), core=False)
     if pspec is not None:
         rhs -= dt * pspec.value(v_now - ws.obstacle)
     if cfg.source is not None:
         rhs += dt * np.asarray(cfg.source(ws.x, s_now), dtype=float)
-    rhs += (cfg.theta * dt) * ws.core_ghost(s_new)
+    rhs += dt * ws.core_ghost(s_new)
     v_new = _implicit_solve(ws, rhs, s_new, ws.boundary_values(s_new))
     if cfg.mode == "projected":
         v_new = np.maximum(v_new, ws.obstacle)
@@ -432,7 +404,7 @@ def _march(cfg: SolveConfig, eps: float | None,
 
 def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
                   eps: float | None, pspec: PenaltySpec | None,
-                  t0: float, steps: int) -> "SolveReport":
+                  steps: int) -> "SolveReport":
     grid = cfg.grid
     h = grid.h
     grad = np.abs(surface[2:, :] - surface[:-2, :]) / (2.0 * h)
@@ -454,8 +426,8 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
     report = SolveReport(
         value=gf, mode=cfg.mode, eps_final=eps, anchor=cfg.anchor,
         residuals=residuals, eps_trace=[],
-        truncation_mass=float(trunc), wallclock=time.perf_counter() - t0,
-        steps=steps, warnings=[], grad_max_per_eps=[],
+        truncation_mass=float(trunc), steps=steps, warnings=[],
+        grad_max_per_eps=[],
     )
     for key, val in report.residuals.items():
         if not np.isfinite(val):
@@ -474,7 +446,6 @@ class SolveReport:
     residuals: dict
     eps_trace: list
     truncation_mass: float
-    wallclock: float
     steps: int
     warnings: list
     grad_max_per_eps: list
@@ -484,9 +455,8 @@ def solve_european(cfg: SolveConfig) -> SolveReport:
     """Plain Cauchy march (no obstacle, optional source/initial)."""
     if cfg.mode != "european":
         raise ConfigError("solve_european requires european mode")
-    t0 = time.perf_counter()
     surface, ws = _march(cfg, None, None)
-    return _build_report(cfg, surface, ws, None, None, t0, cfg.grid.nt)
+    return _build_report(cfg, surface, ws, None, None, cfg.grid.nt)
 
 
 def solve_vi(cfg: SolveConfig) -> SolveReport:
@@ -498,10 +468,9 @@ def solve_vi(cfg: SolveConfig) -> SolveReport:
     report with the trace; a non-decreasing tail of the trace adds a
     non-convergence warning.  Projected mode is a single march.
     """
-    t0 = time.perf_counter()
     if cfg.mode == "projected":
         surface, ws = _march(cfg, None, None)
-        report = _build_report(cfg, surface, ws, None, None, t0, cfg.grid.nt)
+        report = _build_report(cfg, surface, ws, None, None, cfg.grid.nt)
     elif cfg.mode == "penalized":
         prev = None
         trace = []
@@ -515,8 +484,7 @@ def solve_vi(cfg: SolveConfig) -> SolveReport:
             if prev is not None:
                 trace.append(float(np.max(np.abs(surface - prev))))
             prev = surface
-            report = _build_report(cfg, surface, ws, eps, pspec, t0,
-                                   total_steps)
+            report = _build_report(cfg, surface, ws, eps, pspec, total_steps)
             grad_per_eps.append(report.residuals["grad_max"])
         report.eps_trace = trace
         report.grad_max_per_eps = grad_per_eps

@@ -101,8 +101,7 @@ def test_roundtrip_through_dict_and_json():
     rc = harness.RunConfig.from_dict({
         "problem": {"family": "nig", "jump_params": [6.0, -1.0, 0.3],
                     "drift": -0.02, "horizon": 0.5},
-        "numerics": {"eps_schedule": [0.2, 0.1], "theta": 0.5,
-                     "radius_tol": 1e-10},
+        "numerics": {"eps_schedule": [0.2, 0.1], "radius_tol": 1e-10},
         "oracle": {"probes": [[0.1, 0.25], -0.1], "mc_paths": 20000},
     })
     assert harness.RunConfig.from_dict(rc.to_dict()) == rc
@@ -253,14 +252,18 @@ def test_run_unknown_key_exits_2(tmp_path):
     assert "typo_key" in buf.getvalue()
 
 
-def test_run_operator_form_is_an_unknown_key(tmp_path):
+@pytest.mark.parametrize("key, value", [
     # the march has one operator form, the compensated one
+    ("operator_form", "compensated"),
+    # and one time scheme, backward Euler
+    ("theta", "0.5"),
+], ids=["operator_form", "theta"])
+def test_run_operator_form_is_an_unknown_key(tmp_path, key, value):
     path = tmp_path / "bad.txt"
-    path.write_text("numerics.operator_form = compensated\n")
+    path.write_text(f"numerics.{key} = {value}\n")
     buf = io.StringIO()
     assert harness.run(path, stream=buf) == 2
-    assert "unknown key(s) in block 'numerics': operator_form" \
-        in buf.getvalue()
+    assert f"unknown key(s) in block 'numerics': {key}" in buf.getvalue()
 
 
 def test_run_failed_check_exits_3_and_names_it(tmp_path):
@@ -380,8 +383,8 @@ DIAGNOSTICS_KEYS = {
 CONFIG_KEYS = {
     "problem": {"sigma", "rate", "drift", "family", "jump_params", "payoff",
                 "strike", "cap", "table_path", "horizon"},
-    "numerics": {"x_lo", "x_hi", "pad", "nx", "nt", "eps_schedule", "theta",
-                 "mode", "radius_tol", "lemma_constant"},
+    "numerics": {"x_lo", "x_hi", "pad", "nx", "nt", "eps_schedule", "mode",
+                 "radius_tol", "lemma_constant"},
     "oracle": {"mc_paths", "mc_steps", "seed", "binomial_steps", "which",
                "probes"},
     "output": {"out_dir", "formats"},
@@ -442,7 +445,7 @@ def test_diagnostics_report_the_stability_budget(tmp_path, mode):
         cfg.grid.dt * stab["explicit_rate"] / 0.9, rel=1e-15)
     summary = stab["operator"]
     assert summary == generator.operator_summary(cfg.op)
-    # theta = 1: the core is implicit, so the jumps add only the far mass
+    # the core is implicit, so the jumps add only the far mass
     assert summary["rate_far"] == cfg.op.far_mass
     assert summary["rate_monotone"] > 10.0 * summary["rate_far"]
     pen = stab["explicit_rate"] - summary["rate_far"]

@@ -57,14 +57,11 @@ def diffusion_american():
 # configuration validation
 
 
-def test_config_rejects_bad_mode_and_theta():
+def test_config_rejects_bad_mode():
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 16, 1.0, 4)
     coeffs = diffusion_coeffs()
     with pytest.raises(ConfigError):
         SolveConfig(grid, levy.none(), coeffs, payoff.put(1.0), mode="magic")
-    with pytest.raises(ConfigError):
-        SolveConfig(grid, levy.none(), coeffs, payoff.put(1.0), theta=1.5,
-                    mode="projected")
 
 
 def test_config_rejects_bad_schedules():
@@ -106,36 +103,33 @@ def test_stability_budget_enforced_and_suggestion_consistent():
 
 def test_plan_steps_counts_frozen():
     # h = 0.015 and T = 0.5: the dt <= h/4 cap asks for 134 steps; the
-    # implicit core leaves the far mass, the theta < 1 shares and the
-    # penalty to the budget, which binds in the other cases.  Explicit
-    # drift keeps the counts independent of the jump compensator
+    # implicit core leaves the far mass and the penalty to the budget,
+    # which binds in the last case.  Explicit drift keeps the counts
+    # independent of the jump compensator
     coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, 10)
     ts = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
     mer = levy.merton(1.5, -0.05, 0.25)
     put = payoff.put(1.0)
     assert plan_steps(grid, ts, coeffs, put) == 134
-    assert plan_steps(grid, ts, coeffs, put, theta=0.5) == 319
     assert plan_steps(grid, mer, coeffs, put,
                       eps_schedule=(0.05, 0.0125)) == 134
-    assert plan_steps(grid, mer, coeffs, put, eps_schedule=(0.05, 0.0125),
-                      theta=0.5, safety=0.9) == 134
     assert plan_steps(grid, mer, coeffs, put,
                       eps_schedule=(0.05, 0.001)) == 250
 
 
 def test_plan_steps_fits_the_config_budget():
-    # the planner and a built config use one rate: a planned penalized,
-    # theta < 1 config whose budget binds sits at the safety fraction
+    # the planner and a built config use one rate: a planned penalized
+    # config whose budget binds sits at the safety fraction
     coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, 10)
     mer = levy.merton(1.5, -0.05, 0.25)
     nt = plan_steps(grid, mer, coeffs, payoff.put(1.0),
-                    eps_schedule=(0.05, 0.001), theta=0.5, safety=0.9)
+                    eps_schedule=(0.05, 0.001), safety=0.9)
     assert nt > grid.t_final / (0.25 * grid.h)
     cfg = SolveConfig(SpaceTimeGrid(-0.5, 0.5, 1.0, 200, 0.5, nt), mer,
                       coeffs, payoff.put(1.0), eps_schedule=(0.05, 0.001),
-                      theta=0.5, mode="penalized")
+                      mode="penalized")
     assert 0.9 * (nt - 1) / nt < stability_fraction(cfg) <= 0.9
 
 
@@ -489,9 +483,8 @@ def test_residual_shape_guard(diffusion_american):
 
 def _solve_banded_step(ws, rhs, t, bc):
     """The implicit step assembled per call as a dense matrix and solved
-    by solve_banded: ``I - theta*dt*(L_local + L_core)`` with Dirichlet
-    edge rows, the core's columns past the grid dropped."""
-    theta_dt = ws.cfg.theta * ws.dt
+    by solve_banded: ``I - dt*(L_local + L_core)`` with Dirichlet edge
+    rows, the core's columns past the grid dropped."""
     lo, dg, up = ws.local_stencil(t)
     core = generator.core_band(ws.cfg.op)
     n = rhs.size
@@ -501,7 +494,7 @@ def _solve_banded_step(ws, rhs, t, bc):
             if 0 <= i + j < n:
                 coef = core[j + 3] + {-1: lo, 0: dg, 1: up}.get(
                     j, np.zeros(n))[i]
-                dense[i, i + j] = (1.0 if j == 0 else 0.0) - theta_dt * coef
+                dense[i, i + j] = (1.0 if j == 0 else 0.0) - ws.dt * coef
     dense[0, 0] = dense[-1, -1] = 1.0
     ab = np.zeros((7, n))
     for i, j in zip(*np.nonzero(dense)):
@@ -528,8 +521,7 @@ def test_factored_solve_matches_solve_banded(time_dependent, mode,
     if time_dependent:
         coeffs = _varying_coeffs()
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
-    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), theta=0.5,
-                      mode=mode)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode=mode)
     solve = solve_vi if mode == "projected" else solve_european
     got = solve(cfg).value.values
     monkeypatch.setattr(solver, "_implicit_solve", _solve_banded_step)
@@ -575,19 +567,19 @@ def test_time_dependent_march_refactors_per_level():
 
 
 def test_time_dependent_march_keeps_only_the_next_steps_caches(monkeypatch):
-    # a step reads the stencils at s_now and s_new and the factor at s_new;
-    # older levels are dropped, and recomputing every entry changes no bit
+    # a step reads the factor at s_new; older levels are dropped, and
+    # re-factoring every step changes no bit
     mod, _ = merton_setup()
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
     cfg = SolveConfig(grid, mod, _varying_coeffs(), payoff.put(1.0),
-                      theta=0.5, mode="projected")
+                      mode="projected")
     got, ws = solver._march(cfg, None, None)
-    assert len(ws._stencil_cache) == 2 and len(ws._factor_cache) == 1
-    for name in ("local_stencil", "factor"):
-        def fresh(self, t, real=getattr(solver._Workspace, name)):
-            self._stencil_cache, self._factor_cache = {}, {}
-            return real(self, t)
-        monkeypatch.setattr(solver._Workspace, name, fresh)
+    assert len(ws._factor_cache) == 1
+
+    def fresh(self, t, real=solver._Workspace.factor):
+        self._factor_cache = {}
+        return real(self, t)
+    monkeypatch.setattr(solver._Workspace, "factor", fresh)
     want, _ = solver._march(cfg, None, None)
     np.testing.assert_array_equal(got, want)
 
