@@ -8,9 +8,10 @@ Subcommands::
 
 ``solve`` runs the configured problem and writes the artifact set; exit
 status 0 means every invariant check passed, 2 a configuration error,
-3 an invariant violation (the failing check is printed).  ``compare``
-prints the probe table of solver values against the available reference
-prices.  ``selftest`` runs the quick built-in suite.
+3 an invariant violation (each failing check is printed with its
+observed value and bound).  ``compare`` prints the probe table of
+solver values against the available reference prices.  ``selftest``
+runs the quick built-in suite.
 
 Set ``JUMPSTOP_THREADS`` to pin the BLAS/OpenMP thread count; it is
 applied before the numerical stack loads.

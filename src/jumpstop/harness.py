@@ -13,7 +13,8 @@ surface and free boundary as CSV, machine-checkable diagnostics as JSON,
 the effective config, and a short text summary.  Nothing time- or
 host-dependent goes into the files, so identical config and seed give
 byte-identical artifacts.  Exit status: 0 all checks passed, 2 config
-error, 3 invariant violation (the failing check is named).
+error, 3 invariant violation (each failing check is named with its
+observed value and bound).
 """
 
 from __future__ import annotations
@@ -692,11 +693,15 @@ def _write_summary(path: Path, rc: RunConfig, cfg: SolveConfig,
         lines.append(f"eps deltas: {trace} (final eps={report.eps_final})")
     n_pass = sum(1 for v in bundle["checks"].values() if v.passed)
     lines.append(f"checks: {n_pass}/{len(bundle['checks'])} passed")
-    for name in bundle["failed"]:
-        res = bundle["checks"][name]
-        lines.append(f"FAILED {name}: observed {res.observed:.6g} "
-                     f"vs bound {res.bound:.6g}")
+    lines += [f"FAILED {failure}" for failure in _failures(bundle)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _failures(bundle: dict) -> list[str]:
+    """``name: observed ... vs bound ...`` for each failed check."""
+    checks = bundle["checks"]
+    return [f"{name}: observed {checks[name].observed:.6g} "
+            f"vs bound {checks[name].bound:.6g}" for name in bundle["failed"]]
 
 
 def _write_artifacts(rc: RunConfig, cfg: SolveConfig, bundle: dict) -> Path:
@@ -744,7 +749,7 @@ def run(config_path, out_dir=None, seed=None, refine: int = 0,
     where = _write_artifacts(rc, cfg, bundle)
     print(f"artifacts written to {where}", file=stream)
     if bundle["failed"]:
-        print(f"invariant violation: {', '.join(bundle['failed'])}",
+        print(f"invariant violation: {'; '.join(_failures(bundle))}",
               file=stream)
         return 3
     print(f"all {len(bundle['checks'])} checks passed", file=stream)

@@ -25,10 +25,12 @@ exponents -- for every family except that NIG moments fall back to
 :func:`integrate_density`: adaptive Gauss-Kronrod quadrature on panels
 refining geometrically toward the singular point.
 
-``scipy`` is imported inside the functions that use it, so a run loads
-only what its family needs: ``scipy.special`` (incomplete gamma, Bessel
-``K1``) for tempered stable, CGMY, variance gamma and NIG, and
-``scipy.integrate`` (which pulls in ``scipy.optimize``) only in
+``scipy`` is loaded inside the functions that use it, so a run loads
+only what its family needs: the compiled ufunc module
+``scipy.special._special_ufuncs`` (incomplete gamma, ``E1``, ``zeta - 1``,
+Bessel ``K1``), without the ``scipy.special`` package, for tempered
+stable, CGMY, variance gamma and NIG (see :mod:`jumpstop._scipy_ext`),
+and ``scipy.integrate`` (which pulls in ``scipy.optimize``) only in
 :func:`integrate_density`, reached by NIG tails.  Merton and Kou load
 neither.
 """
@@ -42,6 +44,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from ._scipy_ext import _load
 from .errors import DomainError, NumericalError, ParameterError, UnsupportedOperation
 
 __all__ = [
@@ -67,6 +70,10 @@ QUAD_REL_TOL = 1e-10
 
 #: inner cutoff below which a frozen power-law floor replaces quadrature
 _FLOOR = 1e-14
+
+#: the compiled module behind scipy.special's gamma, gammaincc, exp1,
+#: zetac and k1e
+_UFUNCS = "scipy.special._special_ufuncs"
 
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -269,7 +276,7 @@ def _density_array(model: LevyModel, y: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return p["c"] / ay * np.exp(-rate * ay)
     if model.family == "nig":
-        from scipy import special  # local import; see the module docstring
+        special = _load(_UFUNCS)
         # scaled Bessel keeps exp(skew*y)*K1(shape*|y|) finite for large |y|
         with np.errstate(divide="ignore", over="ignore"):
             return (p["scale"] * p["shape"] / math.pi) \
@@ -412,7 +419,7 @@ def _upper_gamma(s: float, x: float) -> float:
     """
     if x <= 0.0:
         raise ParameterError("upper incomplete gamma needs x > 0")
-    from scipy import special  # local import; see the module docstring
+    special = _load(_UFUNCS)
     if s > 0.0:
         return float(special.gammaincc(s, x) * special.gamma(s))
     if s == 0.0:
@@ -463,7 +470,7 @@ def _upper_gamma_near_zero(s: float, x: float) -> float:
     (DLMF 5.7.3).  Against 40-digit values it is within 1e-14 relative;
     at ``s = 0`` it gives ``E1(x)``.
     """
-    from scipy import special  # local import; see the module docstring
+    special = _load(_UFUNCS)
     k = np.arange(2.0, 32.0)   # (zeta(k)-1) |s|^(k-1) < 2^(2-3k): rounding by k = 20
     lgamma_1p = (-math.log1p(s) / s + 1.0 - np.euler_gamma
                  - float(np.sum(special.zetac(k) * (-s) ** (k - 1.0) / k)))
@@ -483,7 +490,7 @@ def _ts_power_integral(c: float, a: float, lam: float, k: float,
     if lo <= 0.0:
         if s <= 0.0:
             raise UnsupportedOperation("divergent small-jump integral")
-        from scipy import special  # local import; see the module docstring
+        special = _load(_UFUNCS)
         lo_term = float(special.gamma(s))
     else:
         lo_term = _upper_gamma(s, lam * lo)
@@ -725,7 +732,7 @@ def _nig_small_jump_drift(shape: float, skew: float, scale: float) -> float:
     Gauss-Legendre rule in ``t`` is accurate to rounding (checked against
     50-digit values for shapes 1.5 to 80).
     """
-    from scipy import special  # local import; see the module docstring
+    special = _load(_UFUNCS)
     t = 0.5 * (_GL64_NODES + 1.0)
     x = t ** 3
     f = np.sinh(skew * x) * np.exp(-shape * x) * special.k1e(shape * x) \

@@ -9,7 +9,9 @@ by backward Euler, as one 7-band matrix ``I - dt (L_local + L_core)``
 factored once per stencil with LAPACK ``dgbtrf``; the core's reads of
 the ghost nodes at the new level enter the right-hand side.  The far
 jumps, their ghost term, the compensator and the penalty are explicit at
-the old level.
+the old level.  ``dgbtrf`` and ``dgbtrs`` come from the compiled
+``scipy.linalg._flapack`` loaded on its own (:mod:`jumpstop._scipy_ext`),
+so a solve never imports the ``scipy.linalg`` package.
 
 Three modes:
 
@@ -34,12 +36,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-# perfbench/tracing.py wraps solver.solve_banded by name; the march solves
-# through the LAPACK factorization below instead
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import generator, levy, penalty as penalty_mod
+from ._scipy_ext import _load
 from .errors import ConfigError, NumericalError, ParameterError
 from .generator import NonlocalOperator
 from .grids import (CoefficientField, GridFunction, PayoffGhosts,
@@ -47,6 +46,19 @@ from .grids import (CoefficientField, GridFunction, PayoffGhosts,
 from .levy import LevyModel
 from .payoff import PayoffSpec, mollify
 from .penalty import PenaltySpec
+
+_flapack = _load("scipy.linalg._flapack")
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+
+
+def __getattr__(name):
+    # perfbench/tracing.py still wraps solver.solve_banded by name, so that
+    # one name resolves here, loading scipy.linalg only when it is asked
+    # for; ROADMAP item 1 retargets the tracer and then deletes this shim
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SolveConfig",

@@ -706,6 +706,25 @@ def test_cli_solve_slowly_tempered_kou_projected_names_the_failure(
     assert "Traceback" not in out
 
 
+def test_failed_check_line_gives_observed_value_and_bound(tmp_path):
+    # the default penalized schedule misses the binomial gate (1e-3)
+    cfg_path = make_config(tmp_path, numerics={"mode": "penalized"})
+    log = io.StringIO()
+    assert harness.run(cfg_path, out_dir=tmp_path / "out", stream=log) == 3
+    line = log.getvalue().strip().splitlines()[-1]
+    checks = json.loads(
+        (tmp_path / "out" / "diagnostics.json").read_text())["checks"]
+    failed = {name: c for name, c in checks.items() if not c["passed"]}
+    assert "oracle_binomial" in failed
+    assert line.startswith("invariant violation: ")
+    parts = line.removeprefix("invariant violation: ").split("; ")
+    assert sorted(parts) == sorted(
+        f"{name}: observed {c['observed']:.6g} vs bound {c['bound']:.6g}"
+        for name, c in failed.items())
+    assert checks["oracle_binomial"]["observed"] > \
+        checks["oracle_binomial"]["bound"] == pytest.approx(1e-3)
+
+
 def test_cli_missing_config_exits_2(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
