@@ -14,7 +14,7 @@ the effective config, and a short text summary.  Nothing time- or
 host-dependent goes into the files, so identical config and seed give
 byte-identical artifacts.  Exit status: 0 all checks passed, 2 config
 error, 3 invariant violation (each failing check is named with its
-observed value and bound).
+observed value, bound and layer).
 """
 
 from __future__ import annotations
@@ -576,27 +576,28 @@ def _jsonable(obj):
 
 def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
                    bundle: dict) -> None:
-    """One row per node and natural time level; each column is formatted
-    once and the rows are zipped together, one time level at a time.
+    """One row per window node (``grid.interior``) and natural time level;
+    columns are formatted once and zipped together, one level at a time.
 
     Where ``u`` equals the payoff bit for bit (the stopping region of a
     projected solve) the payoff's string is reused.  That saves a
     ``repr`` per such cell but costs a fixed gather per level, about the
     ``repr`` of an eighth of a level, so it is taken only on levels where
-    at least that share of the cells match.
+    at least that share of the window's cells match.
     """
     grid = cfg.grid
-    u = bundle["u"].values
-    g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
-    xs = [repr(x) for x in grid.nodes.tolist()]
+    window = grid.interior
+    u = bundle["u"].values[window]
+    g = np.asarray(cfg.payoff(grid.nodes), dtype=float)[window]
+    xs = [repr(x) for x in grid.nodes[window].tolist()]
     gs = [repr(v) for v in g.tolist()]
     gs_obj = np.array(gs, dtype=object)
     # bit patterns, not floats: -0.0 == 0.0, but their reprs differ
     same = u.view(np.int64) == g.view(np.int64)[:, None]
-    reuse = 8 * same.sum(axis=0) >= grid.nx + 1
+    reuse = 8 * same.sum(axis=0) >= len(xs)
     regions = bundle["regions"]
     marks = None if regions is None else \
-        np.where(regions.labels == 1, "C", "S")
+        np.where(regions.labels[window] == 1, "C", "S")
     with path.open("w") as fh:
         fh.write("x,t,u,g,region\n")
         for m, t in enumerate(grid.times.tolist()):
@@ -697,11 +698,27 @@ def _write_summary(path: Path, rc: RunConfig, cfg: SolveConfig,
     path.write_text("\n".join(lines) + "\n")
 
 
+# the layer behind each check's observed value; a projected "obstacle"
+# is diagnostics.check_no_dip's, which raises before it could fail here
+_CHECK_LAYERS = {
+    **dict.fromkeys(["lower_bound", "upper_bound", "obstacle",
+                     "penalty_lower", "penalty_upper", "gradient_spread"],
+                    "diagnostics.lemma_suite"),
+    "residual_lower": "solver.residual_vi",
+    "residual_bound": "solver.residual_vi",
+    "eps_deltas_decreasing": "solver.solve_vi",
+    "oracle_binomial": "oracles.binomial_put",
+    "oracle_series": "oracles.merton_put",
+    "mc_dominance": "mc.stopping_lower_bound",
+}
+
+
 def _failures(bundle: dict) -> list[str]:
-    """``name: observed ... vs bound ...`` for each failed check."""
+    """``name: observed ... vs bound ... (layer ...)`` per failed check."""
     checks = bundle["checks"]
     return [f"{name}: observed {checks[name].observed:.6g} "
-            f"vs bound {checks[name].bound:.6g}" for name in bundle["failed"]]
+            f"vs bound {checks[name].bound:.6g} "
+            f"(layer {_CHECK_LAYERS[name]})" for name in bundle["failed"]]
 
 
 def _write_artifacts(rc: RunConfig, cfg: SolveConfig, bundle: dict) -> Path:

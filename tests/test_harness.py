@@ -190,11 +190,13 @@ def test_run_writes_full_artifact_set(tmp_path):
 
     surface = (out / "surface.csv").read_text().splitlines()
     assert surface[0] == "x,t,u,g,region"
-    assert len(surface) == 1 + 101 * 101
+    # the window [-0.5, 0.5] holds 25 of the 101 nodes, -0.48 to 0.48
+    # (h = 0.04); the pad is solved but not written
+    assert len(surface) == 1 + 25 * 101
     labels = {line.rsplit(",", 1)[1] for line in surface[1:]}
     assert labels == {"C", "S"}
     # at expiry u == g, so every node where stopping pays is contact
-    expiry = [line.split(",") for line in surface[-101:]]
+    expiry = [line.split(",") for line in surface[-25:]]
     assert {t for _, t, _, _, _ in expiry} == {"1.0"}
     assert all(region == "S" for _, _, _, g, region in expiry
                if float(g) > 0.0)
@@ -323,12 +325,13 @@ def test_surface_writer_reuses_payoff_strings_bit_for_bit(tmp_path):
         {**BASE, "numerics": {"nx": 40, "nt": 6, "mode": "projected"}})
     cfg = rc.build_solve_config()
     x = cfg.grid.nodes
+    window = np.flatnonzero(cfg.grid.interior)  # 11 of 41 nodes
     g = np.asarray(cfg.payoff(x), dtype=float)
     rng = np.random.default_rng(4)
     u = g[:, None] + rng.random((x.size, cfg.grid.nt + 1))
-    u[:20, 1:4] = g[:20, None]          # 20 of 41 cells match
+    u[:window[5], 1:4] = g[:window[5], None]   # 5 of 11 window cells match
     u[g == 0.0, 2] = -0.0
-    u[:3, 5] = g[:3]                     # too few to reuse
+    u[window[0], 5] = g[window[0]]              # too few to reuse
     labels = (u > g[:, None]).astype(np.int8)
     bundle = {"u": GridFunction(cfg.grid, u, payoff=cfg.payoff),
               "regions": diagnostics.RegionPartition(labels, [], 0.0)}
@@ -337,10 +340,41 @@ def test_surface_writer_reuses_payoff_strings_bit_for_bit(tmp_path):
     expected = ["x,t,u,g,region"] + [
         f"{xs[i]!r},{t!r},{us[i][m]!r},{gs[i]!r},{'SC'[labels[i, m]]}"
         for m, t in enumerate(cfg.grid.times.tolist())
-        for i in range(x.size)]
+        for i in window]
     text = (tmp_path / "surface.csv").read_text()
     assert text.splitlines() == expected
     assert ",-0.0,0.0," in text
+
+
+def test_surface_rows_are_the_window_nodes_of_the_full_surface(tmp_path):
+    # h = 3.5 / 300 puts the window edges between nodes: grid.interior
+    # alone picks the rows, and each is the row the full grid would give
+    cfg_path = make_config(tmp_path, problem={"family": "merton",
+                                              "jump_params": [1.5, -0.05,
+                                                              0.25]},
+                           numerics={"nx": 300, "nt": 20})
+    out = tmp_path / "out"
+    assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+    rc = harness.RunConfig.from_path(cfg_path)
+    cfg = rc.build_solve_config()
+    bundle = harness._execute(rc, cfg)
+    grid = cfg.grid
+    x, times = grid.nodes, grid.times.tolist()
+    assert not np.isin([-0.5, 0.5], x).any()
+    xs = x.tolist()
+    g = np.asarray(cfg.payoff(x), dtype=float).tolist()
+    u = bundle["u"].values.tolist()
+    labels = bundle["regions"].labels
+    full = {(repr(xs[i]), repr(t)):
+            f"{xs[i]!r},{t!r},{u[i][m]!r},{g[i]!r},{'SC'[labels[i, m]]}"
+            for m, t in enumerate(times) for i in range(x.size)}
+    rows = (out / "surface.csv").read_text().splitlines()[1:]
+    assert {row.split(",", 1)[0] for row in rows} == \
+        {repr(v) for v in x[grid.interior].tolist()}
+    assert len(rows) == grid.interior.sum() * len(times)
+    for row in rows:
+        xr, tr, _ = row.split(",", 2)
+        assert row == full[xr, tr]
 
 
 def test_smooth_fit_is_reported_for_projected_runs_only(tmp_path):
@@ -719,10 +753,29 @@ def test_failed_check_line_gives_observed_value_and_bound(tmp_path):
     assert line.startswith("invariant violation: ")
     parts = line.removeprefix("invariant violation: ").split("; ")
     assert sorted(parts) == sorted(
-        f"{name}: observed {c['observed']:.6g} vs bound {c['bound']:.6g}"
+        f"{name}: observed {c['observed']:.6g} vs bound {c['bound']:.6g} "
+        f"(layer {harness._CHECK_LAYERS[name]})"
         for name, c in failed.items())
+    assert harness._CHECK_LAYERS["oracle_binomial"] == "oracles.binomial_put"
     assert checks["oracle_binomial"]["observed"] > \
         checks["oracle_binomial"]["bound"] == pytest.approx(1e-3)
+
+
+def test_every_check_has_a_layer():
+    # a failed-check line names the layer from harness._CHECK_LAYERS
+    seen = set()
+    for mode, family, jumps in [("penalized", "none", []),
+                                ("projected", "none", []),
+                                ("european", "merton", [1.5, -0.05, 0.25])]:
+        rc = harness.RunConfig.from_dict({
+            **BASE, "problem": {**BASE["problem"], "family": family,
+                                "jump_params": jumps},
+            "numerics": {"nx": 40, "nt": 20, "mode": mode},
+            "oracle": {"probes": [0.0], "mc_paths": 10000, "mc_steps": 4}})
+        seen |= set(harness._execute(rc, rc.build_solve_config())["checks"])
+    assert {"eps_deltas_decreasing", "penalty_lower", "residual_bound",
+            "oracle_binomial", "oracle_series", "mc_dominance"} <= seen
+    assert seen <= set(harness._CHECK_LAYERS)
 
 
 def test_cli_missing_config_exits_2(tmp_path):
