@@ -170,10 +170,18 @@ def smooth_fit_gap(u: GridFunction, regions: RegionPartition,
             right = (-3.0 * col[i + 1] + 4.0 * col[i + 2] - col[i + 3]) \
                 / (2.0 * h)
             gaps.append((n, float(xb), float(abs(left - right))))
-    all_gaps = [gp for _, _, gp in gaps]
-    max_gap = max(all_gaps, default=0.0)
-    median_gap = float(np.median(all_gaps)) if all_gaps else 0.0
-    return SmoothFitReport(max_gap=max_gap, median_gap=median_gap,
+    all_gaps = sorted(gp for _, _, gp in gaps)
+    # np.median's value bit for bit, without the numpy.ma import it makes
+    # on its first call: the middle gap, or the mean of the middle two
+    mid = len(all_gaps) // 2
+    if not all_gaps:
+        median_gap = 0.0
+    elif len(all_gaps) % 2:
+        median_gap = all_gaps[mid]
+    else:
+        median_gap = (all_gaps[mid - 1] + all_gaps[mid]) / 2
+    return SmoothFitReport(max_gap=max(all_gaps, default=0.0),
+                           median_gap=median_gap,
                            gaps=tuple(gaps), grad_max=grad_max,
                            unreliable=unreliable)
 

@@ -16,9 +16,11 @@ step draws one normal per path, then the jumps of all paths together:
 one pooled Poisson count, a uniform owner per jump, and one uniform
 level per jump that picks both the side and the size.  The number of
 jump draws thus follows the number of jumps, not ``n_paths * n_steps``.
-Sizes come from a guide table over the tabulated cumulative mass (equal
-mass buckets, each naming a panel), which finds the panel in O(1) and
-reproduces ``np.interp`` on the table bit for bit.
+Sizes come from a table of equal-mass level buckets over the tabulated
+cumulative mass.  Each bucket names the one panel that holds all its
+levels strictly inside, so a size is one O(1) lookup and ``np.interp``'s
+own formula on that panel, bit for bit; the few buckets that span
+panels send their levels to ``np.interp`` itself.
 
 With constant coefficients the increment over a horizon has the law of
 one such step over all of it: the normal, the drift and the pooled
@@ -53,7 +55,8 @@ EXACT_FAMILIES = ("none", "merton", "kou")
 DEFAULT_SPLIT = 0.01
 DEFAULT_INTENSITY_CAP = 1e6
 _TABLE_PANELS = 4096
-_GUIDE_BUCKETS = 1 << 16
+_BUCKETS = 1 << 17
+_BUILD_BLOCK = 1 << 13
 _TAIL_TOL = 1e-10
 _MIN_POLICY_PATHS = 10_000
 
@@ -80,13 +83,15 @@ class _JumpTable:
     draw thus picks both the side and the inverse-CDF level, each with
     its law.
 
-    The panels of both sides, positive first, carry ``offset`` (0 or
-    ``mass_plus``), their left ``cdf`` node ``lo``, their right node
-    ``upper`` (-inf where the slope is not finite, so that the bracket
-    check fails there), and the slope and left magnitude with the side's
-    sign folded in.  Level bucket ``j`` covers
-    ``[j, j+1) * rate / _GUIDE_BUCKETS``, and ``guide[j]`` is the panel
-    holding its lower edge.
+    The panels of both sides, positive first, carry their left ``cdf``
+    node ``lo``, and the slope and left magnitude with the side's sign
+    folded in; one more panel after them has a NaN slope.  Level bucket
+    ``j`` holds the levels with ``int(w * scale) == j`` (the last bucket
+    also every level above), and ``panel[j]`` names the panel that holds
+    all of them strictly inside, or else the NaN panel: the bucket spans
+    two panels or both sides, lies on a panel of infinite slope, or is
+    the last.  The index is the smallest unsigned type that holds it, so
+    the bucket table is 256 KiB for two sides of 4,096 panels.
     """
 
     mass_plus: float
@@ -94,56 +99,76 @@ class _JumpTable:
     mag_plus: np.ndarray
     cdf_minus: np.ndarray
     mag_minus: np.ndarray
-    offset: np.ndarray
+    panel: np.ndarray
     lo: np.ndarray
-    upper: np.ndarray
     slope: np.ndarray
     base: np.ndarray
-    guide: np.ndarray
+    n_plus: int
     scale: float
 
     @classmethod
     def build(cls, plus: tuple, minus: tuple) -> "_JumpTable":
         (mass_p, cdf_p, mag_p), (mass_m, cdf_m, mag_m) = plus, minus
-        n_panels = cdf_p.size - 1
+        n_p = cdf_p.size - 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope_p = np.diff(mag_p) / np.diff(cdf_p)
-            slope_m = np.diff(mag_m) / np.diff(cdf_m)
-        slope = np.concatenate([slope_p, -slope_m])
-        upper = np.where(np.isfinite(slope),
-                         np.concatenate([cdf_p[1:], cdf_m[1:]]), -np.inf)
-        rate = mass_p + mass_m
-        edges = np.arange(_GUIDE_BUCKETS) * (rate / _GUIDE_BUCKETS)
-        in_p = np.searchsorted(cdf_p, edges, side="right") - 1
-        in_m = np.searchsorted(cdf_m, edges - mass_p, side="right") - 1
-        guide = np.where(edges < mass_p,
-                         np.clip(in_p, 0, n_panels - 1),
-                         n_panels + np.clip(in_m, 0, n_panels - 1))
-        return cls(mass_p, cdf_p, mag_p, cdf_m, mag_m,
-                   np.repeat([0.0, mass_p], n_panels),
-                   np.concatenate([cdf_p[:-1], cdf_m[:-1]]), upper, slope,
-                   np.concatenate([mag_p[:-1], -mag_m[:-1]]),
-                   guide.astype(np.int32), _GUIDE_BUCKETS / rate)
+            slope = np.concatenate([np.diff(mag_p) / np.diff(cdf_p),
+                                    -(np.diff(mag_m) / np.diff(cdf_m)),
+                                    [np.nan]])
+        lo = np.concatenate([cdf_p[:-1], cdf_m[:-1], [0.0]])
+        hi = np.concatenate([cdf_p[1:], cdf_m[1:], [0.0]])
+        base = np.concatenate([mag_p[:-1], -mag_m[:-1], [0.0]])
+        scale = _BUCKETS / (mass_p + mass_m)
+        nan_panel = slope.size - 1
+        panel = np.empty(_BUCKETS, dtype=np.min_scalar_type(nan_panel))
+        # in blocks of buckets: one pass over the whole table held about
+        # 5 MB of temporaries, which could stay in the heap and raise
+        # the run's peak memory
+        for j0 in range(0, _BUCKETS, _BUILD_BLOCK):
+            # w * scale and the edge j / scale each round by half an ulp
+            # at most, so two ulps past each edge hold every level of the
+            # bucket: v0 <= w <= v1
+            edge = np.arange(j0, j0 + _BUILD_BLOCK + 1) / scale
+            v0 = np.nextafter(np.nextafter(edge[:-1], -np.inf), -np.inf)
+            v1 = np.nextafter(np.nextafter(edge[1:], np.inf), np.inf)
+            if j0 + _BUILD_BLOCK == _BUCKETS:
+                v1[-1] = np.inf
+            # buckets from the s-th on start at mass_plus or above, so on
+            # the negative side; one before them that reaches mass_plus
+            # is inside no positive panel, as the last one ends there
+            s = int(np.searchsorted(v0, mass_p))
+            v0[s:] -= mass_p
+            v1[s:] -= mass_p
+            k = np.concatenate([
+                np.searchsorted(cdf_p, v0[:s], side="right") - 1,
+                np.searchsorted(cdf_m, v0[s:], side="right") + (n_p - 1)])
+            np.maximum(k, 0, out=k)
+            # levels map to panel levels monotonically, so the two ends
+            # decide, and np.interp's own formula holds strictly inside a
+            # panel; a level before the first node or past the last gives
+            # panel 0 or the NaN panel, and fails the test there
+            inside = (lo[k] < v0) & (v1 < hi[k]) & np.isfinite(slope[k])
+            panel[j0:j0 + _BUILD_BLOCK] = np.where(inside, k, nan_panel)
+        return cls(mass_p, cdf_p, mag_p, cdf_m, mag_m, panel, lo, slope,
+                   base, n_p, scale)
 
     def sizes(self, w: np.ndarray) -> np.ndarray:
         """Signed sizes at levels ``w >= 0``: bit for bit
         ``np.interp(w, cdf_plus, mag_plus)`` where ``w < mass_plus`` and
         ``-np.interp(w - mass_plus, cdf_minus, mag_minus)`` elsewhere.
 
-        Where the level ``v`` satisfies ``lo <= v < upper`` on the guided
-        panel, the value is ``np.interp``'s own formula on that panel
-        (negating is exact, so the folded sign changes no bit); every
-        other level, from a bucket that spans panels or past the end of
-        the table, goes to ``np.interp`` itself.
+        The value is ``np.interp``'s own formula on the bucket's panel
+        (negating is exact, so the folded sign changes no bit); levels
+        whose bucket names the NaN panel go to ``np.interp`` itself.
         """
-        j = (w * self.scale).astype(np.intp)
-        np.minimum(j, _GUIDE_BUCKETS - 1, out=j)
-        k = self.guide[j]
-        v = w - self.offset[k]
-        lo = self.lo[k]
-        out = self.slope[k] * (v - lo) + self.base[k]
-        miss = ~((lo <= v) & (v < self.upper[k]))
-        if miss.any():
+        k = (w * self.scale).astype(np.intp)
+        np.minimum(k, _BUCKETS - 1, out=k)
+        k[...] = self.panel[k]  # bucket -> panel, in place
+        out = w - (k >= self.n_plus) * self.mass_plus
+        out -= self.lo.take(k)
+        out *= self.slope.take(k)
+        out += self.base.take(k)
+        miss = np.flatnonzero(np.isnan(out))
+        if miss.size:
             wm = w[miss]
             out[miss] = np.where(
                 wm < self.mass_plus,
@@ -287,8 +312,9 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     independent ``Poisson(rate * dt)`` counts per path with independent
     sizes, so the number of draws grows with the number of jumps, not
     with ``n_paths * n_steps``.  Sizes read the tabulated inverse CDF
-    through a guide table in O(1) per jump and equal ``np.interp`` on
-    it bit for bit.
+    through a bucket table in O(1) per jump and equal ``np.interp`` on
+    it bit for bit.  With constant coefficients the normal's scale and
+    shift are two floats computed once.
 
     Diffusion uses ``sqrt(2 a)`` so the paths match the operator
     convention ``a u'' + b u'``; the substituted small-jump variance is
@@ -307,15 +333,26 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     paths[0] = float(x0)
     jump_counts = np.zeros(n_paths, dtype=np.int64)
     sq_dt = math.sqrt(dt)
-    for n in range(n_steps):
-        x = paths[n]
-        t = times[n]
+
+    def normal_part(x, t):
+        # scale and shift of the normal draw z: dx = vol z + drift
         a = np.asarray(coeffs.a(x, t), dtype=float)
         b = np.asarray(coeffs.b(x, t), dtype=float)
-        # the next row holds dx = (b - c) dt + vol sqrt(dt) z, then x + dx
+        return (np.sqrt(2.0 * a + scheme.small_var) * sq_dt,
+                (b - scheme.comp_drift) * dt)
+    if coeffs.constant:
+        # one value through the same IEEE operations is every element of
+        # the per-step arrays
+        vol, drift = (float(v.flat[0])
+                      for v in normal_part(paths[0, :1], times[0]))
+    for n in range(n_steps):
+        x = paths[n]
+        if not coeffs.constant:
+            vol, drift = normal_part(x, times[n])
+        # the next row holds dx, then x + dx
         dx = rng.standard_normal(n_paths, out=paths[n + 1])
-        dx *= np.sqrt(2.0 * a + scheme.small_var) * sq_dt
-        dx += (b - scheme.comp_drift) * dt
+        dx *= vol
+        dx += drift
         if scheme.rate > 0.0:
             total = int(rng.poisson(scheme.rate * dt * n_paths))
             if total:
@@ -366,27 +403,27 @@ def european_estimate(batch: PathBatch, g: Callable, r) -> MCEstimate:
     return MCEstimate(price, stderr)
 
 
-def _fit_policy(xa: np.ndarray, times: np.ndarray, g: Callable, r,
+def _fit_policy(ya: np.ndarray, times: np.ndarray, g: Callable, r,
                 degree: int) -> tuple[list, float, int]:
     """Backward regression pass: per-step continuation-value fits.
 
-    Returns the fitted polynomial per decision step (None where too few
-    paths are in the money or the fit is rank-deficient), the estimated
-    continuation value at the start, and the count of rank-deficient
-    steps.
+    ``ya`` is time-major, one row of states per time level.  Returns the
+    fitted polynomial per decision step (None where too few paths are in
+    the money or the fit is rank-deficient), the estimated continuation
+    value at the start, and the count of rank-deficient steps.
     """
-    width = xa.shape[1]
-    n_steps = width - 1
-    cash = np.asarray(g(xa[:, -1]), dtype=float).copy()
+    width = ya.shape[0]
+    cash = np.asarray(g(ya[-1]), dtype=float).copy()
     polys: list = [None] * width
     singular = 0
-    for n in range(n_steps - 1, 0, -1):
-        cash *= np.exp(-_step_discount(r, xa[:, n], times, n))
-        gn = np.asarray(g(xa[:, n]), dtype=float)
-        itm = gn > 0.0
-        if int(itm.sum()) < degree + 2:
+    for n in range(width - 2, 0, -1):
+        x = ya[n]
+        cash *= np.exp(-_step_discount(r, x, times, n))
+        gn = np.asarray(g(x), dtype=float)
+        itm = np.flatnonzero(gn > 0.0)
+        if itm.size < degree + 2:
             continue
-        x_itm = xa[itm, n]
+        x_itm = x[itm]
         lo, hi = float(x_itm.min()), float(x_itm.max())
         if hi - lo < 1e-12:
             singular += 1
@@ -397,40 +434,48 @@ def _fit_policy(xa: np.ndarray, times: np.ndarray, g: Callable, r,
         if rank < degree + 1:
             singular += 1
             continue
-        cont = design @ coef
-        take = gn[itm] >= cont
-        cash[itm] = np.where(take, gn[itm], cash[itm])
+        g_itm = gn[itm]
+        take = g_itm >= design @ coef
+        cash[itm[take]] = g_itm[take]
         polys[n] = (coef, lo, hi)
-    cash *= np.exp(-_step_discount(r, xa[:, 0], times, 0))
+    cash *= np.exp(-_step_discount(r, ya[0], times, 0))
     return polys, float(cash.mean()), singular
 
 
-def _run_policy(xb: np.ndarray, times: np.ndarray, g: Callable, r,
+def _run_policy(yb: np.ndarray, times: np.ndarray, g: Callable, r,
                 polys: list, degree: int) -> np.ndarray:
-    """Discounted reward of each path under the fitted exercise rule."""
-    n_paths, width = xb.shape
-    n_steps = width - 1
-    alive = np.ones(n_paths, dtype=bool)
+    """Discounted reward of each path under the fitted exercise rule.
+
+    ``yb`` is time-major.  ``live`` indexes the paths that have not
+    stopped, and the running discount ``cum`` and the states ``x`` are
+    kept for those paths only, in the same order.
+    """
+    width, n_paths = yb.shape
     vals = np.zeros(n_paths)
+    live = np.arange(n_paths)
     cum = np.zeros(n_paths)
-    for n in range(1, n_steps + 1):
-        cum += _step_discount(r, xb[:, n - 1], times, n - 1)
+    x = yb[0]
+    for n in range(1, width):
+        cum += _step_discount(r, x, times, n - 1)
+        x = yb[n][live]
         rule = polys[n]  # None at expiry: the fit never reaches n_steps
         if rule is None:
             continue
         coef, lo, hi = rule
-        gn = np.asarray(g(xb[:, n]), dtype=float)
-        itm = alive & (gn > 0.0)
-        if not itm.any():
+        gn = np.asarray(g(x), dtype=float)
+        itm = np.flatnonzero(gn > 0.0)
+        if not itm.size:
             continue
-        xs = (2.0 * xb[itm, n] - (lo + hi)) / (hi - lo)
+        xs = (2.0 * x[itm] - (lo + hi)) / (hi - lo)
         cont = np.polynomial.polynomial.polyvander(xs, degree) @ coef
-        stop = np.zeros(n_paths, dtype=bool)
-        stop[itm] = gn[itm] >= cont
-        vals[stop] = np.exp(-cum[stop]) * gn[stop]
-        alive &= ~stop
-    vals[alive] = np.exp(-cum[alive]) * \
-        np.asarray(g(xb[alive, -1]), dtype=float)
+        stop = itm[gn[itm] >= cont]
+        if not stop.size:
+            continue
+        vals[live[stop]] = np.exp(-cum[stop]) * gn[stop]
+        keep = np.ones(live.size, dtype=bool)
+        keep[stop] = False
+        live, cum, x = live[keep], cum[keep], x[keep]
+    vals[live] = np.exp(-cum) * np.asarray(g(x), dtype=float)
     return vals
 
 
@@ -453,8 +498,11 @@ def stopping_lower_bound(batch: PathBatch, g: Callable, r,
             f"got {batch.n_paths}")
     if not 1 <= basis_degree <= 10:
         raise ParameterError("basis_degree must lie in [1, 10]")
-    xa, xb = batch.states[::2], batch.states[1::2]
-    polys, start, singular = _fit_policy(xa, batch.times, g, r,
+    # time-major views of the two halves: row n holds their states at
+    # times[n], and nothing is copied
+    rows = batch.states.T
+    ya, yb = rows[:, ::2], rows[:, 1::2]
+    polys, start, singular = _fit_policy(ya, batch.times, g, r,
                                          basis_degree)
     flag = ""
     if singular:
@@ -463,8 +511,8 @@ def stopping_lower_bound(batch: PathBatch, g: Callable, r,
     g0 = float(np.asarray(g(np.array([batch.x0])), dtype=float)[0])
     if g0 > 0.0 and g0 >= start:
         return MCEstimate(g0, 0.0, flag)
-    vals = _run_policy(xb, batch.times, g, r, polys, basis_degree)
+    vals = _run_policy(yb, batch.times, g, r, polys, basis_degree)
     price = float(vals.mean())
-    stderr = (float(vals.std(ddof=1)) / math.sqrt(xb.shape[0])
-              if xb.shape[0] > 1 else 0.0)
+    stderr = (float(vals.std(ddof=1)) / math.sqrt(vals.size)
+              if vals.size > 1 else 0.0)
     return MCEstimate(price, stderr, flag)

@@ -8,7 +8,8 @@ own (``jumpstop._scipy_ext``), without the ``scipy.linalg`` or
 ``scipy.special`` packages, whose Python layers pull in
 ``scipy._lib._array_api``, ``numpy.testing`` and ``numpy.f2py``.
 ``scipy.integrate`` (which pulls in ``scipy.optimize``) loads only for
-NIG quadrature.  Each check reads ``sys.modules`` of one fresh
+NIG quadrature.  ``numpy.ma``, which ``np.median`` imports on its first
+call, loads at no stage.  Each check reads ``sys.modules`` of one fresh
 interpreter, stage by stage: modules only accumulate, so a module missing
 after a stage was loaded by no earlier stage either.  A second
 interpreter makes the direct load fail and checks that the public
@@ -41,7 +42,8 @@ _SCRIPT = r"""
 import io, json, sys
 WATCH = ("scipy.linalg", "scipy.linalg._flapack", "scipy.special",
          "scipy.special._special_ufuncs", "scipy._lib._array_api",
-         "scipy.integrate", "scipy.optimize", "numpy.testing", "numpy.f2py")
+         "scipy.integrate", "scipy.optimize", "numpy.testing", "numpy.f2py",
+         "numpy.ma")
 stages = {}
 
 def mark(name, **extra):

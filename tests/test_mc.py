@@ -5,8 +5,11 @@ put prices, a 5000-step binomial tree, Poisson/Gaussian moments); random
 comparisons use fixed seeds and 4-standard-error windows.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from jumpstop import levy, mc, payoff
 from jumpstop.errors import ParameterError
@@ -141,6 +144,87 @@ def test_guided_inverse_cdf_is_np_interp_bit_for_bit(model):
             cdf, np.nextafter(cdf[1:], 0.0), mass + second[1]])
         for w in (rng.random(1_000_000) * rate, edges):
             assert np.array_equal(tab.sizes(w), _interp_sizes(tab, w))
+
+
+@st.composite
+def side_tables(draw):
+    """One side's ``(mass, cdf, mag)``: monotone, with flat panels (equal
+    sizes), vertical ones (no mass) or no mass at all."""
+    n = draw(st.integers(1, 40))
+    steps = st.one_of(st.just(0.0), st.floats(1e-6, 2.0))
+    if draw(st.booleans()):
+        cdf = np.cumsum([0.0] + draw(st.lists(steps, min_size=n,
+                                              max_size=n)))
+    else:
+        cdf = np.zeros(n + 1)
+    mag = draw(st.floats(0.0, 0.5)) + np.cumsum(
+        [0.0] + draw(st.lists(steps, min_size=n, max_size=n)))
+    return float(cdf[-1]), cdf, mag
+
+
+@settings(max_examples=60, deadline=None)
+@given(plus=side_tables(), minus=side_tables(), seed=st.integers(0, 2**32))
+def test_bucket_table_is_np_interp_bit_for_bit(plus, minus, seed):
+    rate = plus[0] + minus[0]
+    assume(rate > 0.0)
+    tab = mc._JumpTable.build(plus, minus)
+    # every bucket edge and its neighbours, the side switch and the end
+    edge = np.arange(mc._BUCKETS + 1) / tab.scale
+    special = np.array([0.0, plus[0], rate])
+    levels = np.concatenate([
+        edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
+        special, np.nextafter(special, np.inf),
+        np.nextafter(special, -np.inf)[1:],
+        np.random.default_rng(seed).random(20_000) * rate])
+    assert np.array_equal(tab.sizes(levels), _interp_sizes(tab, levels))
+
+
+def _reference_simulate(model, coeffs, x0, T, n_paths, n_steps, seed):
+    """A plain Euler loop in the documented draw order: per-step
+    coefficient arrays, jump sizes from ``np.interp`` on the table."""
+    scheme = mc._build_scheme(model, None, mc.DEFAULT_INTENSITY_CAP)
+    rng = np.random.Generator(np.random.Philox(seed))
+    dt = T / n_steps
+    times = np.linspace(0.0, T, n_steps + 1)
+    rows = [np.full(n_paths, float(x0))]
+    counts = np.zeros(n_paths, dtype=np.int64)
+    for n in range(n_steps):
+        x = rows[-1]
+        a, b = coeffs.a(x, times[n]), coeffs.b(x, times[n])
+        vol = np.sqrt(2.0 * a + scheme.small_var) * math.sqrt(dt)
+        dx = rng.standard_normal(n_paths) * vol \
+            + (b - scheme.comp_drift) * dt
+        if scheme.rate > 0.0:
+            total = int(rng.poisson(scheme.rate * dt * n_paths))
+            owner = rng.integers(n_paths, size=total)
+            w = rng.random(total) * scheme.rate
+            np.add.at(dx, owner, _interp_sizes(scheme.table, w))
+            counts += np.bincount(owner, minlength=n_paths)
+        rows.append(x + dx)
+    return np.stack(rows, axis=1), counts
+
+
+@pytest.mark.parametrize("model", [
+    levy.merton(1.5, -0.05, 0.25), levy.kou(4.0, 0.3, 10.0, 5.0),
+    levy.nig(6.0, -1.0, 0.3),
+    levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0),
+    levy.merton(0.0, -0.05, 0.25)],
+    ids=["merton", "kou", "nig", "ts", "zero_intensity"])
+@pytest.mark.parametrize("constant", [True, False],
+                         ids=["constants", "fields"])
+def test_simulate_is_the_reference_loop_bit_for_bit(model, constant):
+    b = R - A - levy.exp_compensator(model)
+    coeffs = CoefficientField.constants(A, b, R) if constant else \
+        CoefficientField(
+            a=lambda x, t: np.full_like(np.asarray(x, dtype=float), A),
+            b=lambda x, t: np.full_like(np.asarray(x, dtype=float), b),
+            r=lambda x, t: np.full_like(np.asarray(x, dtype=float), R))
+    assert coeffs.constant is constant
+    batch = mc.simulate(model, coeffs, 0.1, 1.0, 2000, 16, 29)
+    states, counts = _reference_simulate(model, coeffs, 0.1, 1.0, 2000,
+                                         16, 29)
+    assert np.array_equal(batch.states, states)
+    assert np.array_equal(batch.jump_counts, counts)
 
 
 @table_models
@@ -333,6 +417,117 @@ def test_degenerate_paths_fall_back_with_flag():
     g0 = float(PUT(np.array([-0.1]))[0])
     assert lb.price == pytest.approx(g0)
     assert lb.stderr == 0.0
+
+
+def _mask_fit_policy(xa, times, g, r, degree):
+    """Reference for ``mc._fit_policy``: the same backward regression
+    pass on path-major states, with boolean masks over every path."""
+    width = xa.shape[1]
+    n_steps = width - 1
+    cash = np.asarray(g(xa[:, -1]), dtype=float).copy()
+    polys = [None] * width
+    singular = 0
+    for n in range(n_steps - 1, 0, -1):
+        cash *= np.exp(-mc._step_discount(r, xa[:, n], times, n))
+        gn = np.asarray(g(xa[:, n]), dtype=float)
+        itm = gn > 0.0
+        if int(itm.sum()) < degree + 2:
+            continue
+        x_itm = xa[itm, n]
+        lo, hi = float(x_itm.min()), float(x_itm.max())
+        if hi - lo < 1e-12:
+            singular += 1
+            continue
+        xs = (2.0 * x_itm - (lo + hi)) / (hi - lo)
+        design = np.polynomial.polynomial.polyvander(xs, degree)
+        coef, _, rank, _ = np.linalg.lstsq(design, cash[itm], rcond=None)
+        if rank < degree + 1:
+            singular += 1
+            continue
+        cont = design @ coef
+        take = gn[itm] >= cont
+        cash[itm] = np.where(take, gn[itm], cash[itm])
+        polys[n] = (coef, lo, hi)
+    cash *= np.exp(-mc._step_discount(r, xa[:, 0], times, 0))
+    return polys, float(cash.mean()), singular
+
+
+def _mask_run_policy(xb, times, g, r, polys, degree):
+    """Reference for ``mc._run_policy``: reward and discount on every
+    path at every step, stopped paths masked out."""
+    n_paths, width = xb.shape
+    alive = np.ones(n_paths, dtype=bool)
+    vals = np.zeros(n_paths)
+    cum = np.zeros(n_paths)
+    for n in range(1, width):
+        cum += mc._step_discount(r, xb[:, n - 1], times, n - 1)
+        rule = polys[n]
+        if rule is None:
+            continue
+        coef, lo, hi = rule
+        gn = np.asarray(g(xb[:, n]), dtype=float)
+        itm = alive & (gn > 0.0)
+        if not itm.any():
+            continue
+        xs = (2.0 * xb[itm, n] - (lo + hi)) / (hi - lo)
+        cont = np.polynomial.polynomial.polyvander(xs, degree) @ coef
+        stop = np.zeros(n_paths, dtype=bool)
+        stop[itm] = gn[itm] >= cont
+        vals[stop] = np.exp(-cum[stop]) * gn[stop]
+        alive &= ~stop
+    vals[alive] = np.exp(-cum[alive]) * \
+        np.asarray(g(xb[alive, -1]), dtype=float)
+    return vals
+
+
+def _mask_lower_bound(monkeypatch, batch, g, r):
+    # the time-major halves transposed back are the path-major halves
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_fit_policy",
+                  lambda ya, *rest: _mask_fit_policy(ya.T, *rest))
+        m.setattr(mc, "_run_policy",
+                  lambda yb, *rest: _mask_run_policy(yb.T, *rest))
+        return mc.stopping_lower_bound(batch, g, r)
+
+
+def _ts_batch():
+    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    coeffs = CoefficientField.constants(
+        A, R - A - levy.exp_compensator(mod), R)
+    return mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 37), coeffs
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.1])
+def test_policy_matches_the_boolean_mask_policy(monkeypatch, shift):
+    batch, coeffs = _ts_batch()
+
+    def reward(y):
+        return PUT(y + shift)
+    got = mc.stopping_lower_bound(batch, reward, coeffs.r)
+    assert got == _mask_lower_bound(monkeypatch, batch, reward, coeffs.r)
+    assert got.flag == "" and got.stderr > 0.0
+
+
+def test_policy_matches_the_boolean_mask_policy_on_degenerate_paths(
+        monkeypatch):
+    batch = mc.simulate(levy.none(), degenerate_coeffs(0.0, R),
+                        -0.1, 1.0, 12_000, 16, 5)
+    got = mc.stopping_lower_bound(batch, PUT, R)
+    assert got == _mask_lower_bound(monkeypatch, batch, PUT, R)
+    assert got.flag != ""
+
+
+def test_policy_matches_the_boolean_mask_policy_with_a_state_rate(
+        monkeypatch):
+    # a rate that varies with the state: the discount read on live paths
+    # only must add up to the one read on every path
+    batch, _ = _ts_batch()
+
+    def rate(x, t):
+        return R + 0.02 * np.tanh(np.asarray(x, dtype=float) + t)
+    got = mc.stopping_lower_bound(batch, PUT, rate)
+    assert got == _mask_lower_bound(monkeypatch, batch, PUT, rate)
+    assert got.flag == "" and got.stderr > 0.0
 
 
 def test_policy_preconditions(diffusion_batch):
