@@ -76,7 +76,6 @@ __all__ = [
     "core_ghost_terms",
     "NEAR_GHOSTS",
     "apply_nonlocal_split",
-    "stability_rate",
     "operator_summary",
 ]
 
@@ -617,23 +616,9 @@ def local_form(a: np.ndarray, b: np.ndarray, ext: np.ndarray,
     return a * d2 + b * d1
 
 
-def stability_rate(op: NonlocalOperator, profile: str = "monotone") -> float:
-    """Worst explicit decay rate: far mass plus twice the second-difference
-    stencil sum / h^2.
-
-    An explicit Euler step of size ``dt`` keeps nonnegative diagonal
-    weight iff ``dt * stability_rate <= 1``.
-    """
-    _check_profile(profile)
-    h2 = op.h * op.h
-    k2 = op.core_stencil if profile == "monotone" else op.d2_kernel_accurate
-    return op.far_mass + 2.0 * float(np.abs(k2).sum()) / h2
-
-
 def operator_summary(op: NonlocalOperator) -> dict:
-    """Scalar facts about the assembled operator, for reports: the far
-    mass is the explicit rate of the jumps in a step (``rate_far``), and
-    :func:`stability_rate` is the rate with the core stepped explicitly."""
+    """Scalar facts about the assembled operator, for reports; the far
+    mass is the jumps' share of the explicit rate in a step."""
     return {
         "family": op.model.family,
         "y_core": op.y_core,
@@ -643,9 +628,6 @@ def operator_summary(op: NonlocalOperator) -> dict:
         "compensator": op.compensator,
         "core_var": op.core_var,
         "fv_core": op.fv_core,
-        "rate_far": op.far_mass,
-        "rate_monotone": stability_rate(op, "monotone"),
-        "rate_accurate": stability_rate(op, "accurate"),
     }
 
 

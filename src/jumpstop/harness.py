@@ -13,8 +13,9 @@ surface and free boundary as CSV, machine-checkable diagnostics as JSON,
 the effective config, and a short text summary.  Nothing time- or
 host-dependent goes into the files, so identical config and seed give
 byte-identical artifacts.  Exit status: 0 all checks passed, 2 config
-error, 3 invariant violation (each failing check is named with its
-observed value, bound and layer).
+error, 3 invariant violation: a failing check, named with its observed
+value, bound and layer, or a numerical failure in the solve or the Monte
+Carlo, named by its layer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 from . import diagnostics, generator, levy, mc, oracles
 from . import payoff as payoff_mod
 from .diagnostics import CheckResult
-from .errors import ConfigError, InvariantViolation, ParameterError
+from .errors import (ConfigError, InvariantViolation, NumericalError,
+                     ParameterError)
 from .grids import CoefficientField, GridFunction, SpaceTimeGrid
 from .levy import LevyModel
 from .payoff import PayoffSpec
@@ -432,6 +434,9 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
     mc_on = "mc" in names and rc.oracle.mc_paths > 0
     estimate, kind = (mc.european_estimate, "terminal") if european \
         else (mc.stopping_lower_bound, "lower_bound")
+    # a constant rate is one float, not a rate array per step and path
+    rate = float(cfg.coeffs.r(0.0, 0.0)) if cfg.coeffs.constant \
+        else cfg.coeffs.r
     for k, first in enumerate(rows):
         horizon = cfg.grid.t_final - first["t"]
         if not mc_on or horizon <= 0.0 or "mc_kind" in first:
@@ -449,7 +454,7 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
 
             def reward(y, shift=shift):
                 return cfg.payoff(y + shift)
-            est = estimate(batch, reward, cfg.coeffs.r)
+            est = estimate(batch, reward, rate)
             row.update(mc_kind=kind, mc_value=est.price, mc_stderr=est.stderr,
                        mc_steps=batch.n_steps, mc_shift=shift)
             if est.flag:
@@ -459,9 +464,10 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
 
 
 def _hard_checks(rc: RunConfig, cfg: SolveConfig, report: SolveReport,
-                 res_surface: GridFunction | None, rows: list[dict],
+                 res_stats: dict | None, rows: list[dict],
                  gap_min: float | None) -> dict:
-    """Invariant gates deciding the exit status (``gap_min``: min u - g)."""
+    """Invariant gates deciding the exit status (``res_stats``: the
+    residual's ``min`` and ``max_abs``; ``gap_min``: min u - g)."""
     grid = cfg.grid
     c = rc.numerics.lemma_constant
     tol = diagnostics.check_tolerance(grid, c)
@@ -477,17 +483,14 @@ def _hard_checks(rc: RunConfig, cfg: SolveConfig, report: SolveReport,
         deltas = report.eps_trace
         worst = max(b - a for a, b in zip(deltas, deltas[1:]))
         checks["eps_deltas_decreasing"] = CheckResult(worst < 0.0, worst, 0.0)
-    if res_surface is not None:
-        vals = res_surface.values
-        if np.isfinite(vals).any():
-            res_min = float(np.nanmin(vals))
-            res_max = float(np.nanmax(np.abs(vals)))
-            bound = _RESIDUAL_SCALE * (grid.h ** 2 + grid.dt) \
-                * max(cfg.payoff.bound, 1.0)
-            checks["residual_lower"] = CheckResult(res_min >= -tol,
-                                                   res_min, -tol)
-            checks["residual_bound"] = CheckResult(res_max <= bound,
-                                                   res_max, bound)
+    if res_stats is not None:
+        res_min, res_max = res_stats["min"], res_stats["max_abs"]
+        bound = _RESIDUAL_SCALE * (grid.h ** 2 + grid.dt) \
+            * max(cfg.payoff.bound, 1.0)
+        checks["residual_lower"] = CheckResult(res_min >= -tol,
+                                               res_min, -tol)
+        checks["residual_bound"] = CheckResult(res_max <= bound,
+                                               res_max, bound)
     for row in rows:
         if "oracle_value" in row and row.get("rel_gap") is not None:
             name = f"oracle_{row['oracle']}"
@@ -530,17 +533,18 @@ def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
         res_surface = residual_vi(report.value, cfg)
 
     rows = _probe_rows(rc, cfg, report)
-    checks = _hard_checks(rc, cfg, report, res_surface, rows, gap_min)
-    failed = sorted(k for k, v in checks.items() if not v.passed)
-
     res_stats = None
-    if res_surface is not None and np.isfinite(res_surface.values).any():
+    if res_surface is not None:
         vals = res_surface.values
-        res_stats = {
-            "max_abs": float(np.nanmax(np.abs(vals))),
-            "min": float(np.nanmin(vals)),
-            "evaluated": int(np.isfinite(vals).sum()),
-        }
+        evaluated = int(np.isfinite(vals).sum())
+        if evaluated:
+            res_stats = {
+                "max_abs": float(np.nanmax(np.abs(vals))),
+                "min": float(np.nanmin(vals)),
+                "evaluated": evaluated,
+            }
+    checks = _hard_checks(rc, cfg, report, res_stats, rows, gap_min)
+    failed = sorted(k for k, v in checks.items() if not v.passed)
 
     return {
         "report": report,
@@ -576,38 +580,23 @@ def _jsonable(obj):
 
 def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
                    bundle: dict) -> None:
-    """One row per window node (``grid.interior``) and natural time level;
-    columns are formatted once and zipped together, one level at a time.
-
-    Where ``u`` equals the payoff bit for bit (the stopping region of a
-    projected solve) the payoff's string is reused.  That saves a
-    ``repr`` per such cell but costs a fixed gather per level, about the
-    ``repr`` of an eighth of a level, so it is taken only on levels where
-    at least that share of the window's cells match.
-    """
+    """One row per window node (``grid.interior``) and natural time level,
+    each value written as its ``repr`` (so ``-0.0`` stays ``-0.0``); the
+    ``x`` and ``g`` columns are formatted once and zipped with each
+    level's ``u`` and region marks."""
     grid = cfg.grid
     window = grid.interior
     u = bundle["u"].values[window]
     g = np.asarray(cfg.payoff(grid.nodes), dtype=float)[window]
     xs = [repr(x) for x in grid.nodes[window].tolist()]
     gs = [repr(v) for v in g.tolist()]
-    gs_obj = np.array(gs, dtype=object)
-    # bit patterns, not floats: -0.0 == 0.0, but their reprs differ
-    same = u.view(np.int64) == g.view(np.int64)[:, None]
-    reuse = 8 * same.sum(axis=0) >= len(xs)
     regions = bundle["regions"]
     marks = None if regions is None else \
         np.where(regions.labels[window] == 1, "C", "S")
     with path.open("w") as fh:
         fh.write("x,t,u,g,region\n")
         for m, t in enumerate(grid.times.tolist()):
-            if reuse[m]:
-                miss = np.flatnonzero(~same[:, m])
-                us = gs_obj.copy()
-                us[miss] = list(map(repr, u[miss, m].tolist()))
-                us = us.tolist()
-            else:
-                us = map(repr, u[:, m].tolist())
+            us = map(repr, u[:, m].tolist())
             rs = repeat("-") if marks is None else marks[:, m].tolist()
             rows = zip(xs, repeat(repr(t)), us, gs, rs)
             fh.write("\n".join(map(",".join, rows)) + "\n")
@@ -752,15 +741,11 @@ def run(config_path, out_dir=None, seed=None, refine: int = 0,
         if seed is not None:
             rc.oracle.seed = int(seed)
         cfg = rc.build_solve_config(refine)
-    except (ConfigError, ParameterError) as exc:
-        print(f"config error: {exc}", file=stream)
-        return 2
-    try:
         bundle = _execute(rc, cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=stream)
         return 2
-    except InvariantViolation as exc:
+    except (InvariantViolation, NumericalError) as exc:
         print(f"invariant violation: {exc}", file=stream)
         return 3
     where = _write_artifacts(rc, cfg, bundle)
@@ -799,6 +784,9 @@ def compare_cli(config_path, seed=None, out_dir=None, refine: int = 0,
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=stream)
         return 2
+    except NumericalError as exc:
+        print(f"invariant violation: {exc}", file=stream)
+        return 3
     header = f"{'x':>9} {'t':>7} {'pde':>12} {'oracle':>12} " \
              f"{'mc':>12} {'stderr':>9} {'abs gap':>10} {'rel gap':>10}"
     print(header, file=stream)

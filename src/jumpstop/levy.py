@@ -45,7 +45,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ._scipy_ext import _load
-from .errors import DomainError, NumericalError, ParameterError, UnsupportedOperation
+from .errors import DomainError, ParameterError, UnsupportedOperation
 
 __all__ = [
     "LevyModel",
@@ -663,7 +663,9 @@ def tails(model: LevyModel, eps: float) -> TailIntegrals:
 
 
 def truncation_radius(model: LevyModel, tol: float = 1e-8) -> float:
-    """Smallest radius R >= 1 with ``integral_{|y|>R} (1+|y|) rho dy <= tol``."""
+    """Smallest radius R >= 1 with ``integral_{|y|>R} (1+|y|) rho dy <= tol``;
+    a model whose tail is still above ``tol`` past 1e6 is a
+    :class:`ParameterError`."""
     if model.is_trivial:
         return 1.0
 
@@ -679,7 +681,7 @@ def truncation_radius(model: LevyModel, tol: float = 1e-8) -> float:
     while tail(hi) > tol:
         lo, hi = hi, hi * 2.0
         if hi > 1e6:
-            raise NumericalError(
+            raise ParameterError(
                 f"jump tail does not decay below {tol} by radius {hi}")
     for _ in range(60):
         mid = 0.5 * (lo + hi)

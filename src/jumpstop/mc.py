@@ -365,7 +365,7 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     # x + dx is non-finite wherever x is, so a non-finite state anywhere
     # on a path leaves the last row non-finite
     if not np.isfinite(paths[-1]).all():
-        raise NumericalError("simulation produced non-finite states")
+        raise NumericalError("mc.simulate: the paths have non-finite states")
     return PathBatch(paths.T, times, int(seed), scheme.eps_mc,
                      scheme.small_var, jump_counts)
 

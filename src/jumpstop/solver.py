@@ -67,7 +67,6 @@ __all__ = [
     "solve_european",
     "residual_vi",
     "backward_value",
-    "required_nt",
     "plan_steps",
     "stability_fraction",
     "explicit_rate",
@@ -140,16 +139,26 @@ class SolveConfig:
             raise ConfigError(
                 f"explicit part violates the stability budget "
                 f"(dt * rate = {frac * _BUDGET:.3f} > {_BUDGET}); "
-                f"need nt >= {required_nt(self)} time steps")
+                f"need nt >= "
+                f"{_budget_steps(self.grid.t_final, explicit_rate(self))} "
+                f"time steps")
 
 
 def _stability_rate(op: NonlocalOperator, anchor: float,
                     eps_schedule: tuple) -> float:
     """Worst decay rate of everything treated explicitly in one step: the
-    far jump mass plus the penalty slope ``2 |p0| / eps_min`` (an empty
-    ``eps_schedule`` for no penalty)."""
-    pen = 2.0 * abs(anchor) / min(eps_schedule) if eps_schedule else 0.0
+    far jump mass plus the steepest penalty's slope
+    (:attr:`PenaltySpec.slope_max`; an empty ``eps_schedule`` for no
+    penalty)."""
+    pen = penalty_mod.build(min(eps_schedule), anchor).slope_max \
+        if eps_schedule else 0.0
     return op.far_mass + pen
+
+
+def _budget_steps(t_final: float, rate: float, safety: float = 1.0) -> int:
+    """Fewest steps over ``t_final`` with ``dt * rate`` inside ``safety``
+    times the stability budget."""
+    return int(np.ceil(t_final * rate / (_BUDGET * safety)))
 
 
 def explicit_rate(cfg: SolveConfig) -> float:
@@ -182,13 +191,6 @@ def monotone_step_check(cfg: SolveConfig) -> bool:
     return stability_fraction(cfg) <= 1.0
 
 
-def required_nt(cfg: SolveConfig) -> int:
-    """Smallest step count satisfying the explicit stability budget."""
-    rate = explicit_rate(cfg)
-    return max(cfg.grid.nt,
-               int(np.ceil(cfg.grid.t_final * rate / _BUDGET)))
-
-
 def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
                coeffs: CoefficientField, payoff: PayoffSpec,
                eps_schedule: tuple = (), safety: float = 0.75) -> int:
@@ -210,8 +212,7 @@ def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
           else 0.0)
     rate = _stability_rate(generator.build_operator(model, grid), p0,
                            eps_schedule)
-    return max(grid.nt,
-               int(np.ceil(grid.t_final * rate / (_BUDGET * safety))),
+    return max(grid.nt, _budget_steps(grid.t_final, rate, safety),
                int(np.ceil(grid.t_final / (_DT_PER_H * grid.h))))
 
 
@@ -407,31 +408,36 @@ def _march(cfg: SolveConfig, eps: float | None,
         v = _one_step(ws, v, n, pspec)
         if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > guard + 10.0:
             raise NumericalError(
-                f"stability violation at step {n + 1}/{grid.nt}: "
-                f"max |v| = {np.max(np.abs(v)):.3e}, "
+                f"solver._march: stability violation at step "
+                f"{n + 1}/{grid.nt}: max |v| = {np.max(np.abs(v)):.3e}, "
                 f"budget fraction = {stability_fraction(cfg):.3f}")
         surface[:, n + 1] = v
     return surface, ws
+
+
+def _grad_max(surface: np.ndarray, h: float) -> float:
+    """Largest centered space difference ``|v[i+1] - v[i-1]| / 2h`` over
+    the surface; dividing the max, not each entry, gives the same bits."""
+    diff = surface[2:] - surface[:-2]
+    return float(np.abs(diff, out=diff).max()) / (2.0 * h)
 
 
 def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
                   eps: float | None, pspec: PenaltySpec | None,
                   steps: int) -> "SolveReport":
     grid = cfg.grid
-    h = grid.h
-    grad = np.abs(surface[2:, :] - surface[:-2, :]) / (2.0 * h)
     residuals = {
         "v_min": float(surface.min()),
         "v_max": float(surface.max()),
-        "grad_max": float(grad.max()),
+        "grad_max": _grad_max(surface, grid.h),
         "initial_gap": float(np.max(np.abs(surface[:, 0] - ws.initial))),
     }
     if pspec is not None:
-        pen = pspec.value(surface - ws.obstacle[:, None])
+        gap = surface - ws.obstacle[:, None]
+        pen = pspec.value(gap)
         residuals["penalty_min"] = float(pen.min())
         residuals["penalty_max"] = float(pen.max())
-        residuals["obstacle_gap"] = float(
-            np.min(surface - ws.obstacle[:, None]))
+        residuals["obstacle_gap"] = float(gap.min())
     trunc = levy.jump_moment(cfg.model, 0, cfg.op.radius, np.inf)
     gf = GridFunction(grid, surface, extension="clamp_payoff",
                       payoff=ws.bc_fn, ghosts=ws.ghosts)
@@ -474,32 +480,38 @@ def solve_european(cfg: SolveConfig) -> SolveReport:
 def solve_vi(cfg: SolveConfig) -> SolveReport:
     """Obstacle-problem solve: penalized continuation or direct projection.
 
-    Penalized mode marches once per schedule entry (operator and
-    mollified payoffs are assembled once and shared), records the
-    sup-norm delta between consecutive solutions, and returns the last
-    report with the trace; a non-decreasing tail of the trace adds a
-    non-convergence warning.  Projected mode is a single march.
+    Penalized mode marches once per schedule entry (the operator is
+    assembled once and shared) and builds one report, from the last
+    march.  Each earlier surface gives only its gradient max and its
+    sup-norm delta to the next, the ``eps_trace``; a non-decreasing tail
+    of the trace adds a non-convergence warning.  Projected mode is a
+    single march.
     """
     if cfg.mode == "projected":
         surface, ws = _march(cfg, None, None)
         report = _build_report(cfg, surface, ws, None, None, cfg.grid.nt)
     elif cfg.mode == "penalized":
+        schedule = cfg.eps_schedule
         prev = None
         trace = []
         grad_per_eps = []
-        report = None
-        total_steps = 0
-        for eps in cfg.eps_schedule:
+        for eps in schedule:
             pspec = penalty_mod.build(eps, cfg.anchor)
             surface, ws = _march(cfg, eps, pspec)
-            total_steps += cfg.grid.nt
             if prev is not None:
-                trace.append(float(np.max(np.abs(surface - prev))))
+                # the previous surface is dead after this, so the delta
+                # reuses its buffer: prev - surface is surface - prev
+                # with the sign flipped, bit for bit, and abs drops it
+                prev -= surface
+                trace.append(float(np.abs(prev, out=prev).max()))
+            if eps != schedule[-1]:
+                grad_per_eps.append(_grad_max(surface, cfg.grid.h))
             prev = surface
-            report = _build_report(cfg, surface, ws, eps, pspec, total_steps)
-            grad_per_eps.append(report.residuals["grad_max"])
+        report = _build_report(cfg, surface, ws, eps, pspec,
+                               cfg.grid.nt * len(schedule))
         report.eps_trace = trace
-        report.grad_max_per_eps = grad_per_eps
+        report.grad_max_per_eps = grad_per_eps + \
+            [report.residuals["grad_max"]]
         if len(trace) >= 2 and trace[-1] >= trace[-2]:
             report.warnings.append(
                 "eps continuation: last sup-norm delta did not decrease")

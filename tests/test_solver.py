@@ -6,6 +6,7 @@ the closed-form heat kernel decay, the Black-Scholes put formula, a
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from jumpstop import diagnostics, generator, levy, payoff, solver
 from jumpstop.errors import ConfigError, NumericalError
 from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
 from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
-                             monotone_step_check, plan_steps, required_nt,
-                             residual_vi, solve_european, solve_vi,
-                             stability_fraction)
+                             monotone_step_check, plan_steps, residual_vi,
+                             solve_european, solve_vi, stability_fraction)
 
 SIG = 0.2
 R = 0.04
@@ -89,16 +89,23 @@ def test_stability_budget_enforced_and_suggestion_consistent():
     # a stiff penalty slope with one huge time step must be rejected
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 100, 1.0, 2)
     mod, coeffs = merton_setup()
-    with pytest.raises(ConfigError, match="nt"):
+    with pytest.raises(ConfigError, match="nt") as err:
         SolveConfig(grid, mod, coeffs, payoff.put(1.0),
                     eps_schedule=(0.05, 0.0125), mode="penalized")
+    # the count the message names is accepted, and plan_steps (with its
+    # safety margin) asks for at least as many
+    named = int(re.search(r"need nt >= (\d+) ", str(err.value)).group(1))
+    ok = SolveConfig(
+        SpaceTimeGrid(-0.5, 0.5, 1.0, 100, 1.0, named), mod, coeffs,
+        payoff.put(1.0), eps_schedule=(0.05, 0.0125), mode="penalized")
+    assert stability_fraction(ok) <= 1.0
     nt = plan_steps(grid, mod, coeffs, payoff.put(1.0),
                     eps_schedule=(0.05, 0.0125))
+    assert named <= nt
     ok = SolveConfig(
         SpaceTimeGrid(-0.5, 0.5, 1.0, 100, 1.0, nt), mod, coeffs,
         payoff.put(1.0), eps_schedule=(0.05, 0.0125), mode="penalized")
     assert stability_fraction(ok) <= 1.0
-    assert required_nt(ok) <= nt
 
 
 def test_plan_steps_counts_frozen():
@@ -260,6 +267,100 @@ def test_eps_trace_decreasing_no_warnings(merton_penalized_report):
     assert rep.eps_trace[1] < rep.eps_trace[0]
     assert rep.warnings == []
     assert rep.eps_final == 0.05
+
+
+def _solve_vi_report_per_eps(cfg):
+    """Penalized continuation that builds a full report after every eps:
+    the reference for :func:`solve_vi`'s single report."""
+    prev = None
+    trace = []
+    grad_per_eps = []
+    report = None
+    total_steps = 0
+    for eps in cfg.eps_schedule:
+        pspec = solver.penalty_mod.build(eps, cfg.anchor)
+        surface, ws = solver._march(cfg, eps, pspec)
+        total_steps += cfg.grid.nt
+        if prev is not None:
+            trace.append(float(np.max(np.abs(surface - prev))))
+        prev = surface
+        report = solver._build_report(cfg, surface, ws, eps, pspec,
+                                      total_steps)
+        grad_per_eps.append(float(
+            (np.abs(surface[2:, :] - surface[:-2, :])
+             / (2.0 * cfg.grid.h)).max()))
+        assert report.residuals["grad_max"] == grad_per_eps[-1]
+    report.eps_trace = trace
+    report.grad_max_per_eps = grad_per_eps
+    if len(trace) >= 2 and trace[-1] >= trace[-2]:
+        report.warnings.append(
+            "eps continuation: last sup-norm delta did not decrease")
+    return report
+
+
+@pytest.mark.parametrize("schedule", [(0.2, 0.1, 0.05),
+                                      (0.05, 0.025, 0.0125, 0.00625),
+                                      (0.2, 0.19, 0.1), (0.1,)])
+def test_one_report_is_the_report_per_eps_bit_for_bit(schedule):
+    # (0.2, 0.19, 0.1) has a growing trace tail, so a warning is
+    # compared too
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 80, 0.5, 120)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0),
+                      eps_schedule=schedule, mode="penalized")
+    got, want = solve_vi(cfg), _solve_vi_report_per_eps(cfg)
+    for name in ("residuals", "eps_trace", "grad_max_per_eps", "steps",
+                 "warnings", "eps_final"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b, name
+        # equal floats, and equal bits (no -0.0 for 0.0)
+        assert repr(a) == repr(b), name
+    np.testing.assert_array_equal(got.value.values, want.value.values)
+    assert got.value.values.tobytes() == want.value.values.tobytes()
+
+
+def test_eps_trace_is_the_sup_norm_of_either_sign(monkeypatch):
+    # each march's surface is lifted by its index, so each delta peaks
+    # where the new surface lies above the last one
+    real = solver._march
+    seen = []
+
+    def lifted(cfg, eps, pspec):
+        surface, ws = real(cfg, eps, pspec)
+        surface += len(seen)
+        seen.append(surface.copy())
+        return surface, ws
+    monkeypatch.setattr(solver, "_march", lifted)
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 60, 0.5, 30)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0),
+                      eps_schedule=(0.2, 0.1, 0.05), mode="penalized")
+    trace = solve_vi(cfg).eps_trace
+    assert trace == [float(np.max(np.abs(b - a)))
+                     for a, b in zip(seen, seen[1:])]
+    assert min(trace) > 1.0
+
+
+def test_penalized_solve_reads_one_full_surface_penalty(monkeypatch):
+    # the march evaluates the penalty on one level per step; only the
+    # report reads it over the full surface, once per solve
+    shapes = []
+    real = solver.penalty_mod.PenaltySpec.value
+
+    def spy(self, y):
+        shapes.append(np.shape(y))
+        return real(self, y)
+    monkeypatch.setattr(solver.penalty_mod.PenaltySpec, "value", spy)
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 60, 0.5, 30)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0),
+                      eps_schedule=(0.2, 0.1, 0.05, 0.025),
+                      mode="penalized")
+    solve_vi(cfg)
+    full = (grid.nx + 1, grid.nt + 1)
+    assert shapes.count(full) == 1
+    assert len(shapes) == 1 + 4 * grid.nt
+    assert all(shape == (grid.nx + 1,) for shape in shapes if shape != full)
 
 
 def test_modes_agree_within_penalty_accuracy(merton_penalized_report):
