@@ -37,9 +37,11 @@ where the cut is placed.
 
 Applied to a grid function, the operator is split by linearity.  The
 long kernels read the ``nx + 1`` grid values through a Toeplitz block
-(:func:`_toeplitz`, built lazily once per operator), and the ghost values
-past the grid, which the march and the residual never change, enter as
-one precomputed vector per side (:func:`ghost_terms`).  The short
+(:func:`_toeplitz`, built lazily once per operator).  The far field
+past the grid (:class:`~jumpstop.grids.PayoffGhosts`: the payoff, which
+the march and the residual never change, times a per-side discount)
+enters through :func:`ghost_term`: one precomputed vector per side
+(:func:`ghost_terms`), scaled by that side's discount.  The short
 stencils -- the centered slope and the core stencil on second
 differences -- still read a :data:`NEAR_GHOSTS`-node extension.
 :func:`apply_nonlocal_ext` is the reference form on any pre-extended
@@ -47,8 +49,8 @@ slice.
 
 The time stepper treats the core implicitly, next to the diffusion: it
 reads the core stencil on the grid values (:func:`core_band`, seven
-shifts) and its reads of the near ghosts as one vector per side
-(:func:`core_ghost_terms`), and leaves the core out of its explicit
+shifts) and its reads of the near ghosts as the ``"core"`` part of
+:func:`ghost_term`, and leaves the core out of its explicit
 :func:`apply_nonlocal_grid`.
 """
 
@@ -72,8 +74,8 @@ __all__ = [
     "apply_nonlocal_ext",
     "apply_nonlocal_grid",
     "ghost_terms",
+    "ghost_term",
     "core_band",
-    "core_ghost_terms",
     "NEAR_GHOSTS",
     "apply_nonlocal_split",
     "operator_summary",
@@ -103,7 +105,6 @@ class NonlocalOperator:
     # signed mean/centroid
     cell_lo: np.ndarray
     cell_hi: np.ndarray
-    cell_side: np.ndarray
     cell_mass: np.ndarray
     cell_mean: np.ndarray
     cell_node: np.ndarray      # integer shift of the left lumping node
@@ -123,7 +124,6 @@ class NonlocalOperator:
     compensator: float
     core_var: float
     fv_core: float | None
-    edges: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # grid blocks of the long kernels, built on first use
     blocks: dict = field(default_factory=dict, repr=False)
 
@@ -132,10 +132,6 @@ class NonlocalOperator:
         k2 = self.corr_kernel.copy()
         k2[-2 - self.k_min: 3 - self.k_min] += self.core_stencil
         return k2
-
-    @property
-    def d2_kernel_monotone(self) -> np.ndarray:
-        return self.core_stencil
 
 
 def build_operator(model: LevyModel, grid: SpaceTimeGrid,
@@ -167,7 +163,7 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
         op.fv_core = _fv_core(model, y_core)
         return op
 
-    lo, hi, side, m0, m1, m2 = cells
+    lo, hi, m0, m1, m2 = cells
     centroid = m1 / m0
     s = centroid / h
     node = np.floor(s).astype(int)
@@ -182,24 +178,20 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
     k_min = int(min(node.min(), -2))
     k_max = int(max(node.max() + 1, 2))
     size = k_max - k_min + 1
-    far_kernel = np.zeros(size)
-    np.add.at(far_kernel, node - k_min, w_lo)
-    np.add.at(far_kernel, node + 1 - k_min, w_hi)
-    corr_kernel = np.zeros(size)
-    np.add.at(corr_kernel, node - k_min, 0.5 * r2 * (1.0 - theta))
-    np.add.at(corr_kernel, node + 1 - k_min, 0.5 * r2 * theta)
+    far_kernel = _lump(size, k_min, node, w_lo, w_hi)
+    corr_kernel = _lump(size, k_min, node, 0.5 * r2 * (1.0 - theta),
+                        0.5 * r2 * theta)
 
     return NonlocalOperator(
         model=model, h=h, n_base=n_base, y_core=y_core, radius=radius,
         n_ext=max(abs(k_min), k_max) + 2,
-        cell_lo=lo, cell_hi=hi, cell_side=side, cell_mass=m0, cell_mean=m1,
+        cell_lo=lo, cell_hi=hi, cell_mass=m0, cell_mean=m1,
         cell_node=node, cell_theta=theta, cell_w_lo=w_lo, cell_w_hi=w_hi,
         cell_r2=r2, cell_compensated=compensated,
         k_min=k_min, k_max=k_max, far_kernel=far_kernel,
         corr_kernel=corr_kernel, core_stencil=core_stencil,
         far_mass=float(m0.sum()), compensator=float(m1[compensated].sum()),
         core_var=core_var, fv_core=_fv_core(model, y_core),
-        edges=np.asarray(edges),
     )
 
 
@@ -208,7 +200,7 @@ def _trivial_operator(model, h, n_base, y_core) -> NonlocalOperator:
     zi = np.zeros(0, dtype=int)
     return NonlocalOperator(
         model=model, h=h, n_base=n_base, y_core=y_core, radius=0.0,
-        n_ext=3, cell_lo=z, cell_hi=z, cell_side=z, cell_mass=z, cell_mean=z,
+        n_ext=3, cell_lo=z, cell_hi=z, cell_mass=z, cell_mean=z,
         cell_node=zi, cell_theta=z, cell_w_lo=z, cell_w_hi=z, cell_r2=z,
         cell_compensated=np.zeros(0, dtype=bool),
         k_min=-2, k_max=2, far_kernel=np.zeros(5), corr_kernel=np.zeros(5),
@@ -255,8 +247,7 @@ def _build_cells(model, edges):
         m2 = (w * y_mag * y_mag).sum(axis=1)
         keep = m0 > 1e-300
         if np.any(keep):
-            out.append((lo_m[keep], hi_m[keep],
-                        np.full(keep.sum(), sgn), m0[keep], m1[keep],
+            out.append((lo_m[keep], hi_m[keep], m0[keep], m1[keep],
                         m2[keep]))
     if not out:
         return None
@@ -294,22 +285,22 @@ def _core_stencil(model, h, y_core):
 # application
 
 
-def _kernel_sum(ext, kernel, k_min, n_ext, n_base):
-    """out[i] = sum_j kernel[j] * ext[n_ext + i + k_min + j]."""
-    if kernel.size == 0 or not np.any(kernel):
-        return np.zeros(n_base)
-    full = np.correlate(ext, kernel, mode="valid")
-    start = n_ext + k_min
-    return full[start: start + n_base]
+def _lump(size, k_min, node, w_lo, w_hi):
+    """Kernel on the ``size`` shifts from ``k_min`` holding each cell's
+    weights ``w_lo`` and ``w_hi`` on its shifts ``node`` and ``node + 1``."""
+    kernel = np.zeros(size)
+    np.add.at(kernel, node - k_min, w_lo)
+    np.add.at(kernel, node + 1 - k_min, w_hi)
+    return kernel
 
 
-def _d2_kernel_sum(d2, kernel, k_min, n_ext, n_base):
-    """Same as :func:`_kernel_sum` but reading the 2nd-derivative array."""
+def _kernel_sum(x, kernel, start, n_base):
+    """out[i] = sum_j kernel[j] * x[start + i + j] for ``i < n_base``: a
+    first tap at shift ``k_min`` starts at ``n_ext + k_min`` on a slice
+    with ``n_ext`` ghosts per side, one node earlier on its d2."""
     if kernel.size == 0 or not np.any(kernel):
         return np.zeros(n_base)
-    full = np.correlate(d2, kernel, mode="valid")
-    start = n_ext - 1 + k_min
-    return full[start: start + n_base]
+    return np.correlate(x, kernel, mode="valid")[start: start + n_base]
 
 
 def _frames(op: NonlocalOperator, gf: GridFunction, n: int):
@@ -326,10 +317,8 @@ def apply_nonlocal(op: NonlocalOperator, gf: GridFunction,
                    profile: str = "accurate", n: int = 0) -> np.ndarray:
     """Full jump operator applied to slice ``n`` of ``gf`` on all nodes."""
     near = gf.extended(NEAR_GHOSTS, NEAR_GHOSTS, n)
-    ghost = None
-    if gf.ghosts is not None:
-        left, right = ghost_terms(op, gf.ghosts, profile)
-        ghost = left + right
+    ghost = None if gf.ghosts is None else \
+        ghost_term(op, gf.ghosts, profile, n * gf.grid.dt)
     return apply_nonlocal_grid(op, near, profile, ghost)
 
 
@@ -342,12 +331,13 @@ def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
     ``near`` is the slice with :data:`NEAR_GHOSTS` ghosts per side, or a
     surface of such slices (space axis first, one level per column), and
     ``ghost`` the contribution of all ghosts beyond what the short
-    stencils read (a sum of scaled :func:`ghost_terms`; ``None`` for
-    zero ghosts).  Equals :func:`apply_nonlocal_ext` on the full
-    extension up to rounding; a surface gives, column by column, exactly
-    what each slice gives alone.  With ``core=False`` no second
-    differences are formed: in the monotone profile they are the core
-    stencil alone, which the time stepper treats implicitly.
+    stencils read (:func:`ghost_term`: a vector, or a row per level of
+    a surface; ``None`` for zero ghosts).  Equals
+    :func:`apply_nonlocal_ext` on the full extension up to rounding; a
+    surface gives, column by column, exactly what each slice gives alone.
+    With ``core=False`` no second differences are formed: in the monotone
+    profile they are the core stencil alone, which the time stepper
+    treats implicitly.
     """
     _check_profile(profile)
     nb, ng, h = op.n_base, NEAR_GHOSTS, op.h
@@ -384,34 +374,55 @@ def _per_level(fn, x: np.ndarray) -> np.ndarray:
 
 
 def ghost_terms(op: NonlocalOperator, ghosts,
-                profile: str = "accurate") -> tuple[np.ndarray, np.ndarray]:
+                part: str = "accurate") -> tuple[np.ndarray, np.ndarray]:
     """Jump term of the left and of the right ghost values alone.
 
     ``ghosts`` is a :class:`~jumpstop.grids.PayoffGhosts`; the pair is
-    computed once per operator and profile and cached on it.  Each side
-    is the long kernels' reach into that side's ghosts: the far kernel
-    over every ghost node, and (accurate profile) the second-difference
-    kernel over the second differences that
-    :func:`apply_nonlocal_grid` does not form from its near extension.
-    Scale each side by its edge discount before adding.
+    computed once per operator and ``part`` and cached on it, undiscounted
+    (:func:`ghost_term` scales and adds it).  For a profile, each side is
+    the long kernels' reach into its ghosts: the far kernel over every
+    ghost node, and the profile's second-difference kernel over the
+    second differences that :func:`apply_nonlocal_grid` does not form.
+    For ``"core"`` it is the implicit core's reads of the
+    :data:`NEAR_GHOSTS` ghosts (:func:`core_band`).
     """
-    _check_profile(profile)
-    key = (op, profile)
+    if part != "core":
+        _check_profile(part)
+    key = (op, part)
     if key not in ghosts.terms:
-        ne, nb, h = op.n_ext, op.n_base, op.h
+        ne = NEAR_GHOSTS if part == "core" else op.n_ext
         left, right = ghosts.take(ne, ne)
-        zeros = np.zeros(nb + ne)
-        k2, k2_min = _d2_kernel(op, profile)
-        terms = []
-        for ext in (np.concatenate([left, zeros]),
-                    np.concatenate([zeros, right])):
-            term = _kernel_sum(ext, op.far_kernel, op.k_min, ne, nb)
-            d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h)
-            d2[ne - NEAR_GHOSTS: ne + nb + NEAR_GHOSTS - 2] = 0.0
-            term += _d2_kernel_sum(d2, k2, k2_min, ne, nb)
-            terms.append(term)
-        ghosts.terms[key] = tuple(terms)
+        zeros = np.zeros(op.n_base + ne)
+        ghosts.terms[key] = tuple(
+            _ghost_reach(op, part, ext)
+            for ext in (np.concatenate([left, zeros]),
+                        np.concatenate([zeros, right])))
     return ghosts.terms[key]
+
+
+def _ghost_reach(op: NonlocalOperator, part: str,
+                 ext: np.ndarray) -> np.ndarray:
+    """One side of :func:`ghost_terms`; ``ext`` is zero off its ghosts."""
+    nb = op.n_base
+    if part == "core":
+        return _kernel_sum(ext, core_band(op), 0, nb)
+    ne, h = op.n_ext, op.h
+    term = _kernel_sum(ext, op.far_kernel, ne + op.k_min, nb)
+    d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h)
+    d2[ne - NEAR_GHOSTS: ne + nb + NEAR_GHOSTS - 2] = 0.0
+    k2, k2_min = _d2_kernel(op, part)
+    term += _kernel_sum(d2, k2, ne - 1 + k2_min, nb)
+    return term
+
+
+def ghost_term(op: NonlocalOperator, ghosts, part: str, s):
+    """Jump term of the far field at forward time ``s``: each side of
+    :func:`ghost_terms` scaled by its :meth:`PayoffGhosts.discount
+    <jumpstop.grids.PayoffGhosts.discount>`, then added.  For an array
+    of levels ``s`` with a decaying far field, one row per level."""
+    left, right = ghost_terms(op, ghosts, part)
+    dl, dr = ghosts.discount(s)
+    return np.multiply.outer(dl, left) + np.multiply.outer(dr, right)
 
 
 def core_band(op: NonlocalOperator) -> np.ndarray:
@@ -423,30 +434,11 @@ def core_band(op: NonlocalOperator) -> np.ndarray:
     return (s[:-2] - 2.0 * s[1:-1] + s[2:]) / (op.h * op.h)
 
 
-def core_ghost_terms(op: NonlocalOperator,
-                     ghosts) -> tuple[np.ndarray, np.ndarray]:
-    """The core stencil's reads of the :data:`NEAR_GHOSTS` ghost nodes
-    left and right, one vector per side (nonzero on the three nodes
-    nearest that edge); cached on ``ghosts`` like :func:`ghost_terms`.
-    Scale each side by its edge discount before adding."""
-    key = (op, "core")
-    if key not in ghosts.terms:
-        ng, nb = NEAR_GHOSTS, op.n_base
-        left, right = ghosts.take(ng, ng)
-        c = core_band(op)
-        zeros = np.zeros(nb + ng)
-        ghosts.terms[key] = tuple(
-            np.correlate(ext, c, mode="valid")
-            for ext in (np.concatenate([left, zeros]),
-                        np.concatenate([zeros, right])))
-    return ghosts.terms[key]
-
-
 def _d2_kernel(op: NonlocalOperator, profile: str) -> tuple[np.ndarray, int]:
     """Second-difference kernel of ``profile`` and its first shift."""
     if profile == "accurate":
         return op.d2_kernel_accurate, op.k_min
-    return op.d2_kernel_monotone, -2
+    return op.core_stencil, -2
 
 
 def _grid_block(op: NonlocalOperator, kind: str):
@@ -508,14 +500,14 @@ def apply_nonlocal_ext(op: NonlocalOperator, ext: np.ndarray,
             f"{op.n_base + 2 * ne}")
     base = ext[ne: ne + op.n_base]
     d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (op.h * op.h)
-    out = _kernel_sum(ext, op.far_kernel, op.k_min, ne, op.n_base)
+    out = _kernel_sum(ext, op.far_kernel, ne + op.k_min, op.n_base)
     out -= op.far_mass * base
     if op.compensator != 0.0:
         d1 = (ext[ne + 1: ne + op.n_base + 1] -
               ext[ne - 1: ne + op.n_base - 1]) / (2.0 * op.h)
         out -= op.compensator * d1
     k2, k2_min = _d2_kernel(op, profile)
-    out += _d2_kernel_sum(d2, k2, k2_min, ne, op.n_base)
+    out += _kernel_sum(d2, k2, ne - 1 + k2_min, op.n_base)
     return out
 
 
@@ -543,6 +535,7 @@ def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
             f"split point {eps:g} bisects a jump cell; pass it via "
             f"forced_edges when building the operator")
     ext, base, d1, d2 = _frames(op, gf, n)
+    ne, nb = op.n_ext, op.n_base
 
     bucket = op.cell_hi <= eps * (1.0 + 1e-12)
     # small half: core stencil + telescoped second-difference form of the
@@ -550,29 +543,26 @@ def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
     tri_kernel, tri_min = _triangular_kernel(
         op.cell_node[bucket], op.cell_w_lo[bucket],
         op.cell_w_hi[bucket], op.h)
-    small = _d2_kernel_sum(d2, op.core_stencil, -2, op.n_ext, op.n_base)
-    small += _d2_kernel_sum(d2, tri_kernel, tri_min, op.n_ext, op.n_base)
+    small = _kernel_sum(d2, op.core_stencil, ne - 3, nb)
+    small += _kernel_sum(d2, tri_kernel, ne - 1 + tri_min, nb)
 
     # large half: direct lumped differences of the remaining cells minus
     # the compensation of the part of the band above the cut
     rest = ~bucket
     size = op.k_max - op.k_min + 1
-    far = np.zeros(size)
-    np.add.at(far, op.cell_node[rest] - op.k_min, op.cell_w_lo[rest])
-    np.add.at(far, op.cell_node[rest] + 1 - op.k_min, op.cell_w_hi[rest])
+    far = _lump(size, op.k_min, op.cell_node[rest], op.cell_w_lo[rest],
+                op.cell_w_hi[rest])
     comp_rest = float(op.cell_mean[rest & op.cell_compensated].sum())
-    large = _kernel_sum(ext, far, op.k_min, op.n_ext, op.n_base)
+    large = _kernel_sum(ext, far, ne + op.k_min, nb)
     large -= float(op.cell_mass[rest].sum()) * base
     large -= comp_rest * d1
 
     if profile == "accurate":
         for mask, acc in ((bucket, small), (rest, large)):
-            corr = np.zeros(size)
-            np.add.at(corr, op.cell_node[mask] - op.k_min,
-                      0.5 * op.cell_r2[mask] * (1.0 - op.cell_theta[mask]))
-            np.add.at(corr, op.cell_node[mask] + 1 - op.k_min,
-                      0.5 * op.cell_r2[mask] * op.cell_theta[mask])
-            acc += _d2_kernel_sum(d2, corr, op.k_min, op.n_ext, op.n_base)
+            corr = _lump(size, op.k_min, op.cell_node[mask],
+                         0.5 * op.cell_r2[mask] * (1.0 - op.cell_theta[mask]),
+                         0.5 * op.cell_r2[mask] * op.cell_theta[mask])
+            acc += _kernel_sum(d2, corr, ne - 1 + op.k_min, nb)
     return small, large
 
 

@@ -98,17 +98,26 @@ class SpaceTimeGrid:
 
 
 class PayoffGhosts:
-    """Payoff on the ghost nodes past each end of the padded grid: the same
-    for every slice, so evaluated once (at the widest reach asked for).
+    """The far field: the payoff on the ghost nodes past each end of the
+    padded grid (the same for every slice, so evaluated once, at the
+    widest reach asked for) times a per-side :meth:`discount` at forward
+    time ``s``: ``(1, 1)``, or ``decay(s)`` when given (the european
+    march's ``exp(-integral_0^s r)`` at each edge).
 
-    ``terms`` caches the jump operator's ghost contribution per operator
-    and profile (see :func:`jumpstop.generator.ghost_terms`).
+    ``terms`` caches the jump operator's reach into the undiscounted
+    ghosts per operator and part (:func:`jumpstop.generator.ghost_terms`).
     """
 
-    def __init__(self, grid: SpaceTimeGrid, payoff: Callable):
-        self.grid, self.payoff = grid, payoff
+    def __init__(self, grid: SpaceTimeGrid, payoff: Callable,
+                 decay: Callable | None = None):
+        self.grid, self.payoff, self.decay = grid, payoff, decay
         self.left = self.right = np.empty(0)
         self.terms: dict = {}
+
+    def discount(self, s):
+        """Factor of the left and of the right ghosts at forward time
+        ``s`` (a float, or an array of levels)."""
+        return (1.0, 1.0) if self.decay is None else self.decay(s)
 
     def take(self, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``n_left`` ghosts nearest the left end and ``n_right`` right."""
@@ -129,7 +138,9 @@ class GridFunction:
     slice or ``(nx+1, nt+1)`` for a full surface.  Reads beyond the padded
     range use ``extension``:
 
-    * ``clamp_payoff`` -- ``payoff`` at the outside point, via ``ghosts``
+    * ``clamp_payoff`` -- the far field ``ghosts``: ``payoff`` at the
+      outside point, times its discount at slice ``n``'s forward time
+      ``grid.times[n]``
     * ``zero``         -- zero outside
     """
 
@@ -157,8 +168,10 @@ class GridFunction:
     def extended(self, n_left: int, n_right: int, n: int = 0) -> np.ndarray:
         """Values on ``n_left`` extra nodes left + grid + ``n_right`` right."""
         vals = self.values if self.values.ndim == 1 else self.values[:, n]
+        discount = None if self.ghosts is None else \
+            self.ghosts.discount(n * self.grid.dt)
         return extend_slice(self.grid, vals, self.extension, self.ghosts,
-                            n_left, n_right)
+                            n_left, n_right, discount)
 
 
 def extend_slice(grid: SpaceTimeGrid, vals: np.ndarray, extension: str,
@@ -166,18 +179,19 @@ def extend_slice(grid: SpaceTimeGrid, vals: np.ndarray, extension: str,
                  discount: tuple[float, float] | None = None) -> np.ndarray:
     """Materialize a slice (or a surface, space axis first) with its
     extension rule applied on both sides; ``clamp_payoff`` ghosts are
-    scaled by ``discount`` (left, right)."""
+    scaled by ``discount`` (left, right): floats, or for a surface one
+    factor per level (:meth:`PayoffGhosts.discount`)."""
     if extension == "zero":
         left = np.zeros(n_left)
         right = np.zeros(n_right)
     elif extension == "clamp_payoff":
         left, right = ghosts.take(n_left, n_right)
         if discount is not None:
-            left = left * discount[0]
-            right = right * discount[1]
+            left = np.multiply.outer(left, discount[0])
+            right = np.multiply.outer(right, discount[1])
     else:
         raise ParameterError(f"unknown extension rule {extension!r}")
-    if vals.ndim == 2:
+    if vals.ndim == 2 and left.ndim == 1:
         left = np.repeat(left[:, None], vals.shape[1], axis=1)
         right = np.repeat(right[:, None], vals.shape[1], axis=1)
     return np.concatenate([left, vals, right])
@@ -188,9 +202,13 @@ class CoefficientField:
     """Diffusion ``a``, drift ``b`` and discount ``r`` fields on space-time.
 
     Fields are callables ``(x_array, t) -> array``; use
-    :meth:`CoefficientField.constants` for the constant case.  ``a`` must
-    stay above the ellipticity floor and ``r`` nonnegative (checked on the
-    grid by :func:`validate_coefficients`).
+    :meth:`CoefficientField.constants` for the constant case.  ``t`` is
+    the time to expiry, the solver's forward time ``s``: the march, the
+    residual and the edge discount read the fields at ``s``, and a Monte
+    Carlo path at time ``tau`` since its start over horizon ``T`` reads
+    them at ``T - tau``.  ``a`` must stay above the ellipticity floor and
+    ``r`` nonnegative (checked on the grid by
+    :func:`validate_coefficients`).
 
     ``constant`` is set by :meth:`constants` alone: ``a``, ``b`` and ``r``
     then depend on neither ``x`` nor ``t``, so the state's increment over

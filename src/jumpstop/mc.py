@@ -36,6 +36,10 @@ other half, so the reported number is a genuine lower bound for the
 optimal stopping value (up to sampling error) rather than an in-sample
 artifact, and decides on every step of the batch.  Both discount step
 by step along the paths, with the rate at the start of each step.
+
+A path starts with ``T`` to expiry, so at path time ``tau`` it reads the
+coefficient fields at ``T - tau``, the time to expiry at which the
+lattice march reads them (:class:`~jumpstop.grids.CoefficientField`).
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from .levy import LevyModel
 
 EXACT_FAMILIES = ("none", "merton", "kou")
 DEFAULT_SPLIT = 0.01
-DEFAULT_INTENSITY_CAP = 1e6
+#: largest compound-Poisson arrival rate above the split radius
+INTENSITY_CAP = 1e6
 _TABLE_PANELS = 4096
 _BUCKETS = 1 << 17
 _BUILD_BLOCK = 1 << 13
@@ -210,18 +215,18 @@ def _side_table(model: LevyModel, lo: float, hi: float,
     return float(mass[-1]), mass, t
 
 
-def _suggest_split(model: LevyModel, eps: float, cap: float) -> float:
-    """Smallest power-of-two multiple of ``eps`` whose arrival rate fits."""
+def _suggest_split(model: LevyModel, eps: float) -> float:
+    """Smallest power-of-two multiple of ``eps`` whose arrival rate fits
+    under :data:`INTENSITY_CAP`."""
     e = max(eps, 1e-8)
     for _ in range(60):
-        if levy.jump_moment(model, 0, e, math.inf) <= cap:
+        if levy.jump_moment(model, 0, e, math.inf) <= INTENSITY_CAP:
             return e
         e *= 2.0
     return e
 
 
-def _build_scheme(model: LevyModel, eps_mc: float | None,
-                  cap: float) -> _JumpScheme:
+def _build_scheme(model: LevyModel, eps_mc: float | None) -> _JumpScheme:
     if model.is_trivial:
         return _TRIVIAL_SCHEME
     if eps_mc is None:
@@ -247,11 +252,11 @@ def _build_scheme(model: LevyModel, eps_mc: float | None,
     plus = _side_table(model, lo, hi, +1.0)
     minus = _side_table(model, lo, hi, -1.0)
     rate = plus[0] + minus[0]
-    if rate > cap:
-        hint = _suggest_split(model, eps_mc, cap)
+    if rate > INTENSITY_CAP:
+        hint = _suggest_split(model, eps_mc)
         raise ParameterError(
             f"jump arrival rate {rate:.4g} above the split radius exceeds "
-            f"the cap {cap:.4g}; try eps_mc >= {hint:.4g}")
+            f"the cap {INTENSITY_CAP:.4g}; try eps_mc >= {hint:.4g}")
     # a model with no jump mass above the split (zero intensity, or a
     # split at the truncation radius) simulates as a diffusion
     table = _JumpTable.build(plus, minus) if rate > 0.0 else None
@@ -296,8 +301,7 @@ class PathBatch:
 
 def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
              T: float, n_paths: int, n_steps: int, seed: int,
-             eps_mc: float | None = None,
-             intensity_cap: float = DEFAULT_INTENSITY_CAP) -> PathBatch:
+             eps_mc: float | None = None) -> PathBatch:
     """Euler paths of the state started at ``x0`` over horizon ``T``.
 
     The paths live in a time-major ``(n_steps+1, n_paths)`` buffer, so
@@ -314,7 +318,8 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     with ``n_paths * n_steps``.  Sizes read the tabulated inverse CDF
     through a bucket table in O(1) per jump and equal ``np.interp`` on
     it bit for bit.  With constant coefficients the normal's scale and
-    shift are two floats computed once.
+    shift are two floats computed once; otherwise step ``n`` reads the
+    fields at the time to expiry ``T - times[n]``.
 
     Diffusion uses ``sqrt(2 a)`` so the paths match the operator
     convention ``a u'' + b u'``; the substituted small-jump variance is
@@ -325,7 +330,7 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
         raise ParameterError("need n_paths >= 1 and n_steps >= 1")
     if not T > 0.0:
         raise ParameterError("horizon T must be positive")
-    scheme = _build_scheme(model, eps_mc, intensity_cap)
+    scheme = _build_scheme(model, eps_mc)
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
@@ -344,11 +349,11 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
         # one value through the same IEEE operations is every element of
         # the per-step arrays
         vol, drift = (float(v.flat[0])
-                      for v in normal_part(paths[0, :1], times[0]))
+                      for v in normal_part(paths[0, :1], T))
     for n in range(n_steps):
         x = paths[n]
         if not coeffs.constant:
-            vol, drift = normal_part(x, times[n])
+            vol, drift = normal_part(x, T - times[n])
         # the next row holds dx, then x + dx
         dx = rng.standard_normal(n_paths, out=paths[n + 1])
         dx *= vol
@@ -375,12 +380,13 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
 
 
 def _step_discount(r, x: np.ndarray, times: np.ndarray, n: int):
-    """``r(x, t_n) * (t_{n+1} - t_n)`` for the states ``x`` at step ``n``:
-    the left-endpoint rule along the path, consistent with the Euler
-    stepping of the state itself."""
+    """``r(x, T - t_n) * (t_{n+1} - t_n)`` for the states ``x`` at step
+    ``n``, with ``T = times[-1]``: the left-endpoint rule along the path,
+    at the time to expiry, consistent with the Euler stepping of the
+    state itself."""
     dt = times[n + 1] - times[n]
     if callable(r):
-        return np.asarray(r(x, times[n]), dtype=float) * dt
+        return np.asarray(r(x, times[-1] - times[n]), dtype=float) * dt
     return float(r) * dt
 
 

@@ -131,23 +131,17 @@ class PenaltySpec:
 
 
 def anchor(coeffs: CoefficientField, payoff: PayoffSpec, model: LevyModel,
-           grid: SpaceTimeGrid | None = None) -> float:
+           grid: SpaceTimeGrid) -> float:
     """Penalty depth from the problem data (a nonpositive number).
 
     Returns ``-(a0*J + b0*L + r0*K + J*small_var(1) + K*big_mass)`` where
     ``a0, b0, r0`` are the maxima of the diffusion, |drift| and discount
-    over the grid (or a wide probe window when no grid is given), ``K, L,
-    J`` the payoff's bound, Lipschitz and semiconvexity constants, and the
-    last two terms the second moment of jumps up to size 1 and the mass
-    beyond 1.
+    over the grid's nodes and time levels (:meth:`CoefficientField.maxima`),
+    ``K, L, J`` the payoff's bound, Lipschitz and semiconvexity constants,
+    and the last two terms the second moment of jumps up to size 1 and
+    the mass beyond 1.
     """
-    if grid is not None:
-        a0, b0, r0 = coeffs.maxima(grid)
-    else:
-        x = np.linspace(-20.0, 20.0, 4001)
-        a0 = float(np.max(coeffs.a(x, 0.0)))
-        b0 = float(np.max(np.abs(coeffs.b(x, 0.0))))
-        r0 = float(np.max(coeffs.r(x, 0.0)))
+    a0, b0, r0 = coeffs.maxima(grid)
     if model.is_trivial:
         small_var = big_mass = 0.0
     else:

@@ -234,29 +234,16 @@ class _Workspace:
         self.bc_fn = cfg.payoff if eps is None else \
             mollify(cfg.payoff, 0.5 * eps)
         self.obstacle = np.asarray(self.bc_fn(x), dtype=float)
-        # jump reads past the grid clamp to the obstacle; the report's
-        # surface shares them with residual_vi
-        self.ghosts = PayoffGhosts(grid, self.bc_fn)
+        # the far field: jump reads past the grid clamp to the obstacle,
+        # discounted in european mode; the report's surface shares it
+        # with residual_vi
+        self.ghosts = PayoffGhosts(grid, self.bc_fn, _edge_discount(cfg))
 
         self.time_dependent = cfg.coeffs.time_dependent
         self._factor_cache: dict[float, tuple] = {}
-        r_edge = cfg.coeffs.r(x[[0, -1]], 0.0)
-        self.r_left = float(r_edge[0])
-        self.r_right = float(r_edge[-1])
-        if cfg.mode == "european" and self.time_dependent:
-            # integral of r along the march at each edge, by the trapezoid
-            # rule on the time levels (exact for a rate linear in time)
-            r = np.array([cfg.coeffs.r(x[[0, -1]], float(t))
-                          for t in grid.times], dtype=float)
-            self.edge_rate_integral = np.concatenate(
-                [np.zeros((1, 2)),
-                 np.cumsum(0.5 * grid.dt * (r[1:] + r[:-1]), axis=0)])
-        if cfg.mode == "european":
-            self.initial = np.asarray(
-                cfg.initial(x) if cfg.initial is not None else self.obstacle,
-                dtype=float)
-        else:
-            self.initial = self.obstacle.copy()
+        # only european configs override the initial data
+        self.initial = self.obstacle if cfg.initial is None else \
+            np.asarray(cfg.initial(x), dtype=float)
 
     def local_stencil(self, t: float):
         """Rows (l, d, u) of ``L_D - r`` with upwinded drift."""
@@ -281,7 +268,8 @@ class _Workspace:
         """``I - dt*(L_local + L_core)`` with Dirichlet edge rows, as
         diagonals: ``rows[d + 3, i]`` is the entry of row ``i``, column
         ``i + d``.  Core reads past the grid are left out; they enter the
-        right-hand side through :meth:`core_ghost`."""
+        right-hand side as the ``"core"`` :func:`generator.ghost_term
+        <jumpstop.generator.ghost_term>`."""
         n = self.x.size
         lo, dg, up = self.local_stencil(t)
         coef = np.repeat(generator.core_band(self.cfg.op)[:, None], n, axis=1)
@@ -320,37 +308,28 @@ class _Workspace:
             self._factor_cache = {key: (lu, piv)}
         return self._factor_cache[key]
 
-    def core_ghost(self, s: float) -> np.ndarray:
-        """The core stencil's reads of the ghost values at forward time
-        ``s``: one precomputed vector per side, scaled by its edge
-        discount."""
-        left, right = generator.core_ghost_terms(self.cfg.op, self.ghosts)
-        dl, dr = self.edge_discount(s)
-        return dl * left + dr * right
 
-    def ghost_term(self, s: float) -> np.ndarray:
-        """Jump term of the ghost values at forward time ``s``."""
-        left, right = generator.ghost_terms(self.cfg.op, self.ghosts,
-                                            "monotone")
-        dl, dr = self.edge_discount(s)
-        return dl * left + dr * right
-
-    def edge_discount(self, s: float) -> tuple[float, float]:
-        """Decay of the edge data: in european mode the discount
-        ``exp(-integral_0^s r)`` at each edge, ``exp(-r s)`` when the
-        coefficients do not depend on time."""
-        if self.cfg.mode != "european":
-            return 1.0, 1.0
-        if self.time_dependent:
-            times, cum = self.cfg.grid.times, self.edge_rate_integral
-            return (np.exp(-np.interp(s, times, cum[:, 0])),
-                    np.exp(-np.interp(s, times, cum[:, 1])))
-        return np.exp(-self.r_left * s), np.exp(-self.r_right * s)
-
-    def boundary_values(self, s: float) -> tuple[float, float]:
-        """Dirichlet edge values at forward time ``s``."""
-        dl, dr = self.edge_discount(s)
-        return float(self.obstacle[0]) * dl, float(self.obstacle[-1]) * dr
+def _edge_discount(cfg: SolveConfig) -> Callable | None:
+    """The european far field's decay ``s -> (left, right)``: the
+    discount ``exp(-integral_0^s r)`` at each edge, ``exp(-r s)`` when the
+    coefficients do not depend on time.  ``None`` (no decay) in the
+    other modes."""
+    if cfg.mode != "european":
+        return None
+    grid, r_fn = cfg.grid, cfg.coeffs.r
+    x = grid.nodes[[0, -1]]
+    if not cfg.coeffs.time_dependent:
+        r_edge = r_fn(x, 0.0)
+        r_left, r_right = float(r_edge[0]), float(r_edge[-1])
+        return lambda s: (np.exp(-r_left * s), np.exp(-r_right * s))
+    # integral of r along the march at each edge, by the trapezoid rule on
+    # the time levels (exact for a rate linear in time)
+    times = grid.times
+    r = np.array([r_fn(x, float(t)) for t in times], dtype=float)
+    cum = np.concatenate([np.zeros((1, 2)),
+                          np.cumsum(0.5 * grid.dt * (r[1:] + r[:-1]), axis=0)])
+    return lambda s: (np.exp(-np.interp(s, times, cum[:, 0])),
+                      np.exp(-np.interp(s, times, cum[:, 1])))
 
 
 def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
@@ -371,21 +350,25 @@ def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
 def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
               pspec: PenaltySpec | None) -> np.ndarray:
     """Advance from forward level ``n`` to ``n + 1``."""
-    cfg = ws.cfg
-    dt = ws.dt
+    cfg, dt, ghosts = ws.cfg, ws.dt, ws.ghosts
     s_now = n * dt
     s_new = (n + 1) * dt
     ng = generator.NEAR_GHOSTS
-    near = extend_slice(cfg.grid, v_now, "clamp_payoff", ws.ghosts, ng, ng,
-                        ws.edge_discount(s_now))
+    near = extend_slice(cfg.grid, v_now, "clamp_payoff", ghosts, ng, ng,
+                        ghosts.discount(s_now))
     rhs = v_now + dt * generator.apply_nonlocal_grid(
-        cfg.op, near, "monotone", ws.ghost_term(s_now), core=False)
+        cfg.op, near, "monotone",
+        generator.ghost_term(cfg.op, ghosts, "monotone", s_now), core=False)
     if pspec is not None:
         rhs -= dt * pspec.value(v_now - ws.obstacle)
     if cfg.source is not None:
         rhs += dt * np.asarray(cfg.source(ws.x, s_now), dtype=float)
-    rhs += dt * ws.core_ghost(s_new)
-    v_new = _implicit_solve(ws, rhs, s_new, ws.boundary_values(s_new))
+    rhs += dt * generator.ghost_term(cfg.op, ghosts, "core", s_new)
+    # Dirichlet edge values: the obstacle's ends under the far field's
+    # discount
+    dl, dr = ghosts.discount(s_new)
+    v_new = _implicit_solve(ws, rhs, s_new, (float(ws.obstacle[0]) * dl,
+                                             float(ws.obstacle[-1]) * dr))
     if cfg.mode == "projected":
         v_new = np.maximum(v_new, ws.obstacle)
     return v_new
@@ -430,7 +413,6 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
         "v_min": float(surface.min()),
         "v_max": float(surface.max()),
         "grad_max": _grad_max(surface, grid.h),
-        "initial_gap": float(np.max(np.abs(surface[:, 0] - ws.initial))),
     }
     if pspec is not None:
         gap = surface - ws.obstacle[:, None]
@@ -537,11 +519,16 @@ def contact_tol(cfg: SolveConfig, eps_final: float | None) -> float:
 
 
 def backward_value(report: SolveReport) -> GridFunction:
-    """Value in natural time: ``u(x, t) = v(x, T - t)`` (flipped columns)."""
+    """Value in natural time: ``u(x, t) = v(x, T - t)`` (flipped columns),
+    with the far field of the march read at ``T - t``."""
     gf = report.value
+    ghosts = gf.ghosts
+    if ghosts is not None and ghosts.decay is not None:
+        t_final, decay = gf.grid.t_final, ghosts.decay
+        ghosts = PayoffGhosts(gf.grid, gf.payoff, lambda t: decay(t_final - t))
     return GridFunction(gf.grid, gf.values[:, ::-1].copy(),
                         extension=gf.extension, payoff=gf.payoff,
-                        ghosts=gf.ghosts)
+                        ghosts=ghosts)
 
 
 def residual_vi(value: GridFunction, cfg: SolveConfig,
@@ -564,21 +551,16 @@ def residual_vi(value: GridFunction, cfg: SolveConfig,
         raise ParameterError("value surface does not match the config grid")
     g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
     n_skip = max(1, int(np.ceil(expiry_layer * grid.nt)))
-    ghost = None
-    if value.ghosts is not None:
-        left, right = generator.ghost_terms(cfg.op, value.ghosts, "accurate")
-        ghost = left + right
     out = np.full_like(value.values, np.nan)
     for n0 in range(n_skip, grid.nt, _LEVEL_BLOCK):
         n1 = min(n0 + _LEVEL_BLOCK, grid.nt)
-        out[:, n0:n1] = _residual_levels(value, cfg, n0, n1, g, ghost)
+        out[:, n0:n1] = _residual_levels(value, cfg, n0, n1, g)
     out[~grid.interior, :] = np.nan
     return GridFunction(grid, out, extension="zero")
 
 
 def _residual_levels(value: GridFunction, cfg: SolveConfig, n0: int,
-                     n1: int, g: np.ndarray,
-                     ghost: np.ndarray | None) -> np.ndarray:
+                     n1: int, g: np.ndarray) -> np.ndarray:
     """:func:`residual_vi` at levels ``n0 .. n1-1``, NaN in the contact
     collars and on the two end nodes."""
     grid, coeffs = cfg.grid, cfg.coeffs
@@ -586,8 +568,13 @@ def _residual_levels(value: GridFunction, cfg: SolveConfig, n0: int,
     vals = value.values
     v = vals[:, n0:n1]
     times = dt * np.arange(n0, n1)
-    ng = generator.NEAR_GHOSTS
-    near = extend_slice(grid, v, value.extension, value.ghosts, ng, ng)
+    ng, ghosts = generator.NEAR_GHOSTS, value.ghosts
+    # the far field at every level of the block
+    discount = ghost = None
+    if ghosts is not None:
+        discount = ghosts.discount(times)
+        ghost = generator.ghost_term(cfg.op, ghosts, "accurate", times)
+    near = extend_slice(grid, v, value.extension, ghosts, ng, ng, discount)
 
     def per_level(field):
         if not coeffs.time_dependent:

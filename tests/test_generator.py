@@ -20,10 +20,10 @@ from jumpstop.errors import ParameterError
 from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
                                 apply_nonlocal_ext, apply_nonlocal_grid,
                                 apply_nonlocal_split, build_operator,
-                                core_band, core_ghost_terms, ghost_terms,
+                                core_band, ghost_term, ghost_terms,
                                 operator_summary)
-from jumpstop.grids import (CoefficientField, GridFunction, SpaceTimeGrid,
-                            extend_slice)
+from jumpstop.grids import (CoefficientField, GridFunction, PayoffGhosts,
+                            SpaceTimeGrid, extend_slice)
 
 GRID = SpaceTimeGrid(x_lo=-2.0, x_hi=2.0, pad=1.5, nx=280,
                      t_final=1.0, nt=10)
@@ -269,7 +269,7 @@ def test_core_band_and_its_ghosts_are_the_core_stencil(ops, name):
     discount = (0.7, 0.9)
     near = extend_slice(GRID, gf.values, "clamp_payoff", gf.ghosts,
                         NEAR_GHOSTS, NEAR_GHOSTS, discount)
-    left, right = core_ghost_terms(op, gf.ghosts)
+    left, right = ghost_terms(op, gf.ghosts, "core")
     c = core_band(op)
     grid_part = np.correlate(np.pad(gf.values, 3), c, mode="valid")
     want = grid_part + discount[0] * left + discount[1] * right
@@ -277,7 +277,7 @@ def test_core_band_and_its_ghosts_are_the_core_stencil(ops, name):
     far = apply_nonlocal_grid(op, near, "monotone", core=False)
     tol = 1e-13 * _explicit_jump_rate(op) * np.max(np.abs(near))
     assert np.max(np.abs(full - far - want)) <= tol
-    assert core_ghost_terms(op, gf.ghosts)[0] is left
+    assert ghost_terms(op, gf.ghosts, "core")[0] is left
 
 
 def test_ghost_terms_are_computed_once(ops):
@@ -285,6 +285,33 @@ def test_ghost_terms_are_computed_once(ops):
     first = ghost_terms(ops["nig"], gf.ghosts, "accurate")
     assert ghost_terms(ops["nig"], gf.ghosts, "accurate") is first
     assert ghost_terms(ops["nig"], gf.ghosts, "monotone") is not first
+    assert ghost_terms(ops["nig"], gf.ghosts, "core") is not first
+    with pytest.raises(ParameterError):
+        ghost_terms(ops["nig"], gf.ghosts, "fast")
+
+
+@pytest.mark.parametrize("part", ["accurate", "monotone", "core"])
+def test_ghost_term_scales_each_side_by_the_far_field_discount(ops, part):
+    """Without a decay the sides add as they are; with one, each side is
+    scaled by its factor at ``s``, and an array of levels gives a row
+    per level."""
+    op = ops["ts_asym"]
+    payoff = lambda x: 1.0 + np.sin(3.0 * x) + 0.2 * x  # noqa: E731
+    plain = PayoffGhosts(GRID, payoff)
+    left, right = ghost_terms(op, plain, part)
+    assert plain.discount(0.3) == (1.0, 1.0)
+    np.testing.assert_array_equal(ghost_term(op, plain, part, 0.3),
+                                  left + right)
+    decay = lambda s: (np.exp(-0.1 * s), np.exp(-0.5 * s))  # noqa: E731
+    far = PayoffGhosts(GRID, payoff, decay)
+    np.testing.assert_array_equal(
+        ghost_term(op, far, part, 0.3),
+        np.exp(-0.1 * 0.3) * left + np.exp(-0.5 * 0.3) * right)
+    levels = np.array([0.0, 0.3, 0.7])
+    rows = ghost_term(op, far, part, levels)
+    assert rows.shape == (3, GRID.nx + 1)
+    for k, s in enumerate(levels):
+        np.testing.assert_array_equal(rows[k], ghost_term(op, far, part, s))
 
 
 # --- first moment of the unit band -----------------------------------------

@@ -102,7 +102,7 @@ def test_positive_jump_fraction_matches_side_mass():
     # step's increment is the sum of its jumps; at rate * dt = 0.01 almost
     # every nonzero increment is a single jump
     mod = levy.kou(4.0, 0.3, 10.0, 5.0)
-    scheme = mc._build_scheme(mod, None, mc.DEFAULT_INTENSITY_CAP)
+    scheme = mc._build_scheme(mod, None)
     batch = mc.simulate(mod, degenerate_coeffs(scheme.comp_drift, 0.0),
                         0.0, 1.0, 2000, 400, 19)
     inc = np.diff(batch.states, axis=1)
@@ -129,7 +129,7 @@ def _interp_sizes(table, w):
 
 @table_models
 def test_guided_inverse_cdf_is_np_interp_bit_for_bit(model):
-    table = mc._build_scheme(model, None, mc.DEFAULT_INTENSITY_CAP).table
+    table = mc._build_scheme(model, None).table
     plus = (table.mass_plus, table.cdf_plus, table.mag_plus)
     minus = (float(table.cdf_minus[-1]), table.cdf_minus, table.mag_minus)
     rng = np.random.default_rng(3)
@@ -182,7 +182,7 @@ def test_bucket_table_is_np_interp_bit_for_bit(plus, minus, seed):
 def _reference_simulate(model, coeffs, x0, T, n_paths, n_steps, seed):
     """A plain Euler loop in the documented draw order: per-step
     coefficient arrays, jump sizes from ``np.interp`` on the table."""
-    scheme = mc._build_scheme(model, None, mc.DEFAULT_INTENSITY_CAP)
+    scheme = mc._build_scheme(model, None)
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
@@ -190,7 +190,7 @@ def _reference_simulate(model, coeffs, x0, T, n_paths, n_steps, seed):
     counts = np.zeros(n_paths, dtype=np.int64)
     for n in range(n_steps):
         x = rows[-1]
-        a, b = coeffs.a(x, times[n]), coeffs.b(x, times[n])
+        a, b = coeffs.a(x, T - times[n]), coeffs.b(x, T - times[n])
         vol = np.sqrt(2.0 * a + scheme.small_var) * math.sqrt(dt)
         dx = rng.standard_normal(n_paths) * vol \
             + (b - scheme.comp_drift) * dt
@@ -341,6 +341,34 @@ def test_one_step_terminal_law_matches_many_steps(model, n_paths):
 
 # ---------------------------------------------------------------------------
 # european estimates
+
+
+def _clock_coeffs():
+    """No diffusion, and drift and rate equal to the time argument."""
+    return CoefficientField(
+        a=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        b=lambda x, t: np.full_like(np.asarray(x, dtype=float), t),
+        r=lambda x, t: np.full_like(np.asarray(x, dtype=float), t),
+        time_dependent=True)
+
+
+def test_paths_read_the_fields_at_the_time_to_expiry():
+    """Step n of a 4-step path over [0, 1] moves by b(T - tau_n) dt, so
+    the drift b(x, t) = t carries it to (1 + 3/4 + 1/2 + 1/4) / 4."""
+    batch = mc.simulate(levy.none(), _clock_coeffs(), 0.0, 1.0, 3, 4, 7)
+    np.testing.assert_array_equal(batch.states[:, -1], 0.625)
+
+
+def test_discount_reads_the_rate_at_the_time_to_expiry():
+    """A constant reward under r(x, t) = t is priced at
+    exp(-sum_n r(T - tau_n) dt)."""
+    batch = mc.simulate(levy.none(), _clock_coeffs(), 0.0, 1.0, 3, 4, 7)
+    flat = payoff.tabulated([-50.0, 50.0], [2.5, 2.5])
+    est = mc.european_estimate(batch, flat, _clock_coeffs().r)
+    tau = batch.times[:-1]
+    want = 2.5 * math.exp(-float(np.sum((1.0 - tau) * 0.25)))
+    assert est.price == pytest.approx(want, rel=1e-15)
+    assert est.price == pytest.approx(2.5 * math.exp(-0.625), rel=1e-15)
 
 
 def test_constant_reward_zero_rate_is_exact():

@@ -16,6 +16,7 @@ from jumpstop.payoff import PayoffSpec, kernel_average, put
 from jumpstop.penalty import anchor, build
 
 EPS_SET = (0.2, 0.1, 0.05, 0.025)
+GRID = SpaceTimeGrid(-1.0, 1.0, 1.0, 40, 1.0, 10)
 YS = np.linspace(-5.0, 5.0, 10_000)
 
 
@@ -28,20 +29,20 @@ def _flat_payoff(bound):
 
 def test_anchor_degenerate_zero():
     c = CoefficientField.constants(a=1.0, b=0.0, r=0.0)
-    assert anchor(c, _flat_payoff(1.0), levy.none()) == 0.0
+    assert anchor(c, _flat_payoff(1.0), levy.none(), GRID) == 0.0
 
 
 def test_anchor_only_diffusion_term():
     c = CoefficientField.constants(a=1.0, b=0.0, r=0.0)
     g = PayoffSpec(kind="flat", bound=1.0, lipschitz=0.0,
                    semiconvexity=1.0, kinks=())
-    assert anchor(c, g, levy.none()) == -1.0
+    assert anchor(c, g, levy.none(), GRID) == -1.0
 
 
 def test_anchor_merton_put():
     c = CoefficientField.constants(a=1.0, b=0.1, r=0.05)
     m = levy.merton(intensity=2.0, jump_mean=0.0, jump_std=0.1)
-    got = anchor(c, put(1.0), m)
+    got = anchor(c, put(1.0), m, GRID)
     # -(1 + 0.1 + 0.05 + lam*std^2 + negligible tail mass)
     assert got == pytest.approx(-1.17, abs=1e-10)
     t = levy.tails(m, 1.0)

@@ -768,23 +768,71 @@ def test_residual_reuses_the_solve_ghosts(mode, monkeypatch):
         np.testing.assert_array_equal(got[ok, n], want[ok])
 
 
+@pytest.mark.parametrize("varying", [False, True],
+                         ids=["constants", "fields"])
+def test_european_residual_reads_the_far_field_of_each_level(varying):
+    """A residual block and a slice of the european surface read the same
+    discounted far field at every level: the same residual as the
+    per-level local and jump operators on that slice."""
+    mod, coeffs = merton_setup()
+    coeffs = _varying_coeffs() if varying else coeffs
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode="european")
+    rep = solve_european(cfg)
+    assert rep.value.ghosts.discount(0.5)[0] < 0.99
+    got = residual_vi(rep.value, cfg).values
+    v, dt, x = rep.value.values, grid.dt, grid.nodes
+    g = payoff.put(1.0)(x)
+    pde_rows = 0
+    for n in np.nonzero(np.isfinite(got).any(axis=0))[0]:
+        lv = generator.apply_local(coeffs, rep.value, t=n * dt, n=n) + \
+            generator.apply_nonlocal(cfg.op, rep.value, "accurate", n)
+        pde = (v[:, n + 1] - v[:, n - 1]) / (2.0 * dt) - lv + \
+            coeffs.r(x, n * dt) * v[:, n]
+        ok = np.isfinite(got[:, n])
+        np.testing.assert_array_equal(got[ok, n],
+                                      np.minimum(pde, v[:, n] - g)[ok])
+        pde_rows += int(np.sum(ok & (pde < v[:, n] - g)))
+    assert pde_rows > grid.nt * 10
+
+
+@pytest.mark.parametrize("mode", ["european", "projected"])
+def test_backward_value_reads_the_far_field_of_its_level(mode):
+    """Level ``k`` of the natural-time value is forward level ``nt - k``,
+    and extends with the far field of that level."""
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode=mode)
+    rep = (solve_european if mode == "european" else solve_vi)(cfg)
+    u = backward_value(rep)
+    if mode == "projected":
+        assert u.ghosts is rep.value.ghosts
+    for k in (0, 5, grid.nt):
+        fwd = generator.apply_nonlocal(cfg.op, rep.value, "accurate",
+                                       grid.nt - k)
+        bwd = generator.apply_nonlocal(cfg.op, u, "accurate", k)
+        np.testing.assert_allclose(bwd, fwd, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(fwd)))
+
+
 def test_european_march_discounts_its_ghosts(monkeypatch):
     """Each step's near ghosts and ghost term are the payoff's, scaled by
     the edge discount ``exp(-r s_n)``, and the implicit core's ghost
-    vector is scaled by ``exp(-r s_{n+1})``."""
+    term is scaled by ``exp(-r s_{n+1})``."""
     mod, coeffs = merton_setup()
     grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 20)
     cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode="european")
-    seen, cores = [], []
+    seen, terms = [], {"monotone": [], "core": []}
     real = generator.apply_nonlocal_grid
     monkeypatch.setattr(
         generator, "apply_nonlocal_grid",
         lambda op, near, profile, ghost, **kw: seen.append((near, ghost)) or
         real(op, near, profile, ghost, **kw))
-    real_core = solver._Workspace.core_ghost
+    real_term = generator.ghost_term
     monkeypatch.setattr(
-        solver._Workspace, "core_ghost",
-        lambda ws, s: cores.append((s, real_core(ws, s))) or cores[-1][1])
+        generator, "ghost_term",
+        lambda op, ghosts, part, s: terms[part].append(
+            (s, real_term(op, ghosts, part, s))) or terms[part][-1][1])
     solve_european(cfg)
     ng, h, x = generator.NEAR_GHOSTS, grid.h, grid.nodes
     k = np.arange(1, ng + 1)
@@ -802,11 +850,13 @@ def test_european_march_discounts_its_ghosts(monkeypatch):
             rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(ghost, seen[0][1] * scale, rtol=1e-14,
                                    atol=0.0)
-    c_left, c_right = generator.core_ghost_terms(cfg.op, fresh)
+        assert terms["monotone"][n][0] == n * grid.dt
+        assert terms["monotone"][n][1] is ghost
+    c_left, c_right = generator.ghost_terms(cfg.op, fresh, "core")
     assert np.all(c_left[:3] > 0.0) and not c_left[3:].any()
     assert not c_right.any()     # the put vanishes past the right edge
-    assert len(cores) == grid.nt
-    for n, (s, core) in enumerate(cores):
+    assert len(terms["core"]) == grid.nt
+    for n, (s, core) in enumerate(terms["core"]):
         assert s == (n + 1) * grid.dt
         np.testing.assert_allclose(core, (c_left + c_right) * math.exp(-R * s),
                                    rtol=1e-14, atol=0.0)
