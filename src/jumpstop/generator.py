@@ -367,10 +367,16 @@ def apply_nonlocal_grid(op: NonlocalOperator, near: np.ndarray,
 
 
 def _per_level(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` on a contiguous slice, or on each column of a surface."""
+    """``fn`` on a contiguous slice, or on each column of a surface (into
+    one Fortran-ordered result: cheaper than stacking a short column)."""
     if x.ndim == 1:
         return fn(np.ascontiguousarray(x))
-    return np.column_stack([fn(np.ascontiguousarray(col)) for col in x.T])
+    first = fn(np.ascontiguousarray(x[:, 0]))
+    out = np.empty((first.size, x.shape[1]), order="F")
+    out[:, 0] = first
+    for k in range(1, x.shape[1]):
+        out[:, k] = fn(np.ascontiguousarray(x[:, k]))
+    return out
 
 
 def ghost_terms(op: NonlocalOperator, ghosts,

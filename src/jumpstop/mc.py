@@ -409,6 +409,18 @@ def european_estimate(batch: PathBatch, g: Callable, r) -> MCEstimate:
     return MCEstimate(price, stderr)
 
 
+def _powers(x: np.ndarray, degree: int) -> np.ndarray:
+    """``polyvander(x, degree)`` without its per-call overhead: the same
+    power rows by the same products, as the same transposed view."""
+    v = np.empty((degree + 1, x.size))
+    v[0] = 1.0
+    if degree > 0:
+        v[1] = x
+    for j in range(2, degree + 1):
+        np.multiply(v[j - 1], x, out=v[j])
+    return v.T
+
+
 def _fit_policy(ya: np.ndarray, times: np.ndarray, g: Callable, r,
                 degree: int) -> tuple[list, float, int]:
     """Backward regression pass: per-step continuation-value fits.
@@ -435,7 +447,7 @@ def _fit_policy(ya: np.ndarray, times: np.ndarray, g: Callable, r,
             singular += 1
             continue
         xs = (2.0 * x_itm - (lo + hi)) / (hi - lo)
-        design = np.polynomial.polynomial.polyvander(xs, degree)
+        design = _powers(xs, degree)
         coef, _, rank, _ = np.linalg.lstsq(design, cash[itm], rcond=None)
         if rank < degree + 1:
             singular += 1
@@ -473,7 +485,7 @@ def _run_policy(yb: np.ndarray, times: np.ndarray, g: Callable, r,
         if not itm.size:
             continue
         xs = (2.0 * x[itm] - (lo + hi)) / (hi - lo)
-        cont = np.polynomial.polynomial.polyvander(xs, degree) @ coef
+        cont = _powers(xs, degree) @ coef
         stop = itm[gn[itm] >= cont]
         if not stop.size:
             continue

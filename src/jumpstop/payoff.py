@@ -35,6 +35,7 @@ __all__ = [
     "mollify",
     "bump_kernel",
     "kernel_average",
+    "kernel_averages",
 ]
 
 #: integral of exp(-1/(1-u^2)) over (-1, 1)
@@ -217,6 +218,14 @@ def kernel_average(f, x: np.ndarray, eps: float, breakpoints: Sequence[float]) -
     ``f`` must take arrays of any shape; terms add in panel-then-node order,
     so no point's value depends on the block it falls in.
     """
+    return kernel_averages((f,), x, eps, breakpoints)[0]
+
+
+def kernel_averages(fs, x: np.ndarray, eps: float,
+                    breakpoints: Sequence[float]) -> list[np.ndarray]:
+    """:func:`kernel_average` of each integrand in ``fs``, bit for bit:
+    each block's weights ``weight * half-width * kernel(u)`` and
+    arguments ``x - eps*u`` are formed once for all of them."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bps = sorted(breakpoints, reverse=True)  # (x - b)/eps ascending in b desc
     cuts = np.full((len(bps) + 2, x.size), 0.0)
@@ -227,18 +236,21 @@ def kernel_average(f, x: np.ndarray, eps: float, breakpoints: Sequence[float]) -
     cuts[1:-1] = np.sort(cuts[1:-1], axis=0)
     half = 0.5 * (cuts[1:] - cuts[:-1])[:, None, :]
     mid = 0.5 * (cuts[1:] + cuts[:-1])[:, None, :]
-    out = np.empty_like(x)
+    outs = [np.empty_like(x) for _ in fs]
     step = max(1, _BLOCK_TERMS // (half.shape[0] * _GL_NODES.size))
     for lo in range(0, x.size, step):
         blk = slice(lo, lo + step)
         hb = half[..., blk]
         u = mid[..., blk] + hb * _GL_NODES
-        terms = _GL_WEIGHTS * hb * bump_kernel(u) * f(x[blk] - eps * u)
-        rows = terms.reshape(-1, terms.shape[-1])
-        # numpy sums a leading axis row by row when rows hold >= 2 points;
-        # for one point, the last running sum keeps that same order
-        out[blk] = rows.sum(axis=0) if rows.shape[1] > 1 else rows.cumsum()[-1]
-    return out
+        weight = _GL_WEIGHTS * hb * bump_kernel(u)
+        arg = x[blk] - eps * u
+        for f, out in zip(fs, outs):
+            rows = (weight * f(arg)).reshape(-1, arg.shape[-1])
+            # numpy sums a leading axis row by row when rows hold >= 2
+            # points; for one point, the last running sum keeps that order
+            out[blk] = rows.sum(axis=0) if rows.shape[1] > 1 else \
+                rows.cumsum()[-1]
+    return outs
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from . import levy
 from .errors import ParameterError
 from .grids import CoefficientField, SpaceTimeGrid
 from .levy import LevyModel
-from .payoff import PayoffSpec, bump_kernel, kernel_average
+from .payoff import PayoffSpec, bump_kernel, kernel_averages
 
 __all__ = ["PenaltySpec", "anchor", "build"]
 
@@ -43,9 +43,9 @@ _RAMP_NODES = 4097
 def _ramp_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``F``, ``F' = 1 - K`` and ``F'' = -k`` on the table nodes."""
     z = np.linspace(-1.0, 1.0, _RAMP_NODES)
-    f = kernel_average(lambda t: np.minimum(t, 0.0), z, 1.0, (0.0,))
-    fp = kernel_average(lambda t: np.where(t < 0.0, 1.0, 0.0), z, 1.0,
-                        (0.0,))
+    f, fp = kernel_averages((lambda t: np.minimum(t, 0.0),
+                             lambda t: np.where(t < 0.0, 1.0, 0.0)),
+                            z, 1.0, (0.0,))
     table = (f, fp, -bump_kernel(z))
     for col in table:  # shared by every caller
         col.flags.writeable = False
@@ -53,15 +53,28 @@ def _ramp_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _hermite(z: np.ndarray, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant of a ramp-table column at ``z`` in (-1, 1)."""
+    """Cubic Hermite interpolant of a ramp-table column at ``z`` in (-1, 1),
+    ``s^2 (3 - 2s) v[i+1] + r^2 (1 + 2s) v[i] + dz s r (r d[i] - s d[i+1])``
+    in that order of operations, in place: the report reads a surface."""
     dz = 2.0 / (_RAMP_NODES - 1)
-    t = (z + 1.0) / dz
-    i = np.minimum(t.astype(int), _RAMP_NODES - 2)
-    s = t - i
+    s = (z + 1.0) / dz
+    i = np.minimum(s.astype(int), _RAMP_NODES - 2)
+    s -= i
     r = 1.0 - s
-    return (s * s * (3.0 - 2.0 * s) * vals[i + 1]
-            + r * r * (1.0 + 2.0 * s) * vals[i]
-            + dz * s * r * (r * ders[i] - s * ders[i + 1]))
+    out = s * s
+    out *= 3.0 - 2.0 * s
+    out *= vals[i + 1]
+    term = r * r
+    term *= 1.0 + 2.0 * s
+    term *= vals[i]
+    out += term
+    np.multiply(dz, s, out=term)
+    term *= r
+    r *= ders[i]
+    r -= s * ders[i + 1]
+    term *= r
+    out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,12 +85,12 @@ class PenaltySpec:
     and vanishes for ``y >= eps/2 + kernel_width``.
     """
 
-    eps: float
+    eps: float | np.ndarray
     p0: float
-    kernel_width: float
+    kernel_width: float | np.ndarray
 
     @property
-    def slope_max(self) -> float:
+    def slope_max(self) -> float | np.ndarray:
         """Largest slope of the template (and hence of the evaluator)."""
         return -2.0 * self.p0 / self.eps
 
@@ -92,41 +105,47 @@ class PenaltySpec:
     def value(self, y) -> np.ndarray | float:
         """Penalty at separation ``y = v - g`` (scalar or array)."""
         arr = np.asarray(y, dtype=float)
-        out = self._eval(arr.ravel()).reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+        out = self._eval(np.atleast_1d(arr))
+        return float(out[0]) if arr.ndim == 0 else out
 
     def slope(self, y) -> np.ndarray | float:
         """Derivative of the penalty (scalar or array)."""
         arr = np.asarray(y, dtype=float)
-        out = self._eval_slope(arr.ravel()).reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+        out = self._eval_slope(np.atleast_1d(arr))
+        return float(out[0]) if arr.ndim == 0 else out
 
     def _band(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mask of the mollified band and its points in table units."""
-        kink = 0.5 * self.eps
-        band = np.abs(y - kink) < self.kernel_width
-        return band, (y[band] - kink) / self.kernel_width
+        d = y - 0.5 * self.eps
+        band = np.abs(d) < self.kernel_width
+        return band, d[band] / self._on(self.kernel_width, band)
+
+    @staticmethod
+    def _on(c, band: np.ndarray):
+        """A scalar, or a per-column constant read at the band's points."""
+        return np.broadcast_to(c, band.shape)[band] if np.ndim(c) else c
 
     def _eval(self, y: np.ndarray) -> np.ndarray:
         if self.p0 == 0.0:
-            return np.zeros_like(y)
+            return np.zeros(np.broadcast_shapes(y.shape, np.shape(self.eps)))
         out = self._template(y)
         band, z = self._band(y)
         if z.size:
             f, fp, _ = _ramp_table()
-            ramp = self.slope_max * self.kernel_width * _hermite(z, f, fp)
+            ramp = self._on(self.slope_max * self.kernel_width, band) * \
+                _hermite(z, f, fp)
             # interpolation may round just above zero near the band edge
             out[band] = np.minimum(ramp, 0.0)
         return out
 
     def _eval_slope(self, y: np.ndarray) -> np.ndarray:
         if self.p0 == 0.0:
-            return np.zeros_like(y)
+            return np.zeros(np.broadcast_shapes(y.shape, np.shape(self.eps)))
         out = np.where(y < 0.5 * self.eps, self.slope_max, 0.0)
         band, z = self._band(y)
         if z.size:
             _, fp, fpp = _ramp_table()
-            out[band] = self.slope_max * _hermite(z, fp, fpp)
+            out[band] = self._on(self.slope_max, band) * _hermite(z, fp, fpp)
         return out
 
 
@@ -151,11 +170,17 @@ def anchor(coeffs: CoefficientField, payoff: PayoffSpec, model: LevyModel,
     return -(a0 * jj + b0 * ll + r0 * kk + jj * small_var + kk * big_mass)
 
 
-def build(eps: float, p0: float) -> PenaltySpec:
-    """Penalty evaluator at separation scale ``eps`` with depth ``p0``."""
-    if not 0.0 < eps < 1.0:
+def build(eps, p0: float) -> PenaltySpec:
+    """Penalty evaluator at separation scale ``eps`` with depth ``p0``.
+
+    An array ``eps`` gives one width per column: the evaluator then
+    broadcasts it along the last axis of ``y``, and each column gets the
+    bits a scalar ``eps`` would give it."""
+    e = np.asarray(eps, dtype=float)
+    if not np.all((0.0 < e) & (e < 1.0)):
         raise ParameterError("penalty separation must lie in (0, 1)")
     if p0 > 0.0:
         raise ParameterError("penalty depth must be <= 0")
-    return PenaltySpec(eps=float(eps), p0=float(p0),
-                       kernel_width=float(eps) / 8.0)
+    if e.ndim == 0:
+        e = float(e)
+    return PenaltySpec(eps=e, p0=float(p0), kernel_width=e / 8.0)

@@ -13,11 +13,17 @@ the old level.  ``dgbtrf`` and ``dgbtrs`` come from the compiled
 ``scipy.linalg._flapack`` loaded on its own (:mod:`jumpstop._scipy_ext`),
 so a solve never imports the ``scipy.linalg`` package.
 
+A march advances an ``(nx+1, m)`` block, one column per penalty width
+with its own obstacle and far field, through one time loop: the columns
+share the width-free band and its factor, and one ``dgbtrs`` call solves
+them all, each to the bits it would get alone.  Only the last column's
+surface is stored.
+
 Three modes:
 
 * ``penalized``  -- explicit penalty ``-p(v - g_eps)`` pushes the iterate
   above the mollified obstacle; driven along a decreasing separation
-  schedule by :func:`solve_vi`.
+  schedule by :func:`solve_vi`, every width a column of one march.
 * ``projected``  -- no penalty; after each implicit step the iterate is
   clamped to ``max(v, g)``.  Direct complementarity solve, used as the
   sharp cross-check of the penalized limit.
@@ -178,8 +184,7 @@ def monotone_step_check(cfg: SolveConfig) -> bool:
     matrix is an M-matrix (off-diagonals <= 0, strictly diagonally
     dominant) and the explicit update keeps nonnegative diagonal weight
     under the budget."""
-    ws = _Workspace(cfg, min(cfg.eps_schedule) if cfg.mode == "penalized"
-                    else None)
+    ws = _Workspace(cfg, (None,))
     for t in ([0.0] if not cfg.coeffs.time_dependent else
               [float(s) for s in cfg.grid.times]):
         rows = ws.band(t)
@@ -221,29 +226,70 @@ def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
 
 
 class _Workspace:
-    """Precomputed arrays shared by all steps of one march."""
+    """Precomputed arrays shared by all steps of one march, for a block
+    of columns: one per penalty width in ``eps`` (``None``: the payoff
+    itself).  Column arrays are Fortran-ordered, so each column is
+    contiguous and ``dgbtrs`` reads the block in place."""
 
-    def __init__(self, cfg: SolveConfig, eps: float | None):
+    def __init__(self, cfg: SolveConfig, eps: tuple):
         grid = cfg.grid
         self.cfg = cfg
         x = grid.nodes
         self.x = x
         self.h = grid.h
         self.dt = grid.dt
+        self.eps = eps
 
-        self.bc_fn = cfg.payoff if eps is None else \
-            mollify(cfg.payoff, 0.5 * eps)
-        self.obstacle = np.asarray(self.bc_fn(x), dtype=float)
-        # the far field: jump reads past the grid clamp to the obstacle,
-        # discounted in european mode; the report's surface shares it
-        # with residual_vi
-        self.ghosts = PayoffGhosts(grid, self.bc_fn, _edge_discount(cfg))
+        self.bc_fns = [cfg.payoff if e is None else
+                       mollify(cfg.payoff, 0.5 * e) for e in eps]
+        self.obstacle = np.asfortranarray(np.column_stack(
+            [np.asarray(fn(x), dtype=float) for fn in self.bc_fns]))
+        # the far field: jump reads past the grid clamp to each column's
+        # obstacle, discounted in european mode; the report's surface
+        # shares the last column's with residual_vi
+        decay = _edge_discount(cfg)
+        self.ghosts = [PayoffGhosts(grid, fn, decay) for fn in self.bc_fns]
+        self.decaying = decay is not None
+        ng, m = generator.NEAR_GHOSTS, len(eps)
+        self.near = np.empty((x.size + 2 * ng, m), order="F")
+        self._far = None
+        self._far_rows = np.empty((m, x.size))
+        self._core_cols = np.empty((x.size, m), order="F")
 
         self.time_dependent = cfg.coeffs.time_dependent
         self._factor_cache: dict[float, tuple] = {}
         # only european configs override the initial data
         self.initial = self.obstacle if cfg.initial is None else \
-            np.asarray(cfg.initial(x), dtype=float)
+            np.asarray(cfg.initial(x), dtype=float).reshape(-1, 1)
+
+    def column(self, k: int) -> str:
+        """Names column ``k`` in a failure message ("" for no penalty)."""
+        eps = self.eps[k]
+        return "" if eps is None else f" in the eps = {eps:g} column"
+
+    def far_field(self, n: int):
+        """The far field of the step from level ``n``: fills the ghost
+        rows of :attr:`near` at ``s_n``; returns the ghosts' explicit jump
+        term at ``s_n`` (a row per column), ``dt`` times the implicit
+        core's at ``s_{n+1}`` (a column per column) and the Dirichlet edge
+        rows at ``s_{n+1}``.  Once per march unless the far field decays."""
+        if self._far is None or self.decaying:
+            op, dt, ng = self.cfg.op, self.dt, generator.NEAR_GHOSTS
+            s_now, s_new = n * dt, (n + 1) * dt
+            far, core = self._far_rows, self._core_cols
+            for k, ghosts in enumerate(self.ghosts):
+                left, right = ghosts.take(ng, ng)
+                dl, dr = ghosts.discount(s_now)
+                np.multiply(left, dl, out=self.near[:ng, k])
+                np.multiply(right, dr, out=self.near[-ng:, k])
+                far[k] = generator.ghost_term(op, ghosts, "monotone", s_now)
+                np.multiply(dt,
+                            generator.ghost_term(op, ghosts, "core", s_new),
+                            out=core[:, k])
+            dl, dr = self.ghosts[0].discount(s_new)
+            self._far = far, core, (self.obstacle[0] * dl,
+                                    self.obstacle[-1] * dr)
+        return self._far
 
     def local_stencil(self, t: float):
         """Rows (l, d, u) of ``L_D - r`` with upwinded drift."""
@@ -333,42 +379,44 @@ def _edge_discount(cfg: SolveConfig) -> Callable | None:
 
 
 def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
-                    bc: tuple[float, float]) -> np.ndarray:
-    rhs = rhs.copy()
+                    bc: tuple) -> np.ndarray:
+    """Band solve at forward time ``t`` for a right-hand side (a column
+    or a block of them) with Dirichlet edge values ``bc``."""
+    rhs = np.array(rhs, order="F")
     rhs[0], rhs[-1] = bc
     lu, piv = ws.factor(t)
     out, info = dgbtrs(lu, _KL, _KL, rhs, piv, overwrite_b=True)
-    if info != 0 or not np.all(np.isfinite(out)):
-        bad = np.flatnonzero(~np.isfinite(out))
+    if info != 0 or not np.isfinite(out).all():
+        bad = ~np.isfinite(out.reshape(out.shape[0], -1))
+        k = int(np.argmax(bad.any(axis=0)))
+        nodes = np.flatnonzero(bad[:, k])
         raise NumericalError(
-            f"solver.banded: band solve at t = {t:g} gave {bad.size} "
-            f"non-finite values, first at nodes {bad[:3].tolist()} "
+            f"solver.banded: band solve at step {round(t / ws.dt)}/"
+            f"{ws.cfg.grid.nt}, t = {t:g} gave {int(bad.sum())} non-finite "
+            f"values, first at nodes {nodes[:3].tolist()}{ws.column(k)} "
             f"(dgbtrs info {info})")
     return out
 
 
 def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
               pspec: PenaltySpec | None) -> np.ndarray:
-    """Advance from forward level ``n`` to ``n + 1``."""
-    cfg, dt, ghosts = ws.cfg, ws.dt, ws.ghosts
-    s_now = n * dt
-    s_new = (n + 1) * dt
+    """Advance every column of the block from forward level ``n`` to
+    ``n + 1``; ``pspec`` holds one penalty width per column."""
+    cfg, dt = ws.cfg, ws.dt
+    far, core, edges = ws.far_field(n)
     ng = generator.NEAR_GHOSTS
-    near = extend_slice(cfg.grid, v_now, "clamp_payoff", ghosts, ng, ng,
-                        ghosts.discount(s_now))
+    ws.near[ng:-ng] = v_now
     rhs = v_now + dt * generator.apply_nonlocal_grid(
-        cfg.op, near, "monotone",
-        generator.ghost_term(cfg.op, ghosts, "monotone", s_now), core=False)
+        cfg.op, ws.near, "monotone", far, core=False)
     if pspec is not None:
         rhs -= dt * pspec.value(v_now - ws.obstacle)
     if cfg.source is not None:
-        rhs += dt * np.asarray(cfg.source(ws.x, s_now), dtype=float)
-    rhs += dt * generator.ghost_term(cfg.op, ghosts, "core", s_new)
+        rhs += dt * np.asarray(cfg.source(ws.x, n * dt),
+                               dtype=float)[:, None]
+    rhs += core
     # Dirichlet edge values: the obstacle's ends under the far field's
     # discount
-    dl, dr = ghosts.discount(s_new)
-    v_new = _implicit_solve(ws, rhs, s_new, (float(ws.obstacle[0]) * dl,
-                                             float(ws.obstacle[-1]) * dr))
+    v_new = _implicit_solve(ws, rhs, (n + 1) * dt, edges)
     if cfg.mode == "projected":
         v_new = np.maximum(v_new, ws.obstacle)
     return v_new
@@ -378,24 +426,50 @@ def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
 # full marches
 
 
-def _march(cfg: SolveConfig, eps: float | None,
-           pspec: PenaltySpec | None) -> tuple[np.ndarray, _Workspace]:
+def _march(cfg: SolveConfig, eps: tuple
+           ) -> tuple[np.ndarray, _Workspace, list, list]:
+    """March one column per entry of ``eps`` (``(None,)``: no penalty).
+
+    Returns the last column's surface, the workspace, and per earlier
+    column its sup-norm delta to the next and its :func:`_grad_max`:
+    maxima over the levels, folded in at every step, so the same bits
+    as over stored surfaces."""
     grid = cfg.grid
     ws = _Workspace(cfg, eps)
+    pspec = None if eps[0] is None else \
+        penalty_mod.build(np.array(eps), cfg.anchor)
     surface = np.empty((grid.nx + 1, grid.nt + 1))
-    surface[:, 0] = ws.initial
-    guard = cfg.payoff.bound + 2.0 + (0.0 if cfg.initial is None else
-                                      float(np.max(np.abs(ws.initial))))
-    v = surface[:, 0].copy()
+    surface[:, 0] = ws.initial[:, -1]
+    limit = cfg.payoff.bound + 2.0 + (
+        0.0 if cfg.initial is None else float(np.max(np.abs(ws.initial)))
+    ) + 10.0
+    v = ws.initial.copy(order="F")
+    delta = np.zeros(len(eps) - 1)
+    grad = np.zeros(len(eps) - 1)
+
+    def fold(v):
+        if delta.size:
+            d = v[:, :-1] - v[:, 1:]
+            np.maximum(delta, np.abs(d, out=d).max(axis=0), out=delta)
+            d = v[2:, :-1] - v[:-2, :-1]
+            np.maximum(grad, np.abs(d, out=d).max(axis=0), out=grad)
+
+    fold(v)
     for n in range(grid.nt):
         v = _one_step(ws, v, n, pspec)
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > guard + 10.0:
+        # NaN fails the comparison, so one max catches it too
+        ok = np.abs(v).max(axis=0) <= limit
+        if not ok.all():
+            k = int(np.argmin(ok))
+            peak = np.abs(v[:, k]).max()
             raise NumericalError(
                 f"solver._march: stability violation at step "
-                f"{n + 1}/{grid.nt}: max |v| = {np.max(np.abs(v)):.3e}, "
+                f"{n + 1}/{grid.nt}{ws.column(k)}: max |v| = {peak:.3e}, "
                 f"budget fraction = {stability_fraction(cfg):.3f}")
-        surface[:, n + 1] = v
-    return surface, ws
+        fold(v)
+        surface[:, n + 1] = v[:, -1]
+    return surface, ws, delta.tolist(), \
+        [float(g) / (2.0 * grid.h) for g in grad]
 
 
 def _grad_max(surface: np.ndarray, h: float) -> float:
@@ -415,14 +489,14 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
         "grad_max": _grad_max(surface, grid.h),
     }
     if pspec is not None:
-        gap = surface - ws.obstacle[:, None]
+        gap = surface - ws.obstacle[:, -1:]
         pen = pspec.value(gap)
         residuals["penalty_min"] = float(pen.min())
         residuals["penalty_max"] = float(pen.max())
         residuals["obstacle_gap"] = float(gap.min())
     trunc = levy.jump_moment(cfg.model, 0, cfg.op.radius, np.inf)
     gf = GridFunction(grid, surface, extension="clamp_payoff",
-                      payoff=ws.bc_fn, ghosts=ws.ghosts)
+                      payoff=ws.bc_fns[-1], ghosts=ws.ghosts[-1])
     report = SolveReport(
         value=gf, mode=cfg.mode, eps_final=eps, anchor=cfg.anchor,
         residuals=residuals, eps_trace=[],
@@ -455,41 +529,30 @@ def solve_european(cfg: SolveConfig) -> SolveReport:
     """Plain Cauchy march (no obstacle, optional source/initial)."""
     if cfg.mode != "european":
         raise ConfigError("solve_european requires european mode")
-    surface, ws = _march(cfg, None, None)
+    surface, ws, _, _ = _march(cfg, (None,))
     return _build_report(cfg, surface, ws, None, None, cfg.grid.nt)
 
 
 def solve_vi(cfg: SolveConfig) -> SolveReport:
     """Obstacle-problem solve: penalized continuation or direct projection.
 
-    Penalized mode marches once per schedule entry (the operator is
-    assembled once and shared) and builds one report, from the last
-    march.  Each earlier surface gives only its gradient max and its
-    sup-norm delta to the next, the ``eps_trace``; a non-decreasing tail
-    of the trace adds a non-convergence warning.  Projected mode is a
-    single march.
+    Penalized mode marches the whole schedule as one block, a column per
+    width (the operator and the band factor are shared), and stores only
+    the last column's surface, from which it builds the one report.  Each
+    earlier column gives only its gradient max and its sup-norm delta to
+    the next, the ``eps_trace``, folded in step by step; a non-decreasing
+    tail of the trace adds a non-convergence warning.  ``steps`` still
+    counts ``nt`` per width.  Projected mode is the one-column march.
     """
     if cfg.mode == "projected":
-        surface, ws = _march(cfg, None, None)
+        surface, ws, _, _ = _march(cfg, (None,))
         report = _build_report(cfg, surface, ws, None, None, cfg.grid.nt)
     elif cfg.mode == "penalized":
         schedule = cfg.eps_schedule
-        prev = None
-        trace = []
-        grad_per_eps = []
-        for eps in schedule:
-            pspec = penalty_mod.build(eps, cfg.anchor)
-            surface, ws = _march(cfg, eps, pspec)
-            if prev is not None:
-                # the previous surface is dead after this, so the delta
-                # reuses its buffer: prev - surface is surface - prev
-                # with the sign flipped, bit for bit, and abs drops it
-                prev -= surface
-                trace.append(float(np.abs(prev, out=prev).max()))
-            if eps != schedule[-1]:
-                grad_per_eps.append(_grad_max(surface, cfg.grid.h))
-            prev = surface
-        report = _build_report(cfg, surface, ws, eps, pspec,
+        surface, ws, trace, grad_per_eps = _march(cfg, schedule)
+        eps = schedule[-1]
+        report = _build_report(cfg, surface, ws, eps,
+                               penalty_mod.build(eps, cfg.anchor),
                                cfg.grid.nt * len(schedule))
         report.eps_trace = trace
         report.grad_max_per_eps = grad_per_eps + \

@@ -651,6 +651,19 @@ def test_first_probe_at_each_time_values_its_own_batch():
     assert [row["mc_shift"] for row in rows] == [0.0, 0.0, 0.1, 0.1]
 
 
+@pytest.mark.parametrize("seed", [11, 104729])
+def test_policy_power_rows_leave_mc_values_unchanged(seed, monkeypatch):
+    # the policy's own power rows against numpy's polyvander
+    rc = _path_config([0.0, [-0.1, 0.5]])
+    rc.oracle.seed = seed
+    got = harness.compare(rc)
+    monkeypatch.setattr(mc, "_powers", np.polynomial.polynomial.polyvander)
+    want = harness.compare(rc)
+    assert [row["mc_kind"] for row in got] == ["lower_bound"] * 2
+    assert [(row["mc_value"], row["mc_stderr"]) for row in got] == \
+        [(row["mc_value"], row["mc_stderr"]) for row in want]
+
+
 def test_compare_which_none_disables_oracles():
     rc = harness.RunConfig.from_dict(BASE)
     rc.oracle.mc_paths = 12000
@@ -771,6 +784,27 @@ def test_cli_numerical_failure_in_the_march_exits_3(tmp_path, capsys,
                           "violation at step 1/100")
     assert "Traceback" not in out
     assert not (tmp_path / "out").exists()
+
+
+def test_march_failure_names_the_eps_column(tmp_path, capsys, monkeypatch):
+    # one column of the penalized block turns NaN: the failure names its
+    # width as well as the layer, the step and the quantity
+    real = solver._one_step
+
+    def one_bad_column(ws, v, n, pspec):
+        out = real(ws, v, n, pspec)
+        out[:, 1] = np.nan
+        return out
+    monkeypatch.setattr(solver, "_one_step", one_bad_column)
+    cfg_path = make_config(tmp_path, numerics={
+        "mode": "penalized", "eps_schedule": [0.2, 0.1, 0.05]})
+    assert cli.main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "invariant violation: solver._march: stability violation at step "
+        "1/100 in the eps = 0.1 column: max |v| = nan, budget fraction = ")
+    assert "Traceback" not in out
 
 
 def test_failed_check_line_gives_observed_value_and_bound(tmp_path):

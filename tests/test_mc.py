@@ -625,3 +625,15 @@ def test_lipschitz_modulus_common_random_numbers():
         mc.simulate(mod, coeffs, d, 1.0, 20_000, 32, 31), PUT, R)
     modulus = abs(pb.price - pa.price) / d
     assert modulus <= PUT.lipschitz * 1.1
+
+
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_power_rows_are_polyvander_bit_for_bit(degree):
+    # the same values in the same transposed layout, so lstsq sees the
+    # same matrix
+    xs = np.random.default_rng(degree).uniform(-1.0, 1.0, 257)
+    got = mc._powers(xs, degree)
+    want = np.polynomial.polynomial.polyvander(xs, degree)
+    assert got.shape == want.shape == (xs.size, degree + 1)
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()

@@ -9,7 +9,7 @@ as the separation scale shrinks.
 import numpy as np
 import pytest
 
-from jumpstop import levy
+from jumpstop import levy, penalty
 from jumpstop.errors import ParameterError
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
 from jumpstop.payoff import PayoffSpec, kernel_average, put
@@ -160,3 +160,47 @@ def test_zero_depth_is_identically_zero():
     p = build(0.1, 0.0)
     assert np.all(p.value(YS) == 0.0)
     assert np.all(p.slope(YS) == 0.0)
+
+
+def test_ramp_table_is_two_kernel_averages_bit_for_bit():
+    # one set of kernel weights and arguments serves both integrands
+    z = np.linspace(-1.0, 1.0, penalty._RAMP_NODES)
+    f, fp, _ = penalty._ramp_table()
+    want_f = kernel_average(lambda t: np.minimum(t, 0.0), z, 1.0, (0.0,))
+    want_fp = kernel_average(lambda t: np.where(t < 0.0, 1.0, 0.0), z, 1.0,
+                             (0.0,))
+    assert np.array_equal(f, want_f) and f.tobytes() == want_f.tobytes()
+    assert np.array_equal(fp, want_fp) and fp.tobytes() == want_fp.tobytes()
+
+
+def test_column_widths_give_each_column_its_scalar_bits():
+    # one width per column, broadcast along the last axis of y
+    widths = (0.2, 0.1, 0.05, 0.025)
+    block = build(np.array(widths), -1.17)
+    y = np.add.outer(YS, np.linspace(-0.01, 0.01, len(widths)))
+    for name in ("value", "slope"):
+        got = getattr(block, name)(y)
+        assert got.shape == y.shape
+        for k, eps in enumerate(widths):
+            want = getattr(build(eps, -1.17), name)(y[:, k])
+            assert got[:, k].tobytes() == want.tobytes(), (name, eps)
+    with pytest.raises(ParameterError):
+        build(np.array([0.2, 1.0]), -1.0)
+    assert not build(np.array(widths), 0.0).value(y).any()
+
+
+def test_hermite_in_place_is_the_one_expression_form_bit_for_bit():
+    def one_expression(z, vals, ders):
+        dz = 2.0 / (penalty._RAMP_NODES - 1)
+        t = (z + 1.0) / dz
+        i = np.minimum(t.astype(int), penalty._RAMP_NODES - 2)
+        s = t - i
+        r = 1.0 - s
+        return (s * s * (3.0 - 2.0 * s) * vals[i + 1]
+                + r * r * (1.0 + 2.0 * s) * vals[i]
+                + dz * s * r * (r * ders[i] - s * ders[i + 1]))
+    z = np.random.default_rng(3).uniform(-1.0, 1.0, 50_000)
+    f, fp, fpp = penalty._ramp_table()
+    for vals, ders in ((f, fp), (fp, fpp)):
+        got = penalty._hermite(z, vals, ders)
+        assert got.tobytes() == one_expression(z, vals, ders).tobytes()
