@@ -126,8 +126,8 @@ class SmoothFitReport:
     unreliable: bool     # boundary within 3 nodes of the domain edge
 
 
-def smooth_fit_gap(u: GridFunction, regions: RegionPartition,
-                   expiry_layer: float = 0.02) -> SmoothFitReport:
+def smooth_fit_gap(u: GridFunction,
+                   regions: RegionPartition) -> SmoothFitReport:
     """Measure the jump of the space derivative across the free boundary.
 
     ``u`` is the backward-time surface; boundary points are the edges of
@@ -136,17 +136,17 @@ def smooth_fit_gap(u: GridFunction, regions: RegionPartition,
     to within its penalty width.  One-sided slopes use second-order
     three-point quotients from nodes strictly on each side of the edge,
     so the stopping-side slope is the payoff's and the gap is the
-    physical matching defect.  Columns within ``expiry_layer`` of the
-    terminal time are skipped: the payoff kink's start-up transient is
-    below grid resolution there at any step size.
+    physical matching defect.  The last
+    :attr:`~jumpstop.grids.SpaceTimeGrid.expiry_levels` columns, next to
+    the terminal time, are skipped: the payoff kink's start-up transient
+    is below grid resolution there at any step size.
     """
     x = u.grid.nodes
     h = u.grid.h
     interior = u.grid.interior
     vals = u.values if u.values.ndim == 2 else u.values[:, None]
     n_time = vals.shape[1]
-    last = n_time - max(1, int(np.ceil(expiry_layer * n_time))) \
-        if n_time > 1 else n_time
+    last = n_time - u.grid.expiry_levels if n_time > 1 else n_time
     gaps = []
     unreliable = False
     grad_max = 0.0

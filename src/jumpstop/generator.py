@@ -8,11 +8,12 @@ The jump integral is discretized in three zones:
   whole zone collapses to a 5-point stencil acting on the discrete second
   derivative, plus an exact Taylor floor for the mass below the last
   panel.
-* **band** ``(y_core, 1]``: each cell of the jump axis (cells at most one
-  grid step wide, with forced edges at 1 and at any requested split
-  points) is lumped onto the two bracketing grid shifts with nonnegative
-  weights that preserve the cell's mass and mean exactly; the band is
-  compensated by the summed cell means times a centered first difference.
+* **band** ``(y_core, 1]``: each cell of the jump axis (cut at the
+  half-nodes ``(k + 1/2) h`` and at 1, so at most one grid step wide) is
+  lumped onto the two bracketing grid shifts with nonnegative weights
+  that preserve the cell's mass and mean exactly; the band is
+  compensated by the summed cell means (summed exactly, so a symmetric
+  measure's is 0) times a centered first difference.
 * **tail** ``(1, R]``: same lumping, uncompensated; ``R`` is chosen so
   the ignored outer mass is below ``radius_tol``.
 
@@ -24,9 +25,11 @@ exact on quadratics up to quadrature tolerance.  The ``"monotone"``
 profile drops the corrections so that every off-diagonal weight is
 nonnegative; the time stepper uses it to preserve comparison.
 
+The operator depends on the model, the grid and ``radius_tol`` alone.
 The split accessor returns the small-jump and large-jump halves for any
-cut ``eps`` that does not bisect a cell.  The small half evaluates each
-lumped shift through the telescoped second-difference identity
+cut ``eps`` on a cell edge: a half-node ``(k + 1/2) h`` or 1.  The small
+half evaluates each lumped shift through the telescoped second-difference
+identity
 
     phi[i+k] - phi[i] - k*h*D1c[i] = (k/2) d2[i] + sum_{0<m<k} (k-m) d2[i+m]
 
@@ -56,6 +59,7 @@ shifts) and its reads of the near ghosts as the ``"core"`` part of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,14 +139,8 @@ class NonlocalOperator:
 
 
 def build_operator(model: LevyModel, grid: SpaceTimeGrid,
-                   forced_edges: tuple[float, ...] = (0.25, 0.5),
                    radius_tol: float = 1e-12) -> NonlocalOperator:
-    """Assemble the discrete jump operator for ``model`` on ``grid``.
-
-    ``forced_edges`` lists extra cut points (besides 1) that become cell
-    boundaries so that :func:`apply_nonlocal_split` can separate the
-    small- and large-jump halves exactly there.
-    """
+    """Assemble the discrete jump operator for ``model`` on ``grid``."""
     h = grid.h
     n_base = grid.nx + 1
     y_core = 2.0 * h
@@ -152,7 +150,7 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
     radius = levy.truncation_radius(model, tol=radius_tol)
     core_stencil, core_var = _core_stencil(model, h, y_core)
 
-    edges = _cell_edges(h, y_core, radius, forced_edges)
+    edges = _cell_edges(h, y_core, radius)
     cells = _build_cells(model, edges) if edges is not None else None
 
     if cells is None:
@@ -190,7 +188,7 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
         cell_r2=r2, cell_compensated=compensated,
         k_min=k_min, k_max=k_max, far_kernel=far_kernel,
         corr_kernel=corr_kernel, core_stencil=core_stencil,
-        far_mass=float(m0.sum()), compensator=float(m1[compensated].sum()),
+        far_mass=float(m0.sum()), compensator=math.fsum(m1[compensated]),
         core_var=core_var, fv_core=_fv_core(model, y_core),
     )
 
@@ -215,17 +213,17 @@ def _fv_core(model: LevyModel, y_core: float) -> float | None:
     return levy.jump_moment(model, 1, 0.0, y_core)
 
 
-def _cell_edges(h, y_core, radius, forced_edges):
-    """Cell boundaries (magnitudes) covering (y_core, radius]."""
+def _cell_edges(h, y_core, radius):
+    """Cell boundaries (magnitudes) covering (y_core, radius]: the
+    half-nodes and 1, the edge of the compensated band."""
     if radius <= y_core * (1.0 + 1e-9):
         return None
     k0 = int(np.floor(y_core / h - 0.5)) + 1
     k1 = int(np.floor(radius / h - 0.5))
     half_nodes = (np.arange(k0, k1 + 1) + 0.5) * h
     half_nodes = half_nodes[(half_nodes > y_core) & (half_nodes < radius)]
-    forced = [e for e in (*forced_edges, 1.0)
-              if y_core * (1 + 1e-9) < e < radius * (1 - 1e-9)]
-    cand = np.concatenate([[y_core], half_nodes, forced, [radius]])
+    one = [1.0] if y_core * (1 + 1e-9) < 1.0 < radius * (1 - 1e-9) else []
+    cand = np.concatenate([[y_core], half_nodes, one, [radius]])
     cand.sort()
     keep = np.concatenate([[True], np.diff(cand) > 1e-10 * h])
     return cand[keep]
@@ -525,7 +523,7 @@ def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
     The small half covers jumps of size at most ``eps`` in compensated
     second-difference form; the large half covers the rest directly, with
     the compensation of the remaining band.  ``eps`` must lie in
-    ``[y_core, 1]`` on a cell boundary (see ``forced_edges``).
+    ``[y_core, 1]`` on a cell edge: a half-node ``(k + 1/2) h``, or 1.
     """
     _check_profile(profile)
     if eps > 1.0 + 1e-12:
@@ -538,8 +536,8 @@ def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
                (op.cell_hi > eps * (1.0 + 1e-12))
     if np.any(straddle):
         raise ParameterError(
-            f"split point {eps:g} bisects a jump cell; pass it via "
-            f"forced_edges when building the operator")
+            f"split point {eps:g} bisects a jump cell; cut at a cell "
+            f"edge: a half-node (k + 1/2) h with h = {op.h:g}, or 1")
     ext, base, d1, d2 = _frames(op, gf, n)
     ne, nb = op.n_ext, op.n_base
 

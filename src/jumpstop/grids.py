@@ -85,6 +85,13 @@ class SpaceTimeGrid:
         return self.dt * np.arange(self.nt + 1)
 
     @property
+    def expiry_levels(self) -> int:
+        """Levels next to expiry skipped by the residual and the smooth-fit
+        gap, where the payoff kink's square-root-in-time transient defeats
+        every fixed-order stencil: 2% of the horizon, at least one."""
+        return max(1, int(np.ceil(0.02 * self.nt)))
+
+    @property
     def interior(self) -> np.ndarray:
         """Boolean mask of nodes inside [x_lo, x_hi]."""
         x = self.nodes

@@ -474,11 +474,6 @@ def _hard_checks(rc: RunConfig, cfg: SolveConfig, report: SolveReport,
     checks = dict(diagnostics.lemma_suite(report, cfg.payoff, grid, c=c))
     if cfg.mode == "projected":
         checks["obstacle"] = CheckResult(gap_min >= -tol, gap_min, -tol)
-    if cfg.mode == "european" and (cfg.source is not None
-                                   or cfg.initial is not None):
-        # bounds presume the plain obstacle data; overrides void them
-        checks.pop("lower_bound", None)
-        checks.pop("upper_bound", None)
     if cfg.mode == "penalized" and len(report.eps_trace) >= 2:
         deltas = report.eps_trace
         worst = max(b - a for a, b in zip(deltas, deltas[1:]))

@@ -134,9 +134,7 @@ class SolveConfig:
             raise ConfigError("source/initial overrides are european-only")
         if not 0.0 < self.radius_tol <= 1e-3:
             raise ConfigError("radius_tol must lie in (0, 1e-3]")
-        forced = tuple(sorted({0.25, 0.5, *self.eps_schedule}))
         self.op = generator.build_operator(self.model, self.grid,
-                                           forced_edges=forced,
                                            radius_tol=self.radius_tol)
         self.anchor = penalty_mod.anchor(self.coeffs, self.payoff,
                                          self.model, self.grid)
@@ -490,10 +488,11 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
     }
     if pspec is not None:
         gap = surface - ws.obstacle[:, -1:]
-        pen = pspec.value(gap)
-        residuals["penalty_min"] = float(pen.min())
-        residuals["penalty_max"] = float(pen.max())
-        residuals["obstacle_gap"] = float(gap.min())
+        # a nondecreasing penalty takes its extrema at the gap's extrema
+        lo, hi = float(gap.min()), float(gap.max())
+        residuals["penalty_min"] = float(pspec.value(lo))
+        residuals["penalty_max"] = float(pspec.value(hi))
+        residuals["obstacle_gap"] = lo
     trunc = levy.jump_moment(cfg.model, 0, cfg.op.radius, np.inf)
     gf = GridFunction(grid, surface, extension="clamp_payoff",
                       payoff=ws.bc_fns[-1], ghosts=ws.ghosts[-1])
@@ -572,11 +571,12 @@ def contact_tol(cfg: SolveConfig, eps_final: float | None) -> float:
     The value-error tolerance ``c*(h^2 + dt)`` that gates the invariant
     checks is far coarser than the contact set itself: projection makes
     ``u == g`` exact there, and the penalty confines ``u - g`` to its
-    band ``[0, eps]``.  The contact collars of :func:`residual_vi` are a
-    stencil-validity mask, not the stopping region, and keep their own
-    rounding-level tolerance.
+    band ``[0, eps]``.  With no penalty (``eps_final`` None) the
+    tolerance is rounding-level; the contact collars of
+    :func:`residual_vi`, a stencil-validity mask rather than the stopping
+    region, use it in every mode.
     """
-    if cfg.mode == "penalized":
+    if eps_final is not None:
         return float(eps_final)
     return 1e-10 * max(1.0, cfg.payoff.bound)
 
@@ -594,8 +594,7 @@ def backward_value(report: SolveReport) -> GridFunction:
                         ghosts=ghosts)
 
 
-def residual_vi(value: GridFunction, cfg: SolveConfig,
-                expiry_layer: float = 0.02) -> GridFunction:
+def residual_vi(value: GridFunction, cfg: SolveConfig) -> GridFunction:
     """Complementarity residual ``min(equation part, obstacle part)``.
 
     ``value`` is the forward-time surface from :func:`solve_vi`.  The
@@ -604,18 +603,18 @@ def residual_vi(value: GridFunction, cfg: SolveConfig,
     region where the stencil is meaningful: at the two time ends, off the
     interior window, within a 2-node collar of each contact-set edge
     (the second space derivative jumps across the free boundary), and in
-    the first ``expiry_layer`` fraction of the horizon after the terminal
-    condition -- there the payoff kink makes the time derivative blow up
-    (square-root-in-time transient), which the solution's Sobolev-level
-    regularity permits, so no fixed-order stencil resolves it.
+    the first :attr:`~jumpstop.grids.SpaceTimeGrid.expiry_levels` after
+    the terminal condition -- there the payoff kink makes the time
+    derivative blow up (square-root-in-time transient), which the
+    solution's Sobolev-level regularity permits, so no fixed-order
+    stencil resolves it.
     """
     grid = cfg.grid
     if value.values.shape != (grid.nx + 1, grid.nt + 1):
         raise ParameterError("value surface does not match the config grid")
     g = np.asarray(cfg.payoff(grid.nodes), dtype=float)
-    n_skip = max(1, int(np.ceil(expiry_layer * grid.nt)))
     out = np.full_like(value.values, np.nan)
-    for n0 in range(n_skip, grid.nt, _LEVEL_BLOCK):
+    for n0 in range(grid.expiry_levels, grid.nt, _LEVEL_BLOCK):
         n1 = min(n0 + _LEVEL_BLOCK, grid.nt)
         out[:, n0:n1] = _residual_levels(value, cfg, n0, n1, g)
     out[~grid.interior, :] = np.nan
@@ -655,7 +654,7 @@ def _residual_levels(value: GridFunction, cfg: SolveConfig, n0: int,
     # 2-node collar around each contact-set edge (between nodes i and
     # i+1: nodes i-1 .. i+3): the second-derivative jump across the free
     # boundary makes the stencil inconsistent there
-    contact = obs_part <= 1e-10 * max(1.0, cfg.payoff.bound)
+    contact = obs_part <= contact_tol(cfg, None)
     edge = contact[:-1] != contact[1:]
     collar = np.zeros_like(contact)
     n_edge = edge.shape[0]

@@ -118,7 +118,8 @@ def test_01_jump_operator_identities():
         probe = gf(lambda x: np.sin(1.3 * x) + 0.3 * x * x)
         full = apply_nonlocal(op, probe)
         scale = max(1.0, float(np.max(np.abs(full))))
-        for cut in (0.25, 0.5, 1.0):
+        # cuts on cell edges: half-nodes (k + 1/2) h, and 1
+        for cut in (10.5 * grid.h, 20.5 * grid.h, 1.0):
             small, large = apply_nonlocal_split(op, probe, cut)
             assert np.max(np.abs(small + large - full)) <= 1e-6 * scale, \
                 (name, cut)

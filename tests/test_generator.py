@@ -10,12 +10,15 @@ validated against a brute-force Riemann oracle in test_levy.py):
 * the small/large split recombines to the full operator to rounding for
   every admissible cut, and the small half carries exactly the second
   moment below the cut.
+
+A cut must be a cell edge: a half-node ``(k + 1/2) h`` or 1.  The split
+tests name a nominal cut (0.25, 0.5, 1.0) and cut at :func:`_edge` of it.
 """
 
 import numpy as np
 import pytest
 
-from jumpstop import levy
+from jumpstop import levy, payoff
 from jumpstop.errors import ParameterError
 from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
                                 apply_nonlocal_ext, apply_nonlocal_grid,
@@ -24,6 +27,7 @@ from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
                                 operator_summary)
 from jumpstop.grids import (CoefficientField, GridFunction, PayoffGhosts,
                             SpaceTimeGrid, extend_slice)
+from jumpstop.solver import SolveConfig, solve_vi
 
 GRID = SpaceTimeGrid(x_lo=-2.0, x_hi=2.0, pad=1.5, nx=280,
                      t_final=1.0, nt=10)
@@ -100,13 +104,20 @@ def test_square_picks_up_second_moment(ops, name):
 
 # --- split invariance and per-half identities ------------------------------
 
+def _edge(eps):
+    """The cell edge for the nominal cut ``eps``: 1, or the half-node
+    above the grid node nearest ``eps`` (0.25 -> 10.5 h, 0.5 -> 20.5 h on
+    ``GRID``)."""
+    return 1.0 if eps == 1.0 else (round(eps / GRID.h) + 0.5) * GRID.h
+
+
 @pytest.mark.parametrize("name", ["merton", "nig", "ts_asym"])
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
 def test_split_recombines_exactly(ops, name, eps):
     op = ops[name]
     gf = _gf(lambda x: np.sin(1.3 * x) + 0.3 * x * x)
     full = apply_nonlocal(op, gf)
-    small, large = apply_nonlocal_split(op, gf, eps)
+    small, large = apply_nonlocal_split(op, gf, _edge(eps))
     scale = max(1.0, float(np.max(np.abs(full))))
     assert np.max(np.abs(small + large - full)) <= 1e-11 * scale
 
@@ -115,14 +126,15 @@ def test_split_recombines_exactly(ops, name, eps):
 @pytest.mark.parametrize("eps", [0.25, 1.0])
 def test_small_half_carries_small_second_moment(ops, name, eps):
     op = ops[name]
-    small, _ = apply_nonlocal_split(op, _gf(lambda x: x * x), eps)
-    want = levy.tails(MODELS[name], eps).small_var
+    small, _ = apply_nonlocal_split(op, _gf(lambda x: x * x), _edge(eps))
+    want = levy.tails(MODELS[name], _edge(eps)).small_var
     assert np.max(np.abs(small - want)) <= 1e-6 * max(1.0, want)
 
 
 @pytest.mark.parametrize("eps", [0.25, 1.0])
 def test_small_half_kills_linear_slices(ops, eps):
-    small, large = apply_nonlocal_split(ops["nig"], _gf(lambda x: x), eps)
+    small, large = apply_nonlocal_split(ops["nig"], _gf(lambda x: x),
+                                        _edge(eps))
     assert np.max(np.abs(small)) <= 1e-12
     want = _big_mean_signed(MODELS["nig"], ops["nig"])
     assert np.max(np.abs(large - want)) <= 1e-6 * max(1.0, abs(want))
@@ -135,6 +147,9 @@ def test_split_rejects_cell_interior_cut(ops):
     gf = _gf(lambda x: x * x)
     with pytest.raises(ParameterError):
         apply_nonlocal_split(op, gf, float(wide[0]))
+    # 0.25 = 10 h is a grid node, not a cell edge
+    with pytest.raises(ParameterError, match="bisects a jump cell"):
+        apply_nonlocal_split(op, gf, 0.25)
     with pytest.raises(ParameterError):
         apply_nonlocal_split(op, gf, 1.5)
     with pytest.raises(ParameterError):
@@ -333,6 +348,16 @@ def test_compensator_reproduces_unit_band_mean(ops, name):
         levy.jump_moment(model, 1, 0.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("nx", [280, 400])
+def test_symmetric_measure_has_an_exactly_zero_compensator(nx):
+    # summed exactly, the cell means of the two sides cancel, so no
+    # rounding-level first difference enters the operator
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, nx, 1.0, 10)
+    for model in (MODELS["ts_sym"], levy.variance_gamma(0.2, 0.3, 0.0),
+                  levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)):
+        assert build_operator(model, grid).compensator == 0.0
+
+
 # --- local part and trivial model ------------------------------------------
 
 def test_local_part_exact_on_quadratics():
@@ -350,6 +375,26 @@ def test_trivial_model_gives_zero_operator():
     assert op.compensator == op.fv_core == 0.0
     summary = operator_summary(op)
     assert summary["cells"] == 0 and summary["far_mass"] == 0.0
+
+
+@pytest.mark.parametrize("model", [levy.merton(0.0, -0.05, 0.25),
+                                   levy.kou(0.0, 0.4, 12.0, 8.0)],
+                         ids=["merton", "kou"])
+def test_zero_mass_model_gives_the_empty_operator(model):
+    # a jump family with zero intensity is not trivial, yet no cell holds
+    # mass: its operator and a projected solve are those of no jumps
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 100, 0.5, 50)
+    op = build_operator(model, grid)
+    assert not model.is_trivial and op.cell_mass.size == 0
+    for kernel in (op.far_kernel, op.corr_kernel, op.core_stencil):
+        assert not np.any(kernel)
+    assert op.far_mass == op.compensator == op.core_var == 0.0
+    coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
+
+    def surface(m):
+        return solve_vi(SolveConfig(grid, m, coeffs, payoff.put(1.0),
+                                    mode="projected")).value.values
+    assert surface(model).tobytes() == surface(levy.none()).tobytes()
 
 
 def test_summary_fields(ops):

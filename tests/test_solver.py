@@ -142,6 +142,42 @@ def test_plan_steps_fits_the_config_budget():
     assert 0.9 * (nt - 1) / nt < stability_fraction(cfg) <= 0.9
 
 
+def _kernels(op):
+    return (op.k_min, op.far_kernel, op.corr_kernel, op.core_stencil,
+            op.cell_lo, op.cell_hi, op.cell_mass, op.cell_mean)
+
+
+def _same_operator(a, b):
+    return all(np.array_equal(x, y)
+               for x, y in zip(_kernels(a), _kernels(b)))
+
+
+@pytest.mark.parametrize("mode", ["projected", "european"])
+def test_operator_and_surface_do_not_read_the_eps_schedule(mode,
+                                                           monkeypatch):
+    # h = 1/30 puts 0.1, 0.2 and 0.3 on grid nodes, inside jump cells:
+    # the operator is a function of the model and the grid alone, and
+    # plan_steps sizes the one the solve marches
+    built = []
+    real = generator.build_operator
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(solver.generator, "build_operator", spy)
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 120, 0.5, 40)
+    solve = solve_vi if mode == "projected" else solve_european
+    cfgs = [SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode=mode,
+                        eps_schedule=schedule)
+            for schedule in ((0.2, 0.1, 0.05), (0.3,))]
+    assert _same_operator(cfgs[0].op, cfgs[1].op)
+    assert solve(cfgs[0]).value.values.tobytes() == \
+        solve(cfgs[1]).value.values.tobytes()
+    plan_steps(grid, mod, coeffs, payoff.put(1.0))
+    assert len(built) == 3 and _same_operator(built[-1], cfgs[0].op)
+
+
 def test_plan_steps_caps_the_step_at_a_quarter_grid_step():
     # far mass alone would allow about 122 steps for ts15 at nx = 400
     coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
@@ -439,10 +475,10 @@ def test_eps_trace_is_the_sup_norm_of_either_sign(monkeypatch):
     assert min(trace) > 1.0
 
 
-def test_penalized_solve_reads_one_full_surface_penalty(monkeypatch):
+def test_penalized_solve_reads_no_full_surface_penalty(monkeypatch):
     # the march evaluates the penalty once per step, on the level of
-    # every width at once; only the report reads it over the full
-    # surface, once per solve
+    # every width at once; the report reads it only at the least and the
+    # greatest gap, where a nondecreasing penalty takes its extrema
     shapes = []
     real = solver.penalty_mod.PenaltySpec.value
 
@@ -456,10 +492,7 @@ def test_penalized_solve_reads_one_full_surface_penalty(monkeypatch):
                       eps_schedule=(0.2, 0.1, 0.05, 0.025),
                       mode="penalized")
     solve_vi(cfg)
-    full = (grid.nx + 1, grid.nt + 1)
-    assert shapes.count(full) == 1
-    assert len(shapes) == 1 + grid.nt
-    assert all(shape == (grid.nx + 1, 4) for shape in shapes if shape != full)
+    assert shapes == [(grid.nx + 1, 4)] * grid.nt + [()] * 2
 
 
 @pytest.mark.parametrize("varying", [False, True])
