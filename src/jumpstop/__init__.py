@@ -22,7 +22,7 @@ generator
 solver
     Time-stepping solves and the complementarity residual.
 diagnostics
-    Region partition, smooth fit, norms, invariant checks.
+    Region partition, smooth fit, invariant checks.
 mc
     Path simulation and policy-based value estimates.
 oracles

@@ -1,4 +1,4 @@
-"""Post-solve analysis: regions, free boundary, regularity estimators.
+"""Post-solve analysis: regions, free boundary, smooth fit, bound checks.
 
 :func:`partition` is the one definition of the stopping region and free
 boundary.  Everything here consumes plain arrays or
@@ -9,11 +9,11 @@ reports) and never imports the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation, ParameterError
+from .errors import InvariantViolation
 from .grids import GridFunction, SpaceTimeGrid
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "crossings",
     "SmoothFitReport",
     "smooth_fit_gap",
-    "parabolic_norms",
-    "sobolev_stability",
     "CheckResult",
     "lemma_suite",
 ]
@@ -184,64 +182,6 @@ def smooth_fit_gap(u: GridFunction,
                            median_gap=median_gap,
                            gaps=tuple(gaps), grad_max=grad_max,
                            unreliable=unreliable)
-
-
-def parabolic_norms(u: GridFunction, p: float,
-                    window: tuple, t0: float = 0.0) -> dict:
-    """Measure-weighted L^p norms of first and second differences.
-
-    Restricted to the space window and to (backward) times ``>= t0``;
-    weighting by the space-time cell measure makes values comparable
-    across refinement levels.  Returns ``{"u_t": ., "u_x": ., "u_xx": .,
-    "u_xx_max": .}``.
-    """
-    grid = u.grid
-    vals = u.values
-    if vals.ndim != 2 or vals.shape[1] < 3:
-        raise ParameterError("need a full space-time surface")
-    x = grid.nodes
-    times = grid.times
-    xm = (x >= window[0]) & (x <= window[1])
-    tm = times >= t0 - 1e-12
-    if xm.sum() < 3 or tm.sum() < 3:
-        raise ParameterError("window too small for second differences")
-    h, dt = grid.h, grid.dt
-    u_t = (vals[:, 2:] - vals[:, :-2]) / (2.0 * dt)
-    u_x = (vals[2:, :] - vals[:-2, :]) / (2.0 * h)
-    u_xx = (vals[2:, :] - 2.0 * vals[1:-1, :] + vals[:-2, :]) / (h * h)
-
-    def _norm(arr, xmask, tmask):
-        sub = np.abs(arr[xmask, :][:, tmask])
-        return float((np.sum(sub ** p) * h * dt) ** (1.0 / p))
-
-    out = {
-        "u_t": _norm(u_t, xm, tm[1:-1]),
-        "u_x": _norm(u_x, xm[1:-1], tm),
-        "u_xx": _norm(u_xx, xm[1:-1], tm),
-        "u_xx_max": float(np.max(np.abs(u_xx[xm[1:-1], :][:, tm]))),
-    }
-    return out
-
-
-def sobolev_stability(surfaces: Sequence[GridFunction], p: float,
-                      window: tuple, t0: float = 0.0) -> dict:
-    """Compare difference-quotient norms across refinement levels.
-
-    Returns per-level :func:`parabolic_norms` tables plus, for each
-    quantity, the ratio of the extreme values across levels; stability
-    means the integral norms stay within a factor ~2 while the pointwise
-    max is allowed to grow.
-    """
-    if len(surfaces) < 2:
-        raise ParameterError("need at least two refinement levels")
-    tables = [parabolic_norms(s, p, window, t0) for s in surfaces]
-    ratios = {}
-    for key in ("u_t", "u_x", "u_xx"):
-        vals = [t[key] for t in tables]
-        lo, hi = min(vals), max(vals)
-        ratios[key] = float(hi / lo) if lo > 0 else np.inf
-    return {"levels": tables, "ratios": ratios,
-            "max_growth": [t["u_xx_max"] for t in tables]}
 
 
 class CheckResult(NamedTuple):

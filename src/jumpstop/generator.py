@@ -26,17 +26,6 @@ profile drops the corrections so that every off-diagonal weight is
 nonnegative; the time stepper uses it to preserve comparison.
 
 The operator depends on the model, the grid and ``radius_tol`` alone.
-The split accessor returns the small-jump and large-jump halves for any
-cut ``eps`` on a cell edge: a half-node ``(k + 1/2) h`` or 1.  The small
-half evaluates each lumped shift through the telescoped second-difference
-identity
-
-    phi[i+k] - phi[i] - k*h*D1c[i] = (k/2) d2[i] + sum_{0<m<k} (k-m) d2[i+m]
-
-(``d2`` the undivided second difference, ``D1c`` the centered slope),
-which is algebraically equal to the direct compensated form, so the two
-halves always recombine to the full operator to rounding regardless of
-where the cut is placed.
 
 Applied to a grid function, the operator is split by linearity.  The
 long kernels read the ``nx + 1`` grid values through a Toeplitz block
@@ -81,7 +70,6 @@ __all__ = [
     "ghost_term",
     "core_band",
     "NEAR_GHOSTS",
-    "apply_nonlocal_split",
     "operator_summary",
 ]
 
@@ -106,17 +94,11 @@ class NonlocalOperator:
     radius: float
     n_ext: int
     # per-cell data (both sides concatenated); magnitudes for lo/hi,
-    # signed mean/centroid
+    # signed mean
     cell_lo: np.ndarray
     cell_hi: np.ndarray
     cell_mass: np.ndarray
     cell_mean: np.ndarray
-    cell_node: np.ndarray      # integer shift of the left lumping node
-    cell_theta: np.ndarray     # interpolation fraction toward node+1
-    cell_w_lo: np.ndarray
-    cell_w_hi: np.ndarray
-    cell_r2: np.ndarray        # second-moment defect fixed by corrections
-    cell_compensated: np.ndarray
     # dense kernels (index 0 <-> shift k_min)
     k_min: int
     k_max: int
@@ -184,8 +166,6 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
         model=model, h=h, n_base=n_base, y_core=y_core, radius=radius,
         n_ext=max(abs(k_min), k_max) + 2,
         cell_lo=lo, cell_hi=hi, cell_mass=m0, cell_mean=m1,
-        cell_node=node, cell_theta=theta, cell_w_lo=w_lo, cell_w_hi=w_hi,
-        cell_r2=r2, cell_compensated=compensated,
         k_min=k_min, k_max=k_max, far_kernel=far_kernel,
         corr_kernel=corr_kernel, core_stencil=core_stencil,
         far_mass=float(m0.sum()), compensator=math.fsum(m1[compensated]),
@@ -195,12 +175,9 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
 
 def _trivial_operator(model, h, n_base, y_core) -> NonlocalOperator:
     z = np.zeros(0)
-    zi = np.zeros(0, dtype=int)
     return NonlocalOperator(
         model=model, h=h, n_base=n_base, y_core=y_core, radius=0.0,
         n_ext=3, cell_lo=z, cell_hi=z, cell_mass=z, cell_mean=z,
-        cell_node=zi, cell_theta=z, cell_w_lo=z, cell_w_hi=z, cell_r2=z,
-        cell_compensated=np.zeros(0, dtype=bool),
         k_min=-2, k_max=2, far_kernel=np.zeros(5), corr_kernel=np.zeros(5),
         core_stencil=np.zeros(5), far_mass=0.0, compensator=0.0,
         core_var=0.0, fv_core=0.0 if model.finite_variation else None,
@@ -299,16 +276,6 @@ def _kernel_sum(x, kernel, start, n_base):
     if kernel.size == 0 or not np.any(kernel):
         return np.zeros(n_base)
     return np.correlate(x, kernel, mode="valid")[start: start + n_base]
-
-
-def _frames(op: NonlocalOperator, gf: GridFunction, n: int):
-    ne = op.n_ext
-    ext = gf.extended(ne, ne, n)
-    base = ext[ne: ne + op.n_base]
-    d1 = (ext[ne + 1: ne + op.n_base + 1] -
-          ext[ne - 1: ne + op.n_base - 1]) / (2.0 * op.h)
-    d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (op.h * op.h)
-    return ext, base, d1, d2
 
 
 def apply_nonlocal(op: NonlocalOperator, gf: GridFunction,
@@ -513,83 +480,6 @@ def apply_nonlocal_ext(op: NonlocalOperator, ext: np.ndarray,
     k2, k2_min = _d2_kernel(op, profile)
     out += _kernel_sum(d2, k2, ne - 1 + k2_min, op.n_base)
     return out
-
-
-def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
-                         profile: str = "accurate",
-                         n: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(small-jump half, large-jump half) of the operator cut at ``eps``.
-
-    The small half covers jumps of size at most ``eps`` in compensated
-    second-difference form; the large half covers the rest directly, with
-    the compensation of the remaining band.  ``eps`` must lie in
-    ``[y_core, 1]`` on a cell edge: a half-node ``(k + 1/2) h``, or 1.
-    """
-    _check_profile(profile)
-    if eps > 1.0 + 1e-12:
-        raise ParameterError("split point must be at most 1")
-    if eps < op.y_core * (1.0 - 1e-12):
-        raise ParameterError(
-            f"split point {eps:g} lies inside the stencil core "
-            f"(|y| <= {op.y_core:g}); refine the grid or move the cut")
-    straddle = (op.cell_lo < eps * (1.0 - 1e-12)) & \
-               (op.cell_hi > eps * (1.0 + 1e-12))
-    if np.any(straddle):
-        raise ParameterError(
-            f"split point {eps:g} bisects a jump cell; cut at a cell "
-            f"edge: a half-node (k + 1/2) h with h = {op.h:g}, or 1")
-    ext, base, d1, d2 = _frames(op, gf, n)
-    ne, nb = op.n_ext, op.n_base
-
-    bucket = op.cell_hi <= eps * (1.0 + 1e-12)
-    # small half: core stencil + telescoped second-difference form of the
-    # lumped shifts below the cut (+ their corrections when accurate)
-    tri_kernel, tri_min = _triangular_kernel(
-        op.cell_node[bucket], op.cell_w_lo[bucket],
-        op.cell_w_hi[bucket], op.h)
-    small = _kernel_sum(d2, op.core_stencil, ne - 3, nb)
-    small += _kernel_sum(d2, tri_kernel, ne - 1 + tri_min, nb)
-
-    # large half: direct lumped differences of the remaining cells minus
-    # the compensation of the part of the band above the cut
-    rest = ~bucket
-    size = op.k_max - op.k_min + 1
-    far = _lump(size, op.k_min, op.cell_node[rest], op.cell_w_lo[rest],
-                op.cell_w_hi[rest])
-    comp_rest = float(op.cell_mean[rest & op.cell_compensated].sum())
-    large = _kernel_sum(ext, far, ne + op.k_min, nb)
-    large -= float(op.cell_mass[rest].sum()) * base
-    large -= comp_rest * d1
-
-    if profile == "accurate":
-        for mask, acc in ((bucket, small), (rest, large)):
-            corr = _lump(size, op.k_min, op.cell_node[mask],
-                         0.5 * op.cell_r2[mask] * (1.0 - op.cell_theta[mask]),
-                         0.5 * op.cell_r2[mask] * op.cell_theta[mask])
-            acc += _kernel_sum(d2, corr, ne - 1 + op.k_min, nb)
-    return small, large
-
-
-def _triangular_kernel(nodes, w_lo, w_hi, h):
-    """Second-difference kernel equivalent to compensated lumped shifts."""
-    if nodes.size == 0:
-        return np.zeros(1), 0
-    reach = int(np.max(np.abs(nodes))) + 1
-    c0 = reach - 1
-    kernel = np.zeros(2 * reach - 1)
-    h2 = h * h
-    for k_left, wl, wh in zip(nodes, w_lo, w_hi):
-        for k, w in ((int(k_left), wl), (int(k_left) + 1, wh)):
-            if w == 0.0 or k == 0:
-                continue
-            kk = abs(k)
-            ramp = np.arange(kk, 0.0, -1.0) * (h2 * w)
-            ramp[0] *= 0.5
-            if k > 0:
-                kernel[c0: c0 + kk] += ramp
-            else:
-                kernel[c0 - kk + 1: c0 + 1] += ramp[::-1]
-    return kernel, -c0
 
 
 def apply_local(coeffs: CoefficientField, gf: GridFunction,

@@ -234,19 +234,17 @@ class CoefficientField:
             raise ParameterError("ellipticity floor must be > 0")
 
     @staticmethod
-    def constants(a: float, b: float, r: float,
-                  lambda_floor: float | None = None) -> "CoefficientField":
+    def constants(a: float, b: float, r: float) -> "CoefficientField":
         if a <= 0.0:
             raise ParameterError("diffusion coefficient must be > 0")
         if r < 0.0:
             raise ParameterError("discount rate must be >= 0")
-        floor = 0.5 * a if lambda_floor is None else lambda_floor
         av, bv, rv = float(a), float(b), float(r)
         out = CoefficientField(
             a=lambda x, t: np.full_like(np.asarray(x, dtype=float), av),
             b=lambda x, t: np.full_like(np.asarray(x, dtype=float), bv),
             r=lambda x, t: np.full_like(np.asarray(x, dtype=float), rv),
-            lambda_floor=floor,
+            lambda_floor=0.5 * a,
             time_dependent=False,
         )
         object.__setattr__(out, "constant", True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -705,6 +706,18 @@ def _failures(bundle: dict) -> list[str]:
             f"(layer {_CHECK_LAYERS[name]})" for name in bundle["failed"]]
 
 
+def _check_out_dir(path) -> None:
+    """Config error unless artifacts can go to ``path``: its nearest
+    existing ancestor (itself, if it exists) must be a writable
+    directory.  Checked before the solve; the directory is made when the
+    artifacts are written."""
+    out = Path(path)
+    near = next(p for p in (out, *out.parents) if p.exists())
+    if not (near.is_dir() and os.access(near, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write artifacts to {out}: {near} is not "
+                          f"a writable directory")
+
+
 def _write_artifacts(rc: RunConfig, cfg: SolveConfig, bundle: dict) -> Path:
     out = Path(rc.output.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -735,6 +748,7 @@ def run(config_path, out_dir=None, seed=None, refine: int = 0,
             rc.output.out_dir = str(out_dir)
         if seed is not None:
             rc.oracle.seed = int(seed)
+        _check_out_dir(rc.output.out_dir)
         cfg = rc.build_solve_config(refine)
         bundle = _execute(rc, cfg)
     except (ConfigError, ParameterError) as exc:
@@ -775,6 +789,8 @@ def compare_cli(config_path, seed=None, out_dir=None, refine: int = 0,
         rc = RunConfig.from_path(config_path)
         if seed is not None:
             rc.oracle.seed = int(seed)
+        if out_dir is not None:
+            _check_out_dir(out_dir)
         rows = compare(rc, refine=refine)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=stream)

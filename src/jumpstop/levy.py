@@ -56,7 +56,6 @@ __all__ = [
     "variance_gamma",
     "nig",
     "tempered_stable",
-    "cgmy",
     "density",
     "tails",
     "integrate_density",
@@ -244,11 +243,6 @@ def tempered_stable(c_minus: float, c_plus: float, alpha_minus: float,
         alpha=alpha,
         sing_const=m,
     )
-
-
-def cgmy(c: float, g: float, m: float, y: float) -> LevyModel:
-    """CGMY convenience wrapper: symmetric-index tempered stable."""
-    return tempered_stable(c, c, y, y, g, m)
 
 
 # ---------------------------------------------------------------------------

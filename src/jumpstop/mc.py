@@ -64,6 +64,8 @@ _BUCKETS = 1 << 17
 _BUILD_BLOCK = 1 << 13
 _TAIL_TOL = 1e-10
 _MIN_POLICY_PATHS = 10_000
+#: degree of the regression policy's polynomial basis
+_BASIS_DEGREE = 4
 
 
 class MCEstimate(NamedTuple):
@@ -497,8 +499,7 @@ def _run_policy(yb: np.ndarray, times: np.ndarray, g: Callable, r,
     return vals
 
 
-def stopping_lower_bound(batch: PathBatch, g: Callable, r,
-                         basis_degree: int = 4) -> MCEstimate:
+def stopping_lower_bound(batch: PathBatch, g: Callable, r) -> MCEstimate:
     """Value of a regression exercise policy: a lower bound on the
     optimal stopping value up to sampling error.
 
@@ -514,14 +515,12 @@ def stopping_lower_bound(batch: PathBatch, g: Callable, r,
         raise ParameterError(
             f"policy estimate needs >= {_MIN_POLICY_PATHS} paths, "
             f"got {batch.n_paths}")
-    if not 1 <= basis_degree <= 10:
-        raise ParameterError("basis_degree must lie in [1, 10]")
     # time-major views of the two halves: row n holds their states at
     # times[n], and nothing is copied
     rows = batch.states.T
     ya, yb = rows[:, ::2], rows[:, 1::2]
     polys, start, singular = _fit_policy(ya, batch.times, g, r,
-                                         basis_degree)
+                                         _BASIS_DEGREE)
     flag = ""
     if singular:
         flag = (f"rank-deficient regression at {singular} step(s); "
@@ -529,7 +528,7 @@ def stopping_lower_bound(batch: PathBatch, g: Callable, r,
     g0 = float(np.asarray(g(np.array([batch.x0])), dtype=float)[0])
     if g0 > 0.0 and g0 >= start:
         return MCEstimate(g0, 0.0, flag)
-    vals = _run_policy(yb, batch.times, g, r, polys, basis_degree)
+    vals = _run_policy(yb, batch.times, g, r, polys, _BASIS_DEGREE)
     price = float(vals.mean())
     stderr = (float(vals.std(ddof=1)) / math.sqrt(vals.size)
               if vals.size > 1 else 0.0)

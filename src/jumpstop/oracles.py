@@ -27,6 +27,9 @@ __all__ = [
     "binomial_put",
 ]
 
+#: terms of the Poisson series in :func:`merton_put`
+_MERTON_TERMS = 50
+
 
 def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
@@ -45,8 +48,7 @@ def bs_put(s0: float, strike: float, r: float, sigma: float,
 
 
 def merton_put(s0: float, strike: float, r: float, sigma: float, t: float,
-               intensity: float, jump_mean: float, jump_std: float,
-               n_terms: int = 50) -> float:
+               intensity: float, jump_mean: float, jump_std: float) -> float:
     """European put under Gaussian log-jumps, as a Poisson-weighted series.
 
     Conditioning on ``n`` jumps leaves a lognormal with variance
@@ -61,7 +63,7 @@ def merton_put(s0: float, strike: float, r: float, sigma: float, t: float,
     lam_prime = intensity * (1.0 + kappa)
     total = 0.0
     log_w = -lam_prime * t          # log of e^{-lam' t} (lam' t)^n / n!
-    for n in range(n_terms):
+    for n in range(_MERTON_TERMS):
         sig_n = math.sqrt(sigma * sigma + n * jump_std * jump_std / t)
         r_n = r - intensity * kappa + n * math.log1p(kappa) / t
         total += math.exp(log_w) * bs_put(s0, strike, r_n, sig_n, t)

@@ -94,11 +94,6 @@ class PenaltySpec:
         """Largest slope of the template (and hence of the evaluator)."""
         return -2.0 * self.p0 / self.eps
 
-    @property
-    def support_hi(self) -> float:
-        """Evaluator is identically zero at and beyond this point."""
-        return 0.5 * self.eps + self.kernel_width
-
     def _template(self, y: np.ndarray) -> np.ndarray:
         return np.minimum(self.slope_max * y + self.p0, 0.0)
 

@@ -76,7 +76,6 @@ __all__ = [
     "plan_steps",
     "stability_fraction",
     "explicit_rate",
-    "monotone_step_check",
     "contact_tol",
 ]
 
@@ -175,23 +174,6 @@ def explicit_rate(cfg: SolveConfig) -> float:
 def stability_fraction(cfg: SolveConfig) -> float:
     """``dt * explicit rate`` as a fraction of the allowed budget."""
     return cfg.grid.dt * explicit_rate(cfg) / _BUDGET
-
-
-def monotone_step_check(cfg: SolveConfig) -> bool:
-    """Verify the step preserves ordering: the assembled 7-band implicit
-    matrix is an M-matrix (off-diagonals <= 0, strictly diagonally
-    dominant) and the explicit update keeps nonnegative diagonal weight
-    under the budget."""
-    ws = _Workspace(cfg, (None,))
-    for t in ([0.0] if not cfg.coeffs.time_dependent else
-              [float(s) for s in cfg.grid.times]):
-        rows = ws.band(t)
-        off = np.delete(rows, _KL, axis=0)
-        if np.any(off > 1e-15):
-            return False
-        if np.any(rows[_KL] - np.abs(off).sum(axis=0) < 1e-15):
-            return False
-    return stability_fraction(cfg) <= 1.0
 
 
 def plan_steps(grid: SpaceTimeGrid, model: LevyModel,

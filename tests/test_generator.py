@@ -22,12 +22,12 @@ from jumpstop import levy, payoff
 from jumpstop.errors import ParameterError
 from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
                                 apply_nonlocal_ext, apply_nonlocal_grid,
-                                apply_nonlocal_split, build_operator,
-                                core_band, ghost_term, ghost_terms,
-                                operator_summary)
+                                build_operator, core_band, ghost_term,
+                                ghost_terms, operator_summary)
 from jumpstop.grids import (CoefficientField, GridFunction, PayoffGhosts,
                             SpaceTimeGrid, extend_slice)
 from jumpstop.solver import SolveConfig, solve_vi
+from jump_split import apply_nonlocal_split
 
 GRID = SpaceTimeGrid(x_lo=-2.0, x_hi=2.0, pad=1.5, nx=280,
                      t_final=1.0, nt=10)

@@ -845,6 +845,24 @@ def test_every_check_has_a_layer():
     assert seen <= set(harness._CHECK_LAYERS)
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_cli_unwritable_out_dir_is_a_config_error(tmp_path, capsys,
+                                                  monkeypatch, command, out):
+    # an existing file where the output directory should go: a named
+    # config error before any solve, not a traceback (exit 1) after it
+    (tmp_path / "afile").write_text("keep")
+    monkeypatch.setattr(harness, "_solve", lambda cfg: pytest.fail("solved"))
+    cfg_path = make_config(tmp_path)
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / out)]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith(
+        f"config error: cannot write artifacts to {tmp_path / out}: ")
+    assert "Traceback" not in printed
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
 def test_cli_missing_config_exits_2(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -100,7 +100,7 @@ def test_singularity_exponent_by_family():
     # subordinated-Brownian families: twice the subordinator index
     assert MODELS["vg"].alpha == 0.0
     assert MODELS["nig"].alpha == 1.0
-    assert levy.cgmy(0.1, 3.0, 5.0, 1.3).alpha == 1.3
+    assert levy.tempered_stable(0.1, 0.1, 1.3, 1.3, 3.0, 5.0).alpha == 1.3
     assert MODELS["ts_asym"].alpha == 1.5
 
 
@@ -463,14 +463,16 @@ EXP_COMP_MODELS = {
 @pytest.mark.parametrize("key", sorted(EXP_COMP_CGMY))
 def test_exp_compensator_cgmy_50_digit(key):
     alpha, lam_minus, lam_plus = key
-    got = levy.exp_compensator(levy.cgmy(1.0, lam_minus, lam_plus, alpha))
+    got = levy.exp_compensator(levy.tempered_stable(
+        1.0, 1.0, alpha, alpha, lam_minus, lam_plus))
     assert got == pytest.approx(EXP_COMP_CGMY[key], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("key", sorted(EXP_COMP_CGMY_NEAR_POLE))
 def test_exp_compensator_cgmy_near_removable_poles(key):
     alpha, lam_minus, lam_plus = key
-    got = levy.exp_compensator(levy.cgmy(1.0, lam_minus, lam_plus, alpha))
+    got = levy.exp_compensator(levy.tempered_stable(
+        1.0, 1.0, alpha, alpha, lam_minus, lam_plus))
     assert got == pytest.approx(EXP_COMP_CGMY_NEAR_POLE[key], rel=1e-12, abs=0.0)
 
 

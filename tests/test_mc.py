@@ -563,8 +563,6 @@ def test_policy_preconditions(diffusion_batch):
                          0, 0.0, 0.0, diffusion_batch.jump_counts[:100])
     with pytest.raises(ParameterError):
         mc.stopping_lower_bound(small, PUT, R)
-    with pytest.raises(ParameterError):
-        mc.stopping_lower_bound(diffusion_batch, PUT, R, basis_degree=0)
 
 
 def test_halving_the_split_keeps_the_tempered_stable_lower_bound():

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from jumpstop import oracles
 from jumpstop.errors import ParameterError
 from jumpstop.oracles import binomial_put, bs_put, merton_put, norm_cdf
 
@@ -87,9 +88,11 @@ def test_merton_jumps_add_value_atm():
     assert with_jumps > without
 
 
-def test_merton_series_converged_at_50_terms():
-    a = merton_put(1.0, 1.0, 0.04, 0.2, 1.0, 1.5, -0.05, 0.25, n_terms=50)
-    b = merton_put(1.0, 1.0, 0.04, 0.2, 1.0, 1.5, -0.05, 0.25, n_terms=80)
+def test_merton_series_converged_at_50_terms(monkeypatch):
+    assert oracles._MERTON_TERMS == 50
+    a = merton_put(1.0, 1.0, 0.04, 0.2, 1.0, 1.5, -0.05, 0.25)
+    monkeypatch.setattr(oracles, "_MERTON_TERMS", 80)
+    b = merton_put(1.0, 1.0, 0.04, 0.2, 1.0, 1.5, -0.05, 0.25)
     assert a == pytest.approx(b, rel=1e-12)
 
 

@@ -71,17 +71,19 @@ def spec(request):
 
 
 def test_nonpositive_everywhere(spec):
-    edge = np.linspace(spec.support_hi - 1e-3 * spec.kernel_width,
-                       spec.support_hi, 1001)
+    support_hi = 0.5 * spec.eps + spec.kernel_width
+    edge = np.linspace(support_hi - 1e-3 * spec.kernel_width, support_hi,
+                       1001)
     assert np.all(spec.value(np.concatenate([YS, edge])) <= 0.0)
 
 
 def test_vanishes_beyond_separation(spec):
+    support_hi = 0.5 * spec.eps + spec.kernel_width
     ys = np.concatenate([YS[YS >= spec.eps],
-                         np.linspace(spec.support_hi, spec.eps, 1001)])
+                         np.linspace(support_hi, spec.eps, 1001)])
     assert np.all(spec.value(ys) == 0.0)
     assert spec.value(spec.eps) == 0.0
-    assert spec.value(spec.support_hi) == 0.0
+    assert spec.value(support_hi) == 0.0
 
 
 def test_anchor_exact_at_zero(spec):

@@ -18,8 +18,8 @@ from jumpstop.errors import ConfigError, NumericalError
 from jumpstop.grids import (CoefficientField, GridFunction, PayoffGhosts,
                             SpaceTimeGrid, extend_slice)
 from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
-                             monotone_step_check, plan_steps, residual_vi,
-                             solve_european, solve_vi, stability_fraction)
+                             plan_steps, residual_vi, solve_european,
+                             solve_vi, stability_fraction)
 
 SIG = 0.2
 R = 0.04
@@ -593,6 +593,23 @@ def test_boundary_curve_rises_toward_strike(diffusion_american):
 # monotonicity / comparison properties
 
 
+def monotone_step_check(cfg: SolveConfig) -> bool:
+    """Verify the step preserves ordering: the assembled 7-band implicit
+    matrix is an M-matrix (off-diagonals <= 0, strictly diagonally
+    dominant) and the explicit update keeps nonnegative diagonal weight
+    under the budget."""
+    ws = solver._Workspace(cfg, (None,))
+    for t in ([0.0] if not cfg.coeffs.time_dependent else
+              [float(s) for s in cfg.grid.times]):
+        rows = ws.band(t)
+        off = np.delete(rows, solver._KL, axis=0)
+        if np.any(off > 1e-15):
+            return False
+        if np.any(rows[solver._KL] - np.abs(off).sum(axis=0) < 1e-15):
+            return False
+    return stability_fraction(cfg) <= 1.0
+
+
 def test_step_matrix_is_monotone():
     mod, coeffs = merton_setup()
     grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 150, 0.5, 100)
@@ -607,7 +624,7 @@ def test_step_matrix_is_monotone():
 
 BAND_FAMILIES = {
     "ts15": levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0),
-    "cgmy18": levy.cgmy(1.0, 5.0, 10.0, 1.8),
+    "cgmy18": levy.tempered_stable(1.0, 1.0, 1.8, 1.8, 5.0, 10.0),
     "nig": levy.nig(6.0, -1.0, 0.3),
     "vg": levy.variance_gamma(0.2, 0.3, -0.1),
     "merton": levy.merton(1.5, -0.05, 0.25),
