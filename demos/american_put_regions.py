@@ -9,9 +9,10 @@ expiry approaches.
 
 import numpy as np
 
-from jumpstop import levy, payoff
+from jumpstop import diagnostics, levy, payoff
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
-from jumpstop.solver import SolveConfig, backward_value, solve_vi
+from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
+                             solve_vi)
 
 SIGMA, RATE, HORIZON = 0.2, 0.04, 1.0
 DIFF = 0.5 * SIGMA * SIGMA
@@ -27,8 +28,8 @@ def main():
     penalized = solve_vi(SolveConfig(grid, model, coeffs, put,
                                      eps_schedule=(0.2, 0.1, 0.05, 0.025),
                                      mode="penalized"))
-    projected = solve_vi(SolveConfig(grid, model, coeffs, put,
-                                     mode="projected"))
+    cfg = SolveConfig(grid, model, coeffs, put, mode="projected")
+    projected = solve_vi(cfg)
 
     print("value of the one-year American put (strike 1):")
     print(f"{'spot':>8} {'penalized':>11} {'projected':>11} {'intrinsic':>11}")
@@ -46,18 +47,17 @@ def main():
     deltas = ", ".join(f"{d:.4f}" for d in penalized.eps_trace)
     print(f"continuation deltas along the width schedule: {deltas}")
 
+    # the package's stopping region, read at the nearest node and level
+    labels = diagnostics.partition(u_pro, put, contact_tol(cfg, None)).labels
     print("\nexercise map (rows: spot, columns: time to expiry; "
           "# = exercise, . = hold):")
     spots = np.linspace(0.70, 1.05, 15)
-    taus = np.linspace(HORIZON, 0.02, 36)
+    levels = np.rint((HORIZON - np.linspace(HORIZON, 0.02, 36))
+                     / grid.dt).astype(int)
     for s0 in spots[::-1]:
-        x = np.log(s0)
-        row = []
-        for tau in taus:
-            m = int(round((HORIZON - tau) / grid.dt))
-            v = np.interp(x, grid.nodes, u_pro.values[:, m])
-            row.append("#" if v - max(1 - s0, 0.0) <= 1e-9 else ".")
-        print(f"  s={s0:.3f} {''.join(row)}")
+        i = int(np.argmin(np.abs(grid.nodes - np.log(s0))))
+        row = "".join("#."[labels[i, m]] for m in levels)
+        print(f"  s={s0:.3f} {row}")
     print("  " + " " * 8 + "t->expiry " + "-" * 24 + ">")
 
 

@@ -29,37 +29,39 @@ __all__ = [
 ]
 
 
-def check_tolerance(grid: SpaceTimeGrid, c: float) -> float:
+#: ``c`` in the value-error tolerance ``c * (h^2 + dt) + 1e-9``
+_CHECK_C = 10.0
+
+
+def check_tolerance(grid: SpaceTimeGrid) -> float:
     """Value-error tolerance of the invariant checks."""
-    return c * (grid.h ** 2 + grid.dt) + 1e-9
+    return _CHECK_C * (grid.h ** 2 + grid.dt) + 1e-9
 
 
-def crossings(u_slice: np.ndarray, g_slice: np.ndarray,
-              x: np.ndarray, tol: float) -> np.ndarray:
-    """Locations where ``u - g`` crosses the contact tolerance.
-
-    Linear interpolation between adjacent nodes of ``d = u - g - tol``;
-    returns an increasing array of x-positions (possibly empty).
-    """
-    d = np.asarray(u_slice, dtype=float) - np.asarray(g_slice, dtype=float) \
-        - tol
-    sign_change = d[:-1] * d[1:] < 0.0
-    idx = np.nonzero(sign_change)[0]
-    frac = d[idx] / (d[idx] - d[idx + 1])
-    locs = x[idx] + frac * (x[idx + 1] - x[idx])
-    exact = np.nonzero(d == 0.0)[0]
-    if exact.size:
-        locs = np.concatenate([locs, x[exact]])
-    return np.sort(locs)
+def crossings(d_lo: np.ndarray, d_hi: np.ndarray, x_lo: np.ndarray,
+              x_hi: np.ndarray) -> np.ndarray:
+    """Where a function with values ``d_lo`` at ``x_lo`` and ``d_hi`` at
+    ``x_hi`` (of opposite signs, or 0 at one end) crosses 0, by linear
+    interpolation: ``x_lo + d_lo / (d_lo - d_hi) * (x_hi - x_lo)``."""
+    return x_lo + d_lo / (d_lo - d_hi) * (x_hi - x_lo)
 
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """Node labels (1 = continuation, 0 = contact) and per-time boundary."""
+    """Node labels (1 = continuation, 0 = contact), the free-boundary
+    edges and their positions per time level.
+
+    ``edges`` is ``(i, m)``: the free boundary crosses between nodes
+    ``i`` and ``i + 1`` of level ``m``, level by level and left to right;
+    ``boundary[m]`` holds level ``m``'s positions in increasing order.
+    ``gap_min`` is the least ``u - g`` over the surface.
+    """
 
     labels: np.ndarray
     boundary: list
+    edges: tuple
     tol: float
+    gap_min: float
 
 
 def check_no_dip(u: GridFunction, payoff, tol: float) -> np.ndarray:
@@ -88,23 +90,29 @@ def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
     Contact is ``u - g <= tol`` where stopping pays (``g > 0``): far out
     of the money the value decays below any tolerance without the region
     being a stopping region.  ``labels[i, m]`` is 0 on contact at natural
-    time level ``m``, and ``boundary[m]`` holds the crossings of ``u - g``
-    over ``tol`` at which ``g > 0``.  The surface is not checked against
-    the obstacle here; :func:`check_no_dip` is the guard.
+    time level ``m``.  A free-boundary edge is an edge of the contact set
+    across which ``d = u - g - tol`` changes sign (``<= 0`` on one side,
+    ``> 0`` on the other) and whose :func:`crossings` position has
+    ``g > 0``; an edge where only the payoff's support ends is not one.
+    The gap comes from :func:`check_no_dip` at :func:`check_tolerance`,
+    so a surface that dips below the obstacle raises here.
     """
     x = u.grid.nodes
     g = np.asarray(payoff(x), dtype=float)
-    vals = u.values if u.values.ndim == 2 else u.values[:, None]
-    gap = vals - g[:, None]
+    gap = check_no_dip(u, payoff, check_tolerance(u.grid))
     contact = (gap <= tol) & (g[:, None] > 0.0)
-    boundary = []
-    for col in gap.T:
-        locs = crossings(col, 0.0, x, tol)
-        if locs.size:
-            locs = locs[np.asarray(payoff(locs), dtype=float) > 0.0]
-        boundary.append(locs)
+    # level-major, so each level's edges come left to right
+    m, i = np.nonzero(contact.T[:, :-1] != contact.T[:, 1:])
+    d_lo, d_hi = gap[i, m] - tol, gap[i + 1, m] - tol
+    turn = (d_lo <= 0.0) != (d_hi <= 0.0)
+    i, m = i[turn], m[turn]
+    locs = crossings(d_lo[turn], d_hi[turn], x[i], x[i + 1])
+    pays = np.asarray(payoff(locs), dtype=float) > 0.0
+    i, m, locs = i[pays], m[pays], locs[pays]
+    levels = np.searchsorted(m, np.arange(1, gap.shape[1]))
     return RegionPartition(labels=(~contact).astype(np.int8),
-                           boundary=boundary, tol=tol)
+                           boundary=np.split(locs, levels), edges=(i, m),
+                           tol=tol, gap_min=float(gap.min()))
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,6 @@ class SmoothFitReport:
 
     max_gap: float
     median_gap: float
-    gaps: tuple          # (time_index, x_boundary, gap) triples
     grad_max: float
     unreliable: bool     # boundary within 3 nodes of the domain edge
 
@@ -128,47 +135,36 @@ def smooth_fit_gap(u: GridFunction,
                    regions: RegionPartition) -> SmoothFitReport:
     """Measure the jump of the space derivative across the free boundary.
 
-    ``u`` is the backward-time surface; boundary points are the edges of
-    the contact set of its :func:`partition` ``regions``.  Meaningful for
-    a projected solve only: a penalized iterate meets the obstacle only
-    to within its penalty width.  One-sided slopes use second-order
-    three-point quotients from nodes strictly on each side of the edge,
-    so the stopping-side slope is the payoff's and the gap is the
-    physical matching defect.  The last
+    ``u`` is the backward-time surface; boundary points are the
+    free-boundary ``edges`` of its :func:`partition` ``regions``.
+    Meaningful for a projected solve only: a penalized iterate meets the
+    obstacle only to within its penalty width.  One-sided slopes use
+    second-order three-point quotients from nodes strictly on each side
+    of the edge, so the stopping-side slope is the payoff's and the gap
+    is the physical matching defect.  Edges in the padding (e.g. where a
+    tail decays through the tolerance) are not measured.  The last
     :attr:`~jumpstop.grids.SpaceTimeGrid.expiry_levels` columns, next to
     the terminal time, are skipped: the payoff kink's start-up transient
     is below grid resolution there at any step size.
     """
-    x = u.grid.nodes
     h = u.grid.h
     interior = u.grid.interior
     vals = u.values if u.values.ndim == 2 else u.values[:, None]
     n_time = vals.shape[1]
     last = n_time - u.grid.expiry_levels if n_time > 1 else n_time
-    gaps = []
-    unreliable = False
-    grad_max = 0.0
-    for n in range(last):
-        col = vals[:, n]
-        grad_max = max(grad_max, float(
-            np.max(np.abs(col[2:] - col[:-2])) / (2.0 * h)))
-        contact = regions.labels[:, n] == 0
-        for i in np.nonzero(contact[:-1] != contact[1:])[0]:
-            # nodes <= i on one side of the edge, >= i+1 on the other;
-            # edges in the padding (e.g. where a tail decays through the
-            # tolerance) are not free-boundary points
-            if not (interior[i] or interior[i + 1]):
-                continue
-            if i < 2 or i + 4 >= x.size:
-                unreliable = True
-                continue
-            xb = 0.5 * (x[i] + x[i + 1])
-            left = (3.0 * col[i] - 4.0 * col[i - 1] + col[i - 2]) \
-                / (2.0 * h)
-            right = (-3.0 * col[i + 1] + 4.0 * col[i + 2] - col[i + 3]) \
-                / (2.0 * h)
-            gaps.append((n, float(xb), float(abs(left - right))))
-    all_gaps = sorted(gp for _, _, gp in gaps)
+    grad_max = float(np.max(np.abs(vals[2:, :last] - vals[:-2, :last]))) \
+        / (2.0 * h) if last > 0 else 0.0
+    # nodes <= i on one side of the edge, >= i+1 on the other
+    i, n = regions.edges
+    on = (n < last) & (interior[i] | interior[i + 1])
+    i, n = i[on], n[on]
+    near = (i < 2) | (i + 4 >= vals.shape[0])
+    i, n = i[~near], n[~near]
+    left = (3.0 * vals[i, n] - 4.0 * vals[i - 1, n] + vals[i - 2, n]) \
+        / (2.0 * h)
+    right = (-3.0 * vals[i + 1, n] + 4.0 * vals[i + 2, n]
+             - vals[i + 3, n]) / (2.0 * h)
+    all_gaps = sorted(np.abs(left - right).tolist())
     # np.median's value bit for bit, without the numpy.ma import it makes
     # on its first call: the middle gap, or the mean of the middle two
     mid = len(all_gaps) // 2
@@ -179,9 +175,8 @@ def smooth_fit_gap(u: GridFunction,
     else:
         median_gap = (all_gaps[mid - 1] + all_gaps[mid]) / 2
     return SmoothFitReport(max_gap=max(all_gaps, default=0.0),
-                           median_gap=median_gap,
-                           gaps=tuple(gaps), grad_max=grad_max,
-                           unreliable=unreliable)
+                           median_gap=median_gap, grad_max=grad_max,
+                           unreliable=bool(near.any()))
 
 
 class CheckResult(NamedTuple):
@@ -190,7 +185,7 @@ class CheckResult(NamedTuple):
     bound: float
 
 
-def lemma_suite(report, payoff, grid, c: float = 10.0) -> dict:
+def lemma_suite(report, payoff, grid) -> dict:
     """A-priori bound checks on a penalized solve report.
 
     ``report`` is duck-typed: needs ``residuals`` (with ``v_min``,
@@ -198,7 +193,7 @@ def lemma_suite(report, payoff, grid, c: float = 10.0) -> dict:
     ``anchor``, and optionally ``grad_max_per_eps``.  Tolerance is
     :func:`check_tolerance`.
     """
-    tol = check_tolerance(grid, c)
+    tol = check_tolerance(grid)
     res = report.residuals
     bound_hi = payoff.bound + 1.0
     checks = {

@@ -15,7 +15,7 @@ The jump integral is discretized in three zones:
   compensated by the summed cell means (summed exactly, so a symmetric
   measure's is 0) times a centered first difference.
 * **tail** ``(1, R]``: same lumping, uncompensated; ``R`` is chosen so
-  the ignored outer mass is below ``radius_tol``.
+  the ignored outer mass is below :data:`_RADIUS_TOL`.
 
 Because lumping preserves cell means exactly, the compensator cancels
 linear functions to rounding.  In the ``"accurate"`` profile each cell
@@ -25,7 +25,7 @@ exact on quadratics up to quadrature tolerance.  The ``"monotone"``
 profile drops the corrections so that every off-diagonal weight is
 nonnegative; the time stepper uses it to preserve comparison.
 
-The operator depends on the model, the grid and ``radius_tol`` alone.
+The operator depends on the model and the grid alone.
 
 Applied to a grid function, the operator is split by linearity.  The
 long kernels read the ``nx + 1`` grid values through a Toeplitz block
@@ -77,6 +77,8 @@ _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _CORE_PANELS = 40
+# jump-tail mass allowed outside the truncation radius
+_RADIUS_TOL = 1e-12
 
 #: Ghost nodes per side that the short stencils read: the core stencil
 #: reaches two nodes past the grid, and a second difference one more.
@@ -93,15 +95,9 @@ class NonlocalOperator:
     y_core: float
     radius: float
     n_ext: int
-    # per-cell data (both sides concatenated); magnitudes for lo/hi,
-    # signed mean
-    cell_lo: np.ndarray
-    cell_hi: np.ndarray
-    cell_mass: np.ndarray
-    cell_mean: np.ndarray
+    cell_mass: np.ndarray      # per cell, both sides concatenated
     # dense kernels (index 0 <-> shift k_min)
     k_min: int
-    k_max: int
     far_kernel: np.ndarray
     corr_kernel: np.ndarray
     core_stencil: np.ndarray   # shifts -2..2, acts on discrete 2nd derivative
@@ -120,8 +116,7 @@ class NonlocalOperator:
         return k2
 
 
-def build_operator(model: LevyModel, grid: SpaceTimeGrid,
-                   radius_tol: float = 1e-12) -> NonlocalOperator:
+def build_operator(model: LevyModel, grid: SpaceTimeGrid) -> NonlocalOperator:
     """Assemble the discrete jump operator for ``model`` on ``grid``."""
     h = grid.h
     n_base = grid.nx + 1
@@ -129,7 +124,7 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
     if model.is_trivial:
         return _trivial_operator(model, h, n_base, y_core)
 
-    radius = levy.truncation_radius(model, tol=radius_tol)
+    radius = levy.truncation_radius(model, tol=_RADIUS_TOL)
     core_stencil, core_var = _core_stencil(model, h, y_core)
 
     edges = _cell_edges(h, y_core, radius)
@@ -143,7 +138,7 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
         op.fv_core = _fv_core(model, y_core)
         return op
 
-    lo, hi, m0, m1, m2 = cells
+    _, hi, m0, m1, m2 = cells
     centroid = m1 / m0
     s = centroid / h
     node = np.floor(s).astype(int)
@@ -165,8 +160,7 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
     return NonlocalOperator(
         model=model, h=h, n_base=n_base, y_core=y_core, radius=radius,
         n_ext=max(abs(k_min), k_max) + 2,
-        cell_lo=lo, cell_hi=hi, cell_mass=m0, cell_mean=m1,
-        k_min=k_min, k_max=k_max, far_kernel=far_kernel,
+        cell_mass=m0, k_min=k_min, far_kernel=far_kernel,
         corr_kernel=corr_kernel, core_stencil=core_stencil,
         far_mass=float(m0.sum()), compensator=math.fsum(m1[compensated]),
         core_var=core_var, fv_core=_fv_core(model, y_core),
@@ -174,13 +168,12 @@ def build_operator(model: LevyModel, grid: SpaceTimeGrid,
 
 
 def _trivial_operator(model, h, n_base, y_core) -> NonlocalOperator:
-    z = np.zeros(0)
     return NonlocalOperator(
         model=model, h=h, n_base=n_base, y_core=y_core, radius=0.0,
-        n_ext=3, cell_lo=z, cell_hi=z, cell_mass=z, cell_mean=z,
-        k_min=-2, k_max=2, far_kernel=np.zeros(5), corr_kernel=np.zeros(5),
-        core_stencil=np.zeros(5), far_mass=0.0, compensator=0.0,
-        core_var=0.0, fv_core=0.0 if model.finite_variation else None,
+        n_ext=3, cell_mass=np.zeros(0), k_min=-2, far_kernel=np.zeros(5),
+        corr_kernel=np.zeros(5), core_stencil=np.zeros(5), far_mass=0.0,
+        compensator=0.0, core_var=0.0,
+        fv_core=0.0 if model.finite_variation else None,
     )
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import diagnostics, generator, levy, mc, oracles
 from . import payoff as payoff_mod
-from .diagnostics import CheckResult
+from .diagnostics import CheckResult, RegionPartition
 from .errors import (ConfigError, InvariantViolation, NumericalError,
                      ParameterError)
 from .grids import CoefficientField, GridFunction, SpaceTimeGrid
@@ -66,6 +66,8 @@ _FORMATS = ("csv", "json")
 # the tight, resolution-matched tolerances live in the acceptance tests.
 _ORACLE_REL_GATE = 0.01
 _RESIDUAL_SCALE = 20.0
+# tree depth of the lattice reference
+_BINOMIAL_STEPS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +100,6 @@ class NumericsBlock:
     eps_schedule: list[float] = field(
         default_factory=lambda: [0.2, 0.1, 0.05])
     mode: str = "penalized"
-    radius_tol: float = 1e-12       # jump-tail mass kept outside the radius
-    lemma_constant: float = 10.0    # c in tol = c*(h^2 + dt) + 1e-9
 
 
 @dataclass
@@ -107,7 +107,6 @@ class OracleBlock:
     mc_paths: int = 0               # 0 disables the path estimate
     mc_steps: int = 64
     seed: int = 20260825
-    binomial_steps: int = 2000
     which: list[str] = field(default_factory=lambda: ["auto"])
     probes: list[float | list[float]] = field(  # x or [x, t]
         default_factory=lambda: [0.0])
@@ -260,7 +259,7 @@ class RunConfig:
             if fmt not in _FORMATS:
                 raise ConfigError(
                     f"output.formats entry {fmt!r} not one of {_FORMATS}")
-        if o.mc_paths < 0 or o.mc_steps < 1 or o.binomial_steps < 1:
+        if o.mc_paths < 0 or o.mc_steps < 1:
             raise ConfigError("oracle counts must be positive")
         if o.seed < 0:
             raise ConfigError("oracle.seed must be >= 0")
@@ -314,7 +313,7 @@ class RunConfig:
             grid = grid.refined(refine)
         return SolveConfig(grid, model, coeffs, g,
                            eps_schedule=tuple(n.eps_schedule),
-                           mode=n.mode, radius_tol=n.radius_tol)
+                           mode=n.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +400,7 @@ def _reference_price(rc: RunConfig, cfg: SolveConfig, names: set,
     if "binomial" in names and cfg.model.is_trivial:
         price = oracles.binomial_put(
             s0, p.strike, p.rate, p.sigma, horizon,
-            steps=rc.oracle.binomial_steps,
+            steps=_BINOMIAL_STEPS,
             american=cfg.mode != "european")
         return "binomial", price
     if "series" in names and cfg.model.family == "merton" \
@@ -464,17 +463,17 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
     return rows
 
 
-def _hard_checks(rc: RunConfig, cfg: SolveConfig, report: SolveReport,
+def _hard_checks(cfg: SolveConfig, report: SolveReport,
                  res_stats: dict | None, rows: list[dict],
-                 gap_min: float | None) -> dict:
+                 regions: RegionPartition | None) -> dict:
     """Invariant gates deciding the exit status (``res_stats``: the
-    residual's ``min`` and ``max_abs``; ``gap_min``: min u - g)."""
+    residual's ``min`` and ``max_abs``)."""
     grid = cfg.grid
-    c = rc.numerics.lemma_constant
-    tol = diagnostics.check_tolerance(grid, c)
-    checks = dict(diagnostics.lemma_suite(report, cfg.payoff, grid, c=c))
+    tol = diagnostics.check_tolerance(grid)
+    checks = dict(diagnostics.lemma_suite(report, cfg.payoff, grid))
     if cfg.mode == "projected":
-        checks["obstacle"] = CheckResult(gap_min >= -tol, gap_min, -tol)
+        checks["obstacle"] = CheckResult(regions.gap_min >= -tol,
+                                         regions.gap_min, -tol)
     if cfg.mode == "penalized" and len(report.eps_trace) >= 2:
         deltas = report.eps_trace
         worst = max(b - a for a, b in zip(deltas, deltas[1:]))
@@ -513,33 +512,36 @@ def _solve(cfg: SolveConfig) -> SolveReport:
     return solve_european(cfg) if cfg.mode == "european" else solve_vi(cfg)
 
 
-def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
-    """Solve, diagnose, and assemble everything the artifacts need."""
-    report = _solve(cfg)
-    u = backward_value(report)
-    tol = diagnostics.check_tolerance(cfg.grid, rc.numerics.lemma_constant)
+def _residual_stats(cfg: SolveConfig, report: SolveReport) -> dict | None:
+    """``max_abs``, ``min`` and count of the finite values of
+    :func:`residual_vi` (``None`` if there are none)."""
+    vals = residual_vi(report.value, cfg).values
+    evaluated = int(np.isfinite(vals).sum())
+    if not evaluated:
+        return None
+    return {"max_abs": float(np.nanmax(np.abs(vals))),
+            "min": float(np.nanmin(vals)), "evaluated": evaluated}
 
-    regions = smooth = res_surface = gap_min = None
+
+def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
+    """Solve, diagnose, and assemble everything the artifacts need.  The
+    probe rows' Monte Carlo and the residual surface, the largest
+    transients of a run, come and go before the natural-time surface
+    exists."""
+    report = _solve(cfg)
+    rows = _probe_rows(rc, cfg, report)
+    res_stats = None if cfg.mode == "european" else \
+        _residual_stats(cfg, report)
+    u = backward_value(report)
+    tol = diagnostics.check_tolerance(cfg.grid)
+
+    regions = smooth = None
     if cfg.mode != "european":
-        gap_min = float(diagnostics.check_no_dip(u, cfg.payoff, tol).min())
         regions = diagnostics.partition(
             u, cfg.payoff, contact_tol(cfg, report.eps_final))
         if cfg.mode == "projected":
             smooth = diagnostics.smooth_fit_gap(u, regions)
-        res_surface = residual_vi(report.value, cfg)
-
-    rows = _probe_rows(rc, cfg, report)
-    res_stats = None
-    if res_surface is not None:
-        vals = res_surface.values
-        evaluated = int(np.isfinite(vals).sum())
-        if evaluated:
-            res_stats = {
-                "max_abs": float(np.nanmax(np.abs(vals))),
-                "min": float(np.nanmin(vals)),
-                "evaluated": evaluated,
-            }
-    checks = _hard_checks(rc, cfg, report, res_stats, rows, gap_min)
+    checks = _hard_checks(cfg, report, res_stats, rows, regions)
     failed = sorted(k for k, v in checks.items() if not v.passed)
 
     return {
@@ -684,7 +686,8 @@ def _write_summary(path: Path, rc: RunConfig, cfg: SolveConfig,
 
 
 # the layer behind each check's observed value; a projected "obstacle"
-# is diagnostics.check_no_dip's, which raises before it could fail here
+# is the dip guard's in diagnostics.partition, which raises before it
+# could fail here
 _CHECK_LAYERS = {
     **dict.fromkeys(["lower_bound", "upper_bound", "obstacle",
                      "penalty_lower", "penalty_upper", "gradient_spread"],

@@ -611,15 +611,12 @@ class TailIntegrals:
         ``integral_{eps<|y|<=1} y rho(y) dy`` (signed).
     big_mass : float
         ``integral_{|y|>1} rho(y) dy``.
-    big_mean_abs : float
-        ``integral_{|y|>1} |y| rho(y) dy``.
     """
 
     eps: float
     small_var: float
     comp_drift: float
     big_mass: float
-    big_mean_abs: float
     _fv_drift: float | None = None
 
     @property
@@ -645,15 +642,13 @@ def tails(model: LevyModel, eps: float) -> TailIntegrals:
     sv = jump_moment(model, 2, 0.0, eps)
     cd = jump_moment(model, 1, eps, 1.0)
     bm = jump_moment(model, 0, 1.0, math.inf)
-    ba = (_side_moment(model, 1, 1.0, math.inf, "+")
-          - _side_moment(model, 1, 1.0, math.inf, "-"))
     fv = None
     if model.alpha < 1.0:
         try:
             fv = jump_moment(model, 1, 0.0, 1.0)
         except UnsupportedOperation:
             fv = None
-    return TailIntegrals(eps, sv, cd, bm, ba, fv)
+    return TailIntegrals(eps, sv, cd, bm, fv)
 
 
 def truncation_radius(model: LevyModel, tol: float = 1e-8) -> float:

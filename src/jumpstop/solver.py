@@ -85,6 +85,8 @@ _BUDGET = 0.9
 # largest step per grid step that plan_steps allows: the far-mass budget
 # alone leaves the time error above the space error on coarse grids
 _DT_PER_H = 0.25
+# fraction of the stability budget that plan_steps fills
+_PLAN_SAFETY = 0.75
 # half-bandwidth of the implicit matrix: the core stencil reads v[i-3..i+3]
 _KL = 3
 # residual levels per pass: small temporaries, and each grid block of the
@@ -109,7 +111,6 @@ class SolveConfig:
     mode: str = "penalized"
     source: Callable | None = None
     initial: Callable | None = None
-    radius_tol: float = 1e-12
     op: NonlocalOperator = field(init=False, repr=False)
     anchor: float = field(init=False)
 
@@ -131,10 +132,7 @@ class SolveConfig:
         if (self.source is not None or self.initial is not None) \
                 and self.mode != "european":
             raise ConfigError("source/initial overrides are european-only")
-        if not 0.0 < self.radius_tol <= 1e-3:
-            raise ConfigError("radius_tol must lie in (0, 1e-3]")
-        self.op = generator.build_operator(self.model, self.grid,
-                                           radius_tol=self.radius_tol)
+        self.op = generator.build_operator(self.model, self.grid)
         self.anchor = penalty_mod.anchor(self.coeffs, self.payoff,
                                          self.model, self.grid)
         frac = stability_fraction(self)
@@ -178,7 +176,7 @@ def stability_fraction(cfg: SolveConfig) -> float:
 
 def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
                coeffs: CoefficientField, payoff: PayoffSpec,
-               eps_schedule: tuple = (), safety: float = 0.75) -> int:
+               eps_schedule: tuple = ()) -> int:
     """Step count for a grid, before building a config: the largest of
     ``grid.nt``, the count that fits the stability budget, and
     ``T / (h/4)``.
@@ -189,15 +187,16 @@ def plan_steps(grid: SpaceTimeGrid, model: LevyModel,
     model.  The ``dt <= h/4`` cap keeps the first-order time error in
     step with the space error, which the budget alone does not on coarse
     grids (an alpha = 1.5 tempered-stable put at nx = 60 is 2.5e-3 off a
-    refined value at the budget's step, 6e-4 at ``h/4``).  ``safety``
-    keeps a margin below the budget; pass the intended ``eps_schedule``
-    when planning a penalized run so the penalty slope is counted.
+    refined value at the budget's step, 6e-4 at ``h/4``).
+    :data:`_PLAN_SAFETY` keeps a margin below the budget; pass the
+    intended ``eps_schedule`` when planning a penalized run so the
+    penalty slope is counted.
     """
     p0 = (penalty_mod.anchor(coeffs, payoff, model, grid) if eps_schedule
           else 0.0)
     rate = _stability_rate(generator.build_operator(model, grid), p0,
                            eps_schedule)
-    return max(grid.nt, _budget_steps(grid.t_final, rate, safety),
+    return max(grid.nt, _budget_steps(grid.t_final, rate, _PLAN_SAFETY),
                int(np.ceil(grid.t_final / (_DT_PER_H * grid.h))))
 
 
@@ -415,9 +414,13 @@ def _march(cfg: SolveConfig, eps: tuple
     maxima over the levels, folded in at every step, so the same bits
     as over stored surfaces."""
     grid = cfg.grid
+    pspec = None
+    if eps[0] is not None:
+        pspec = penalty_mod.build(np.array(eps), cfg.anchor)
+        # the penalty's ramp table, built once per process: its
+        # quadrature temporaries are gone before the march allocates
+        penalty_mod._ramp_table()
     ws = _Workspace(cfg, eps)
-    pspec = None if eps[0] is None else \
-        penalty_mod.build(np.array(eps), cfg.anchor)
     surface = np.empty((grid.nx + 1, grid.nt + 1))
     surface[:, 0] = ws.initial[:, -1]
     limit = cfg.payoff.bound + 2.0 + (
@@ -460,8 +463,8 @@ def _grad_max(surface: np.ndarray, h: float) -> float:
 
 
 def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
-                  eps: float | None, pspec: PenaltySpec | None,
-                  steps: int) -> "SolveReport":
+                  eps: float | None,
+                  pspec: PenaltySpec | None) -> "SolveReport":
     grid = cfg.grid
     residuals = {
         "v_min": float(surface.min()),
@@ -481,8 +484,7 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
     report = SolveReport(
         value=gf, mode=cfg.mode, eps_final=eps, anchor=cfg.anchor,
         residuals=residuals, eps_trace=[],
-        truncation_mass=float(trunc), steps=steps, warnings=[],
-        grad_max_per_eps=[],
+        truncation_mass=float(trunc), warnings=[], grad_max_per_eps=[],
     )
     for key, val in report.residuals.items():
         if not np.isfinite(val):
@@ -501,7 +503,6 @@ class SolveReport:
     residuals: dict
     eps_trace: list
     truncation_mass: float
-    steps: int
     warnings: list
     grad_max_per_eps: list
 
@@ -511,7 +512,7 @@ def solve_european(cfg: SolveConfig) -> SolveReport:
     if cfg.mode != "european":
         raise ConfigError("solve_european requires european mode")
     surface, ws, _, _ = _march(cfg, (None,))
-    return _build_report(cfg, surface, ws, None, None, cfg.grid.nt)
+    return _build_report(cfg, surface, ws, None, None)
 
 
 def solve_vi(cfg: SolveConfig) -> SolveReport:
@@ -522,19 +523,18 @@ def solve_vi(cfg: SolveConfig) -> SolveReport:
     the last column's surface, from which it builds the one report.  Each
     earlier column gives only its gradient max and its sup-norm delta to
     the next, the ``eps_trace``, folded in step by step; a non-decreasing
-    tail of the trace adds a non-convergence warning.  ``steps`` still
-    counts ``nt`` per width.  Projected mode is the one-column march.
+    tail of the trace adds a non-convergence warning.  Projected mode is
+    the one-column march.
     """
     if cfg.mode == "projected":
         surface, ws, _, _ = _march(cfg, (None,))
-        report = _build_report(cfg, surface, ws, None, None, cfg.grid.nt)
+        report = _build_report(cfg, surface, ws, None, None)
     elif cfg.mode == "penalized":
         schedule = cfg.eps_schedule
         surface, ws, trace, grad_per_eps = _march(cfg, schedule)
         eps = schedule[-1]
         report = _build_report(cfg, surface, ws, eps,
-                               penalty_mod.build(eps, cfg.anchor),
-                               cfg.grid.nt * len(schedule))
+                               penalty_mod.build(eps, cfg.anchor))
         report.eps_trace = trace
         report.grad_max_per_eps = grad_per_eps + \
             [report.residuals["grad_max"]]

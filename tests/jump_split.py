@@ -3,7 +3,8 @@
 :func:`apply_nonlocal_split` returns the small-jump and large-jump
 halves for any cut ``eps`` on a cell edge: a half-node ``(k + 1/2) h``
 or 1.  It rebuilds the cells' lumping from the operator's model and grid
-(``generator._cell_edges`` and ``_build_cells``).  The small half
+(``generator._cell_edges`` and ``_build_cells``), and the largest
+kernel shift as ``k_min + far_kernel.size - 1``.  The small half
 evaluates each lumped shift through the telescoped second-difference
 identity
 
@@ -23,11 +24,16 @@ from jumpstop.generator import (NonlocalOperator, _build_cells, _cell_edges,
 from jumpstop.grids import GridFunction
 
 
+def _cells(op: NonlocalOperator):
+    """Each cell's bounds (magnitudes), mass, signed mean and second
+    moment, as ``build_operator`` builds them."""
+    return _build_cells(op.model, _cell_edges(op.h, op.y_core, op.radius))
+
+
 def _lumping(op: NonlocalOperator):
     """Each cell's left lumping node, fraction toward node + 1, lumped
     weights and second-moment defect, as ``build_operator`` lumps them."""
-    _, _, m0, m1, m2 = _build_cells(
-        op.model, _cell_edges(op.h, op.y_core, op.radius))
+    _, _, m0, m1, m2 = _cells(op)
     centroid = m1 / m0
     s = centroid / op.h
     node = np.floor(s).astype(int)
@@ -55,8 +61,9 @@ def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
         raise ParameterError(
             f"split point {eps:g} lies inside the stencil core "
             f"(|y| <= {op.y_core:g}); refine the grid or move the cut")
-    straddle = (op.cell_lo < eps * (1.0 - 1e-12)) & \
-               (op.cell_hi > eps * (1.0 + 1e-12))
+    cell_lo, cell_hi, cell_mass, cell_mean, _ = _cells(op)
+    straddle = (cell_lo < eps * (1.0 - 1e-12)) & \
+               (cell_hi > eps * (1.0 + 1e-12))
     if np.any(straddle):
         raise ParameterError(
             f"split point {eps:g} bisects a jump cell; cut at a cell "
@@ -68,7 +75,7 @@ def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
     d2 = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (h * h)
     node, theta, w_lo, w_hi, r2 = _lumping(op)
 
-    bucket = op.cell_hi <= eps * (1.0 + 1e-12)
+    bucket = cell_hi <= eps * (1.0 + 1e-12)
     # small half: core stencil + telescoped second-difference form of the
     # lumped shifts below the cut (+ their corrections when accurate)
     tri_kernel, tri_min = _triangular_kernel(
@@ -79,12 +86,12 @@ def apply_nonlocal_split(op: NonlocalOperator, gf: GridFunction, eps: float,
     # large half: direct lumped differences of the remaining cells minus
     # the compensation of the part of the band above the cut
     rest = ~bucket
-    size = op.k_max - op.k_min + 1
+    size = op.far_kernel.size
     far = _lump(size, op.k_min, node[rest], w_lo[rest], w_hi[rest])
-    compensated = op.cell_hi <= 1.0 + 1e-12
-    comp_rest = float(op.cell_mean[rest & compensated].sum())
+    compensated = cell_hi <= 1.0 + 1e-12
+    comp_rest = float(cell_mean[rest & compensated].sum())
     large = _kernel_sum(ext, far, ne + op.k_min, nb)
-    large -= float(op.cell_mass[rest].sum()) * base
+    large -= float(cell_mass[rest].sum()) * base
     large -= comp_rest * d1
 
     if profile == "accurate":

@@ -215,7 +215,7 @@ def test_03_solution_bounds_at_default_scale():
     cfg = SolveConfig(grid, model, risk_neutral_coeffs(model), PUT,
                       mode="penalized")
     report = solve_vi(cfg)
-    checks = diagnostics.lemma_suite(report, PUT, grid, c=10.0)
+    checks = diagnostics.lemma_suite(report, PUT, grid)
     assert {"lower_bound", "upper_bound", "obstacle", "penalty_lower",
             "penalty_upper"} <= set(checks)
     failed = [k for k, v in checks.items() if not v.passed]

@@ -39,9 +39,7 @@ def test_dip_within_tolerance_passes():
     assert part.labels[12, 3] == 0 and part.labels[12, 2] == 1
 
 
-def test_partition_is_the_contact_definition():
-    # contact is u - g <= tol where g > 0; crossings are kept where g > 0
-    tol = 1e-3
+def _contact_surface():
     x = GRID.nodes
     g = PUT(x)
     vals = np.repeat(g[:, None], GRID.nt + 1, axis=1) + 0.01
@@ -49,7 +47,16 @@ def test_partition_is_the_contact_definition():
     vals[g == 0.0, 1] = 0.0              # out of the money: u <= tol, g = 0
     vals[g == 0.0, 2] = 0.02             # a crossing inside g = 0 ...
     vals[np.flatnonzero(g == 0.0)[3], 2] = 0.0
-    u = GridFunction(GRID, vals, payoff=PUT)
+    return GridFunction(GRID, vals, payoff=PUT)
+
+
+def test_partition_is_the_contact_definition():
+    # contact is u - g <= tol where g > 0; boundary points need g > 0
+    tol = 1e-3
+    x = GRID.nodes
+    g = PUT(x)
+    u = _contact_surface()
+    vals = u.values
     part = diagnostics.partition(u, PUT, tol)
     gap = vals - g[:, None]
     np.testing.assert_array_equal(
@@ -61,6 +68,49 @@ def test_partition_is_the_contact_definition():
                                [x[4] + (x[5] - x[4]) * 0.1])
     assert all((PUT(b) > 0.0).all() for b in part.boundary)
     assert part.boundary[3].size == 0
+
+
+def test_boundary_points_lie_on_contact_edges(monkeypatch):
+    # every boundary point lies between a contact node and a continuation
+    # node of its level: level 1, where u - g crosses tol at the strike
+    # but no node is contact, has none
+    calls = []
+    real = diagnostics.crossings
+    monkeypatch.setattr(diagnostics, "crossings",
+                        lambda *a: calls.append(1) or real(*a))
+    x = GRID.nodes
+    part = diagnostics.partition(_contact_surface(), PUT, 1e-3)
+    assert len(calls) == 1               # one call for all levels
+    assert len(part.boundary) == GRID.nt + 1
+    assert part.boundary[1].size == 0
+    i, m = part.edges
+    assert i.size == sum(b.size for b in part.boundary) > 0
+    for level, points in enumerate(part.boundary):
+        stop = part.labels[:, level] == 0
+        assert (np.diff(points) >= 0.0).all()
+        np.testing.assert_array_equal(points >= x[i[m == level]], True)
+        np.testing.assert_array_equal(points <= x[i[m == level] + 1], True)
+        for b in points:
+            k = np.flatnonzero((x[:-1] <= b) & (b <= x[1:]))
+            assert (stop[k] != stop[k + 1]).any(), (level, b)
+
+
+def test_a_contact_edge_crossing_where_g_is_0_is_not_a_boundary_point():
+    # the strike halfway between nodes k and k + 1: node k is contact,
+    # node k + 1 (g = 0) is not, and u - g - tol crosses 0 two thirds of
+    # the way across, past the strike
+    x = GRID.nodes
+    k = int(np.flatnonzero(x >= 0.0)[0])
+    put = payoff.put(float(np.exp(0.5 * (x[k] + x[k + 1]))))
+    g = put(x)
+    col = g + 0.01
+    col[k], col[k + 1] = g[k], 1.5e-3
+    vals = np.repeat(col[:, None], GRID.nt + 1, axis=1)
+    part = diagnostics.partition(GridFunction(GRID, vals, payoff=put), put,
+                                 1e-3)
+    assert (part.labels[k - 1: k + 2, 0] == [1, 0, 1]).all()
+    for points in part.boundary:     # only the edge left of node k
+        np.testing.assert_allclose(points, [x[k - 1] + 0.9 * GRID.h])
 
 
 def test_run_exits_3_on_an_obstacle_dip(tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
 from jumpstop.grids import (CoefficientField, GridFunction, PayoffGhosts,
                             SpaceTimeGrid, extend_slice)
 from jumpstop.solver import SolveConfig, solve_vi
-from jump_split import apply_nonlocal_split
+from jump_split import _cells, apply_nonlocal_split
 
 GRID = SpaceTimeGrid(x_lo=-2.0, x_hi=2.0, pad=1.5, nx=280,
                      t_final=1.0, nt=10)
@@ -142,8 +142,9 @@ def test_small_half_kills_linear_slices(ops, eps):
 
 def test_split_rejects_cell_interior_cut(ops):
     op = ops["kou"]
-    mids = 0.5 * (op.cell_lo + op.cell_hi)
-    wide = mids[(op.cell_hi - op.cell_lo) > 0.4 * op.h]
+    cell_lo, cell_hi = _cells(op)[:2]
+    mids = 0.5 * (cell_lo + cell_hi)
+    wide = mids[(cell_hi - cell_lo) > 0.4 * op.h]
     gf = _gf(lambda x: x * x)
     with pytest.raises(ParameterError):
         apply_nonlocal_split(op, gf, float(wide[0]))

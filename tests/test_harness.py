@@ -101,7 +101,7 @@ def test_roundtrip_through_dict_and_json():
     rc = harness.RunConfig.from_dict({
         "problem": {"family": "nig", "jump_params": [6.0, -1.0, 0.3],
                     "drift": -0.02, "horizon": 0.5},
-        "numerics": {"eps_schedule": [0.2, 0.1], "radius_tol": 1e-10},
+        "numerics": {"eps_schedule": [0.2, 0.1], "pad": 1.25},
         "oracle": {"probes": [[0.1, 0.25], -0.1], "mc_paths": 20000},
     })
     assert harness.RunConfig.from_dict(rc.to_dict()) == rc
@@ -254,18 +254,24 @@ def test_run_unknown_key_exits_2(tmp_path):
     assert "typo_key" in buf.getvalue()
 
 
-@pytest.mark.parametrize("key, value", [
+@pytest.mark.parametrize("block, key, value", [
     # the march has one operator form, the compensated one
-    ("operator_form", "compensated"),
+    ("numerics", "operator_form", "compensated"),
     # and one time scheme, backward Euler
-    ("theta", "0.5"),
-], ids=["operator_form", "theta"])
-def test_run_operator_form_is_an_unknown_key(tmp_path, key, value):
+    ("numerics", "theta", "0.5"),
+    # now the constants diagnostics._CHECK_C = 10,
+    # generator._RADIUS_TOL = 1e-12 and harness._BINOMIAL_STEPS = 2000
+    ("numerics", "lemma_constant", "10.0"),
+    ("numerics", "radius_tol", "1e-12"),
+    ("oracle", "binomial_steps", "2000"),
+], ids=["operator_form", "theta", "lemma_constant", "radius_tol",
+        "binomial_steps"])
+def test_run_operator_form_is_an_unknown_key(tmp_path, block, key, value):
     path = tmp_path / "bad.txt"
-    path.write_text(f"numerics.{key} = {value}\n")
+    path.write_text(f"{block}.{key} = {value}\n")
     buf = io.StringIO()
     assert harness.run(path, stream=buf) == 2
-    assert f"unknown key(s) in block 'numerics': {key}" in buf.getvalue()
+    assert f"unknown key(s) in block '{block}': {key}" in buf.getvalue()
 
 
 def test_run_failed_check_exits_3_and_names_it(tmp_path):
@@ -334,7 +340,8 @@ def test_surface_writer_writes_one_repr_per_cell(tmp_path):
     u[window[0], 5] = g[window[0]]              # 1 of 11 matches
     labels = (u > g[:, None]).astype(np.int8)
     bundle = {"u": GridFunction(cfg.grid, u, payoff=cfg.payoff),
-              "regions": diagnostics.RegionPartition(labels, [], 0.0)}
+              "regions": diagnostics.RegionPartition(
+                  labels, [], edges=(), tol=0.0, gap_min=0.0)}
     harness._write_surface(tmp_path / "surface.csv", rc, cfg, bundle)
     xs, gs, us = x.tolist(), g.tolist(), u.tolist()
     expected = ["x,t,u,g,region"] + [
@@ -417,10 +424,8 @@ DIAGNOSTICS_KEYS = {
 CONFIG_KEYS = {
     "problem": {"sigma", "rate", "drift", "family", "jump_params", "payoff",
                 "strike", "cap", "table_path", "horizon"},
-    "numerics": {"x_lo", "x_hi", "pad", "nx", "nt", "eps_schedule", "mode",
-                 "radius_tol", "lemma_constant"},
-    "oracle": {"mc_paths", "mc_steps", "seed", "binomial_steps", "which",
-               "probes"},
+    "numerics": {"x_lo", "x_hi", "pad", "nx", "nt", "eps_schedule", "mode"},
+    "oracle": {"mc_paths", "mc_steps", "seed", "which", "probes"},
     "output": {"out_dir", "formats"},
 }
 
@@ -754,8 +759,9 @@ def test_cli_solve_slowly_tempered_kou_projected_names_the_failure(
 
 def test_cli_solve_non_decaying_jump_tail_is_a_config_error(tmp_path,
                                                            capsys):
-    # lambda = 1e-6 leaves the tempered-stable tail above radius_tol past
-    # any finite radius: a named config error, not a traceback (exit 1)
+    # lambda = 1e-6 leaves the tempered-stable tail above the truncation
+    # tolerance past any finite radius: a named config error, not a
+    # traceback (exit 1)
     cfg_path = make_config(
         tmp_path,
         problem={"family": "tempered_stable",
