@@ -5,7 +5,7 @@ the value function of an optimal stopping problem whose state carries
 both a diffusion and a (possibly infinite-variation) jump component.
 The obstacle is handled by a smooth penalty term with a continuation
 schedule, or by direct projection; independent cross-checks come from
-closed forms, a binomial tree, and regression-policy Monte Carlo.
+closed forms, a binomial tree, and contact-set Monte Carlo paths.
 
 Submodules
 ----------

@@ -19,6 +19,7 @@ from .grids import GridFunction, SpaceTimeGrid
 __all__ = [
     "RegionPartition",
     "partition",
+    "stopping_rule",
     "check_no_dip",
     "check_tolerance",
     "crossings",
@@ -64,14 +65,14 @@ class RegionPartition:
     gap_min: float
 
 
-def check_no_dip(u: GridFunction, payoff, tol: float) -> np.ndarray:
+def check_no_dip(u: GridFunction, g: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, float]:
     """Raise :class:`InvariantViolation` where the surface dips below the
     obstacle by more than ``tol`` -- that is never a rounding artifact.
 
-    Returns the gap ``u - g`` (one column per time level).
+    ``g`` holds the obstacle on the grid's nodes.  Returns the gap
+    ``u - g`` (one column per time level) and its least value.
     """
-    x = u.grid.nodes
-    g = np.asarray(payoff(x), dtype=float)
     vals = u.values if u.values.ndim == 2 else u.values[:, None]
     gap = vals - g[:, None]
     worst = float(gap.min())
@@ -79,9 +80,15 @@ def check_no_dip(u: GridFunction, payoff, tol: float) -> np.ndarray:
         i, n = np.unravel_index(np.argmin(gap), gap.shape)
         raise InvariantViolation(
             f"surface falls {-worst:.3e} below the obstacle at "
-            f"x = {x[i]:.4f} (time level {n}); tolerance {tol:.3e} "
-            f"(layer diagnostics.check_no_dip, quantity min(u - g))")
-    return gap
+            f"x = {u.grid.nodes[i]:.4f} (time level {n}); tolerance "
+            f"{tol:.3e} (layer diagnostics.check_no_dip, quantity "
+            f"min(u - g))")
+    return gap, worst
+
+
+def _contact(gap, g, tol: float):
+    """The contact set: ``u - g <= tol`` where stopping pays (``g > 0``)."""
+    return (gap <= tol) & (g > 0.0)
 
 
 def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
@@ -99,8 +106,8 @@ def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
     """
     x = u.grid.nodes
     g = np.asarray(payoff(x), dtype=float)
-    gap = check_no_dip(u, payoff, check_tolerance(u.grid))
-    contact = (gap <= tol) & (g[:, None] > 0.0)
+    gap, gap_min = check_no_dip(u, g, check_tolerance(u.grid))
+    contact = _contact(gap, g[:, None], tol)
     # level-major, so each level's edges come left to right
     m, i = np.nonzero(contact.T[:, :-1] != contact.T[:, 1:])
     d_lo, d_hi = gap[i, m] - tol, gap[i + 1, m] - tol
@@ -112,7 +119,29 @@ def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
     levels = np.searchsorted(m, np.arange(1, gap.shape[1]))
     return RegionPartition(labels=(~contact).astype(np.int8),
                            boundary=np.split(locs, levels), edges=(i, m),
-                           tol=tol, gap_min=float(gap.min()))
+                           tol=tol, gap_min=gap_min)
+
+
+def stopping_rule(value: GridFunction, payoff, tol: float):
+    """The contact set of the backward-time surface ``value`` as a
+    stopping rule ``rule(x, s) -> bool mask``.
+
+    A state ``x`` at time to expiry ``s`` stops where the node nearest to
+    it, on the level nearest to ``s``, is in :func:`partition`'s contact
+    set at the same ``tol``; states past the grid read its end node.
+    Each call forms the contact set of the one level it reads.
+    """
+    grid = value.grid
+    x = grid.nodes
+    g = np.asarray(payoff(x), dtype=float)
+    x0, h, dt = x[0], grid.h, grid.dt
+
+    def rule(y, s):
+        m = min(max(round(s / dt), 0), grid.nt)
+        contact = _contact(value.values[:, m] - g, g, tol)
+        i = np.clip(np.rint((y - x0) / h), 0, grid.nx)
+        return contact[i.astype(np.intp)]
+    return rule
 
 
 @dataclass(frozen=True)

@@ -432,8 +432,11 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
             row["rel_gap"] = row["abs_gap"] / scale if scale > 0 else None
         rows.append(row)
     mc_on = "mc" in names and rc.oracle.mc_paths > 0
-    estimate, kind = (mc.european_estimate, "terminal") if european \
-        else (mc.stopping_lower_bound, "lower_bound")
+    kind = "terminal" if european else "lower_bound"
+    if mc_on and not european:
+        # the lattice's own contact set, read from the backward-time surface
+        rule = diagnostics.stopping_rule(
+            report.value, cfg.payoff, contact_tol(cfg, report.eps_final))
     # a constant rate is one float, not a rate array per step and path
     rate = float(cfg.coeffs.r(0.0, 0.0)) if cfg.coeffs.constant \
         else cfg.coeffs.r
@@ -454,11 +457,13 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
 
             def reward(y, shift=shift):
                 return cfg.payoff(y + shift)
-            est = estimate(batch, reward, rate)
+
+            def stop(y, n, shift=shift):
+                return rule(y + shift, horizon - batch.times[n])
+            est = mc.european_estimate(batch, reward, rate) if european \
+                else mc.stopping_lower_bound(batch, reward, rate, stop)
             row.update(mc_kind=kind, mc_value=est.price, mc_stderr=est.stderr,
                        mc_steps=batch.n_steps, mc_shift=shift)
-            if est.flag:
-                row["mc_flag"] = est.flag
         del batch  # free the paths before the next time's batch
     return rows
 

@@ -30,12 +30,12 @@ the terminal state exactly in law (Cont & Tankov 2004, secs. 6.2-6.3).
 
 Estimates: ``european_estimate`` averages the discounted terminal
 reward, and needs only the terminal level, so under constant
-coefficients a 1-step batch serves it; ``stopping_lower_bound`` builds a
-regression exercise policy on half of the paths and values it on the
-other half, so the reported number is a genuine lower bound for the
-optimal stopping value (up to sampling error) rather than an in-sample
-artifact, and decides on every step of the batch.  Both discount step
-by step along the paths, with the rate at the start of each step.
+coefficients a 1-step batch serves it; ``stopping_lower_bound`` values a
+given stopping rule on every path, deciding on every step of the batch.
+A rule that reads no future state gives a genuine lower bound for the
+optimal stopping value (up to sampling error); the harness stops on the
+lattice's own contact set.  Both discount step by step along the paths,
+with the rate at the start of each step.
 
 A path starts with ``T`` to expiry, so at path time ``tau`` it reads the
 coefficient fields at ``T - tau``, the time to expiry at which the
@@ -63,17 +63,13 @@ _TABLE_PANELS = 4096
 _BUCKETS = 1 << 17
 _BUILD_BLOCK = 1 << 13
 _TAIL_TOL = 1e-10
-_MIN_POLICY_PATHS = 10_000
-#: degree of the regression policy's polynomial basis
-_BASIS_DEGREE = 4
 
 
 class MCEstimate(NamedTuple):
-    """Point estimate with its standard error and an advisory flag."""
+    """Point estimate with its standard error."""
 
     price: float
     stderr: float
-    flag: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +292,6 @@ class PathBatch:
     def n_steps(self) -> int:
         return self.states.shape[1] - 1
 
-    @property
-    def x0(self) -> float:
-        return float(self.states[0, 0])
-
 
 def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
              T: float, n_paths: int, n_steps: int, seed: int,
@@ -411,125 +403,37 @@ def european_estimate(batch: PathBatch, g: Callable, r) -> MCEstimate:
     return MCEstimate(price, stderr)
 
 
-def _powers(x: np.ndarray, degree: int) -> np.ndarray:
-    """``polyvander(x, degree)`` without its per-call overhead: the same
-    power rows by the same products, as the same transposed view."""
-    v = np.empty((degree + 1, x.size))
-    v[0] = 1.0
-    if degree > 0:
-        v[1] = x
-    for j in range(2, degree + 1):
-        np.multiply(v[j - 1], x, out=v[j])
-    return v.T
+def stopping_lower_bound(batch: PathBatch, g: Callable, r,
+                         stop: Callable) -> MCEstimate:
+    """Value of the stopping rule ``stop`` on every path of the batch: a
+    lower bound on the optimal stopping value up to sampling error.
 
-
-def _fit_policy(ya: np.ndarray, times: np.ndarray, g: Callable, r,
-                degree: int) -> tuple[list, float, int]:
-    """Backward regression pass: per-step continuation-value fits.
-
-    ``ya`` is time-major, one row of states per time level.  Returns the
-    fitted polynomial per decision step (None where too few paths are in
-    the money or the fit is rank-deficient), the estimated continuation
-    value at the start, and the count of rank-deficient steps.
+    ``stop(x, n)`` is the boolean mask of the states ``x`` at
+    ``times[n]`` that stop.  A path stops at the first step ``n = 0 ...
+    n_steps - 1`` where its mask is set, and takes ``g`` at expiry
+    otherwise.  Any such rule reads no future state, so its value is a
+    lower bound whatever its quality (Andersen & Broadie 2004).  ``live``
+    indexes the paths that have not stopped, and the running discount
+    ``cum`` and the states ``x`` are kept for those paths only, in the
+    same order.
     """
-    width = ya.shape[0]
-    cash = np.asarray(g(ya[-1]), dtype=float).copy()
-    polys: list = [None] * width
-    singular = 0
-    for n in range(width - 2, 0, -1):
-        x = ya[n]
-        cash *= np.exp(-_step_discount(r, x, times, n))
-        gn = np.asarray(g(x), dtype=float)
-        itm = np.flatnonzero(gn > 0.0)
-        if itm.size < degree + 2:
-            continue
-        x_itm = x[itm]
-        lo, hi = float(x_itm.min()), float(x_itm.max())
-        if hi - lo < 1e-12:
-            singular += 1
-            continue
-        xs = (2.0 * x_itm - (lo + hi)) / (hi - lo)
-        design = _powers(xs, degree)
-        coef, _, rank, _ = np.linalg.lstsq(design, cash[itm], rcond=None)
-        if rank < degree + 1:
-            singular += 1
-            continue
-        g_itm = gn[itm]
-        take = g_itm >= design @ coef
-        cash[itm[take]] = g_itm[take]
-        polys[n] = (coef, lo, hi)
-    cash *= np.exp(-_step_discount(r, ya[0], times, 0))
-    return polys, float(cash.mean()), singular
-
-
-def _run_policy(yb: np.ndarray, times: np.ndarray, g: Callable, r,
-                polys: list, degree: int) -> np.ndarray:
-    """Discounted reward of each path under the fitted exercise rule.
-
-    ``yb`` is time-major.  ``live`` indexes the paths that have not
-    stopped, and the running discount ``cum`` and the states ``x`` are
-    kept for those paths only, in the same order.
-    """
-    width, n_paths = yb.shape
-    vals = np.zeros(n_paths)
-    live = np.arange(n_paths)
-    cum = np.zeros(n_paths)
-    x = yb[0]
-    for n in range(1, width):
-        cum += _step_discount(r, x, times, n - 1)
-        x = yb[n][live]
-        rule = polys[n]  # None at expiry: the fit never reaches n_steps
-        if rule is None:
-            continue
-        coef, lo, hi = rule
-        gn = np.asarray(g(x), dtype=float)
-        itm = np.flatnonzero(gn > 0.0)
-        if not itm.size:
-            continue
-        xs = (2.0 * x[itm] - (lo + hi)) / (hi - lo)
-        cont = _powers(xs, degree) @ coef
-        stop = itm[gn[itm] >= cont]
-        if not stop.size:
-            continue
-        vals[live[stop]] = np.exp(-cum[stop]) * gn[stop]
-        keep = np.ones(live.size, dtype=bool)
-        keep[stop] = False
-        live, cum, x = live[keep], cum[keep], x[keep]
+    rows = batch.states.T  # time-major: row n holds the states at times[n]
+    vals = np.zeros(batch.n_paths)
+    live = np.arange(batch.n_paths)
+    cum = np.zeros(batch.n_paths)
+    x = rows[0]
+    for n in range(batch.n_steps):
+        hit = np.flatnonzero(stop(x, n))
+        if hit.size:
+            vals[live[hit]] = np.exp(-cum[hit]) * \
+                np.asarray(g(x[hit]), dtype=float)
+            keep = np.ones(live.size, dtype=bool)
+            keep[hit] = False
+            live, cum, x = live[keep], cum[keep], x[keep]
+        cum += _step_discount(r, x, batch.times, n)
+        x = rows[n + 1][live]
     vals[live] = np.exp(-cum) * np.asarray(g(x), dtype=float)
-    return vals
-
-
-def stopping_lower_bound(batch: PathBatch, g: Callable, r) -> MCEstimate:
-    """Value of a regression exercise policy: a lower bound on the
-    optimal stopping value up to sampling error.
-
-    The policy is fitted on the even-index paths and valued on the
-    odd-index paths, which removes the in-sample upward bias of
-    regression stopping.  The start-time decision compares the immediate
-    reward with the fitted continuation value; rank-deficient fits fall
-    back to never stopping early at that step (with every step
-    degenerate, the policy reduces to terminal exercise) and are
-    flagged.
-    """
-    if batch.n_paths < _MIN_POLICY_PATHS:
-        raise ParameterError(
-            f"policy estimate needs >= {_MIN_POLICY_PATHS} paths, "
-            f"got {batch.n_paths}")
-    # time-major views of the two halves: row n holds their states at
-    # times[n], and nothing is copied
-    rows = batch.states.T
-    ya, yb = rows[:, ::2], rows[:, 1::2]
-    polys, start, singular = _fit_policy(ya, batch.times, g, r,
-                                         _BASIS_DEGREE)
-    flag = ""
-    if singular:
-        flag = (f"rank-deficient regression at {singular} step(s); "
-                f"no early exercise there")
-    g0 = float(np.asarray(g(np.array([batch.x0])), dtype=float)[0])
-    if g0 > 0.0 and g0 >= start:
-        return MCEstimate(g0, 0.0, flag)
-    vals = _run_policy(yb, batch.times, g, r, polys, _BASIS_DEGREE)
     price = float(vals.mean())
     stderr = (float(vals.std(ddof=1)) / math.sqrt(vals.size)
               if vals.size > 1 else 0.0)
-    return MCEstimate(price, stderr, flag)
+    return MCEstimate(price, stderr)

@@ -27,14 +27,15 @@ def test_dip_guard_names_the_worst_point():
             f"{1e-3:.3e} (layer diagnostics.check_no_dip, quantity "
             f"min(u - g))")
     with pytest.raises(InvariantViolation) as exc:
-        diagnostics.check_no_dip(_surface(0.25), PUT, 1e-3)
+        diagnostics.check_no_dip(_surface(0.25), PUT(GRID.nodes), 1e-3)
     assert str(exc.value) == want
 
 
 def test_dip_within_tolerance_passes():
     u = _surface(5e-4)
-    gap = diagnostics.check_no_dip(u, PUT, 1e-3)
+    gap, gap_min = diagnostics.check_no_dip(u, PUT(GRID.nodes), 1e-3)
     np.testing.assert_array_equal(gap, u.values - PUT(GRID.nodes)[:, None])
+    assert gap_min == gap.min() < 0.0
     part = diagnostics.partition(u, PUT, 1e-3)
     assert part.labels[12, 3] == 0 and part.labels[12, 2] == 1
 
@@ -111,6 +112,28 @@ def test_a_contact_edge_crossing_where_g_is_0_is_not_a_boundary_point():
     assert (part.labels[k - 1: k + 2, 0] == [1, 0, 1]).all()
     for points in part.boundary:     # only the edge left of node k
         np.testing.assert_allclose(points, [x[k - 1] + 0.9 * GRID.h])
+
+
+def test_stopping_rule_reads_the_partition_labels():
+    # the rule reads the backward-time surface: time to expiry s is its
+    # column round(s / dt), natural-time level nt - round(s / dt); a state
+    # reads its nearest node, clipped to the grid
+    tol = 1e-3
+    u = _contact_surface()
+    back = GridFunction(GRID, u.values[:, ::-1].copy(), payoff=PUT)
+    rule = diagnostics.stopping_rule(back, PUT, tol)
+    stop = diagnostics.partition(u, PUT, tol).labels == 0
+    x, h, dt = GRID.nodes, GRID.h, GRID.dt
+    for m in range(GRID.nt + 1):
+        level = stop[:, GRID.nt - m]
+        for s in (m * dt, m * dt + 0.4 * dt, max(m * dt - 0.4 * dt, 0.0)):
+            np.testing.assert_array_equal(rule(x, s), level)
+            np.testing.assert_array_equal(rule(x + 0.4 * h, s), level)
+            np.testing.assert_array_equal(rule(x - 0.4 * h, s), level)
+        assert rule(np.array([x[0] - 5.0]), m * dt)[0] == level[0]
+        assert rule(np.array([x[-1] + 5.0]), m * dt)[0] == level[-1]
+    np.testing.assert_array_equal(rule(x, 1.0 + 3.0 * dt), stop[:, 0])
+    np.testing.assert_array_equal(rule(x, -dt), stop[:, -1])
 
 
 def test_run_exits_3_on_an_obstacle_dip(tmp_path, monkeypatch):

@@ -639,11 +639,17 @@ def test_first_probe_at_each_time_values_its_own_batch():
     rc = _path_config([-0.1, [0.0, 0.5], 0.0, [0.1, 0.5]])
     rows = harness.compare(rc)
     cfg = rc.build_solve_config()
+    # the contact set of a projected solve of the same model
+    rule = diagnostics.stopping_rule(solver.solve_vi(cfg).value, cfg.payoff,
+                                     solver.contact_tol(cfg, None))
 
     def direct(row, seed):
-        batch = mc.simulate(cfg.model, cfg.coeffs, row["x"],
-                            cfg.grid.t_final - row["t"], 10000, 8, seed)
-        return mc.stopping_lower_bound(batch, cfg.payoff, cfg.coeffs.r)
+        horizon = cfg.grid.t_final - row["t"]
+        batch = mc.simulate(cfg.model, cfg.coeffs, row["x"], horizon,
+                            10000, 8, seed)
+        return mc.stopping_lower_bound(
+            batch, cfg.payoff, cfg.coeffs.r,
+            lambda y, n: rule(y, horizon - batch.times[n]))
     # the probe that drew the batch: bit for bit its own seed + k
     for k in (0, 1):
         est = direct(rows[k], 5 + k)
@@ -654,19 +660,6 @@ def test_first_probe_at_each_time_values_its_own_batch():
         est = direct(rows[k], 5 + first)
         assert abs(rows[k]["mc_value"] - est.price) <= 0.1 * est.stderr
     assert [row["mc_shift"] for row in rows] == [0.0, 0.0, 0.1, 0.1]
-
-
-@pytest.mark.parametrize("seed", [11, 104729])
-def test_policy_power_rows_leave_mc_values_unchanged(seed, monkeypatch):
-    # the policy's own power rows against numpy's polyvander
-    rc = _path_config([0.0, [-0.1, 0.5]])
-    rc.oracle.seed = seed
-    got = harness.compare(rc)
-    monkeypatch.setattr(mc, "_powers", np.polynomial.polynomial.polyvander)
-    want = harness.compare(rc)
-    assert [row["mc_kind"] for row in got] == ["lower_bound"] * 2
-    assert [(row["mc_value"], row["mc_stderr"]) for row in got] == \
-        [(row["mc_value"], row["mc_stderr"]) for row in want]
 
 
 def test_compare_which_none_disables_oracles():

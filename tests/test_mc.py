@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jumpstop import levy, mc, payoff
+from jumpstop import diagnostics, levy, mc, payoff
 from jumpstop.errors import ParameterError
-from jumpstop.grids import CoefficientField
+from jumpstop.grids import CoefficientField, SpaceTimeGrid
+from jumpstop.solver import SolveConfig, contact_tol, solve_vi
 
 SIG, R = 0.2, 0.04
 A = 0.5 * SIG * SIG
@@ -62,7 +63,7 @@ def test_drift_only_paths_are_exact():
                         0.1, 1.0, 50, 16, 7)
     assert np.max(np.abs(batch.states[:, -1] - 0.4)) < 1e-12
     assert batch.n_paths == 50 and batch.n_steps == 16
-    assert batch.x0 == 0.1
+    assert (batch.states[:, 0] == 0.1).all()
 
 
 def test_gaussian_terminal_moments():
@@ -405,9 +406,46 @@ def test_callable_rate_matches_scalar(merton_batch):
 # stopping lower bound
 
 
-def test_lower_bound_brackets_binomial(diffusion_batch):
-    lb = mc.stopping_lower_bound(diffusion_batch, PUT, R)
-    assert lb.flag == ""
+def lattice_rule(model, coeffs):
+    """The contact set of a projected solve of the same model, horizon 1,
+    as a rule ``rule(x, s)`` at time to expiry ``s``."""
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 200, 1.0, 200)
+    cfg = SolveConfig(grid, model, coeffs, PUT, mode="projected")
+    return diagnostics.stopping_rule(solve_vi(cfg).value, PUT,
+                                     contact_tol(cfg, None))
+
+
+def stop_on(rule, batch, shift=0.0):
+    """``stop(x, n)`` on ``batch``: ``rule`` at each step's time to expiry,
+    read at ``x + shift``."""
+    T = batch.times[-1]
+    return lambda x, n: rule(x + shift, T - batch.times[n])
+
+
+def ts_setup():
+    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    return mod, CoefficientField.constants(
+        A, R - A - levy.exp_compensator(mod), R)
+
+
+@pytest.fixture(scope="module")
+def diffusion_rule():
+    return lattice_rule(levy.none(), diffusion_coeffs())
+
+
+@pytest.fixture(scope="module")
+def merton_rule():
+    return lattice_rule(*merton_setup())
+
+
+@pytest.fixture(scope="module")
+def ts_rule():
+    return lattice_rule(*ts_setup())
+
+
+def test_lower_bound_brackets_binomial(diffusion_batch, diffusion_rule):
+    lb = mc.stopping_lower_bound(diffusion_batch, PUT, R,
+                                 stop_on(diffusion_rule, diffusion_batch))
     assert lb.stderr < 1e-3
     # honest lower bound: never significantly above the tree price ...
     assert lb.price <= BINOMIAL_PUT + 4.0 * lb.stderr
@@ -415,167 +453,118 @@ def test_lower_bound_brackets_binomial(diffusion_batch):
     assert lb.price >= 0.99 * BINOMIAL_PUT - 4.0 * lb.stderr
 
 
-def test_stopping_dominates_european(diffusion_batch, merton_batch):
-    for batch in (diffusion_batch, merton_batch):
+def test_stopping_dominates_european(diffusion_batch, merton_batch,
+                                     diffusion_rule, merton_rule):
+    for batch, rule in ((diffusion_batch, diffusion_rule),
+                        (merton_batch, merton_rule)):
         eu = mc.european_estimate(batch, PUT, R)
-        lb = mc.stopping_lower_bound(batch, PUT, R)
+        lb = mc.stopping_lower_bound(batch, PUT, R, stop_on(rule, batch))
         assert lb.price >= eu.price - 4.0 * (eu.stderr + lb.stderr)
 
 
-def test_immediate_exercise_dominance_deep_in_the_money():
+def test_immediate_exercise_dominance_deep_in_the_money(merton_rule):
     mod, coeffs = merton_setup()
     batch = mc.simulate(mod, coeffs, -0.3, 1.0, 20_000, 32, 41)
-    lb = mc.stopping_lower_bound(batch, PUT, R)
+    lb = mc.stopping_lower_bound(batch, PUT, R, stop_on(merton_rule, batch))
     g0 = float(PUT(np.array([-0.3]))[0])
     assert lb.price >= g0 - 4.0 * lb.stderr
 
 
-def test_zero_reward_gives_exact_zero(diffusion_batch):
+def test_zero_reward_gives_exact_zero(diffusion_batch, diffusion_rule):
     zero = payoff.tabulated([-50.0, 50.0], [0.0, 0.0])
-    lb = mc.stopping_lower_bound(diffusion_batch, zero, R)
+    lb = mc.stopping_lower_bound(diffusion_batch, zero, R,
+                                 stop_on(diffusion_rule, diffusion_batch))
     assert lb.price == 0.0 and lb.stderr == 0.0
 
 
-def test_degenerate_paths_fall_back_with_flag():
-    # no noise at all: every regression is rank-deficient
-    batch = mc.simulate(levy.none(), degenerate_coeffs(0.0, R),
-                        -0.1, 1.0, 12_000, 16, 5)
-    lb = mc.stopping_lower_bound(batch, PUT, R)
-    assert lb.flag != ""
-    g0 = float(PUT(np.array([-0.1]))[0])
-    assert lb.price == pytest.approx(g0)
-    assert lb.stderr == 0.0
+def test_drift_only_paths_stopped_at_one_step_are_exact():
+    # every path is x0 + 0.3 t, so a rule that stops at step k values
+    # exp(-r t_k) g(x_k) on each; k = 16 never stops early and takes g at
+    # expiry
+    batch = mc.simulate(levy.none(), degenerate_coeffs(0.3, R),
+                        -0.5, 1.0, 1000, 16, 5)
+    for k in (0, 7, 16):
+        lb = mc.stopping_lower_bound(
+            batch, PUT, R, lambda x, n: np.full(x.shape, n == k))
+        t_k = batch.times[k]
+        want = math.exp(-R * t_k) * float(PUT(np.array([-0.5 + 0.3 * t_k]))[0])
+        assert lb.price == pytest.approx(want, rel=1e-12), k
+        # identical values: the stderr is 0 up to the rounding of the mean
+        assert lb.stderr <= 1e-15, k
 
 
-def _mask_fit_policy(xa, times, g, r, degree):
-    """Reference for ``mc._fit_policy``: the same backward regression
-    pass on path-major states, with boolean masks over every path."""
-    width = xa.shape[1]
-    n_steps = width - 1
-    cash = np.asarray(g(xa[:, -1]), dtype=float).copy()
-    polys = [None] * width
-    singular = 0
-    for n in range(n_steps - 1, 0, -1):
-        cash *= np.exp(-mc._step_discount(r, xa[:, n], times, n))
-        gn = np.asarray(g(xa[:, n]), dtype=float)
-        itm = gn > 0.0
-        if int(itm.sum()) < degree + 2:
-            continue
-        x_itm = xa[itm, n]
-        lo, hi = float(x_itm.min()), float(x_itm.max())
-        if hi - lo < 1e-12:
-            singular += 1
-            continue
-        xs = (2.0 * x_itm - (lo + hi)) / (hi - lo)
-        design = np.polynomial.polynomial.polyvander(xs, degree)
-        coef, _, rank, _ = np.linalg.lstsq(design, cash[itm], rcond=None)
-        if rank < degree + 1:
-            singular += 1
-            continue
-        cont = design @ coef
-        take = gn[itm] >= cont
-        cash[itm] = np.where(take, gn[itm], cash[itm])
-        polys[n] = (coef, lo, hi)
-    cash *= np.exp(-mc._step_discount(r, xa[:, 0], times, 0))
-    return polys, float(cash.mean()), singular
-
-
-def _mask_run_policy(xb, times, g, r, polys, degree):
-    """Reference for ``mc._run_policy``: reward and discount on every
-    path at every step, stopped paths masked out."""
-    n_paths, width = xb.shape
-    alive = np.ones(n_paths, dtype=bool)
-    vals = np.zeros(n_paths)
-    cum = np.zeros(n_paths)
-    for n in range(1, width):
-        cum += mc._step_discount(r, xb[:, n - 1], times, n - 1)
-        rule = polys[n]
-        if rule is None:
-            continue
-        coef, lo, hi = rule
-        gn = np.asarray(g(xb[:, n]), dtype=float)
-        itm = alive & (gn > 0.0)
-        if not itm.any():
-            continue
-        xs = (2.0 * xb[itm, n] - (lo + hi)) / (hi - lo)
-        cont = np.polynomial.polynomial.polyvander(xs, degree) @ coef
-        stop = np.zeros(n_paths, dtype=bool)
-        stop[itm] = gn[itm] >= cont
-        vals[stop] = np.exp(-cum[stop]) * gn[stop]
-        alive &= ~stop
+def _mask_lower_bound(batch, g, r, stop):
+    """Reference for ``mc.stopping_lower_bound``: the rule, the reward and
+    the discount on every path at every step, stopped paths masked out."""
+    xs, times = batch.states, batch.times
+    alive = np.ones(batch.n_paths, dtype=bool)
+    vals = np.zeros(batch.n_paths)
+    cum = np.zeros(batch.n_paths)
+    for n in range(batch.n_steps):
+        hit = alive & stop(xs[:, n], n)
+        vals[hit] = np.exp(-cum[hit]) * np.asarray(g(xs[hit, n]), dtype=float)
+        alive &= ~hit
+        cum += mc._step_discount(r, xs[:, n], times, n)
     vals[alive] = np.exp(-cum[alive]) * \
-        np.asarray(g(xb[alive, -1]), dtype=float)
-    return vals
-
-
-def _mask_lower_bound(monkeypatch, batch, g, r):
-    # the time-major halves transposed back are the path-major halves
-    with monkeypatch.context() as m:
-        m.setattr(mc, "_fit_policy",
-                  lambda ya, *rest: _mask_fit_policy(ya.T, *rest))
-        m.setattr(mc, "_run_policy",
-                  lambda yb, *rest: _mask_run_policy(yb.T, *rest))
-        return mc.stopping_lower_bound(batch, g, r)
+        np.asarray(g(xs[alive, -1]), dtype=float)
+    return mc.MCEstimate(float(vals.mean()),
+                         float(vals.std(ddof=1)) / math.sqrt(vals.size))
 
 
 def _ts_batch():
-    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
-    coeffs = CoefficientField.constants(
-        A, R - A - levy.exp_compensator(mod), R)
+    mod, coeffs = ts_setup()
     return mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 37), coeffs
 
 
 @pytest.mark.parametrize("shift", [0.0, -0.1])
-def test_policy_matches_the_boolean_mask_policy(monkeypatch, shift):
+def test_policy_matches_the_boolean_mask_policy(ts_rule, shift):
     batch, coeffs = _ts_batch()
 
     def reward(y):
         return PUT(y + shift)
-    got = mc.stopping_lower_bound(batch, reward, coeffs.r)
-    assert got == _mask_lower_bound(monkeypatch, batch, reward, coeffs.r)
-    assert got.flag == "" and got.stderr > 0.0
+    stop = stop_on(ts_rule, batch, shift)
+    got = mc.stopping_lower_bound(batch, reward, coeffs.r, stop)
+    assert got == _mask_lower_bound(batch, reward, coeffs.r, stop)
+    assert got.stderr > 0.0
 
 
 def test_policy_matches_the_boolean_mask_policy_on_degenerate_paths(
-        monkeypatch):
+        diffusion_rule):
+    # every path sits at x0 until the contact set reaches it near expiry
     batch = mc.simulate(levy.none(), degenerate_coeffs(0.0, R),
                         -0.1, 1.0, 12_000, 16, 5)
-    got = mc.stopping_lower_bound(batch, PUT, R)
-    assert got == _mask_lower_bound(monkeypatch, batch, PUT, R)
-    assert got.flag != ""
+    stop = stop_on(diffusion_rule, batch)
+    got = mc.stopping_lower_bound(batch, PUT, R, stop)
+    assert got == _mask_lower_bound(batch, PUT, R, stop)
+    k = next(n for n in range(batch.n_steps) if stop(batch.states[:1, n], n))
+    assert 0 < k < batch.n_steps
+    assert got.price == pytest.approx(
+        math.exp(-R * batch.times[k]) * float(PUT(np.array([-0.1]))[0]),
+        rel=1e-12)
 
 
-def test_policy_matches_the_boolean_mask_policy_with_a_state_rate(
-        monkeypatch):
+def test_policy_matches_the_boolean_mask_policy_with_a_state_rate(ts_rule):
     # a rate that varies with the state: the discount read on live paths
     # only must add up to the one read on every path
     batch, _ = _ts_batch()
 
     def rate(x, t):
         return R + 0.02 * np.tanh(np.asarray(x, dtype=float) + t)
-    got = mc.stopping_lower_bound(batch, PUT, rate)
-    assert got == _mask_lower_bound(monkeypatch, batch, PUT, rate)
-    assert got.flag == "" and got.stderr > 0.0
+    stop = stop_on(ts_rule, batch)
+    got = mc.stopping_lower_bound(batch, PUT, rate, stop)
+    assert got == _mask_lower_bound(batch, PUT, rate, stop)
+    assert got.stderr > 0.0
 
 
-def test_policy_preconditions(diffusion_batch):
-    small = mc.PathBatch(diffusion_batch.states[:100], diffusion_batch.times,
-                         0, 0.0, 0.0, diffusion_batch.jump_counts[:100])
-    with pytest.raises(ParameterError):
-        mc.stopping_lower_bound(small, PUT, R)
-
-
-def test_halving_the_split_keeps_the_tempered_stable_lower_bound():
+def test_halving_the_split_keeps_the_tempered_stable_lower_bound(ts_rule):
     # the Gaussian stand-in for jumps below eps_mc is the split's only
     # approximation (Asmussen & Rosinski 2001); halving eps_mc must move
     # the ts15 lower bound by less than 3 combined standard errors
-    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
-    coeffs = CoefficientField.constants(
-        A, R - A - levy.exp_compensator(mod), R)
-    coarse, fine = (mc.stopping_lower_bound(
-        mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 7, eps_mc=eps),
-        PUT, R) for eps in (0.01, 0.005))
-    assert coarse.flag == fine.flag == ""
+    mod, coeffs = ts_setup()
+    batches = [mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 7, eps_mc=eps)
+               for eps in (0.01, 0.005)]
+    coarse, fine = (mc.stopping_lower_bound(b, PUT, R, stop_on(ts_rule, b))
+                    for b in batches)
     assert abs(fine.price - coarse.price) <= \
         3.0 * np.hypot(coarse.stderr, fine.stderr)
 
@@ -593,6 +582,7 @@ def test_shifted_reward_matches_a_batch_started_at_the_shift(model):
     # same seed they differ only by the rounding of the running sums
     coeffs = CoefficientField.constants(
         A, R - A - levy.exp_compensator(model), R)
+    rule = lattice_rule(model, coeffs)
     d = -0.1
     moved = mc.simulate(model, coeffs, 0.0, 1.0, 20_000, 16, 23)
     direct = mc.simulate(model, coeffs, d, 1.0, 20_000, 16, 23)
@@ -603,8 +593,9 @@ def test_shifted_reward_matches_a_batch_started_at_the_shift(model):
     eu_direct = mc.european_estimate(direct, PUT, R)
     assert eu_moved.price == pytest.approx(eu_direct.price, rel=1e-12)
     assert eu_moved.stderr == pytest.approx(eu_direct.stderr, rel=1e-12)
-    lb_moved = mc.stopping_lower_bound(moved, shifted, R)
-    lb_direct = mc.stopping_lower_bound(direct, PUT, R)
+    lb_moved = mc.stopping_lower_bound(moved, shifted, R,
+                                       stop_on(rule, moved, d))
+    lb_direct = mc.stopping_lower_bound(direct, PUT, R, stop_on(rule, direct))
     assert abs(lb_moved.price - lb_direct.price) <= 0.1 * lb_direct.stderr
 
 
@@ -623,15 +614,3 @@ def test_lipschitz_modulus_common_random_numbers():
         mc.simulate(mod, coeffs, d, 1.0, 20_000, 32, 31), PUT, R)
     modulus = abs(pb.price - pa.price) / d
     assert modulus <= PUT.lipschitz * 1.1
-
-
-@pytest.mark.parametrize("degree", range(1, 11))
-def test_power_rows_are_polyvander_bit_for_bit(degree):
-    # the same values in the same transposed layout, so lstsq sees the
-    # same matrix
-    xs = np.random.default_rng(degree).uniform(-1.0, 1.0, 257)
-    got = mc._powers(xs, degree)
-    want = np.polynomial.polynomial.polyvander(xs, degree)
-    assert got.shape == want.shape == (xs.size, degree + 1)
-    assert got.strides == want.strides
-    assert got.tobytes() == want.tobytes()

@@ -8,7 +8,8 @@ wraps functions by name).  A field of a dataclass in ``src/`` must be
 read as an attribute in ``src/`` (directly or by ``getattr`` with a
 constant name), or as ``.field`` in ``demos/`` or in ``perfbench/``
 outside its tests; setting it, or passing it to the constructor, is not
-a read.  Code and data that only tests reach belong under ``tests/``.
+a read.  The fields of a ``NamedTuple`` class count as dataclass
+fields.  Code and data that only tests reach belong under ``tests/``.
 """
 
 import ast
@@ -60,10 +61,15 @@ def _is_dataclass(decorator):
     return getattr(target, "id", None) == "dataclass"
 
 
+def _is_record(node):
+    """A dataclass or a ``NamedTuple`` class."""
+    return any(map(_is_dataclass, node.decorator_list)) or \
+        any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)
+
+
 def _fields(tree):
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and \
-                any(map(_is_dataclass, node.decorator_list)):
+        if isinstance(node, ast.ClassDef) and _is_record(node):
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and \
                         isinstance(stmt.target, ast.Name):
