@@ -11,8 +11,7 @@ import numpy as np
 
 from jumpstop import diagnostics, levy, payoff
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
-from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
-                             solve_vi)
+from jumpstop.solver import SolveConfig, contact_tol, solve_vi
 
 SIGMA, RATE, HORIZON = 0.2, 0.04, 1.0
 DIFF = 0.5 * SIGMA * SIGMA
@@ -33,12 +32,12 @@ def main():
 
     print("value of the one-year American put (strike 1):")
     print(f"{'spot':>8} {'penalized':>11} {'projected':>11} {'intrinsic':>11}")
-    u_pen = backward_value(penalized)
-    u_pro = backward_value(projected)
+    # column n of a surface is time to expiry n*dt: the last is today
+    u_pen, u_pro = penalized.value, projected.value
     for s0 in (0.75, 0.85, 0.95, 1.00, 1.05, 1.20):
         x = np.log(s0)
-        vp = np.interp(x, grid.nodes, u_pen.values[:, 0])
-        vq = np.interp(x, grid.nodes, u_pro.values[:, 0])
+        vp = np.interp(x, grid.nodes, u_pen.values[:, -1])
+        vq = np.interp(x, grid.nodes, u_pro.values[:, -1])
         print(f"{s0:>8.2f} {vp:>11.5f} {vq:>11.5f} {max(1 - s0, 0):>11.5f}")
 
     gap = float(np.max(np.abs(u_pen.values - u_pro.values)))
@@ -52,11 +51,10 @@ def main():
     print("\nexercise map (rows: spot, columns: time to expiry; "
           "# = exercise, . = hold):")
     spots = np.linspace(0.70, 1.05, 15)
-    levels = np.rint((HORIZON - np.linspace(HORIZON, 0.02, 36))
-                     / grid.dt).astype(int)
+    levels = np.rint(np.linspace(HORIZON, 0.02, 36) / grid.dt).astype(int)
     for s0 in spots[::-1]:
         i = int(np.argmin(np.abs(grid.nodes - np.log(s0))))
-        row = "".join("#."[labels[i, m]] for m in levels)
+        row = "".join("#."[labels[i, n]] for n in levels)
         print(f"  s={s0:.3f} {row}")
     print("  " + " " * 8 + "t->expiry " + "-" * 24 + ">")
 

@@ -16,8 +16,8 @@ import time
 
 from jumpstop import diagnostics, levy, payoff
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
-from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
-                             plan_steps, solve_vi)
+from jumpstop.solver import (SolveConfig, contact_tol, plan_steps,
+                             solve_vi)
 
 SIGMA, RATE, HORIZON = 0.2, 0.04, 0.5
 DIFF = 0.5 * SIGMA * SIGMA
@@ -41,7 +41,7 @@ def study(label, model, base_nx, base_nt, planned):
         grid = SpaceTimeGrid(-0.5, 0.5, 1.5, nx, HORIZON, nt)
         tic = time.perf_counter()
         cfg = SolveConfig(grid, model, coeffs, PUT, mode="projected")
-        u = backward_value(solve_vi(cfg))
+        u = solve_vi(cfg).value
         regions = diagnostics.partition(u, PUT, contact_tol(cfg, None))
         fit = diagnostics.smooth_fit_gap(u, regions)
         ratio = "" if prev is None else f"{fit.max_gap / prev:7.3f}"

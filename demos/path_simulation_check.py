@@ -23,8 +23,8 @@ import numpy as np
 
 from jumpstop import diagnostics, levy, mc, payoff
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
-from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
-                             solve_european, solve_vi)
+from jumpstop.solver import (SolveConfig, contact_tol, solve_european,
+                             solve_vi)
 
 SIGMA, RATE, HORIZON = 0.2, 0.04, 1.0
 DIFF = 0.5 * SIGMA * SIGMA
@@ -37,14 +37,14 @@ def lattice_values():
     drift = RATE - DIFF - levy.exp_compensator(MODEL)
     coeffs = CoefficientField.constants(DIFF, drift, RATE)
     grid = SpaceTimeGrid(-0.5, 0.5, 1.5, 300, HORIZON, 300)
-    euro = backward_value(solve_european(
-        SolveConfig(grid, MODEL, coeffs, PUT, mode="european")))
+    euro = solve_european(
+        SolveConfig(grid, MODEL, coeffs, PUT, mode="european")).value
     cfg = SolveConfig(grid, MODEL, coeffs, PUT, mode="projected")
     report = solve_vi(cfg)
-    # the contact set of the backward-time surface, as a stopping rule
+    # the contact set of the surface, as a stopping rule
     rule = diagnostics.stopping_rule(report.value, PUT,
                                      contact_tol(cfg, None))
-    return grid, coeffs, euro, backward_value(report), rule
+    return grid, coeffs, euro, report.value, rule
 
 
 def main():
@@ -62,8 +62,9 @@ def main():
         est_a = mc.stopping_lower_bound(
             paths, PUT, RATE,
             lambda y, n: rule(y, HORIZON - paths.times[n]))
-        pe = float(np.interp(x, grid.nodes, euro.values[:, 0]))
-        pa = float(np.interp(x, grid.nodes, amer.values[:, 0]))
+        # column n is time to expiry n*dt: the last is today
+        pe = float(np.interp(x, grid.nodes, euro.values[:, -1]))
+        pa = float(np.interp(x, grid.nodes, amer.values[:, -1]))
         z = (pe - est_e.price) / est_e.stderr
         margin = (pa - est_a.price) / est_a.stderr
         print(f"{x:>6.2f} {pe:>10.5f} {est_e.price:>10.5f} {z:>6.2f}   "

@@ -30,9 +30,9 @@ oracles
 harness
     Run configuration, orchestration, artifacts.
 
-This module stays import-light on purpose: submodules load lazily so the
-command-line wrapper can pin thread environment variables before any
-numerical library initializes.
+This module stays import-light on purpose: submodules load lazily, so
+the command-line wrapper parses its arguments before any numerical
+library loads.
 """
 
 from importlib import import_module

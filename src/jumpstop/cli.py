@@ -12,37 +12,12 @@ status 0 means every invariant check passed, 2 a configuration error,
 observed value and bound, a numerical failure with its layer).  ``compare`` prints the probe table of
 solver values against the available reference prices.  ``selftest``
 runs the quick built-in suite.
-
-Set ``JUMPSTOP_THREADS`` to pin the BLAS/OpenMP thread count; it is
-applied before the numerical stack loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _pin_threads() -> None:
-    """Honor JUMPSTOP_THREADS before numpy/scipy initialize their pools."""
-    want = os.environ.get("JUMPSTOP_THREADS")
-    if not want:
-        return
-    if not want.isdigit() or int(want) < 1:
-        print(f"ignoring JUMPSTOP_THREADS={want!r} (need a positive "
-              f"integer)", file=sys.stderr)
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, want)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,9 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _pin_threads()
     args = _build_parser().parse_args(argv)
-    from . import harness  # deferred so the env pinning above takes effect
+    from . import harness  # deferred: a bad argument loads no numpy
     if args.command == "solve":
         return harness.run(args.config, out_dir=args.out, seed=args.seed,
                            refine=args.refine)

@@ -3,7 +3,8 @@
 :func:`partition` is the one definition of the stopping region and free
 boundary.  Everything here consumes plain arrays or
 :class:`~jumpstop.grids.GridFunction` surfaces (plus duck-typed solve
-reports) and never imports the solver.
+reports) and never imports the solver.  A surface is the solver's:
+column ``n`` is the level at time to expiry ``n dt``.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ def crossings(d_lo: np.ndarray, d_hi: np.ndarray, x_lo: np.ndarray,
 @dataclass(frozen=True)
 class RegionPartition:
     """Node labels (1 = continuation, 0 = contact), the free-boundary
-    edges and their positions per time level.
+    edges and their positions per level.
 
-    ``edges`` is ``(i, m)``: the free boundary crosses between nodes
-    ``i`` and ``i + 1`` of level ``m``, level by level and left to right;
-    ``boundary[m]`` holds level ``m``'s positions in increasing order.
+    ``edges`` is ``(i, n)``: the free boundary crosses between nodes
+    ``i`` and ``i + 1`` of level ``n``, level by level and left to right;
+    ``boundary[n]`` holds level ``n``'s positions in increasing order.
     ``gap_min`` is the least ``u - g`` over the surface.
     """
 
@@ -71,7 +72,7 @@ def check_no_dip(u: GridFunction, g: np.ndarray,
     obstacle by more than ``tol`` -- that is never a rounding artifact.
 
     ``g`` holds the obstacle on the grid's nodes.  Returns the gap
-    ``u - g`` (one column per time level) and its least value.
+    ``u - g`` (one column per level) and its least value.
     """
     vals = u.values if u.values.ndim == 2 else u.values[:, None]
     gap = vals - g[:, None]
@@ -92,12 +93,12 @@ def _contact(gap, g, tol: float):
 
 
 def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
-    """Split the (backward-time) surface into contact and continuation sets.
+    """Split the surface into contact and continuation sets.
 
     Contact is ``u - g <= tol`` where stopping pays (``g > 0``): far out
     of the money the value decays below any tolerance without the region
-    being a stopping region.  ``labels[i, m]`` is 0 on contact at natural
-    time level ``m``.  A free-boundary edge is an edge of the contact set
+    being a stopping region.  ``labels[i, n]`` is 0 on contact at level
+    ``n``.  A free-boundary edge is an edge of the contact set
     across which ``d = u - g - tol`` changes sign (``<= 0`` on one side,
     ``> 0`` on the other) and whose :func:`crossings` position has
     ``g > 0``; an edge where only the payoff's support ends is not one.
@@ -109,22 +110,22 @@ def partition(u: GridFunction, payoff, tol: float) -> RegionPartition:
     gap, gap_min = check_no_dip(u, g, check_tolerance(u.grid))
     contact = _contact(gap, g[:, None], tol)
     # level-major, so each level's edges come left to right
-    m, i = np.nonzero(contact.T[:, :-1] != contact.T[:, 1:])
-    d_lo, d_hi = gap[i, m] - tol, gap[i + 1, m] - tol
+    n, i = np.nonzero(contact.T[:, :-1] != contact.T[:, 1:])
+    d_lo, d_hi = gap[i, n] - tol, gap[i + 1, n] - tol
     turn = (d_lo <= 0.0) != (d_hi <= 0.0)
-    i, m = i[turn], m[turn]
+    i, n = i[turn], n[turn]
     locs = crossings(d_lo[turn], d_hi[turn], x[i], x[i + 1])
     pays = np.asarray(payoff(locs), dtype=float) > 0.0
-    i, m, locs = i[pays], m[pays], locs[pays]
-    levels = np.searchsorted(m, np.arange(1, gap.shape[1]))
+    i, n, locs = i[pays], n[pays], locs[pays]
+    levels = np.searchsorted(n, np.arange(1, gap.shape[1]))
     return RegionPartition(labels=(~contact).astype(np.int8),
-                           boundary=np.split(locs, levels), edges=(i, m),
+                           boundary=np.split(locs, levels), edges=(i, n),
                            tol=tol, gap_min=gap_min)
 
 
 def stopping_rule(value: GridFunction, payoff, tol: float):
-    """The contact set of the backward-time surface ``value`` as a
-    stopping rule ``rule(x, s) -> bool mask``.
+    """The contact set of the surface ``value`` as a stopping rule
+    ``rule(x, s) -> bool mask``.
 
     A state ``x`` at time to expiry ``s`` stops where the node nearest to
     it, on the level nearest to ``s``, is in :func:`partition`'s contact
@@ -137,8 +138,8 @@ def stopping_rule(value: GridFunction, payoff, tol: float):
     x0, h, dt = x[0], grid.h, grid.dt
 
     def rule(y, s):
-        m = min(max(round(s / dt), 0), grid.nt)
-        contact = _contact(value.values[:, m] - g, g, tol)
+        n = min(max(round(s / dt), 0), grid.nt)
+        contact = _contact(value.values[:, n] - g, g, tol)
         i = np.clip(np.rint((y - x0) / h), 0, grid.nx)
         return contact[i.astype(np.intp)]
     return rule
@@ -164,28 +165,27 @@ def smooth_fit_gap(u: GridFunction,
                    regions: RegionPartition) -> SmoothFitReport:
     """Measure the jump of the space derivative across the free boundary.
 
-    ``u`` is the backward-time surface; boundary points are the
-    free-boundary ``edges`` of its :func:`partition` ``regions``.
+    Boundary points are the free-boundary ``edges`` of the surface
+    ``u``'s :func:`partition` ``regions``.
     Meaningful for a projected solve only: a penalized iterate meets the
     obstacle only to within its penalty width.  One-sided slopes use
     second-order three-point quotients from nodes strictly on each side
     of the edge, so the stopping-side slope is the payoff's and the gap
     is the physical matching defect.  Edges in the padding (e.g. where a
-    tail decays through the tolerance) are not measured.  The last
-    :attr:`~jumpstop.grids.SpaceTimeGrid.expiry_levels` columns, next to
-    the terminal time, are skipped: the payoff kink's start-up transient
-    is below grid resolution there at any step size.
+    tail decays through the tolerance) are not measured.  Levels
+    ``n < grid.expiry_levels``, next to expiry, are skipped as in
+    :func:`~jumpstop.solver.residual_vi`: the payoff kink's start-up
+    transient is below grid resolution there at any step size.
     """
     h = u.grid.h
     interior = u.grid.interior
     vals = u.values if u.values.ndim == 2 else u.values[:, None]
-    n_time = vals.shape[1]
-    last = n_time - u.grid.expiry_levels if n_time > 1 else n_time
-    grad_max = float(np.max(np.abs(vals[2:, :last] - vals[:-2, :last]))) \
-        / (2.0 * h) if last > 0 else 0.0
+    first = u.grid.expiry_levels if vals.shape[1] > 1 else 0
+    grad_max = float(np.max(np.abs(vals[2:, first:] - vals[:-2, first:]))) \
+        / (2.0 * h) if first < vals.shape[1] else 0.0
     # nodes <= i on one side of the edge, >= i+1 on the other
     i, n = regions.edges
-    on = (n < last) & (interior[i] | interior[i + 1])
+    on = (n >= first) & (interior[i] | interior[i + 1])
     i, n = i[on], n[on]
     near = (i < 2) | (i + 4 >= vals.shape[0])
     i, n = i[~near], n[~near]

@@ -380,7 +380,7 @@ def _ghost_reach(op: NonlocalOperator, part: str,
 
 
 def ghost_term(op: NonlocalOperator, ghosts, part: str, s):
-    """Jump term of the far field at forward time ``s``: each side of
+    """Jump term of the far field at time to expiry ``s``: each side of
     :func:`ghost_terms` scaled by its :meth:`PayoffGhosts.discount
     <jumpstop.grids.PayoffGhosts.discount>`, then added.  For an array
     of levels ``s`` with a decaying far field, one row per level."""

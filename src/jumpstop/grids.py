@@ -4,7 +4,7 @@ The spatial grid covers an interior window ``[x_lo, x_hi]`` plus symmetric
 padding so nonlocal operators can shift reads by the jump truncation
 radius; reads beyond even the padded range are supplied by an extension
 rule (``clamp_payoff`` reads are evaluated once, see :class:`PayoffGhosts`).
-Time runs forward from 0 (initial data) to ``t_final``.
+Time is the time to expiry, from 0 (initial data) to ``t_final``.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class SpaceTimeGrid:
 class PayoffGhosts:
     """The far field: the payoff on the ghost nodes past each end of the
     padded grid (the same for every slice, so evaluated once, at the
-    widest reach asked for) times a per-side :meth:`discount` at forward
-    time ``s``: ``(1, 1)``, or ``decay(s)`` when given (the european
+    widest reach asked for) times a per-side :meth:`discount` at time to
+    expiry ``s``: ``(1, 1)``, or ``decay(s)`` when given (the european
     march's ``exp(-integral_0^s r)`` at each edge).
 
     ``terms`` caches the jump operator's reach into the undiscounted
@@ -122,7 +122,7 @@ class PayoffGhosts:
         self.terms: dict = {}
 
     def discount(self, s):
-        """Factor of the left and of the right ghosts at forward time
+        """Factor of the left and of the right ghosts at time to expiry
         ``s`` (a float, or an array of levels)."""
         return (1.0, 1.0) if self.decay is None else self.decay(s)
 
@@ -146,7 +146,7 @@ class GridFunction:
     range use ``extension``:
 
     * ``clamp_payoff`` -- the far field ``ghosts``: ``payoff`` at the
-      outside point, times its discount at slice ``n``'s forward time
+      outside point, times its discount at slice ``n``'s time to expiry
       ``grid.times[n]``
     * ``zero``         -- zero outside
     """
@@ -210,12 +210,11 @@ class CoefficientField:
 
     Fields are callables ``(x_array, t) -> array``; use
     :meth:`CoefficientField.constants` for the constant case.  ``t`` is
-    the time to expiry, the solver's forward time ``s``: the march, the
-    residual and the edge discount read the fields at ``s``, and a Monte
-    Carlo path at time ``tau`` since its start over horizon ``T`` reads
-    them at ``T - tau``.  ``a`` must stay above the ellipticity floor and
-    ``r`` nonnegative (checked on the grid by
-    :func:`validate_coefficients`).
+    the time to expiry ``s``: the march, the residual and the edge
+    discount read the fields at ``s``, and a Monte Carlo path at time
+    ``tau`` since its start over horizon ``T`` reads them at ``T - tau``.
+    ``a`` must stay above the ellipticity floor and ``r`` nonnegative
+    (checked on the grid by :func:`validate_coefficients`).
 
     ``constant`` is set by :meth:`constants` alone: ``a``, ``b`` and ``r``
     then depend on neither ``x`` nor ``t``, so the state's increment over

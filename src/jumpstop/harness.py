@@ -40,9 +40,9 @@ from .errors import (ConfigError, InvariantViolation, NumericalError,
 from .grids import CoefficientField, GridFunction, SpaceTimeGrid
 from .levy import LevyModel
 from .payoff import PayoffSpec
-from .solver import (MODES, SolveConfig, SolveReport, backward_value,
-                     contact_tol, explicit_rate, residual_vi, solve_european,
-                     solve_vi, stability_fraction)
+from .solver import (MODES, SolveConfig, SolveReport, contact_tol,
+                     explicit_rate, residual_vi, solve_european, solve_vi,
+                     stability_fraction)
 
 __all__ = [
     "RunConfig", "ProblemBlock", "NumericsBlock", "OracleBlock",
@@ -335,7 +335,10 @@ def _value_at(report: SolveReport, cfg: SolveConfig,
     """Value at ``(x, t)``, linear in ``x`` and in time.
 
     A probe on a time level (to 1e-9 of a step) reads that level alone;
-    any other reads the two levels around it.
+    any other reads the two levels around it.  A projected solve's value
+    is then projected onto the obstacle, as the march projects each
+    level: between two contact nodes the chord of a concave payoff lies
+    below it.
     """
     grid = cfg.grid
     s = grid.t_final - t
@@ -347,11 +350,13 @@ def _value_at(report: SolveReport, cfg: SolveConfig,
     pos = min(s / grid.dt, grid.nt)
     col = round(pos)
     if abs(pos - col) <= 1e-9:
-        return float(np.interp(x, grid.nodes, values[:, col]))
-    lo = int(pos)
-    w = pos - lo
-    return float((1.0 - w) * np.interp(x, grid.nodes, values[:, lo])
-                 + w * np.interp(x, grid.nodes, values[:, lo + 1]))
+        value = float(np.interp(x, grid.nodes, values[:, col]))
+    else:
+        lo = int(pos)
+        w = pos - lo
+        value = float((1.0 - w) * np.interp(x, grid.nodes, values[:, lo])
+                      + w * np.interp(x, grid.nodes, values[:, lo + 1]))
+    return max(value, cfg.payoff(x)) if cfg.mode == "projected" else value
 
 
 def _risk_neutral(p: ProblemBlock, model: LevyModel) -> bool:
@@ -434,7 +439,7 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
     mc_on = "mc" in names and rc.oracle.mc_paths > 0
     kind = "terminal" if european else "lower_bound"
     if mc_on and not european:
-        # the lattice's own contact set, read from the backward-time surface
+        # the lattice's own contact set
         rule = diagnostics.stopping_rule(
             report.value, cfg.payoff, contact_tol(cfg, report.eps_final))
     # a constant rate is one float, not a rate array per step and path
@@ -531,27 +536,25 @@ def _residual_stats(cfg: SolveConfig, report: SolveReport) -> dict | None:
 def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
     """Solve, diagnose, and assemble everything the artifacts need.  The
     probe rows' Monte Carlo and the residual surface, the largest
-    transients of a run, come and go before the natural-time surface
-    exists."""
+    transients of a run, come and go before the partition's gap and
+    labels exist."""
     report = _solve(cfg)
     rows = _probe_rows(rc, cfg, report)
     res_stats = None if cfg.mode == "european" else \
         _residual_stats(cfg, report)
-    u = backward_value(report)
     tol = diagnostics.check_tolerance(cfg.grid)
 
     regions = smooth = None
     if cfg.mode != "european":
         regions = diagnostics.partition(
-            u, cfg.payoff, contact_tol(cfg, report.eps_final))
+            report.value, cfg.payoff, contact_tol(cfg, report.eps_final))
         if cfg.mode == "projected":
-            smooth = diagnostics.smooth_fit_gap(u, regions)
+            smooth = diagnostics.smooth_fit_gap(report.value, regions)
     checks = _hard_checks(cfg, report, res_stats, rows, regions)
     failed = sorted(k for k, v in checks.items() if not v.passed)
 
     return {
         "report": report,
-        "u": u,
         "regions": regions,
         "smooth": smooth,
         "res_stats": res_stats,
@@ -583,13 +586,13 @@ def _jsonable(obj):
 
 def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
                    bundle: dict) -> None:
-    """One row per window node (``grid.interior``) and natural time level,
-    each value written as its ``repr`` (so ``-0.0`` stays ``-0.0``); the
-    ``x`` and ``g`` columns are formatted once and zipped with each
-    level's ``u`` and region marks."""
+    """One row per window node (``grid.interior``) and time ``t``, read
+    from level ``(T - t) / dt``, each value written as its ``repr`` (so
+    ``-0.0`` stays ``-0.0``); the ``x`` and ``g`` columns are formatted
+    once and zipped with each level's ``u`` and region marks."""
     grid = cfg.grid
     window = grid.interior
-    u = bundle["u"].values[window]
+    u = bundle["report"].value.values[window]
     g = np.asarray(cfg.payoff(grid.nodes), dtype=float)[window]
     xs = [repr(x) for x in grid.nodes[window].tolist()]
     gs = [repr(v) for v in g.tolist()]
@@ -598,9 +601,9 @@ def _write_surface(path: Path, rc: RunConfig, cfg: SolveConfig,
         np.where(regions.labels[window] == 1, "C", "S")
     with path.open("w") as fh:
         fh.write("x,t,u,g,region\n")
-        for m, t in enumerate(grid.times.tolist()):
-            us = map(repr, u[:, m].tolist())
-            rs = repeat("-") if marks is None else marks[:, m].tolist()
+        for n, t in zip(range(grid.nt, -1, -1), grid.times.tolist()):
+            us = map(repr, u[:, n].tolist())
+            rs = repeat("-") if marks is None else marks[:, n].tolist()
             rows = zip(xs, repeat(repr(t)), us, gs, rs)
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
@@ -609,7 +612,7 @@ def _write_boundary(path: Path, cfg: SolveConfig, bundle: dict) -> None:
     lines = ["t,b"]
     if bundle["regions"] is not None:
         times = cfg.grid.times.tolist()
-        for t, curve in zip(times, bundle["regions"].boundary):
+        for t, curve in zip(times, bundle["regions"].boundary[::-1]):
             for b in curve:
                 lines.append(f"{t!r},{float(b)!r}")
     path.write_text("\n".join(lines) + "\n")

@@ -396,11 +396,7 @@ def european_estimate(batch: PathBatch, g: Callable, r) -> MCEstimate:
     total = np.zeros(batch.n_paths)
     for n in range(batch.n_steps):
         total += _step_discount(r, x[:, n], batch.times, n)
-    vals = np.exp(-total) * np.asarray(g(x[:, -1]), dtype=float)
-    price = float(vals.mean())
-    stderr = (float(vals.std(ddof=1)) / math.sqrt(batch.n_paths)
-              if batch.n_paths > 1 else 0.0)
-    return MCEstimate(price, stderr)
+    return _estimate(np.exp(-total) * np.asarray(g(x[:, -1]), dtype=float))
 
 
 def stopping_lower_bound(batch: PathBatch, g: Callable, r,
@@ -433,7 +429,16 @@ def stopping_lower_bound(batch: PathBatch, g: Callable, r,
         cum += _step_discount(r, x, batch.times, n)
         x = rows[n + 1][live]
     vals[live] = np.exp(-cum) * np.asarray(g(x), dtype=float)
-    price = float(vals.mean())
+    return _estimate(vals)
+
+
+def _estimate(vals: np.ndarray) -> MCEstimate:
+    """Mean of the path values with its standard error.  The mean is held
+    to the values' range, where it lies exactly: the summation's rounding
+    can carry the mean of equal values (every path stopping at the start)
+    a few units in the last place past them."""
+    price = min(max(float(vals.mean()), float(vals.min())),
+                float(vals.max()))
     stderr = (float(vals.std(ddof=1)) / math.sqrt(vals.size)
               if vals.size > 1 else 0.0)
     return MCEstimate(price, stderr)

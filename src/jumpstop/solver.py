@@ -1,8 +1,8 @@
 """IMEX time stepping for the penalized obstacle problem and its limits.
 
-The equation is marched in the forward variable ``s`` with initial data
-at ``s = 0``; the optimal-stopping value in natural (backward) time is
-``u(x, t) = v(x, T - t)``.  One step treats the local
+The equation is marched in the time to expiry ``s`` from initial data at
+``s = 0``: column ``n`` of every surface is level ``s = n dt``, and
+calendar time ``t`` is level ``(T - t) / dt``.  One step treats the local
 convection-diffusion-discount part (drift upwinded wherever the grid
 Peclet number demands it) and the small-jump core of the jump operator
 by backward Euler, as one 7-band matrix ``I - dt (L_local + L_core)``
@@ -72,7 +72,6 @@ __all__ = [
     "solve_vi",
     "solve_european",
     "residual_vi",
-    "backward_value",
     "plan_steps",
     "stability_fraction",
     "explicit_rate",
@@ -359,7 +358,7 @@ def _edge_discount(cfg: SolveConfig) -> Callable | None:
 
 def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
                     bc: tuple) -> np.ndarray:
-    """Band solve at forward time ``t`` for a right-hand side (a column
+    """Band solve at time to expiry ``t`` for a right-hand side (a column
     or a block of them) with Dirichlet edge values ``bc``."""
     rhs = np.array(rhs, order="F")
     rhs[0], rhs[-1] = bc
@@ -379,7 +378,7 @@ def _implicit_solve(ws: _Workspace, rhs: np.ndarray, t: float,
 
 def _one_step(ws: _Workspace, v_now: np.ndarray, n: int,
               pspec: PenaltySpec | None) -> np.ndarray:
-    """Advance every column of the block from forward level ``n`` to
+    """Advance every column of the block from level ``n`` to
     ``n + 1``; ``pspec`` holds one penalty width per column."""
     cfg, dt = ws.cfg, ws.dt
     far, core, edges = ws.far_field(n)
@@ -494,7 +493,8 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
 
 @dataclass
 class SolveReport:
-    """March output: forward-time surface plus scalar diagnostics."""
+    """March output: the value surface, column ``n`` at time to expiry
+    ``n dt``, plus scalar diagnostics."""
 
     value: GridFunction
     mode: str
@@ -563,23 +563,10 @@ def contact_tol(cfg: SolveConfig, eps_final: float | None) -> float:
     return 1e-10 * max(1.0, cfg.payoff.bound)
 
 
-def backward_value(report: SolveReport) -> GridFunction:
-    """Value in natural time: ``u(x, t) = v(x, T - t)`` (flipped columns),
-    with the far field of the march read at ``T - t``."""
-    gf = report.value
-    ghosts = gf.ghosts
-    if ghosts is not None and ghosts.decay is not None:
-        t_final, decay = gf.grid.t_final, ghosts.decay
-        ghosts = PayoffGhosts(gf.grid, gf.payoff, lambda t: decay(t_final - t))
-    return GridFunction(gf.grid, gf.values[:, ::-1].copy(),
-                        extension=gf.extension, payoff=gf.payoff,
-                        ghosts=ghosts)
-
-
 def residual_vi(value: GridFunction, cfg: SolveConfig) -> GridFunction:
     """Complementarity residual ``min(equation part, obstacle part)``.
 
-    ``value`` is the forward-time surface from :func:`solve_vi`.  The
+    ``value`` is the surface of :func:`solve_vi`, by time to expiry.  The
     equation part uses an independent stencil: centered time difference
     and the accurate-profile jump operator.  Entries are NaN outside the
     region where the stencil is meaningful: at the two time ends, off the

@@ -44,9 +44,8 @@ import pytest
 from jumpstop import diagnostics, harness, levy, mc, oracles, payoff, penalty
 from jumpstop.generator import apply_nonlocal, build_operator
 from jumpstop.grids import CoefficientField, GridFunction, SpaceTimeGrid
-from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
-                             plan_steps, residual_vi, solve_european,
-                             solve_vi)
+from jumpstop.solver import (SolveConfig, contact_tol, plan_steps,
+                             residual_vi, solve_european, solve_vi)
 from jump_split import apply_nonlocal_split
 
 SIG, RATE = 0.2, 0.04
@@ -296,7 +295,7 @@ def test_07_gradient_matching_at_boundary():
             grid = SpaceTimeGrid(-0.5, 0.5, 1.5, nx, 0.5, nt)
             cfg = SolveConfig(grid, model, coeffs, PUT, mode="projected")
             report = solve_vi(cfg)
-            u = backward_value(report)
+            u = report.value
             regions = diagnostics.partition(u, PUT, contact_tol(cfg, None))
             fit = diagnostics.smooth_fit_gap(u, regions)
             assert not fit.unreliable

@@ -115,25 +115,24 @@ def test_a_contact_edge_crossing_where_g_is_0_is_not_a_boundary_point():
 
 
 def test_stopping_rule_reads_the_partition_labels():
-    # the rule reads the backward-time surface: time to expiry s is its
-    # column round(s / dt), natural-time level nt - round(s / dt); a state
-    # reads its nearest node, clipped to the grid
+    # time to expiry s reads the surface's level round(s / dt), clipped
+    # to the grid's levels; a state reads its nearest node, clipped to
+    # the grid
     tol = 1e-3
     u = _contact_surface()
-    back = GridFunction(GRID, u.values[:, ::-1].copy(), payoff=PUT)
-    rule = diagnostics.stopping_rule(back, PUT, tol)
+    rule = diagnostics.stopping_rule(u, PUT, tol)
     stop = diagnostics.partition(u, PUT, tol).labels == 0
     x, h, dt = GRID.nodes, GRID.h, GRID.dt
-    for m in range(GRID.nt + 1):
-        level = stop[:, GRID.nt - m]
-        for s in (m * dt, m * dt + 0.4 * dt, max(m * dt - 0.4 * dt, 0.0)):
+    for n in range(GRID.nt + 1):
+        level = stop[:, n]
+        for s in (n * dt, n * dt + 0.4 * dt, max(n * dt - 0.4 * dt, 0.0)):
             np.testing.assert_array_equal(rule(x, s), level)
             np.testing.assert_array_equal(rule(x + 0.4 * h, s), level)
             np.testing.assert_array_equal(rule(x - 0.4 * h, s), level)
-        assert rule(np.array([x[0] - 5.0]), m * dt)[0] == level[0]
-        assert rule(np.array([x[-1] + 5.0]), m * dt)[0] == level[-1]
-    np.testing.assert_array_equal(rule(x, 1.0 + 3.0 * dt), stop[:, 0])
-    np.testing.assert_array_equal(rule(x, -dt), stop[:, -1])
+        assert rule(np.array([x[0] - 5.0]), n * dt)[0] == level[0]
+        assert rule(np.array([x[-1] + 5.0]), n * dt)[0] == level[-1]
+    np.testing.assert_array_equal(rule(x, 1.0 + 3.0 * dt), stop[:, -1])
+    np.testing.assert_array_equal(rule(x, -dt), stop[:, 0])
 
 
 def test_run_exits_3_on_an_obstacle_dip(tmp_path, monkeypatch):
@@ -145,13 +144,13 @@ def test_run_exits_3_on_an_obstacle_dip(tmp_path, monkeypatch):
         "oracle": {"probes": [0.0], "which": ["none"]}}))
     assert harness.run(path, out_dir=tmp_path / "ok",
                        stream=io.StringIO()) == 0
-    real = harness.backward_value
+    real = harness._solve
 
-    def dipped(report):
-        u = real(report)
-        u.values[30, 5] -= 0.5
-        return u
-    monkeypatch.setattr(harness, "backward_value", dipped)
+    def dipped(cfg):
+        report = real(cfg)
+        report.value.values[30, 5] -= 0.5
+        return report
+    monkeypatch.setattr(harness, "_solve", dipped)
     buf = io.StringIO()
     assert harness.run(path, out_dir=tmp_path / "dip", stream=buf) == 3
     assert buf.getvalue().startswith("invariant violation: surface falls ")

@@ -10,11 +10,13 @@ import io
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from jumpstop import cli, diagnostics, generator, harness, levy, mc, solver
+from jumpstop import (cli, diagnostics, generator, harness, levy, mc, payoff,
+                      solver)
 from jumpstop.errors import ConfigError, ParameterError
 from jumpstop.grids import CoefficientField, GridFunction
 
@@ -339,13 +341,18 @@ def test_surface_writer_writes_one_repr_per_cell(tmp_path):
     u[g == 0.0, 2] = -0.0
     u[window[0], 5] = g[window[0]]              # 1 of 11 matches
     labels = (u > g[:, None]).astype(np.int8)
-    bundle = {"u": GridFunction(cfg.grid, u, payoff=cfg.payoff),
+    report = SimpleNamespace(value=GridFunction(cfg.grid, u,
+                                                payoff=cfg.payoff))
+    bundle = {"report": report,
               "regions": diagnostics.RegionPartition(
                   labels, [], edges=(), tol=0.0, gap_min=0.0)}
     harness._write_surface(tmp_path / "surface.csv", rc, cfg, bundle)
     xs, gs, us = x.tolist(), g.tolist(), u.tolist()
+    # the row at time t is level n = nt - m of the surface
+    nt = cfg.grid.nt
     expected = ["x,t,u,g,region"] + [
-        f"{xs[i]!r},{t!r},{us[i][m]!r},{gs[i]!r},{'SC'[labels[i, m]]}"
+        f"{xs[i]!r},{t!r},{us[i][nt - m]!r},{gs[i]!r},"
+        f"{'SC'[labels[i, nt - m]]}"
         for m, t in enumerate(cfg.grid.times.tolist())
         for i in window]
     text = (tmp_path / "surface.csv").read_text()
@@ -370,10 +377,12 @@ def test_surface_rows_are_the_window_nodes_of_the_full_surface(tmp_path):
     assert not np.isin([-0.5, 0.5], x).any()
     xs = x.tolist()
     g = np.asarray(cfg.payoff(x), dtype=float).tolist()
-    u = bundle["u"].values.tolist()
+    u = bundle["report"].value.values.tolist()
     labels = bundle["regions"].labels
+    nt = grid.nt
     full = {(repr(xs[i]), repr(t)):
-            f"{xs[i]!r},{t!r},{u[i][m]!r},{g[i]!r},{'SC'[labels[i, m]]}"
+            f"{xs[i]!r},{t!r},{u[i][nt - m]!r},{g[i]!r},"
+            f"{'SC'[labels[i, nt - m]]}"
             for m, t in enumerate(times) for i in range(x.size)}
     rows = (out / "surface.csv").read_text().splitlines()[1:]
     assert {row.split(",", 1)[0] for row in rows} == \
@@ -568,6 +577,49 @@ def test_projected_run_keeps_mc_steps(monkeypatch):
     rows = harness.compare(rc)
     assert seen == [8]
     assert (rows[0]["mc_kind"], rows[0]["mc_steps"]) == ("lower_bound", 8)
+
+
+# a projected Merton put whose first two probes, between grid nodes, lie
+# in the stopping region; the third, at the strike, shares their batch
+_STOPPING_PROBES = {
+    "problem": {**BASE["problem"], **MERTON_JUMPS},
+    "numerics": {"nx": 100, "nt": 100, "mode": "projected"},
+    "oracle": {"probes": [-0.5, -0.6123, 0.0], "mc_paths": 20000,
+               "mc_steps": 16}}
+
+
+def test_projected_probe_between_contact_nodes_reads_the_payoff(tmp_path):
+    # the chord between two contact nodes falls about h^2 e^x / 8 below
+    # the concave put; the probe value is projected onto the payoff as
+    # the march projects each level, so the path bound, stopping at once
+    # there, does not rise above it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_STOPPING_PROBES))
+    out = tmp_path / "out"
+    assert harness.run(path, out_dir=out, stream=io.StringIO()) == 0
+    rows = json.loads((out / "diagnostics.json").read_text())["probes"]
+    put = payoff.put(1.0)
+    assert [row["pde"] for row in rows[:2]] == [put(-0.5), put(-0.6123)]
+    assert rows[2]["pde"] > put(0.0) == 0.0
+
+
+def test_mc_dominance_fails_below_the_path_bound(tmp_path, monkeypatch):
+    # continuation values lowered halfway toward the payoff put the value
+    # at the strike below the contact-set rule's path lower bound
+    real = harness._solve
+
+    def lowered(cfg):
+        report = real(cfg)
+        g = cfg.payoff(cfg.grid.nodes)[:, None]
+        report.value.values[:] = g + 0.5 * (report.value.values - g)
+        return report
+    monkeypatch.setattr(harness, "_solve", lowered)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_STOPPING_PROBES))
+    out = tmp_path / "out"
+    assert harness.run(path, out_dir=out, stream=io.StringIO()) == 3
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert "mc_dominance" in diag["failed_checks"]
 
 
 def _vary_coefficients(monkeypatch) -> None:
@@ -864,19 +916,3 @@ def test_cli_unwritable_out_dir_is_a_config_error(tmp_path, capsys,
 
 def test_cli_missing_config_exits_2(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
-
-
-def test_cli_thread_pinning(monkeypatch):
-    for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("JUMPSTOP_THREADS", "3")
-    cli._pin_threads()
-    import os
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    monkeypatch.setenv("OMP_NUM_THREADS", "8")
-    cli._pin_threads()  # existing settings are not clobbered
-    assert os.environ["OMP_NUM_THREADS"] == "8"
-    monkeypatch.setenv("JUMPSTOP_THREADS", "zero")
-    monkeypatch.delenv("NUMEXPR_NUM_THREADS", raising=False)
-    cli._pin_threads()  # junk values are ignored
-    assert "NUMEXPR_NUM_THREADS" not in os.environ

@@ -507,8 +507,28 @@ def _mask_lower_bound(batch, g, r, stop):
         cum += mc._step_discount(r, xs[:, n], times, n)
     vals[alive] = np.exp(-cum[alive]) * \
         np.asarray(g(xs[alive, -1]), dtype=float)
-    return mc.MCEstimate(float(vals.mean()),
-                         float(vals.std(ddof=1)) / math.sqrt(vals.size))
+    # the mean lies in the values' range, whatever the summation's rounding
+    mean = min(max(float(vals.mean()), float(vals.min())), float(vals.max()))
+    return mc.MCEstimate(mean, float(vals.std(ddof=1)) / math.sqrt(vals.size))
+
+
+@pytest.mark.parametrize("kind", ["terminal", "lower_bound"])
+def test_equal_path_values_give_that_value(kind):
+    # numpy's summation carries the mean of 20,000 copies of v three units
+    # in the last place above v; the estimate stays at v, so a rule that
+    # stops every path at once prices the reward there exactly
+    v = 0.4578974018625146
+    assert float(np.full(20_000, v).mean()) > v
+    batch = mc.simulate(levy.none(), CoefficientField.constants(0.02, 0.0,
+                                                                0.0),
+                        0.0, 1.0, 20_000, 4, 5)
+
+    def reward(y):
+        return np.full(np.shape(y), v)
+    est = mc.european_estimate(batch, reward, 0.0) if kind == "terminal" \
+        else mc.stopping_lower_bound(batch, reward, 0.0,
+                                     lambda y, n: np.ones(y.shape, bool))
+    assert est.price == v
 
 
 def _ts_batch():

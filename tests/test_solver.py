@@ -18,9 +18,9 @@ from jumpstop import diagnostics, generator, levy, payoff, solver
 from jumpstop.errors import ConfigError, NumericalError
 from jumpstop.grids import (CoefficientField, GridFunction, PayoffGhosts,
                             SpaceTimeGrid, extend_slice)
-from jumpstop.solver import (SolveConfig, backward_value, contact_tol,
-                             plan_steps, residual_vi, solve_european,
-                             solve_vi, stability_fraction)
+from jumpstop.solver import (SolveConfig, contact_tol, plan_steps,
+                             residual_vi, solve_european, solve_vi,
+                             stability_fraction)
 
 SIG = 0.2
 R = 0.04
@@ -230,9 +230,8 @@ def test_zero_obstacle_projected_stays_zero():
 
 def test_terminal_condition_exact(diffusion_american):
     cfg, rep = diffusion_american
-    u = backward_value(rep)
     g = payoff.put(1.0)(cfg.grid.nodes)
-    assert np.array_equal(u.values[:, -1], g)
+    assert np.array_equal(rep.value.values[:, 0], g)
 
 
 def test_penalized_initial_slice_is_mollified_obstacle(merton_penalized_report):
@@ -573,18 +572,19 @@ def test_report_scalars_finite_and_sane(merton_penalized_report):
         assert np.isfinite(val), key
     assert 0.0 <= rep.truncation_mass < 1e-6
     assert rep.mode == "penalized"
-    regions = diagnostics.partition(backward_value(rep), cfg.payoff,
+    regions = diagnostics.partition(rep.value, cfg.payoff,
                                     contact_tol(cfg, rep.eps_final))
     assert len(regions.boundary) == cfg.grid.nt + 1
 
 
 def test_boundary_curve_rises_toward_strike(diffusion_american):
     cfg, rep = diffusion_american
-    # backward-time column m: boundary at t = m*dt; the put boundary
-    # should approach the strike kink (x = 0) as t -> T
-    regions = diagnostics.partition(backward_value(rep), cfg.payoff,
+    # level n: boundary at time to expiry n*dt, read from today (the
+    # last level) on; the put boundary should approach the strike kink
+    # (x = 0) as expiry nears
+    regions = diagnostics.partition(rep.value, cfg.payoff,
                                     contact_tol(cfg, rep.eps_final))
-    first = [b[0] for b in regions.boundary if len(b)]
+    first = [b[0] for b in regions.boundary[::-1] if len(b)]
     assert len(first) > cfg.grid.nt // 2
     early = np.median(first[:20])
     late = np.median(first[-20:])
@@ -618,9 +618,8 @@ def _smooth_fit_per_edge(u, edges):
     :func:`diagnostics.smooth_fit_gap`, one level and one edge at a
     time."""
     vals, h, interior = u.values, u.grid.h, u.grid.interior
-    last = vals.shape[1] - u.grid.expiry_levels
     gaps, grad_max, unreliable = [], 0.0, False
-    for n in range(last):
+    for n in range(u.grid.expiry_levels, vals.shape[1]):
         col = vals[:, n]
         grad_max = max(grad_max,
                        float(np.max(np.abs(col[2:] - col[:-2])) / (2 * h)))
@@ -644,7 +643,7 @@ def test_partition_and_smooth_fit_are_their_per_level_loops(x_lo):
     grid = SpaceTimeGrid(x_lo, 0.5, 1.0, 200, 1.0, 200)
     cfg = SolveConfig(grid, levy.none(), diffusion_coeffs(), payoff.put(1.0),
                       mode="projected")
-    u = backward_value(solve_vi(cfg))
+    u = solve_vi(cfg).value
     tol = contact_tol(cfg, None)
     regions = diagnostics.partition(u, cfg.payoff, tol)
     edges, boundary = _free_boundary_per_level(u, cfg.payoff, tol)
@@ -662,7 +661,7 @@ def test_smooth_fit_measures_across_the_partition_edges(diffusion_american):
     # labels: blanking the labels changes nothing, and with no edges
     # there is nothing to measure
     cfg, rep = diffusion_american
-    u = backward_value(rep)
+    u = rep.value
     regions = diagnostics.partition(u, cfg.payoff, contact_tol(cfg, None))
     fit = diagnostics.smooth_fit_gap(u, regions)
     assert fit.max_gap > fit.median_gap > 0.0
@@ -674,6 +673,51 @@ def test_smooth_fit_measures_across_the_partition_edges(diffusion_american):
         u, dataclasses.replace(regions, edges=(i[:0], m[:0])))
     assert (bare.max_gap, bare.median_gap, bare.grad_max) == \
         (0.0, 0.0, fit.grad_max)
+
+
+# Alili & Kyprianou (Ann. Appl. Probab. 15, 2005): the put's value fits
+# the payoff smoothly exactly when 0 is regular for (-inf, 0).  Bounded
+# variation jumps with a positive drift and no diffusion break that; at
+# sigma = 0.005 the diffusion's layer, about a / b, is narrower than
+# every cell up to nx 800, so the grid sees the kink.  An
+# infinite-variation or negative-drift model pastes smoothly.  The
+# median gaps at nx 200/400/800:
+#   VG     7.91e-2 6.58e-2 5.03e-2  (ratios 0.83 0.76)
+#   Kou    3.27e-1 2.83e-1 2.56e-1  (ratios 0.87 0.91)
+#   TS 0.5 4.76e-3 2.66e-3 1.47e-3  (ratios 0.56 0.55)
+#   TS 1.5 7.21e-3 2.89e-3 1.02e-3  (ratios 0.40 0.35)
+# A kink keeps each ratio at least 0.7 (test_07's bound on the max gap)
+# and the finest gap at least 2.5e-2, half the least one seen; a smooth
+# fit shrinks by at most 0.65 per halving to at most 3e-3, twice the
+# greatest one seen.
+@pytest.mark.parametrize("model, kink", [
+    (levy.variance_gamma(0.2, 0.3, -0.1), True),
+    (levy.kou(1.0, 0.4, 12.0, 8.0), True),
+    (levy.tempered_stable(0.5, 0.5, 0.5, 0.5, 3.0, 3.0), False),
+    (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0), False),
+], ids=["vg-kink", "kou-kink", "ts05-smooth", "ts15-smooth"])
+def test_smooth_fit_gap_sees_the_kink_of_a_positive_drift(model, kink):
+    a = 0.5 * 0.005 ** 2
+    drift = R - a - levy.exp_compensator(model)
+    assert (drift > 0.0) == kink
+    coeffs = CoefficientField.constants(a, drift, R)
+    put = payoff.put(1.0)
+    gaps = []
+    for nx in (200, 400, 800):
+        probe = SpaceTimeGrid(-0.5, 0.5, 1.5, nx, 1.0, 100)
+        grid = SpaceTimeGrid(-0.5, 0.5, 1.5, nx, 1.0,
+                             plan_steps(probe, model, coeffs, put))
+        cfg = SolveConfig(grid, model, coeffs, put, mode="projected")
+        u = solve_vi(cfg).value
+        fit = diagnostics.smooth_fit_gap(
+            u, diagnostics.partition(u, put, contact_tol(cfg, None)))
+        assert not fit.unreliable
+        gaps.append(fit.median_gap)
+    ratios = [fine / coarse for coarse, fine in zip(gaps, gaps[1:])]
+    if kink:
+        assert min(ratios) >= 0.7 and gaps[-1] >= 2.5e-2, gaps
+    else:
+        assert max(ratios) <= 0.65 and gaps[-1] <= 3e-3, gaps
 
 
 # ---------------------------------------------------------------------------
@@ -1131,25 +1175,6 @@ def test_european_residual_reads_the_far_field_of_each_level(varying):
                                       np.minimum(pde, v[:, n] - g)[ok])
         pde_rows += int(np.sum(ok & (pde < v[:, n] - g)))
     assert pde_rows > grid.nt * 10
-
-
-@pytest.mark.parametrize("mode", ["european", "projected"])
-def test_backward_value_reads_the_far_field_of_its_level(mode):
-    """Level ``k`` of the natural-time value is forward level ``nt - k``,
-    and extends with the far field of that level."""
-    mod, coeffs = merton_setup()
-    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 60, 0.5, 40)
-    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0), mode=mode)
-    rep = (solve_european if mode == "european" else solve_vi)(cfg)
-    u = backward_value(rep)
-    if mode == "projected":
-        assert u.ghosts is rep.value.ghosts
-    for k in (0, 5, grid.nt):
-        fwd = generator.apply_nonlocal(cfg.op, rep.value, "accurate",
-                                       grid.nt - k)
-        bwd = generator.apply_nonlocal(cfg.op, u, "accurate", k)
-        np.testing.assert_allclose(bwd, fwd, rtol=0.0,
-                                   atol=1e-14 * np.max(np.abs(fwd)))
 
 
 def test_european_march_discounts_its_ghosts(monkeypatch):
