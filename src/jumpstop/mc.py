@@ -13,9 +13,13 @@ Finite-activity families skip the split and sample every jump.
 Paths are stored time-major, one contiguous row of ``n_paths`` states
 per time level, and each Euler step writes the next row in place.  A
 step draws one normal per path, then the jumps of all paths together:
-one pooled Poisson count, a uniform owner per jump, and one uniform
-level per jump that picks both the side and the size.  The number of
-jump draws thus follows the number of jumps, not ``n_paths * n_steps``.
+one pooled Poisson count, a uniform ``int32`` owner per jump, and one
+uniform level per jump that picks both the side and the size.  The
+number of jump draws thus follows the number of jumps, not
+``n_paths * n_steps``.  The owners come in one call; the levels are
+drawn, sized and added to their paths in blocks of ``_JUMP_BLOCK``
+jumps, so besides the paths the jump work holds one block and 4 bytes
+per jump of the step.
 Sizes come from a table of equal-mass level buckets over the tabulated
 cumulative mass.  Each bucket names the one panel that holds all its
 levels strictly inside, so a size is one O(1) lookup and ``np.interp``'s
@@ -62,6 +66,8 @@ INTENSITY_CAP = 1e6
 _TABLE_PANELS = 4096
 _BUCKETS = 1 << 17
 _BUILD_BLOCK = 1 << 13
+#: jumps that mc.simulate draws, sizes and adds to their paths at a time
+_JUMP_BLOCK = 1 << 14
 _TAIL_TOL = 1e-10
 
 
@@ -86,15 +92,17 @@ class _JumpTable:
     draw thus picks both the side and the inverse-CDF level, each with
     its law.
 
-    The panels of both sides, positive first, carry their left ``cdf``
-    node ``lo``, and the slope and left magnitude with the side's sign
-    folded in; one more panel after them has a NaN slope.  Level bucket
-    ``j`` holds the levels with ``int(w * scale) == j`` (the last bucket
-    also every level above), and ``panel[j]`` names the panel that holds
-    all of them strictly inside, or else the NaN panel: the bucket spans
-    two panels or both sides, lies on a panel of infinite slope, or is
-    the last.  The index is the smallest unsigned type that holds it, so
-    the bucket table is 256 KiB for two sides of 4,096 panels.
+    The panels of both sides, positive first, carry the level ``shift``
+    of their side (0, or ``mass_plus`` on the negative side), their left
+    ``cdf`` node ``lo``, and the slope and left magnitude with the side's
+    sign folded in; one more panel after them has a NaN slope.  Level
+    bucket ``j`` holds the levels with ``int(w * scale) == j`` (the last
+    bucket also every level above), and ``panel[j]`` names the panel
+    that holds all of them strictly inside, or else the NaN panel: the
+    bucket spans two panels or both sides, lies on a panel of infinite
+    slope, or is the last.  The index is the smallest unsigned type that
+    holds it, so the bucket table is 256 KiB for two sides of 4,096
+    panels.
     """
 
     mass_plus: float
@@ -103,10 +111,10 @@ class _JumpTable:
     cdf_minus: np.ndarray
     mag_minus: np.ndarray
     panel: np.ndarray
+    shift: np.ndarray
     lo: np.ndarray
     slope: np.ndarray
     base: np.ndarray
-    n_plus: int
     scale: float
 
     @classmethod
@@ -117,6 +125,8 @@ class _JumpTable:
             slope = np.concatenate([np.diff(mag_p) / np.diff(cdf_p),
                                     -(np.diff(mag_m) / np.diff(cdf_m)),
                                     [np.nan]])
+        shift = np.concatenate([np.zeros(n_p), np.full(cdf_m.size - 1,
+                                                       mass_p), [0.0]])
         lo = np.concatenate([cdf_p[:-1], cdf_m[:-1], [0.0]])
         hi = np.concatenate([cdf_p[1:], cdf_m[1:], [0.0]])
         base = np.concatenate([mag_p[:-1], -mag_m[:-1], [0.0]])
@@ -151,8 +161,8 @@ class _JumpTable:
             # panel 0 or the NaN panel, and fails the test there
             inside = (lo[k] < v0) & (v1 < hi[k]) & np.isfinite(slope[k])
             panel[j0:j0 + _BUILD_BLOCK] = np.where(inside, k, nan_panel)
-        return cls(mass_p, cdf_p, mag_p, cdf_m, mag_m, panel, lo, slope,
-                   base, n_p, scale)
+        return cls(mass_p, cdf_p, mag_p, cdf_m, mag_m, panel, shift, lo,
+                   slope, base, scale)
 
     def sizes(self, w: np.ndarray) -> np.ndarray:
         """Signed sizes at levels ``w >= 0``: bit for bit
@@ -161,23 +171,24 @@ class _JumpTable:
 
         The value is ``np.interp``'s own formula on the bucket's panel
         (negating is exact, so the folded sign changes no bit); levels
-        whose bucket names the NaN panel go to ``np.interp`` itself.
+        whose bucket names the NaN panel go to ``np.interp`` on their
+        own side.
         """
         k = (w * self.scale).astype(np.intp)
         np.minimum(k, _BUCKETS - 1, out=k)
         k[...] = self.panel[k]  # bucket -> panel, in place
-        out = w - (k >= self.n_plus) * self.mass_plus
+        out = w - self.shift.take(k)
         out -= self.lo.take(k)
         out *= self.slope.take(k)
         out += self.base.take(k)
         miss = np.flatnonzero(np.isnan(out))
         if miss.size:
             wm = w[miss]
-            out[miss] = np.where(
-                wm < self.mass_plus,
-                np.interp(wm, self.cdf_plus, self.mag_plus),
-                -np.interp(wm - self.mass_plus, self.cdf_minus,
-                           self.mag_minus))
+            pos = wm < self.mass_plus
+            out[miss[pos]] = np.interp(wm[pos], self.cdf_plus,
+                                       self.mag_plus)
+            out[miss[~pos]] = -np.interp(wm[~pos] - self.mass_plus,
+                                         self.cdf_minus, self.mag_minus)
         return out
 
 
@@ -311,9 +322,15 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     sizes, so the number of draws grows with the number of jumps, not
     with ``n_paths * n_steps``.  Sizes read the tabulated inverse CDF
     through a bucket table in O(1) per jump and equal ``np.interp`` on
-    it bit for bit.  With constant coefficients the normal's scale and
-    shift are two floats computed once; otherwise step ``n`` reads the
-    fields at the time to expiry ``T - times[n]``.
+    it bit for bit.  The owners are drawn as ``int32`` in one call, the
+    same Philox stream and generator state as ``int64`` owners for
+    ``n_paths <= 2**31``.  The levels are drawn ``_JUMP_BLOCK`` at a
+    time (the same stream as one call), sized and added to their paths
+    with ``np.add.at`` in draw order: beyond the paths and the counts,
+    the step's jumps hold 4 bytes each and the rest is one block.  With
+    constant coefficients the normal's scale and shift are two floats
+    computed once; otherwise step ``n`` reads the fields at the time to
+    expiry ``T - times[n]``.
 
     Diffusion uses ``sqrt(2 a)`` so the paths match the operator
     convention ``a u'' + b u'``; the substituted small-jump variance is
@@ -354,12 +371,16 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
         dx += drift
         if scheme.rate > 0.0:
             total = int(rng.poisson(scheme.rate * dt * n_paths))
-            if total:
-                owner = rng.integers(n_paths, size=total)
-                w = rng.random(total)
+            owner = rng.integers(n_paths, size=total, dtype=np.int32)
+            for j in range(0, total, _JUMP_BLOCK):
+                m = min(_JUMP_BLOCK, total - j)
+                w = rng.random(m)
                 w *= scheme.rate
-                np.add.at(dx, owner, scheme.table.sizes(w))
-                jump_counts += np.bincount(owner, minlength=n_paths)
+                # np.add.at converts other index types on every call
+                o = owner[j:j + m].astype(np.intp)
+                np.add.at(dx, o, scheme.table.sizes(w))
+                np.add.at(jump_counts, o, 1)
+            del owner  # before the next step draws its own
         dx += x
     # x + dx is non-finite wherever x is, so a non-finite state anywhere
     # on a path leaves the last row non-finite

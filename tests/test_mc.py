@@ -6,6 +6,7 @@ comparisons use fixed seeds and 4-standard-error windows.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ def merton_setup():
     mod = levy.merton(1.5, -0.05, 0.25)
     b = R - A - levy.exp_compensator(mod)
     return mod, CoefficientField.constants(A, b, R)
+
+
+def ts_setup():
+    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    return mod, CoefficientField.constants(
+        A, R - A - levy.exp_compensator(mod), R)
 
 
 def degenerate_coeffs(drift: float, rate: float) -> CoefficientField:
@@ -228,6 +235,69 @@ def test_simulate_is_the_reference_loop_bit_for_bit(model, constant):
     assert np.array_equal(batch.jump_counts, counts)
 
 
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("setup", [ts_setup, merton_setup],
+                         ids=["ts", "merton"])
+def test_jump_blocks_are_the_reference_loop_bit_for_bit(setup, block,
+                                                        monkeypatch):
+    # steps of about 3,100 (ts) and 19 (merton) jumps: blocks of one
+    # jump, several blocks with a partial last one, and one partial block
+    monkeypatch.setattr(mc, "_JUMP_BLOCK", block)
+    model, coeffs = setup()
+    batch = mc.simulate(model, coeffs, 0.1, 1.0, 50, 4, 31)
+    states, counts = _reference_simulate(model, coeffs, 0.1, 1.0, 50, 4,
+                                         31)
+    assert np.array_equal(batch.states, states)
+    assert np.array_equal(batch.jump_counts, counts)
+
+
+def test_one_step_of_150k_jumps_is_the_reference_loop_bit_for_bit():
+    # the shape of a European Merton check: every jump in one step
+    model, coeffs = merton_setup()
+    batch = mc.simulate(model, coeffs, 0.0, 1.0, 100_000, 1, 37)
+    states, counts = _reference_simulate(model, coeffs, 0.0, 1.0, 100_000,
+                                         1, 37)
+    assert counts.sum() > 140_000
+    assert np.array_equal(batch.states, states)
+    assert np.array_equal(batch.jump_counts, counts)
+
+
+def _largest_step(rate, T, n_paths, n_steps, seed):
+    """Jumps of the largest step of a batch, replaying its draws."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    largest = 0
+    for _ in range(n_steps):
+        rng.standard_normal(n_paths)
+        total = int(rng.poisson(rate * (T / n_steps) * n_paths))
+        rng.integers(n_paths, size=total, dtype=np.int32)
+        rng.random(total)
+        largest = max(largest, total)
+    return largest
+
+
+@pytest.mark.parametrize("n_paths", [20_000, 80_000])
+def test_jump_kernel_working_set_is_fixed(n_paths):
+    # beyond its result and the step's int32 owners, simulate holds the
+    # table (640 KiB) and one block of jumps (640 KiB), whatever the
+    # batch size; sizing a whole step at once held about 37 bytes per jump
+    model, coeffs = ts_setup()
+    rate = mc._build_scheme(model, None).rate
+    # a first batch fills the caches that live past it
+    mc.simulate(model, coeffs, 0.0, 1.0, 10, 1, 41)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch = mc.simulate(model, coeffs, 0.0, 1.0, n_paths, 16, 41)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    largest = _largest_step(rate, 1.0, n_paths, 16, 41)
+    assert largest > 15 * n_paths
+    excess = peak - batch.states.nbytes - batch.jump_counts.nbytes \
+        - 4 * largest
+    assert excess < 2 * 2**20
+
+
 @table_models
 @pytest.mark.parametrize("lo", [0.0, mc.DEFAULT_SPLIT],
                          ids=["linspace", "geomspace"])
@@ -420,12 +490,6 @@ def stop_on(rule, batch, shift=0.0):
     read at ``x + shift``."""
     T = batch.times[-1]
     return lambda x, n: rule(x + shift, T - batch.times[n])
-
-
-def ts_setup():
-    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
-    return mod, CoefficientField.constants(
-        A, R - A - levy.exp_compensator(mod), R)
 
 
 @pytest.fixture(scope="module")
