@@ -311,6 +311,14 @@ class RunConfig:
             if refine < 0:
                 raise ConfigError("refine count must be >= 0")
             grid = grid.refined(refine)
+        # a bad probe is a config error before the solve, not after it
+        for x, t in _normalized_probes(self):
+            if not 0.0 <= grid.t_final - t <= grid.t_final + 1e-12:
+                raise ConfigError(
+                    f"probe time {t} outside [0, {grid.t_final}]")
+            if not grid.nodes[0] <= x <= grid.nodes[-1]:
+                raise ConfigError(
+                    f"probe location {x} outside the padded grid")
         return SolveConfig(grid, model, coeffs, g,
                            eps_schedule=tuple(n.eps_schedule),
                            mode=n.mode)
@@ -338,14 +346,11 @@ def _value_at(report: SolveReport, cfg: SolveConfig,
     any other reads the two levels around it.  A projected solve's value
     is then projected onto the obstacle, as the march projects each
     level: between two contact nodes the chord of a concave payoff lies
-    below it.
+    below it.  :meth:`RunConfig.build_solve_config` has checked that the
+    probe lies on the grid.
     """
     grid = cfg.grid
     s = grid.t_final - t
-    if not 0.0 <= s <= grid.t_final + 1e-12:
-        raise ConfigError(f"probe time {t} outside [0, {grid.t_final}]")
-    if not grid.nodes[0] <= x <= grid.nodes[-1]:
-        raise ConfigError(f"probe location {x} outside the padded grid")
     values = report.value.values
     pos = min(s / grid.dt, grid.nt)
     col = round(pos)

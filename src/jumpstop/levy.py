@@ -607,29 +607,17 @@ class TailIntegrals:
         Small/large jump split radius, in ``(0, 1]``.
     small_var : float
         ``integral_{|y|<=eps} y^2 rho(y) dy``.
-    comp_drift : float
-        ``integral_{eps<|y|<=1} y rho(y) dy`` (signed).
     big_mass : float
         ``integral_{|y|>1} rho(y) dy``.
     """
 
     eps: float
     small_var: float
-    comp_drift: float
     big_mass: float
-    _fv_drift: float | None = None
-
-    @property
-    def fv_drift(self) -> float:
-        """``integral_{|y|<=1} y rho(y) dy``; finite-variation models only."""
-        if self._fv_drift is None:
-            raise UnsupportedOperation(
-                "small-jump mean is divergent for singularity order >= 1")
-        return self._fv_drift
 
 
 def tails(model: LevyModel, eps: float) -> TailIntegrals:
-    """Small-jump variance, compensator drift and big-jump tails at split ``eps``.
+    """Small-jump variance and big-jump mass at split ``eps``.
 
     Parameters
     ----------
@@ -639,16 +627,8 @@ def tails(model: LevyModel, eps: float) -> TailIntegrals:
     """
     if not 0.0 < eps <= 1.0:
         raise ParameterError(f"split radius {eps} outside (0, 1]")
-    sv = jump_moment(model, 2, 0.0, eps)
-    cd = jump_moment(model, 1, eps, 1.0)
-    bm = jump_moment(model, 0, 1.0, math.inf)
-    fv = None
-    if model.alpha < 1.0:
-        try:
-            fv = jump_moment(model, 1, 0.0, 1.0)
-        except UnsupportedOperation:
-            fv = None
-    return TailIntegrals(eps, sv, cd, bm, fv)
+    return TailIntegrals(eps, jump_moment(model, 2, 0.0, eps),
+                         jump_moment(model, 0, 1.0, math.inf))
 
 
 def truncation_radius(model: LevyModel, tol: float = 1e-8) -> float:

@@ -1,14 +1,17 @@
 """Path-sampling cross-checks for the lattice solver.
 
 The state follows an Euler scheme: drift and diffusion from the
-coefficient field, plus jumps.  Jump sizes above a split radius arrive
+coefficient field, plus jumps.  The model alone fixes the sampling plan
+(``_build_scheme``).  Finite-activity families (:data:`EXACT_FAMILIES`)
+sample every jump.  The others sample the jumps above the split radius
+:data:`DEFAULT_SPLIT` and replace the ones below it by a Brownian term
+of their variance (Asmussen & Rosinski 2001).  The sampled jumps arrive
 as a compound Poisson whose sizes are drawn by inverse CDF on a
-tabulated normalized density (family-agnostic, no rejection tuning);
-sizes at or below the radius are replaced by a Brownian term matching
-their variance.  The truncation-at-one compensation used by the
-integro-differential operator is carried as an extra drift, so the
-simulated process and the lattice operator describe the same dynamics.
-Finite-activity families skip the split and sample every jump.
+tabulated density (family-agnostic, no rejection tuning).  The
+truncation-at-one compensation of the integro-differential operator is
+carried as an extra drift, so the simulated process and the lattice
+operator describe the same dynamics.  An arrival rate above
+:data:`INTENSITY_CAP` is a model the sampler rejects.
 
 Paths are stored time-major, one contiguous row of ``n_paths`` states
 per time level, and each Euler step writes the next row in place.  A
@@ -196,14 +199,13 @@ class _JumpTable:
 class _JumpScheme:
     """Frozen sampling plan for one model: rates and inverse-CDF tables."""
 
-    eps_mc: float      # split radius; 0 means every jump is sampled
     small_var: float   # variance rate of the substituted Brownian term
     comp_drift: float  # drift carried for truncation-at-one compensation
     rate: float        # compound-Poisson arrival rate (mass of the tables)
     table: _JumpTable | None
 
 
-_TRIVIAL_SCHEME = _JumpScheme(0.0, 0.0, 0.0, 0.0, None)
+_TRIVIAL_SCHEME = _JumpScheme(0.0, 0.0, 0.0, None)
 
 
 def _side_table(model: LevyModel, lo: float, hi: float,
@@ -224,52 +226,28 @@ def _side_table(model: LevyModel, lo: float, hi: float,
     return float(mass[-1]), mass, t
 
 
-def _suggest_split(model: LevyModel, eps: float) -> float:
-    """Smallest power-of-two multiple of ``eps`` whose arrival rate fits
-    under :data:`INTENSITY_CAP`."""
-    e = max(eps, 1e-8)
-    for _ in range(60):
-        if levy.jump_moment(model, 0, e, math.inf) <= INTENSITY_CAP:
-            return e
-        e *= 2.0
-    return e
-
-
-def _build_scheme(model: LevyModel, eps_mc: float | None) -> _JumpScheme:
+def _build_scheme(model: LevyModel) -> _JumpScheme:
+    """The model's sampling plan.  Finite-activity families sample every
+    jump (split 0); the others sample the jumps above
+    :data:`DEFAULT_SPLIT` and replace the ones below it by a Brownian
+    term of their variance.  A drift compensates the jumps from the split
+    to 1, as the lattice operator does."""
     if model.is_trivial:
         return _TRIVIAL_SCHEME
-    if eps_mc is None:
-        eps_mc = 0.0 if model.family in EXACT_FAMILIES else DEFAULT_SPLIT
-    eps_mc = float(eps_mc)
+    split = 0.0 if model.family in EXACT_FAMILIES else DEFAULT_SPLIT
     hi = levy.truncation_radius(model, _TAIL_TOL)
-    if eps_mc == 0.0:
-        if model.family not in EXACT_FAMILIES:
-            raise ParameterError(
-                f"family {model.family!r} has infinite jump activity; "
-                f"a positive eps_mc split radius is required")
-        ti = levy.tails(model, 1.0)
-        comp = ti.fv_drift
-        small_var = 0.0
-        lo = 0.0
-    else:
-        if not 0.0 < eps_mc <= 1.0:
-            raise ParameterError(f"eps_mc {eps_mc} outside (0, 1]")
-        ti = levy.tails(model, eps_mc)
-        comp = ti.comp_drift
-        small_var = ti.small_var
-        lo = eps_mc
-    plus = _side_table(model, lo, hi, +1.0)
-    minus = _side_table(model, lo, hi, -1.0)
+    plus = _side_table(model, split, hi, +1.0)
+    minus = _side_table(model, split, hi, -1.0)
     rate = plus[0] + minus[0]
     if rate > INTENSITY_CAP:
-        hint = _suggest_split(model, eps_mc)
         raise ParameterError(
-            f"jump arrival rate {rate:.4g} above the split radius exceeds "
-            f"the cap {INTENSITY_CAP:.4g}; try eps_mc >= {hint:.4g}")
-    # a model with no jump mass above the split (zero intensity, or a
-    # split at the truncation radius) simulates as a diffusion
+            f"jump arrival rate {rate:.4g} above the split radius "
+            f"{split:.4g} exceeds the cap {INTENSITY_CAP:.4g}")
+    # a model with no jump mass above the split (zero intensity)
+    # simulates as a diffusion
     table = _JumpTable.build(plus, minus) if rate > 0.0 else None
-    return _JumpScheme(eps_mc, small_var, comp, rate, table)
+    return _JumpScheme(levy.jump_moment(model, 2, 0.0, split),
+                       levy.jump_moment(model, 1, split, 1.0), rate, table)
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +261,11 @@ class PathBatch:
     ``simulate`` returns ``states`` as the transposed view of a time-major
     ``(n_steps+1, n_paths)`` buffer, so each column ``states[:, n]`` is
     contiguous.  ``jump_counts`` records the number of sampled
-    (above-split) jumps per path; ``small_var`` is the variance rate
-    substituted for the below-split sizes (zero when every jump is
-    sampled).
+    (above-split) jumps per path.
     """
 
     states: np.ndarray
     times: np.ndarray
-    seed: int
-    eps_mc: float
-    small_var: float
     jump_counts: np.ndarray
 
     @property
@@ -305,8 +278,8 @@ class PathBatch:
 
 
 def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
-             T: float, n_paths: int, n_steps: int, seed: int,
-             eps_mc: float | None = None) -> PathBatch:
+             T: float, n_paths: int, n_steps: int,
+             seed: int) -> PathBatch:
     """Euler paths of the state started at ``x0`` over horizon ``T``.
 
     The paths live in a time-major ``(n_steps+1, n_paths)`` buffer, so
@@ -333,15 +306,15 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     expiry ``T - times[n]``.
 
     Diffusion uses ``sqrt(2 a)`` so the paths match the operator
-    convention ``a u'' + b u'``; the substituted small-jump variance is
-    folded into the same normal draw (the sum of independent centered
-    normals is normal).
+    convention ``a u'' + b u'``; the variance of the jumps below the
+    model's split radius is folded into the same normal draw (the sum of
+    independent centered normals is normal).
     """
     if n_paths < 1 or n_steps < 1:
         raise ParameterError("need n_paths >= 1 and n_steps >= 1")
     if not T > 0.0:
         raise ParameterError("horizon T must be positive")
-    scheme = _build_scheme(model, eps_mc)
+    scheme = _build_scheme(model)
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
@@ -386,8 +359,7 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     # on a path leaves the last row non-finite
     if not np.isfinite(paths[-1]).all():
         raise NumericalError("mc.simulate: the paths have non-finite states")
-    return PathBatch(paths.T, times, int(seed), scheme.eps_mc,
-                     scheme.small_var, jump_counts)
+    return PathBatch(paths.T, times, jump_counts)
 
 
 # ---------------------------------------------------------------------------

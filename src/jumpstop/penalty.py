@@ -53,28 +53,15 @@ def _ramp_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _hermite(z: np.ndarray, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant of a ramp-table column at ``z`` in (-1, 1),
-    ``s^2 (3 - 2s) v[i+1] + r^2 (1 + 2s) v[i] + dz s r (r d[i] - s d[i+1])``
-    in that order of operations, in place: the report reads a surface."""
+    """Cubic Hermite interpolant of a ramp-table column at ``z`` in (-1, 1)."""
     dz = 2.0 / (_RAMP_NODES - 1)
-    s = (z + 1.0) / dz
-    i = np.minimum(s.astype(int), _RAMP_NODES - 2)
-    s -= i
+    t = (z + 1.0) / dz
+    i = np.minimum(t.astype(int), _RAMP_NODES - 2)
+    s = t - i
     r = 1.0 - s
-    out = s * s
-    out *= 3.0 - 2.0 * s
-    out *= vals[i + 1]
-    term = r * r
-    term *= 1.0 + 2.0 * s
-    term *= vals[i]
-    out += term
-    np.multiply(dz, s, out=term)
-    term *= r
-    r *= ders[i]
-    r -= s * ders[i + 1]
-    term *= r
-    out += term
-    return out
+    return (s * s * (3.0 - 2.0 * s) * vals[i + 1]
+            + r * r * (1.0 + 2.0 * s) * vals[i]
+            + dz * s * r * (r * ders[i] - s * ders[i + 1]))
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,34 @@ def test_capped_call_requires_cap_and_table_requires_path():
         rc.build_payoff()
 
 
+@pytest.mark.parametrize("payoff", ["capped_call", "table"])
+def test_run_solves_the_capped_call_and_the_table_payoff(tmp_path, payoff):
+    if payoff == "capped_call":
+        problem = {"payoff": "capped_call", "cap": 0.8}
+    else:
+        table = tmp_path / "reward.csv"
+        table.write_text("x,g\n-0.5,0.4\n0.0,0.1\n0.5,0.0\n")
+        problem = {"payoff": "table", "table_path": str(table)}
+    cfg_path = make_config(
+        tmp_path, problem={**MERTON_JUMPS, **problem},
+        numerics={"nx": 60, "nt": 60, "mode": "projected"},
+        oracle={"mc_paths": 500})
+    out = tmp_path / "out"
+    assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+    spec = harness.RunConfig.from_path(cfg_path).build_payoff()
+    header, *lines = (out / "surface.csv").read_text().splitlines()
+    assert header == "x,t,u,g,region"
+    rows = [line.split(",") for line in lines]
+    # the g column is the spec's value at each written x, as its repr
+    xs = sorted({row[0] for row in rows}, key=float)
+    g = np.asarray(spec(np.array([float(x) for x in xs])), dtype=float)
+    want = dict(zip(xs, map(repr, g.tolist())))
+    assert all(row[3] == want[row[0]] for row in rows)
+    u, g_rows = (np.array([float(row[k]) for row in rows]) for k in (2, 3))
+    assert np.all(u >= g_rows)
+    assert np.all(u <= spec.bound)
+
+
 def test_default_drift_compensates_jumps_under_discounting():
     rc = harness.RunConfig.from_dict({
         "problem": {"family": "merton", "jump_params": [1.5, -0.05, 0.25],
@@ -745,6 +773,24 @@ def test_compare_probe_outside_grid_rejected():
     rc.oracle.probes = [99.0]
     with pytest.raises(ConfigError, match="probe"):
         harness.compare(rc)
+
+
+@pytest.mark.parametrize("probe, message", [
+    (5.0, "probe location 5.0 outside the padded grid"),
+    ([0.0, 2.0], r"probe time 2.0 outside \[0, 1.0\]")],
+    ids=["location", "time"])
+@pytest.mark.parametrize("entry", ["run", "compare_cli"])
+def test_bad_probe_is_a_config_error_before_the_solve(tmp_path, monkeypatch,
+                                                      probe, message, entry):
+    def no_solve(cfg):
+        raise AssertionError("solved before the probes were checked")
+    monkeypatch.setattr(harness, "_solve", no_solve)
+    cfg_path = make_config(tmp_path, oracle={"probes": [probe]})
+    buf = io.StringIO()
+    code = getattr(harness, entry)(cfg_path, out_dir=tmp_path / "out",
+                                   stream=buf)
+    assert code == 2
+    assert re.search(f"config error: {message}", buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

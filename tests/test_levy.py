@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpstop import levy
-from jumpstop.errors import DomainError, ParameterError, UnsupportedOperation
+from jumpstop.errors import DomainError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +159,23 @@ FROZEN = {
 }
 
 
+# the first moments the Monte Carlo sampler reads off jump_moment: the
+# compensating drift over eps < |y| <= 1 and, for finite variation, the
+# one over |y| <= 1
+FIRST_MOMENTS = {
+    "comp_drift": lambda m, eps: levy.jump_moment(m, 1, eps, 1.0),
+    "fv_drift": lambda m, eps: levy.jump_moment(m, 1, 0.0, 1.0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_tails_frozen_values(name):
     eps, want = FROZEN[name]
-    t = levy.tails(MODELS[name], eps)
+    m = MODELS[name]
+    t = levy.tails(m, eps)
     for key, val in want.items():
-        got = getattr(t, key)
+        got = FIRST_MOMENTS[key](m, eps) if key in FIRST_MOMENTS \
+            else getattr(t, key)
         assert got == pytest.approx(val, rel=1e-8, abs=1e-14), key
 
 
@@ -178,14 +189,16 @@ def test_tails_vs_live_riemann(name):
     cd = riemann_both(m, lambda y: y, eps, 1.0)
     bm = riemann_both(m, lambda y: np.ones_like(y), 1.0, 60.0)
     assert t.small_var == pytest.approx(sv, rel=1e-8)
-    assert t.comp_drift == pytest.approx(cd, rel=1e-8, abs=1e-12)
+    assert levy.jump_moment(m, 1, eps, 1.0) == \
+        pytest.approx(cd, rel=1e-8, abs=1e-12)
     assert t.big_mass == pytest.approx(bm, rel=1e-8)
 
 
 def test_tails_none_family_all_zero():
     t = levy.tails(levy.none(), 0.5)
-    assert (t.small_var, t.comp_drift, t.big_mass, t.fv_drift) \
-        == (0.0, 0.0, 0.0, 0.0)
+    assert (t.small_var, t.big_mass) == (0.0, 0.0)
+    assert levy.jump_moment(levy.none(), 1, 0.5, 1.0) == 0.0
+    assert levy.jump_moment(levy.none(), 1, 0.0, 1.0) == 0.0
 
 
 def test_tails_eps_domain():
@@ -225,13 +238,6 @@ def test_quadrature_tolerance_consistency():
                 + sign * levy.integrate_density(m, f, lo, hi, tol, side="-")
                 for tol in (1e-10, 1e-8))
         assert abs(x - y) <= 1e-7 * max(abs(x), abs(y), 1e-12), key
-
-
-def test_fv_drift_unsupported_for_infinite_variation():
-    for name in ("nig", "ts_sym", "ts_asym"):
-        t = levy.tails(MODELS[name], 0.25)
-        with pytest.raises(UnsupportedOperation):
-            t.fv_drift
 
 
 # Merton moments integral_{lo < |y| <= hi} y^k rho(y) dy of

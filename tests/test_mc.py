@@ -89,8 +89,10 @@ def test_jump_count_matches_poisson_rate(merton_batch):
     se = np.sqrt(lam * T / merton_batch.n_paths)
     assert abs(merton_batch.jump_counts.mean() - lam * T) <= 4.0 * se
     # finite-activity family: every jump sampled, nothing substituted
-    assert merton_batch.eps_mc == 0.0
-    assert merton_batch.small_var == 0.0
+    mod, _ = merton_setup()
+    scheme = mc._build_scheme(mod)
+    assert scheme.small_var == 0.0
+    assert scheme.comp_drift == levy.jump_moment(mod, 1, 0.0, 1.0)
 
 
 def test_jump_count_variance_matches_poisson(merton_batch):
@@ -110,7 +112,7 @@ def test_positive_jump_fraction_matches_side_mass():
     # step's increment is the sum of its jumps; at rate * dt = 0.01 almost
     # every nonzero increment is a single jump
     mod = levy.kou(4.0, 0.3, 10.0, 5.0)
-    scheme = mc._build_scheme(mod, None)
+    scheme = mc._build_scheme(mod)
     batch = mc.simulate(mod, degenerate_coeffs(scheme.comp_drift, 0.0),
                         0.0, 1.0, 2000, 400, 19)
     inc = np.diff(batch.states, axis=1)
@@ -137,7 +139,7 @@ def _interp_sizes(table, w):
 
 @table_models
 def test_guided_inverse_cdf_is_np_interp_bit_for_bit(model):
-    table = mc._build_scheme(model, None).table
+    table = mc._build_scheme(model).table
     plus = (table.mass_plus, table.cdf_plus, table.mag_plus)
     minus = (float(table.cdf_minus[-1]), table.cdf_minus, table.mag_minus)
     rng = np.random.default_rng(3)
@@ -190,7 +192,7 @@ def test_bucket_table_is_np_interp_bit_for_bit(plus, minus, seed):
 def _reference_simulate(model, coeffs, x0, T, n_paths, n_steps, seed):
     """A plain Euler loop in the documented draw order: per-step
     coefficient arrays, jump sizes from ``np.interp`` on the table."""
-    scheme = mc._build_scheme(model, None)
+    scheme = mc._build_scheme(model)
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
@@ -281,7 +283,7 @@ def test_jump_kernel_working_set_is_fixed(n_paths):
     # table (640 KiB) and one block of jumps (640 KiB), whatever the
     # batch size; sizing a whole step at once held about 37 bytes per jump
     model, coeffs = ts_setup()
-    rate = mc._build_scheme(model, None).rate
+    rate = mc._build_scheme(model).rate
     # a first batch fills the caches that live past it
     mc.simulate(model, coeffs, 0.0, 1.0, 10, 1, 41)
     tracemalloc.start()
@@ -325,8 +327,9 @@ def test_split_scheme_for_infinite_activity():
     b = R - A - levy.exp_compensator(mod)
     coeffs = CoefficientField.constants(A, b, R)
     batch = mc.simulate(mod, coeffs, 0.0, 0.5, 20_000, 32, 23)
-    assert batch.eps_mc == 0.01
-    assert batch.small_var == pytest.approx(levy.tails(mod, 0.01).small_var)
+    scheme = mc._build_scheme(mod)
+    assert mc.DEFAULT_SPLIT == 0.01
+    assert scheme.small_var == pytest.approx(levy.tails(mod, 0.01).small_var)
     assert np.all(np.isfinite(batch.states))
     assert batch.jump_counts.mean() > 1.0  # activity above the split is high
 
@@ -357,16 +360,16 @@ def test_simulate_argument_validation():
         mc.simulate(levy.none(), diffusion_coeffs(), 0.0, 1.0, 0, 8, 1)
     with pytest.raises(ParameterError):
         mc.simulate(levy.none(), diffusion_coeffs(), 0.0, 0.0, 10, 8, 1)
-    with pytest.raises(ParameterError):
-        mc.simulate(levy.nig(6.0, -1.0, 0.3), diffusion_coeffs(),
-                    0.0, 1.0, 10, 8, 1, eps_mc=0.0)
 
 
-def test_intensity_cap_error_suggests_larger_split():
+def test_intensity_cap_error_suggests_larger_split(monkeypatch):
+    # the cap message names the split radius that was too small
     mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
-    with pytest.raises(ParameterError, match="eps_mc"):
-        mc.simulate(mod, diffusion_coeffs(), 0.0, 1.0, 10, 8, 1,
-                    eps_mc=1e-6)
+    monkeypatch.setattr(mc, "DEFAULT_SPLIT", 1e-6)
+    with pytest.raises(ParameterError,
+                       match=r"above the split radius 1e-06 exceeds the "
+                             r"cap 1e\+06"):
+        mc.simulate(mod, diffusion_coeffs(), 0.0, 1.0, 10, 8, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +404,9 @@ def test_one_step_terminal_law_matches_many_steps(model, n_paths):
     T = 0.5
     one = mc.simulate(model, coeffs, 0.0, T, n_paths, 1, 101)
     many = mc.simulate(model, coeffs, 0.0, T, n_paths, 64, 102)
-    assert one.n_steps == 1 and one.eps_mc == many.eps_mc
+    assert one.n_steps == 1
     if model.family == "tempered_stable":
-        assert one.eps_mc == mc.DEFAULT_SPLIT and one.small_var > 0.0
+        assert mc._build_scheme(model).small_var > 0.0
     for u, v in ((one.states[:, -1], many.states[:, -1]),
                  (one.jump_counts, many.jump_counts)):
         mean_gap, var_gap = _mean_var_gaps(u, v)
@@ -463,8 +466,7 @@ def test_jump_european_put_within_4se(merton_batch):
 
 def test_callable_rate_matches_scalar(merton_batch):
     sub = mc.PathBatch(merton_batch.states[:2000], merton_batch.times,
-                       merton_batch.seed, merton_batch.eps_mc,
-                       merton_batch.small_var, merton_batch.jump_counts[:2000])
+                       merton_batch.jump_counts[:2000])
     a = mc.european_estimate(sub, PUT, R)
     b = mc.european_estimate(
         sub, PUT, lambda x, t: np.full_like(np.asarray(x, float), R))
@@ -640,13 +642,17 @@ def test_policy_matches_the_boolean_mask_policy_with_a_state_rate(ts_rule):
     assert got.stderr > 0.0
 
 
-def test_halving_the_split_keeps_the_tempered_stable_lower_bound(ts_rule):
-    # the Gaussian stand-in for jumps below eps_mc is the split's only
-    # approximation (Asmussen & Rosinski 2001); halving eps_mc must move
-    # the ts15 lower bound by less than 3 combined standard errors
+def test_halving_the_split_keeps_the_tempered_stable_lower_bound(
+        ts_rule, monkeypatch):
+    # the Gaussian stand-in for jumps below the split radius is the
+    # split's only approximation (Asmussen & Rosinski 2001); halving the
+    # split must move the ts15 lower bound by less than 3 combined
+    # standard errors
     mod, coeffs = ts_setup()
-    batches = [mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 7, eps_mc=eps)
-               for eps in (0.01, 0.005)]
+    batches = []
+    for eps in (0.01, 0.005):
+        monkeypatch.setattr(mc, "DEFAULT_SPLIT", eps)
+        batches.append(mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 7))
     coarse, fine = (mc.stopping_lower_bound(b, PUT, R, stop_on(ts_rule, b))
                     for b in batches)
     assert abs(fine.price - coarse.price) <= \
