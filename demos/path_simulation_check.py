@@ -54,14 +54,13 @@ def main():
     print(f"{'x':>6} {'euro pde':>10} {'euro mc':>10} {'z':>6}   "
           f"{'amer pde':>10} {'mc bound':>10} {'margin':>8}")
     for k, x in enumerate((-0.2, -0.1, 0.0, 0.1, 0.2)):
-        terminal = mc.simulate(MODEL, coeffs, x, HORIZON, PATHS, 1,
-                               seed=SEED + k)
-        paths = mc.simulate(MODEL, coeffs, x, HORIZON, PATHS, STEPS,
-                            seed=SEED + k)
-        est_e = mc.european_estimate(terminal, PUT, RATE)
-        est_a = mc.stopping_lower_bound(
-            paths, PUT, RATE,
-            lambda y, n: rule(y, HORIZON - paths.times[n]))
+        euro_mc = mc.european_estimate(PUT, RATE)
+        amer_mc = mc.stopping_lower_bound(PUT, RATE, rule)
+        mc.simulate(MODEL, coeffs, x, HORIZON, PATHS, 1, seed=SEED + k,
+                    watchers=[euro_mc])
+        mc.simulate(MODEL, coeffs, x, HORIZON, PATHS, STEPS, seed=SEED + k,
+                    watchers=[amer_mc])
+        est_e, est_a = euro_mc.result, amer_mc.result
         # column n is time to expiry n*dt: the last is today
         pe = float(np.interp(x, grid.nodes, euro.values[:, -1]))
         pa = float(np.interp(x, grid.nodes, amer.values[:, -1]))

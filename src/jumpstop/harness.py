@@ -454,27 +454,30 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
         horizon = cfg.grid.t_final - first["t"]
         if not mc_on or horizon <= 0.0 or "mc_kind" in first:
             continue
-        batch = mc.simulate(
-            cfg.model, cfg.coeffs, first["x"], horizon, rc.oracle.mc_paths,
-            mc_steps, rc.oracle.seed + k)
         # with constant coefficients the increments do not depend on the
-        # state: the paths from a later probe at this time are this batch
-        # moved by its x - x_0 in law (Cont & Tankov 2004, secs. 6.2-6.3)
+        # state: the paths from a later probe at this time are the first
+        # probe's moved by its x - x_0 in law (Cont & Tankov 2004, secs.
+        # 6.2-6.3), so they all watch one batch
         sharing = [row for row in rows[k:] if row["t"] == first["t"]] \
             if cfg.coeffs.constant else [first]
-        for row in sharing:
-            shift = row["x"] - first["x"]
+        shifts = [row["x"] - first["x"] for row in sharing]
+        values = []
+        for shift in shifts:
 
             def reward(y, shift=shift):
                 return cfg.payoff(y + shift)
 
-            def stop(y, n, shift=shift):
-                return rule(y + shift, horizon - batch.times[n])
-            est = mc.european_estimate(batch, reward, rate) if european \
-                else mc.stopping_lower_bound(batch, reward, rate, stop)
+            def stop(y, s, shift=shift):
+                return rule(y + shift, s)
+            values.append(mc.european_estimate(reward, rate) if european
+                          else mc.stopping_lower_bound(reward, rate, stop))
+        batch = mc.simulate(
+            cfg.model, cfg.coeffs, first["x"], horizon, rc.oracle.mc_paths,
+            mc_steps, rc.oracle.seed + k, watchers=values)
+        for row, shift, value in zip(sharing, shifts, values):
+            est = value.result
             row.update(mc_kind=kind, mc_value=est.price, mc_stderr=est.stderr,
                        mc_steps=batch.n_steps, mc_shift=shift)
-        del batch  # free the paths before the next time's batch
     return rows
 
 
@@ -540,13 +543,14 @@ def _residual_stats(cfg: SolveConfig, report: SolveReport) -> dict | None:
 
 def _execute(rc: RunConfig, cfg: SolveConfig) -> dict:
     """Solve, diagnose, and assemble everything the artifacts need.  The
-    probe rows' Monte Carlo and the residual surface, the largest
+    residual surface and the probe rows' Monte Carlo, the largest
     transients of a run, come and go before the partition's gap and
-    labels exist."""
+    labels exist.  The residual goes first: since the Monte Carlo holds
+    two rows of paths, not all of them, that order peaks lower."""
     report = _solve(cfg)
-    rows = _probe_rows(rc, cfg, report)
     res_stats = None if cfg.mode == "european" else \
         _residual_stats(cfg, report)
+    rows = _probe_rows(rc, cfg, report)
     tol = diagnostics.check_tolerance(cfg.grid)
 
     regions = smooth = None
@@ -869,9 +873,10 @@ def _selftest_cases() -> list[tuple[str, callable]]:
 
     def case_mc_constant_reward():
         coeffs = CoefficientField.constants(0.02, 0.0, 0.0)
-        batch = mc.simulate(levy.none(), coeffs, 0.0, 1.0, 50, 8, 4)
         flat = payoff_mod.tabulated([-50.0, 50.0], [2.5, 2.5])
-        est = mc.european_estimate(batch, flat, 0.0)
+        value = mc.european_estimate(flat, 0.0)
+        mc.simulate(levy.none(), coeffs, 0.0, 1.0, 50, 8, 4, watchers=[value])
+        est = value.result
         assert est.price == 2.5 and est.stderr == 0.0
 
     return [

@@ -603,15 +603,12 @@ class TailIntegrals:
 
     Attributes
     ----------
-    eps : float
-        Small/large jump split radius, in ``(0, 1]``.
     small_var : float
         ``integral_{|y|<=eps} y^2 rho(y) dy``.
     big_mass : float
         ``integral_{|y|>1} rho(y) dy``.
     """
 
-    eps: float
     small_var: float
     big_mass: float
 
@@ -627,7 +624,7 @@ def tails(model: LevyModel, eps: float) -> TailIntegrals:
     """
     if not 0.0 < eps <= 1.0:
         raise ParameterError(f"split radius {eps} outside (0, 1]")
-    return TailIntegrals(eps, jump_moment(model, 2, 0.0, eps),
+    return TailIntegrals(jump_moment(model, 2, 0.0, eps),
                          jump_moment(model, 0, 1.0, math.inf))
 
 

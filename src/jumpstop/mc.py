@@ -13,16 +13,16 @@ carried as an extra drift, so the simulated process and the lattice
 operator describe the same dynamics.  An arrival rate above
 :data:`INTENSITY_CAP` is a model the sampler rejects.
 
-Paths are stored time-major, one contiguous row of ``n_paths`` states
-per time level, and each Euler step writes the next row in place.  A
-step draws one normal per path, then the jumps of all paths together:
-one pooled Poisson count, a uniform ``int32`` owner per jump, and one
-uniform level per jump that picks both the side and the size.  The
-number of jump draws thus follows the number of jumps, not
-``n_paths * n_steps``.  The owners come in one call; the levels are
+A batch holds two rows of ``n_paths`` states, the current one and the
+next, and each Euler step writes the next row in place; no row outlives
+the step after it.  A step draws one normal per path, then the jumps of
+all paths together: one pooled Poisson count, a uniform ``int32`` owner
+per jump, and one uniform level per jump that picks both the side and
+the size.  The number of jump draws thus follows the number of jumps,
+not ``n_paths * n_steps``.  The owners come in one call; the levels are
 drawn, sized and added to their paths in blocks of ``_JUMP_BLOCK``
-jumps, so besides the paths the jump work holds one block and 4 bytes
-per jump of the step.
+jumps, so besides the two rows the jump work holds one block and 4
+bytes per jump of the step.
 Sizes come from a table of equal-mass level buckets over the tabulated
 cumulative mass.  Each bucket names the one panel that holds all its
 levels strictly inside, so a size is one O(1) lookup and ``np.interp``'s
@@ -35,14 +35,17 @@ Poisson count all scale with ``dt``, and a sum of independent normals
 (or Poisson counts) is again one.  A batch of ``n_steps = 1`` thus draws
 the terminal state exactly in law (Cont & Tankov 2004, secs. 6.2-6.3).
 
-Estimates: ``european_estimate`` averages the discounted terminal
+Estimates are watchers of :func:`simulate`: it hands each of them
+every row as the row is finished, and each values its paths from the
+rows alone.  ``european_estimate`` averages the discounted terminal
 reward, and needs only the terminal level, so under constant
 coefficients a 1-step batch serves it; ``stopping_lower_bound`` values a
-given stopping rule on every path, deciding on every step of the batch.
+given stopping rule on every path, deciding on every row but the last.
 A rule that reads no future state gives a genuine lower bound for the
-optimal stopping value (up to sampling error); the harness stops on the
-lattice's own contact set.  Both discount step by step along the paths,
-with the rate at the start of each step.
+optimal stopping value (up to sampling error), and such a rule needs
+only the row in hand; the harness stops on the lattice's own contact
+set.  Both discount step by step along the paths, with the rate at the
+start of each step.  Several estimates can watch one batch.
 
 A path starts with ``T`` to expiry, so at path time ``tau`` it reads the
 coefficient fields at ``T - tau``, the time to expiry at which the
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -256,54 +259,54 @@ def _build_scheme(model: LevyModel) -> _JumpScheme:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated state paths, row per path and column per time level.
+    """What a batch leaves once its rows are gone: the time levels, the
+    states at the last of them, and the number of sampled (above-split)
+    jumps per path."""
 
-    ``simulate`` returns ``states`` as the transposed view of a time-major
-    ``(n_steps+1, n_paths)`` buffer, so each column ``states[:, n]`` is
-    contiguous.  ``jump_counts`` records the number of sampled
-    (above-split) jumps per path.
-    """
-
-    states: np.ndarray
     times: np.ndarray
+    terminal: np.ndarray
     jump_counts: np.ndarray
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return self.terminal.size
 
     @property
     def n_steps(self) -> int:
-        return self.states.shape[1] - 1
+        return self.times.size - 1
 
 
 def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
-             T: float, n_paths: int, n_steps: int,
-             seed: int) -> PathBatch:
+             T: float, n_paths: int, n_steps: int, seed: int,
+             watchers: Sequence[Callable] = ()) -> PathBatch:
     """Euler paths of the state started at ``x0`` over horizon ``T``.
 
-    The paths live in a time-major ``(n_steps+1, n_paths)`` buffer, so
-    each step reads one contiguous row and writes the next;
-    ``PathBatch.states`` is its transposed view.  The counter-based
-    generator (Philox) makes the batch reproducible bit-for-bit from
-    ``seed``.  Each step draws, in this order: one standard normal per
-    path; the pooled jump count ``N ~ Poisson(rate * dt * n_paths)``;
-    ``N`` owners uniform over the paths; and one uniform level in
-    ``[0, rate)`` per jump, which picks both the side and the size
-    (:class:`_JumpTable`).  By Poisson splitting this is the law of
-    independent ``Poisson(rate * dt)`` counts per path with independent
-    sizes, so the number of draws grows with the number of jumps, not
-    with ``n_paths * n_steps``.  Sizes read the tabulated inverse CDF
-    through a bucket table in O(1) per jump and equal ``np.interp`` on
-    it bit for bit.  The owners are drawn as ``int32`` in one call, the
-    same Philox stream and generator state as ``int64`` owners for
-    ``n_paths <= 2**31``.  The levels are drawn ``_JUMP_BLOCK`` at a
-    time (the same stream as one call), sized and added to their paths
-    with ``np.add.at`` in draw order: beyond the paths and the counts,
-    the step's jumps hold 4 bytes each and the rest is one block.  With
-    constant coefficients the normal's scale and shift are two floats
-    computed once; otherwise step ``n`` reads the fields at the time to
-    expiry ``T - times[n]``.
+    The batch holds two rows of ``n_paths`` states, ``x`` and the next
+    one, and each step writes the next row in place.  Each watcher is
+    called as ``watcher(x, n, times)`` on every row in turn, ``n = 0 ...
+    n_steps``, where row ``n`` holds the states at ``times[n]``; the row
+    is overwritten once the call returns, so a watcher copies what it
+    keeps.  Each row is checked for non-finite states before the
+    watchers see it, the last one too.
+    The counter-based generator (Philox) makes the batch
+    reproducible bit-for-bit from ``seed``.  Each step draws, in this
+    order: one standard normal per path; the pooled jump count ``N ~
+    Poisson(rate * dt * n_paths)``; ``N`` owners uniform over the paths;
+    and one uniform level in ``[0, rate)`` per jump, which picks both the
+    side and the size (:class:`_JumpTable`).  By Poisson splitting this
+    is the law of independent ``Poisson(rate * dt)`` counts per path with
+    independent sizes, so the number of draws grows with the number of
+    jumps, not with ``n_paths * n_steps``.  Sizes read the tabulated
+    inverse CDF through a bucket table in O(1) per jump and equal
+    ``np.interp`` on it bit for bit.  The owners are drawn as ``int32``
+    in one call, the same Philox stream and generator state as ``int64``
+    owners for ``n_paths <= 2**31``.  The levels are drawn
+    ``_JUMP_BLOCK`` at a time (the same stream as one call), sized and
+    added to their paths with ``np.add.at`` in draw order: beyond the two
+    rows and the counts, the step's jumps hold 4 bytes each and the rest
+    is one block.  With constant coefficients the normal's scale and
+    shift are two floats computed once; otherwise step ``n`` reads the
+    fields at the time to expiry ``T - times[n]``.
 
     Diffusion uses ``sqrt(2 a)`` so the paths match the operator
     convention ``a u'' + b u'``; the variance of the jumps below the
@@ -318,8 +321,8 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
-    paths = np.empty((n_steps + 1, n_paths))
-    paths[0] = float(x0)
+    x = np.full(n_paths, float(x0))
+    nxt = np.empty(n_paths)
     jump_counts = np.zeros(n_paths, dtype=np.int64)
     sq_dt = math.sqrt(dt)
 
@@ -329,17 +332,24 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
         b = np.asarray(coeffs.b(x, t), dtype=float)
         return (np.sqrt(2.0 * a + scheme.small_var) * sq_dt,
                 (b - scheme.comp_drift) * dt)
+    def show(x, n):
+        # a watcher sees finite states only: a rule reading a NaN state
+        # would fail, or stop it, before the batch could be rejected
+        if not np.isfinite(x).all():
+            raise NumericalError(
+                "mc.simulate: the paths have non-finite states")
+        for watch in watchers:
+            watch(x, n, times)
     if coeffs.constant:
         # one value through the same IEEE operations is every element of
         # the per-step arrays
-        vol, drift = (float(v.flat[0])
-                      for v in normal_part(paths[0, :1], T))
+        vol, drift = (float(v.flat[0]) for v in normal_part(x[:1], T))
     for n in range(n_steps):
-        x = paths[n]
+        show(x, n)
         if not coeffs.constant:
             vol, drift = normal_part(x, T - times[n])
         # the next row holds dx, then x + dx
-        dx = rng.standard_normal(n_paths, out=paths[n + 1])
+        dx = rng.standard_normal(n_paths, out=nxt)
         dx *= vol
         dx += drift
         if scheme.rate > 0.0:
@@ -355,15 +365,14 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
                 np.add.at(jump_counts, o, 1)
             del owner  # before the next step draws its own
         dx += x
-    # x + dx is non-finite wherever x is, so a non-finite state anywhere
-    # on a path leaves the last row non-finite
-    if not np.isfinite(paths[-1]).all():
-        raise NumericalError("mc.simulate: the paths have non-finite states")
-    return PathBatch(paths.T, times, jump_counts)
+        x, nxt = dx, x
+    del nxt
+    show(x, n_steps)
+    return PathBatch(times, x, jump_counts)
 
 
 # ---------------------------------------------------------------------------
-# estimators
+# estimators: watchers of simulate that value each path row by row
 
 
 def _step_discount(r, x: np.ndarray, times: np.ndarray, n: int):
@@ -377,52 +386,85 @@ def _step_discount(r, x: np.ndarray, times: np.ndarray, n: int):
     return float(r) * dt
 
 
-def european_estimate(batch: PathBatch, g: Callable, r) -> MCEstimate:
-    """Discounted terminal-reward mean with its standard error.
+class _TerminalValue:
+    """Watcher for :func:`european_estimate`: the running discount of
+    every path, then the estimate on the last row."""
+
+    def __init__(self, g: Callable, r):
+        self.g, self.r = g, r
+
+    def __call__(self, x: np.ndarray, n: int, times: np.ndarray) -> None:
+        if n == 0:
+            # a float while the rate is one: it discounts every path alike
+            self.total = 0.0
+        if n < times.size - 1:
+            self.total = self.total + _step_discount(self.r, x, times, n)
+            return
+        vals = np.exp(-np.full(x.size, self.total)) * \
+            np.asarray(self.g(x), dtype=float)
+        self.result, self.total = _estimate(vals), None
+
+
+class _StoppedValue:
+    """Watcher for :func:`stopping_lower_bound`.  ``live`` indexes the
+    paths that have not stopped, and the running discount ``cum`` is kept
+    for those paths only, in the same order; each row is read on them
+    only."""
+
+    def __init__(self, g: Callable, r, stop: Callable):
+        self.g, self.r, self.stop = g, r, stop
+
+    def __call__(self, x: np.ndarray, n: int, times: np.ndarray) -> None:
+        if n == 0:
+            self.vals = np.zeros(x.size)
+            self.live = np.arange(x.size)
+            self.cum = np.zeros(x.size)
+        vals, live, cum = self.vals, self.live, self.cum
+        x = x[live]
+        if n == times.size - 1:
+            vals[live] = np.exp(-cum) * np.asarray(self.g(x), dtype=float)
+            self.result = _estimate(vals)
+            self.vals = self.live = self.cum = None
+            return
+        hit = np.flatnonzero(self.stop(x, times[-1] - times[n]))
+        if hit.size:
+            vals[live[hit]] = np.exp(-cum[hit]) * \
+                np.asarray(self.g(x[hit]), dtype=float)
+            keep = np.ones(live.size, dtype=bool)
+            keep[hit] = False
+            live, cum, x = live[keep], cum[keep], x[keep]
+        cum += _step_discount(self.r, x, times, n)
+        self.live, self.cum = live, cum
+
+
+def european_estimate(g: Callable, r) -> _TerminalValue:
+    """Discounted terminal-reward mean with its standard error, as a
+    watcher to pass to :func:`simulate`; its ``result`` is the
+    :class:`MCEstimate` once the batch is drawn.
 
     Only the last level and the discount along the path enter.  Under
     constant coefficients a 1-step batch gives the exact terminal law and
     the discount ``exp(-r T)``; otherwise the batch's Euler steps carry
     both.
     """
-    x = batch.states
-    total = np.zeros(batch.n_paths)
-    for n in range(batch.n_steps):
-        total += _step_discount(r, x[:, n], batch.times, n)
-    return _estimate(np.exp(-total) * np.asarray(g(x[:, -1]), dtype=float))
+    return _TerminalValue(g, r)
 
 
-def stopping_lower_bound(batch: PathBatch, g: Callable, r,
-                         stop: Callable) -> MCEstimate:
-    """Value of the stopping rule ``stop`` on every path of the batch: a
-    lower bound on the optimal stopping value up to sampling error.
+def stopping_lower_bound(g: Callable, r, stop: Callable) -> _StoppedValue:
+    """Value of the stopping rule ``stop`` on every path of a batch: a
+    lower bound on the optimal stopping value up to sampling error, as a
+    watcher to pass to :func:`simulate`; its ``result`` is the
+    :class:`MCEstimate` once the batch is drawn.
 
-    ``stop(x, n)`` is the boolean mask of the states ``x`` at
-    ``times[n]`` that stop.  A path stops at the first step ``n = 0 ...
-    n_steps - 1`` where its mask is set, and takes ``g`` at expiry
-    otherwise.  Any such rule reads no future state, so its value is a
-    lower bound whatever its quality (Andersen & Broadie 2004).  ``live``
-    indexes the paths that have not stopped, and the running discount
-    ``cum`` and the states ``x`` are kept for those paths only, in the
-    same order.
+    ``stop(x, s)`` is the boolean mask of the states ``x`` that stop at
+    time to expiry ``s``, as :func:`~jumpstop.diagnostics.stopping_rule`
+    gives it.  A path stops at the first step ``n = 0 ... n_steps - 1``
+    where its mask is set, and takes ``g`` at expiry otherwise.  Any such
+    rule reads no future state, so its value is a lower bound whatever
+    its quality (Andersen & Broadie 2004).  The rule, the reward and the
+    discount are evaluated only on the paths that have not stopped.
     """
-    rows = batch.states.T  # time-major: row n holds the states at times[n]
-    vals = np.zeros(batch.n_paths)
-    live = np.arange(batch.n_paths)
-    cum = np.zeros(batch.n_paths)
-    x = rows[0]
-    for n in range(batch.n_steps):
-        hit = np.flatnonzero(stop(x, n))
-        if hit.size:
-            vals[live[hit]] = np.exp(-cum[hit]) * \
-                np.asarray(g(x[hit]), dtype=float)
-            keep = np.ones(live.size, dtype=bool)
-            keep[hit] = False
-            live, cum, x = live[keep], cum[keep], x[keep]
-        cum += _step_discount(r, x, batch.times, n)
-        x = rows[n + 1][live]
-    vals[live] = np.exp(-cum) * np.asarray(g(x), dtype=float)
-    return _estimate(vals)
+    return _StoppedValue(g, r, stop)
 
 
 def _estimate(vals: np.ndarray) -> MCEstimate:

@@ -481,7 +481,7 @@ def _build_report(cfg: SolveConfig, surface: np.ndarray, ws: _Workspace,
     gf = GridFunction(grid, surface, extension="clamp_payoff",
                       payoff=ws.bc_fns[-1], ghosts=ws.ghosts[-1])
     report = SolveReport(
-        value=gf, mode=cfg.mode, eps_final=eps, anchor=cfg.anchor,
+        value=gf, eps_final=eps, anchor=cfg.anchor,
         residuals=residuals, eps_trace=[],
         truncation_mass=float(trunc), warnings=[], grad_max_per_eps=[],
     )
@@ -497,7 +497,6 @@ class SolveReport:
     ``n dt``, plus scalar diagnostics."""
 
     value: GridFunction
-    mode: str
     eps_final: float | None
     anchor: float | None
     residuals: dict

@@ -374,11 +374,10 @@ def test_10_path_lower_bound_consistency():
         rule = diagnostics.stopping_rule(american.value, PUT,
                                          contact_tol(cfg, None))
         for k, x in enumerate(PROBES):
-            batch = mc.simulate(model, coeffs, x, horizon, 100_000, 64,
-                                seed0 + k)
-            est = mc.stopping_lower_bound(
-                batch, PUT, RATE,
-                lambda y, n: rule(y, horizon - batch.times[n]))
+            value = mc.stopping_lower_bound(PUT, RATE, rule)
+            mc.simulate(model, coeffs, x, horizon, 100_000, 64, seed0 + k,
+                        watchers=[value])
+            est = value.result
             pde = value_now_at(american, grid, x)
             pde_euro = value_now_at(european, grid, x)
             assert pde >= est.price - 4.0 * est.stderr, \

@@ -725,11 +725,10 @@ def test_first_probe_at_each_time_values_its_own_batch():
 
     def direct(row, seed):
         horizon = cfg.grid.t_final - row["t"]
-        batch = mc.simulate(cfg.model, cfg.coeffs, row["x"], horizon,
-                            10000, 8, seed)
-        return mc.stopping_lower_bound(
-            batch, cfg.payoff, cfg.coeffs.r,
-            lambda y, n: rule(y, horizon - batch.times[n]))
+        value = mc.stopping_lower_bound(cfg.payoff, cfg.coeffs.r, rule)
+        mc.simulate(cfg.model, cfg.coeffs, row["x"], horizon, 10000, 8, seed,
+                    watchers=[value])
+        return value.result
     # the probe that drew the batch: bit for bit its own seed + k
     for k in (0, 1):
         est = direct(rows[k], 5 + k)

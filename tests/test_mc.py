@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jumpstop import diagnostics, levy, mc, payoff
-from jumpstop.errors import ParameterError
+from jumpstop.errors import NumericalError, ParameterError
 from jumpstop.grids import CoefficientField, SpaceTimeGrid
 from jumpstop.solver import SolveConfig, contact_tol, solve_vi
 
@@ -49,16 +49,44 @@ def degenerate_coeffs(drift: float, rate: float) -> CoefficientField:
         r=lambda x, t: np.full_like(np.asarray(x, dtype=float), rate))
 
 
-@pytest.fixture(scope="module")
-def diffusion_batch():
-    return mc.simulate(levy.none(), diffusion_coeffs(), 0.0, 1.0,
-                       100_000, 64, 17)
+#: ``mc.simulate`` arguments of the two 100,000-path batches
+DIFFUSION = (levy.none(), diffusion_coeffs(), 0.0, 1.0, 100_000, 64, 17)
+MERTON = (*merton_setup(), 0.0, 1.0, 100_000, 64, 13)
 
 
 @pytest.fixture(scope="module")
 def merton_batch():
-    mod, coeffs = merton_setup()
-    return mc.simulate(mod, coeffs, 0.0, 1.0, 100_000, 64, 13)
+    return mc.simulate(*MERTON)
+
+
+class RowRecorder:
+    """Watcher that keeps a copy of every row ``mc.simulate`` hands out;
+    ``states`` has a row per path and a column per time level."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, x, n, times):
+        assert n == len(self.rows)
+        self.rows.append(x.copy())
+
+    @property
+    def states(self):
+        return np.stack(self.rows, axis=1)
+
+
+def simulate_states(*args, watchers=()):
+    """``mc.simulate(*args)`` with its every row recorded: the batch and
+    its states, a row per path and a column per time level."""
+    rec = RowRecorder()
+    batch = mc.simulate(*args, watchers=[rec, *watchers])
+    return batch, rec.states
+
+
+def estimates(args, *values):
+    """The estimates of ``values`` watching one ``mc.simulate(*args)``."""
+    mc.simulate(*args, watchers=values)
+    return [value.result for value in values]
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +94,18 @@ def merton_batch():
 
 
 def test_drift_only_paths_are_exact():
-    batch = mc.simulate(levy.none(), degenerate_coeffs(0.3, 0.0),
-                        0.1, 1.0, 50, 16, 7)
-    assert np.max(np.abs(batch.states[:, -1] - 0.4)) < 1e-12
+    batch, states = simulate_states(levy.none(), degenerate_coeffs(0.3, 0.0),
+                                    0.1, 1.0, 50, 16, 7)
+    assert np.max(np.abs(batch.terminal - 0.4)) < 1e-12
+    assert np.array_equal(batch.terminal, states[:, -1])
     assert batch.n_paths == 50 and batch.n_steps == 16
-    assert (batch.states[:, 0] == 0.1).all()
+    assert (states[:, 0] == 0.1).all()
 
 
 def test_gaussian_terminal_moments():
     batch = mc.simulate(levy.none(), diffusion_coeffs(), 0.0, 1.0,
                         100_000, 64, 11)
-    xT = batch.states[:, -1]
+    xT = batch.terminal
     n = batch.n_paths
     se_mean = SIG / np.sqrt(n)
     se_var = SIG ** 2 * np.sqrt(2.0 / n)
@@ -113,9 +142,10 @@ def test_positive_jump_fraction_matches_side_mass():
     # every nonzero increment is a single jump
     mod = levy.kou(4.0, 0.3, 10.0, 5.0)
     scheme = mc._build_scheme(mod)
-    batch = mc.simulate(mod, degenerate_coeffs(scheme.comp_drift, 0.0),
-                        0.0, 1.0, 2000, 400, 19)
-    inc = np.diff(batch.states, axis=1)
+    batch, states = simulate_states(
+        mod, degenerate_coeffs(scheme.comp_drift, 0.0), 0.0, 1.0, 2000, 400,
+        19)
+    inc = np.diff(states, axis=1)
     moved = inc != 0.0
     assert moved.sum() >= 0.99 * batch.jump_counts.sum()
     p = scheme.table.mass_plus / scheme.rate
@@ -230,10 +260,11 @@ def test_simulate_is_the_reference_loop_bit_for_bit(model, constant):
             b=lambda x, t: np.full_like(np.asarray(x, dtype=float), b),
             r=lambda x, t: np.full_like(np.asarray(x, dtype=float), R))
     assert coeffs.constant is constant
-    batch = mc.simulate(model, coeffs, 0.1, 1.0, 2000, 16, 29)
+    batch, got = simulate_states(model, coeffs, 0.1, 1.0, 2000, 16, 29)
     states, counts = _reference_simulate(model, coeffs, 0.1, 1.0, 2000,
                                          16, 29)
-    assert np.array_equal(batch.states, states)
+    assert np.array_equal(got, states)
+    assert np.array_equal(batch.terminal, states[:, -1])
     assert np.array_equal(batch.jump_counts, counts)
 
 
@@ -246,21 +277,21 @@ def test_jump_blocks_are_the_reference_loop_bit_for_bit(setup, block,
     # jump, several blocks with a partial last one, and one partial block
     monkeypatch.setattr(mc, "_JUMP_BLOCK", block)
     model, coeffs = setup()
-    batch = mc.simulate(model, coeffs, 0.1, 1.0, 50, 4, 31)
+    batch, got = simulate_states(model, coeffs, 0.1, 1.0, 50, 4, 31)
     states, counts = _reference_simulate(model, coeffs, 0.1, 1.0, 50, 4,
                                          31)
-    assert np.array_equal(batch.states, states)
+    assert np.array_equal(got, states)
     assert np.array_equal(batch.jump_counts, counts)
 
 
 def test_one_step_of_150k_jumps_is_the_reference_loop_bit_for_bit():
     # the shape of a European Merton check: every jump in one step
     model, coeffs = merton_setup()
-    batch = mc.simulate(model, coeffs, 0.0, 1.0, 100_000, 1, 37)
+    batch, got = simulate_states(model, coeffs, 0.0, 1.0, 100_000, 1, 37)
     states, counts = _reference_simulate(model, coeffs, 0.0, 1.0, 100_000,
                                          1, 37)
     assert counts.sum() > 140_000
-    assert np.array_equal(batch.states, states)
+    assert np.array_equal(got, states)
     assert np.array_equal(batch.jump_counts, counts)
 
 
@@ -279,25 +310,33 @@ def _largest_step(rate, T, n_paths, n_steps, seed):
 
 @pytest.mark.parametrize("n_paths", [20_000, 80_000])
 def test_jump_kernel_working_set_is_fixed(n_paths):
-    # beyond its result and the step's int32 owners, simulate holds the
-    # table (640 KiB) and one block of jumps (640 KiB), whatever the
-    # batch size; sizing a whole step at once held about 37 bytes per jump
+    # beyond two rows of states, the jump counts and the step's int32
+    # owners, simulate holds the table (640 KiB) and one block of jumps
+    # (640 KiB), whatever the batch size or the number of steps; sizing a
+    # whole step at once held about 37 bytes per jump, and keeping every
+    # row held 8 bytes per path and step
     model, coeffs = ts_setup()
     rate = mc._build_scheme(model).rate
     # a first batch fills the caches that live past it
     mc.simulate(model, coeffs, 0.0, 1.0, 10, 1, 41)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        batch = mc.simulate(model, coeffs, 0.0, 1.0, n_paths, 16, 41)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    largest = _largest_step(rate, 1.0, n_paths, 16, 41)
-    assert largest > 15 * n_paths
-    excess = peak - batch.states.nbytes - batch.jump_counts.nbytes \
-        - 4 * largest
-    assert excess < 2 * 2**20
+    rest = {}
+    for n_steps in (16, 64):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = mc.simulate(model, coeffs, 0.0, 1.0, n_paths, n_steps,
+                                41)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        largest = _largest_step(rate, 1.0, n_paths, n_steps, 41)
+        assert largest > 15 * n_paths * 16 / n_steps
+        rest[n_steps] = peak - 4 * largest
+        excess = rest[n_steps] - 2 * batch.terminal.nbytes \
+            - batch.jump_counts.nbytes
+        assert excess < 2 * 2**20, n_steps
+        del batch
+    assert abs(rest[64] - rest[16]) < 256 * 2**10
 
 
 @table_models
@@ -315,11 +354,24 @@ def test_side_table_is_cumulative_trapezoid_bit_for_bit(model, lo):
         assert total == ref[-1]
 
 
-def test_states_are_a_time_major_view(merton_batch):
-    assert merton_batch.states.shape == (100_000, 65)
-    assert merton_batch.n_paths == 100_000 and merton_batch.n_steps == 64
-    for n in (0, 31, 64):
-        assert merton_batch.states[:, n].flags.c_contiguous
+def test_watchers_see_every_row_in_two_reused_buffers():
+    # rows 0 ... n_steps in order, each a contiguous row of the states at
+    # times[n]; two buffers take turns, and the last is the terminal row
+    seen = []
+
+    def watch(x, n, times):
+        assert x.shape == (1000,) and x.flags.c_contiguous
+        seen.append((n, x.ctypes.data, times))
+    batch = mc.simulate(*merton_setup(), 0.0, 1.0, 1000, 16, 13,
+                        watchers=[watch])
+    assert [n for n, _, _ in seen] == list(range(17))
+    assert all(times is batch.times for _, _, times in seen)
+    buffers = [data for _, data, _ in seen]
+    assert buffers[0::2] == [buffers[0]] * 9
+    assert buffers[1::2] == [buffers[1]] * 8
+    assert buffers[1] != buffers[0]
+    assert batch.terminal.ctypes.data == buffers[-1]
+    assert batch.n_paths == 1000 and batch.n_steps == 16
 
 
 def test_split_scheme_for_infinite_activity():
@@ -330,29 +382,44 @@ def test_split_scheme_for_infinite_activity():
     scheme = mc._build_scheme(mod)
     assert mc.DEFAULT_SPLIT == 0.01
     assert scheme.small_var == pytest.approx(levy.tails(mod, 0.01).small_var)
-    assert np.all(np.isfinite(batch.states))
+    assert np.all(np.isfinite(batch.terminal))
     assert batch.jump_counts.mean() > 1.0  # activity above the split is high
 
 
 def test_zero_intensity_simulates_as_a_diffusion():
     # no jump mass above the split: no jump table, no jump draws, and the
     # same random stream as the jump-free model
-    batch = mc.simulate(levy.merton(0.0, -0.05, 0.25), diffusion_coeffs(),
-                        0.0, 1.0, 1000, 16, 5)
-    plain = mc.simulate(levy.none(), diffusion_coeffs(), 0.0, 1.0,
-                        1000, 16, 5)
+    batch, states = simulate_states(levy.merton(0.0, -0.05, 0.25),
+                                    diffusion_coeffs(), 0.0, 1.0, 1000, 16, 5)
+    _, plain = simulate_states(levy.none(), diffusion_coeffs(), 0.0, 1.0,
+                               1000, 16, 5)
     assert not batch.jump_counts.any()
-    assert np.array_equal(batch.states, plain.states)
+    assert np.array_equal(states, plain)
 
 
 def test_seed_determinism_and_sensitivity():
     mod, coeffs = merton_setup()
-    b1 = mc.simulate(mod, coeffs, 0.0, 1.0, 1000, 16, 99)
-    b2 = mc.simulate(mod, coeffs, 0.0, 1.0, 1000, 16, 99)
-    b3 = mc.simulate(mod, coeffs, 0.0, 1.0, 1000, 16, 98)
-    assert np.array_equal(b1.states, b2.states)
+    b1, s1 = simulate_states(mod, coeffs, 0.0, 1.0, 1000, 16, 99)
+    b2, s2 = simulate_states(mod, coeffs, 0.0, 1.0, 1000, 16, 99)
+    _, s3 = simulate_states(mod, coeffs, 0.0, 1.0, 1000, 16, 98)
+    assert np.array_equal(s1, s2)
     assert np.array_equal(b1.jump_counts, b2.jump_counts)
-    assert not np.array_equal(b1.states, b3.states)
+    assert not np.array_equal(s1, s3)
+
+
+def test_non_finite_states_stop_the_batch_before_a_watcher_sees_them():
+    # a diffusion field that turns NaN past half the horizon (time to
+    # expiry below 0.5) poisons the rows from there on
+    nan_late = CoefficientField(
+        a=lambda x, t: np.full(np.shape(x), np.nan if t < 0.5 else A),
+        b=lambda x, t: np.zeros(np.shape(x)),
+        r=lambda x, t: np.full(np.shape(x), R), time_dependent=True)
+    rec = RowRecorder()
+    with pytest.raises(NumericalError, match="non-finite states"):
+        mc.simulate(levy.none(), nan_late, 0.0, 1.0, 100, 8, 1,
+                    watchers=[rec])
+    assert len(rec.rows) == 6
+    assert all(np.isfinite(row).all() for row in rec.rows)
 
 
 def test_simulate_argument_validation():
@@ -407,7 +474,7 @@ def test_one_step_terminal_law_matches_many_steps(model, n_paths):
     assert one.n_steps == 1
     if model.family == "tempered_stable":
         assert mc._build_scheme(model).small_var > 0.0
-    for u, v in ((one.states[:, -1], many.states[:, -1]),
+    for u, v in ((one.terminal, many.terminal),
                  (one.jump_counts, many.jump_counts)):
         mean_gap, var_gap = _mean_var_gaps(u, v)
         assert mean_gap <= 4.0 and var_gap <= 4.0
@@ -430,15 +497,17 @@ def test_paths_read_the_fields_at_the_time_to_expiry():
     """Step n of a 4-step path over [0, 1] moves by b(T - tau_n) dt, so
     the drift b(x, t) = t carries it to (1 + 3/4 + 1/2 + 1/4) / 4."""
     batch = mc.simulate(levy.none(), _clock_coeffs(), 0.0, 1.0, 3, 4, 7)
-    np.testing.assert_array_equal(batch.states[:, -1], 0.625)
+    np.testing.assert_array_equal(batch.terminal, 0.625)
 
 
 def test_discount_reads_the_rate_at_the_time_to_expiry():
     """A constant reward under r(x, t) = t is priced at
     exp(-sum_n r(T - tau_n) dt)."""
-    batch = mc.simulate(levy.none(), _clock_coeffs(), 0.0, 1.0, 3, 4, 7)
     flat = payoff.tabulated([-50.0, 50.0], [2.5, 2.5])
-    est = mc.european_estimate(batch, flat, _clock_coeffs().r)
+    value = mc.european_estimate(flat, _clock_coeffs().r)
+    batch = mc.simulate(levy.none(), _clock_coeffs(), 0.0, 1.0, 3, 4, 7,
+                        watchers=[value])
+    est = value.result
     tau = batch.times[:-1]
     want = 2.5 * math.exp(-float(np.sum((1.0 - tau) * 0.25)))
     assert est.price == pytest.approx(want, rel=1e-15)
@@ -446,30 +515,28 @@ def test_discount_reads_the_rate_at_the_time_to_expiry():
 
 
 def test_constant_reward_zero_rate_is_exact():
-    batch = mc.simulate(levy.none(), degenerate_coeffs(0.3, 0.0),
-                        0.1, 1.0, 50, 16, 7)
     flat = payoff.tabulated([-50.0, 50.0], [2.5, 2.5])
-    est = mc.european_estimate(batch, flat, 0.0)
+    est, = estimates((levy.none(), degenerate_coeffs(0.3, 0.0), 0.1, 1.0,
+                      50, 16, 7), mc.european_estimate(flat, 0.0))
     assert est.price == 2.5 and est.stderr == 0.0
 
 
-def test_european_put_within_4se(diffusion_batch):
-    est = mc.european_estimate(diffusion_batch, PUT, R)
+def test_european_put_within_4se():
+    est, = estimates(DIFFUSION, mc.european_estimate(PUT, R))
     assert est.stderr < 1e-3
     assert abs(est.price - BS_PUT) <= 4.0 * est.stderr
 
 
-def test_jump_european_put_within_4se(merton_batch):
-    est = mc.european_estimate(merton_batch, PUT, R)
+def test_jump_european_put_within_4se():
+    est, = estimates(MERTON, mc.european_estimate(PUT, R))
     assert abs(est.price - MERTON_PUT) <= 4.0 * est.stderr
 
 
-def test_callable_rate_matches_scalar(merton_batch):
-    sub = mc.PathBatch(merton_batch.states[:2000], merton_batch.times,
-                       merton_batch.jump_counts[:2000])
-    a = mc.european_estimate(sub, PUT, R)
-    b = mc.european_estimate(
-        sub, PUT, lambda x, t: np.full_like(np.asarray(x, float), R))
+def test_callable_rate_matches_scalar():
+    a, b = estimates(
+        (*MERTON[:4], 2000, *MERTON[5:]), mc.european_estimate(PUT, R),
+        mc.european_estimate(
+            PUT, lambda x, t: np.full_like(np.asarray(x, float), R)))
     assert a.price == pytest.approx(b.price, abs=1e-14)
     assert a.stderr == pytest.approx(b.stderr, abs=1e-14)
 
@@ -487,11 +554,9 @@ def lattice_rule(model, coeffs):
                                      contact_tol(cfg, None))
 
 
-def stop_on(rule, batch, shift=0.0):
-    """``stop(x, n)`` on ``batch``: ``rule`` at each step's time to expiry,
-    read at ``x + shift``."""
-    T = batch.times[-1]
-    return lambda x, n: rule(x + shift, T - batch.times[n])
+def shifted(rule, shift):
+    """``rule`` read at ``x + shift``."""
+    return lambda x, s: rule(x + shift, s)
 
 
 @pytest.fixture(scope="module")
@@ -509,9 +574,9 @@ def ts_rule():
     return lattice_rule(*ts_setup())
 
 
-def test_lower_bound_brackets_binomial(diffusion_batch, diffusion_rule):
-    lb = mc.stopping_lower_bound(diffusion_batch, PUT, R,
-                                 stop_on(diffusion_rule, diffusion_batch))
+def test_lower_bound_brackets_binomial(diffusion_rule):
+    lb, = estimates(DIFFUSION, mc.stopping_lower_bound(PUT, R,
+                                                       diffusion_rule))
     assert lb.stderr < 1e-3
     # honest lower bound: never significantly above the tree price ...
     assert lb.price <= BINOMIAL_PUT + 4.0 * lb.stderr
@@ -519,63 +584,133 @@ def test_lower_bound_brackets_binomial(diffusion_batch, diffusion_rule):
     assert lb.price >= 0.99 * BINOMIAL_PUT - 4.0 * lb.stderr
 
 
-def test_stopping_dominates_european(diffusion_batch, merton_batch,
-                                     diffusion_rule, merton_rule):
-    for batch, rule in ((diffusion_batch, diffusion_rule),
-                        (merton_batch, merton_rule)):
-        eu = mc.european_estimate(batch, PUT, R)
-        lb = mc.stopping_lower_bound(batch, PUT, R, stop_on(rule, batch))
+def test_stopping_dominates_european(diffusion_rule, merton_rule):
+    for args, rule in ((DIFFUSION, diffusion_rule), (MERTON, merton_rule)):
+        eu, lb = estimates(args, mc.european_estimate(PUT, R),
+                           mc.stopping_lower_bound(PUT, R, rule))
         assert lb.price >= eu.price - 4.0 * (eu.stderr + lb.stderr)
 
 
 def test_immediate_exercise_dominance_deep_in_the_money(merton_rule):
     mod, coeffs = merton_setup()
-    batch = mc.simulate(mod, coeffs, -0.3, 1.0, 20_000, 32, 41)
-    lb = mc.stopping_lower_bound(batch, PUT, R, stop_on(merton_rule, batch))
+    lb, = estimates((mod, coeffs, -0.3, 1.0, 20_000, 32, 41),
+                    mc.stopping_lower_bound(PUT, R, merton_rule))
     g0 = float(PUT(np.array([-0.3]))[0])
     assert lb.price >= g0 - 4.0 * lb.stderr
 
 
-def test_zero_reward_gives_exact_zero(diffusion_batch, diffusion_rule):
+def test_zero_reward_gives_exact_zero(diffusion_rule):
     zero = payoff.tabulated([-50.0, 50.0], [0.0, 0.0])
-    lb = mc.stopping_lower_bound(diffusion_batch, zero, R,
-                                 stop_on(diffusion_rule, diffusion_batch))
+    lb, = estimates(DIFFUSION, mc.stopping_lower_bound(zero, R,
+                                                       diffusion_rule))
     assert lb.price == 0.0 and lb.stderr == 0.0
 
 
 def test_drift_only_paths_stopped_at_one_step_are_exact():
     # every path is x0 + 0.3 t, so a rule that stops at step k values
     # exp(-r t_k) g(x_k) on each; k = 16 never stops early and takes g at
-    # expiry
-    batch = mc.simulate(levy.none(), degenerate_coeffs(0.3, R),
-                        -0.5, 1.0, 1000, 16, 5)
-    for k in (0, 7, 16):
-        lb = mc.stopping_lower_bound(
-            batch, PUT, R, lambda x, n: np.full(x.shape, n == k))
-        t_k = batch.times[k]
+    # expiry; the three rules watch one batch
+    times = np.linspace(0.0, 1.0, 17)
+    ks = (0, 7, 16)
+    found = estimates(
+        (levy.none(), degenerate_coeffs(0.3, R), -0.5, 1.0, 1000, 16, 5),
+        *(mc.stopping_lower_bound(
+            PUT, R, lambda x, s, k=k: np.full(x.shape, s == 1.0 - times[k]))
+          for k in ks))
+    for k, lb in zip(ks, found):
+        t_k = times[k]
         want = math.exp(-R * t_k) * float(PUT(np.array([-0.5 + 0.3 * t_k]))[0])
         assert lb.price == pytest.approx(want, rel=1e-12), k
         # identical values: the stderr is 0 up to the rounding of the mean
         assert lb.stderr <= 1e-15, k
 
 
-def _mask_lower_bound(batch, g, r, stop):
+def _reference_lower_bound(states, times, g, r, stop):
+    """The buffered loop ``mc.stopping_lower_bound`` ran before it
+    streamed: the whole batch's ``states`` (a row per path, a column per
+    time level) read level by level, on the paths that have not
+    stopped."""
+    rows = states.T  # time-major: row n holds the states at times[n]
+    n_paths, n_steps = states.shape[0], states.shape[1] - 1
+    vals = np.zeros(n_paths)
+    live = np.arange(n_paths)
+    cum = np.zeros(n_paths)
+    x = rows[0]
+    for n in range(n_steps):
+        hit = np.flatnonzero(stop(x, times[-1] - times[n]))
+        if hit.size:
+            vals[live[hit]] = np.exp(-cum[hit]) * \
+                np.asarray(g(x[hit]), dtype=float)
+            keep = np.ones(live.size, dtype=bool)
+            keep[hit] = False
+            live, cum, x = live[keep], cum[keep], x[keep]
+        cum += mc._step_discount(r, x, times, n)
+        x = rows[n + 1][live]
+    vals[live] = np.exp(-cum) * np.asarray(g(x), dtype=float)
+    return mc._estimate(vals)
+
+
+def _mask_lower_bound(states, times, g, r, stop):
     """Reference for ``mc.stopping_lower_bound``: the rule, the reward and
     the discount on every path at every step, stopped paths masked out."""
-    xs, times = batch.states, batch.times
-    alive = np.ones(batch.n_paths, dtype=bool)
-    vals = np.zeros(batch.n_paths)
-    cum = np.zeros(batch.n_paths)
-    for n in range(batch.n_steps):
-        hit = alive & stop(xs[:, n], n)
-        vals[hit] = np.exp(-cum[hit]) * np.asarray(g(xs[hit, n]), dtype=float)
+    n_paths, n_steps = states.shape[0], states.shape[1] - 1
+    alive = np.ones(n_paths, dtype=bool)
+    vals = np.zeros(n_paths)
+    cum = np.zeros(n_paths)
+    for n in range(n_steps):
+        xs = states[:, n]
+        hit = alive & stop(xs, times[-1] - times[n])
+        vals[hit] = np.exp(-cum[hit]) * np.asarray(g(xs[hit]), dtype=float)
         alive &= ~hit
-        cum += mc._step_discount(r, xs[:, n], times, n)
+        cum += mc._step_discount(r, xs, times, n)
     vals[alive] = np.exp(-cum[alive]) * \
-        np.asarray(g(xs[alive, -1]), dtype=float)
+        np.asarray(g(states[alive, -1]), dtype=float)
     # the mean lies in the values' range, whatever the summation's rounding
     mean = min(max(float(vals.mean()), float(vals.min())), float(vals.max()))
     return mc.MCEstimate(mean, float(vals.std(ddof=1)) / math.sqrt(vals.size))
+
+
+def _fields_setup():
+    """The ts15 model on fields that vary with the state and the time,
+    with a rate that varies too (the rate is not a constant float)."""
+    model, _ = ts_setup()
+    b = R - A - levy.exp_compensator(model)
+
+    def full(v):
+        return lambda x, t: v * (1.0 + 0.1 * np.tanh(np.asarray(x, float))
+                                 + 0.05 * t)
+    coeffs = CoefficientField(a=full(A), b=full(b), r=full(R),
+                              time_dependent=True)
+    assert not coeffs.constant
+    return model, coeffs
+
+
+@pytest.mark.parametrize("case", ["shared_batch", "fields", "stop_at_once",
+                                  "never_stop"])
+def test_streamed_lower_bound_is_the_buffered_loop_bit_for_bit(case,
+                                                               ts_rule):
+    model, coeffs = _fields_setup() if case == "fields" else ts_setup()
+    rate = coeffs.r if case == "fields" else R
+    if case == "shared_batch":
+        # two probes watch one batch, each reading it at its own shift
+        cases = [(lambda y, d=d: PUT(y + d), shifted(ts_rule, d))
+                 for d in (0.0, -0.1)]
+    else:
+        stop = {"fields": ts_rule,
+                "stop_at_once": lambda x, s: np.ones(x.shape, bool),
+                "never_stop": lambda x, s: np.zeros(x.shape, bool)}[case]
+        cases = [(PUT, stop)]
+    values = [mc.stopping_lower_bound(g, rate, stop) for g, stop in cases]
+    batch, states = simulate_states(model, coeffs, -0.05, 1.0, 5000, 16, 43,
+                                    watchers=values)
+    for (g, stop), value in zip(cases, values):
+        got = value.result
+        want = _reference_lower_bound(states, batch.times, g, rate, stop)
+        assert got == want
+        if case == "stop_at_once":
+            assert got == (float(PUT(np.array([-0.05]))[0]), 0.0)
+        else:
+            assert got.stderr > 0.0
 
 
 @pytest.mark.parametrize("kind", ["terminal", "lower_bound"])
@@ -585,60 +720,61 @@ def test_equal_path_values_give_that_value(kind):
     # stops every path at once prices the reward there exactly
     v = 0.4578974018625146
     assert float(np.full(20_000, v).mean()) > v
-    batch = mc.simulate(levy.none(), CoefficientField.constants(0.02, 0.0,
-                                                                0.0),
-                        0.0, 1.0, 20_000, 4, 5)
 
     def reward(y):
         return np.full(np.shape(y), v)
-    est = mc.european_estimate(batch, reward, 0.0) if kind == "terminal" \
-        else mc.stopping_lower_bound(batch, reward, 0.0,
-                                     lambda y, n: np.ones(y.shape, bool))
+    value = mc.european_estimate(reward, 0.0) if kind == "terminal" \
+        else mc.stopping_lower_bound(reward, 0.0,
+                                     lambda y, s: np.ones(y.shape, bool))
+    est, = estimates((levy.none(), CoefficientField.constants(0.02, 0.0,
+                                                              0.0),
+                      0.0, 1.0, 20_000, 4, 5), value)
     assert est.price == v
 
 
-def _ts_batch():
-    mod, coeffs = ts_setup()
-    return mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 37), coeffs
+TS_BATCH = (*ts_setup(), 0.0, 1.0, 20_000, 16, 37)
 
 
 @pytest.mark.parametrize("shift", [0.0, -0.1])
 def test_policy_matches_the_boolean_mask_policy(ts_rule, shift):
-    batch, coeffs = _ts_batch()
-
     def reward(y):
         return PUT(y + shift)
-    stop = stop_on(ts_rule, batch, shift)
-    got = mc.stopping_lower_bound(batch, reward, coeffs.r, stop)
-    assert got == _mask_lower_bound(batch, reward, coeffs.r, stop)
+    stop = shifted(ts_rule, shift)
+    value = mc.stopping_lower_bound(reward, TS_BATCH[1].r, stop)
+    batch, states = simulate_states(*TS_BATCH, watchers=[value])
+    got = value.result
+    assert got == _mask_lower_bound(states, batch.times, reward,
+                                    TS_BATCH[1].r, stop)
     assert got.stderr > 0.0
 
 
 def test_policy_matches_the_boolean_mask_policy_on_degenerate_paths(
         diffusion_rule):
     # every path sits at x0 until the contact set reaches it near expiry
-    batch = mc.simulate(levy.none(), degenerate_coeffs(0.0, R),
-                        -0.1, 1.0, 12_000, 16, 5)
-    stop = stop_on(diffusion_rule, batch)
-    got = mc.stopping_lower_bound(batch, PUT, R, stop)
-    assert got == _mask_lower_bound(batch, PUT, R, stop)
-    k = next(n for n in range(batch.n_steps) if stop(batch.states[:1, n], n))
+    value = mc.stopping_lower_bound(PUT, R, diffusion_rule)
+    batch, states = simulate_states(levy.none(), degenerate_coeffs(0.0, R),
+                                    -0.1, 1.0, 12_000, 16, 5,
+                                    watchers=[value])
+    got = value.result
+    times = batch.times
+    assert got == _mask_lower_bound(states, times, PUT, R, diffusion_rule)
+    k = next(n for n in range(batch.n_steps)
+             if diffusion_rule(states[:1, n], times[-1] - times[n]))
     assert 0 < k < batch.n_steps
     assert got.price == pytest.approx(
-        math.exp(-R * batch.times[k]) * float(PUT(np.array([-0.1]))[0]),
+        math.exp(-R * times[k]) * float(PUT(np.array([-0.1]))[0]),
         rel=1e-12)
 
 
 def test_policy_matches_the_boolean_mask_policy_with_a_state_rate(ts_rule):
     # a rate that varies with the state: the discount read on live paths
     # only must add up to the one read on every path
-    batch, _ = _ts_batch()
-
     def rate(x, t):
         return R + 0.02 * np.tanh(np.asarray(x, dtype=float) + t)
-    stop = stop_on(ts_rule, batch)
-    got = mc.stopping_lower_bound(batch, PUT, rate, stop)
-    assert got == _mask_lower_bound(batch, PUT, rate, stop)
+    value = mc.stopping_lower_bound(PUT, rate, ts_rule)
+    batch, states = simulate_states(*TS_BATCH, watchers=[value])
+    got = value.result
+    assert got == _mask_lower_bound(states, batch.times, PUT, rate, ts_rule)
     assert got.stderr > 0.0
 
 
@@ -649,12 +785,12 @@ def test_halving_the_split_keeps_the_tempered_stable_lower_bound(
     # split must move the ts15 lower bound by less than 3 combined
     # standard errors
     mod, coeffs = ts_setup()
-    batches = []
+    found = []
     for eps in (0.01, 0.005):
         monkeypatch.setattr(mc, "DEFAULT_SPLIT", eps)
-        batches.append(mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 16, 7))
-    coarse, fine = (mc.stopping_lower_bound(b, PUT, R, stop_on(ts_rule, b))
-                    for b in batches)
+        found += estimates((mod, coeffs, 0.0, 1.0, 20_000, 16, 7),
+                           mc.stopping_lower_bound(PUT, R, ts_rule))
+    coarse, fine = found
     assert abs(fine.price - coarse.price) <= \
         3.0 * np.hypot(coarse.stderr, fine.stderr)
 
@@ -674,18 +810,18 @@ def test_shifted_reward_matches_a_batch_started_at_the_shift(model):
         A, R - A - levy.exp_compensator(model), R)
     rule = lattice_rule(model, coeffs)
     d = -0.1
-    moved = mc.simulate(model, coeffs, 0.0, 1.0, 20_000, 16, 23)
-    direct = mc.simulate(model, coeffs, d, 1.0, 20_000, 16, 23)
 
-    def shifted(y):
+    def moved(y):
         return PUT(y + d)
-    eu_moved = mc.european_estimate(moved, shifted, R)
-    eu_direct = mc.european_estimate(direct, PUT, R)
+    eu_moved, lb_moved = estimates(
+        (model, coeffs, 0.0, 1.0, 20_000, 16, 23),
+        mc.european_estimate(moved, R),
+        mc.stopping_lower_bound(moved, R, shifted(rule, d)))
+    eu_direct, lb_direct = estimates(
+        (model, coeffs, d, 1.0, 20_000, 16, 23),
+        mc.european_estimate(PUT, R), mc.stopping_lower_bound(PUT, R, rule))
     assert eu_moved.price == pytest.approx(eu_direct.price, rel=1e-12)
     assert eu_moved.stderr == pytest.approx(eu_direct.stderr, rel=1e-12)
-    lb_moved = mc.stopping_lower_bound(moved, shifted, R,
-                                       stop_on(rule, moved, d))
-    lb_direct = mc.stopping_lower_bound(direct, PUT, R, stop_on(rule, direct))
     assert abs(lb_moved.price - lb_direct.price) <= 0.1 * lb_direct.stderr
 
 
@@ -698,9 +834,9 @@ def test_lipschitz_modulus_common_random_numbers():
     # rigidly, so the estimated modulus is bounded by the reward's constant
     mod, coeffs = merton_setup()
     d = 0.01
-    pa = mc.european_estimate(
-        mc.simulate(mod, coeffs, 0.0, 1.0, 20_000, 32, 31), PUT, R)
-    pb = mc.european_estimate(
-        mc.simulate(mod, coeffs, d, 1.0, 20_000, 32, 31), PUT, R)
+    pa, = estimates((mod, coeffs, 0.0, 1.0, 20_000, 32, 31),
+                    mc.european_estimate(PUT, R))
+    pb, = estimates((mod, coeffs, d, 1.0, 20_000, 32, 31),
+                    mc.european_estimate(PUT, R))
     modulus = abs(pb.price - pa.price) / d
     assert modulus <= PUT.lipschitz * 1.1

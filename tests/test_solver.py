@@ -571,7 +571,6 @@ def test_report_scalars_finite_and_sane(merton_penalized_report):
     for key, val in rep.residuals.items():
         assert np.isfinite(val), key
     assert 0.0 <= rep.truncation_mass < 1e-6
-    assert rep.mode == "penalized"
     regions = diagnostics.partition(rep.value, cfg.payoff,
                                     contact_tol(cfg, rep.eps_final))
     assert len(regions.boundary) == cfg.grid.nt + 1
