@@ -17,11 +17,16 @@ from the family parameters, never user supplied.  For the
 subordinated-Brownian families the order equals twice the subordinator
 index: 0 for variance gamma, 1 for NIG.
 
+Each side of a Kou, variance-gamma or tempered-stable measure is a
+tempered power law ``c |y|**(-1-alpha) exp(-lam |y|)`` (Kou is
+``alpha = -1``, variance gamma ``alpha = 0``), so each closed form has
+one branch for these tempered sides, one for Merton and one for NIG.
+
 Truncated moments (:func:`jump_moment`, :func:`tails`,
 :func:`truncation_radius`) and the exponential compensator
-(:func:`exp_compensator`) are closed forms -- incomplete gamma,
-normal/exponential moments, the tempered-stable and NIG Laplace
-exponents -- for every family except that NIG moments fall back to
+(:func:`exp_compensator`) are closed forms -- incomplete gamma and the
+tempered-side Laplace exponent, normal moments, the NIG Laplace exponent
+-- for every family except that NIG moments fall back to
 :func:`integrate_density`: adaptive Gauss-Kronrod quadrature on panels
 refining geometrically toward the singular point.
 
@@ -29,10 +34,9 @@ refining geometrically toward the singular point.
 only what its family needs: the compiled ufunc module
 ``scipy.special._special_ufuncs`` (incomplete gamma, ``E1``, ``zeta - 1``,
 Bessel ``K1``), without the ``scipy.special`` package, for tempered
-stable, CGMY, variance gamma and NIG (see :mod:`jumpstop._scipy_ext`),
-and ``scipy.integrate`` (which pulls in ``scipy.optimize``) only in
-:func:`integrate_density`, reached by NIG tails.  Merton and Kou load
-neither.
+sides and NIG (see :mod:`jumpstop._scipy_ext`), and ``scipy.integrate``
+(which pulls in ``scipy.optimize``) only in :func:`integrate_density`,
+reached by NIG tails.  Merton loads neither.
 """
 
 from __future__ import annotations
@@ -113,6 +117,16 @@ class LevyModel:
     def finite_variation(self) -> bool:
         """True when the small jumps have a finite first absolute moment."""
         return self.alpha < 1.0
+
+    @property
+    def bounded_density(self) -> bool:
+        """True when ``rho`` is bounded at 0, so every jump can be sampled:
+        no jumps, Merton, or tempered sides (:func:`_sides`) whose every
+        side with ``c > 0`` has ``alpha <= -1``, as Kou's do."""
+        sides = _sides(self)
+        if sides is None:
+            return self.family in ("none", "merton")
+        return all(a <= -1.0 for c, a, _ in sides if c > 0.0)
 
     @property
     def is_trivial(self) -> bool:
@@ -216,7 +230,9 @@ def tempered_stable(c_minus: float, c_plus: float, alpha_minus: float,
 
     ``rho(y) = c_minus |y|**(-1-alpha_minus) exp(-lam_minus |y|)`` for
     ``y < 0`` and ``c_plus y**(-1-alpha_plus) exp(-lam_plus y)`` for
-    ``y > 0``.  Requires ``alpha_pm < 2`` and ``lam_pm > 0``.
+    ``y > 0``.  Requires ``alpha_pm < 2`` and ``lam_pm > 0``.  A side
+    with ``alpha <= -1`` has a density bounded at 0, and ``alpha = -1`` is
+    Kou's exponential shape; ``alpha = 0`` is the variance-gamma shape.
     """
     if c_minus < 0.0 or c_plus < 0.0:
         raise ParameterError("tempered_stable: side weights must be >= 0")
@@ -245,6 +261,26 @@ def tempered_stable(c_minus: float, c_plus: float, alpha_minus: float,
     )
 
 
+def _sides(model: LevyModel):
+    """``((c, alpha, lam) for y > 0, (c, alpha, lam) for y < 0)`` of a
+    family whose sides are tempered power laws ``c |y|**(-1-alpha)
+    exp(-lam |y|)``, else ``None``.  A Kou side ``intensity p eta
+    exp(-eta |y|)`` is ``alpha = -1``, ``c = intensity p eta``, ``lam =
+    eta``; a variance-gamma side is ``alpha = 0``, ``c = 1/nu`` (Cont &
+    Tankov 2004, ch. 4)."""
+    p = model.params
+    if model.family == "tempered_stable":
+        return ((p["c_plus"], p["alpha_plus"], p["lam_plus"]),
+                (p["c_minus"], p["alpha_minus"], p["lam_minus"]))
+    if model.family == "variance_gamma":
+        return ((p["c"], 0.0, p["lam_plus"]), (p["c"], 0.0, p["lam_minus"]))
+    if model.family == "kou":
+        lam, pu = p["intensity"], p["p_up"]
+        return ((lam * pu * p["eta_up"], -1.0, p["eta_up"]),
+                (lam * (1.0 - pu) * p["eta_down"], -1.0, p["eta_down"]))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # density evaluation
 # ---------------------------------------------------------------------------
@@ -256,19 +292,15 @@ def _density_array(model: LevyModel, y: np.ndarray) -> np.ndarray:
     if model.family == "none":
         return np.zeros_like(y)
     ay = np.abs(y)
+    sides = _sides(model)
+    if sides is not None:
+        up = y > 0.0
+        cc, aa, rate = (np.where(up, v_p, v_m) for v_p, v_m in zip(*sides))
+        with np.errstate(divide="ignore", over="ignore"):
+            return cc * ay ** (-1.0 - aa) * np.exp(-rate * ay)
     if model.family == "merton":
         z = (y - p["jump_mean"]) / p["jump_std"]
         return p["intensity"] * np.exp(-0.5 * z * z) / (p["jump_std"] * math.sqrt(2.0 * math.pi))
-    if model.family == "kou":
-        return np.where(
-            y > 0.0,
-            p["intensity"] * p["p_up"] * p["eta_up"] * np.exp(-p["eta_up"] * ay),
-            p["intensity"] * (1.0 - p["p_up"]) * p["eta_down"] * np.exp(-p["eta_down"] * ay),
-        )
-    if model.family == "variance_gamma":
-        rate = np.where(y > 0.0, p["lam_plus"], p["lam_minus"])
-        with np.errstate(divide="ignore"):
-            return p["c"] / ay * np.exp(-rate * ay)
     if model.family == "nig":
         special = _load(_UFUNCS)
         # scaled Bessel keeps exp(skew*y)*K1(shape*|y|) finite for large |y|
@@ -276,13 +308,6 @@ def _density_array(model: LevyModel, y: np.ndarray) -> np.ndarray:
             return (p["scale"] * p["shape"] / math.pi) \
                 * np.exp(p["skew"] * y - p["shape"] * ay) \
                 * special.k1e(p["shape"] * ay) / ay
-    if model.family == "tempered_stable":
-        up = y > 0.0
-        cc = np.where(up, p["c_plus"], p["c_minus"])
-        aa = np.where(up, p["alpha_plus"], p["alpha_minus"])
-        rate = np.where(up, p["lam_plus"], p["lam_minus"])
-        with np.errstate(divide="ignore", over="ignore"):
-            return cc * ay ** (-1.0 - aa) * np.exp(-rate * ay)
     raise ParameterError(f"unknown family {model.family!r}")
 
 
@@ -538,46 +563,23 @@ def _merton_trunc_moments(model: LevyModel, lo: float, hi: float):
     return mass, mean, second
 
 
-def _kou_exp_integral(rate: float, k: int, lo: float, hi: float) -> float:
-    """integral_lo^hi y^k rate e^{-rate y} dy for k in {0,1,2}, lo >= 0."""
-    def anti(x):
-        e = math.exp(-rate * x)
-        if k == 0:
-            return e
-        if k == 1:
-            return e * (x + 1.0 / rate)
-        return e * (x * x + 2.0 * x / rate + 2.0 / rate ** 2)
-
-    top = 0.0 if not math.isfinite(hi) else anti(hi)
-    return anti(lo) - top
-
-
 def _side_moment(model: LevyModel, k: int, lo: float, hi: float,
                  side: str) -> float:
     """Signed ``integral y^k rho dy`` over one side; interval in |y| terms.
 
     ``side='+'`` integrates over [lo, hi], ``side='-'`` over [-hi, -lo].
     """
-    p = model.params
     if model.is_trivial or hi <= lo:
         return 0.0
     sign = 1.0 if side == "+" else (-1.0) ** k
-    if model.family == "tempered_stable":
-        c, a, lam = ((p["c_plus"], p["alpha_plus"], p["lam_plus"]) if side == "+"
-                     else (p["c_minus"], p["alpha_minus"], p["lam_minus"]))
+    sides = _sides(model)
+    if sides is not None:
+        c, a, lam = sides[0 if side == "+" else 1]
         return sign * _ts_power_integral(c, a, lam, k, lo, hi)
-    if model.family == "variance_gamma":
-        lam = p["lam_plus"] if side == "+" else p["lam_minus"]
-        return sign * _ts_power_integral(p["c"], 0.0, lam, k, lo, hi)
     if model.family == "merton":
         m = (_merton_trunc_moments(model, lo, hi) if side == "+"
              else _merton_trunc_moments(model, -hi, -lo))
         return m[k]  # already signed
-    if model.family == "kou":
-        lam, pu = p["intensity"], p["p_up"]
-        w = lam * pu if side == "+" else lam * (1.0 - pu)
-        rate = p["eta_up"] if side == "+" else p["eta_down"]
-        return sign * w * _kou_exp_integral(rate, k, lo, hi)
     # adaptive fallback (nig)
     return sign * integrate_density(model, lambda t: t ** k, lo, hi,
                                     side=side)
@@ -716,11 +718,10 @@ def exp_compensator(model: LevyModel) -> float:
     coordinates: the drift is ``r - a - exp_compensator(model)``.
     Requires the positive jump tail to decay faster than ``e^{-y}``.
 
-    Tempered stable, VG, Merton and Kou: the full-line moment
-    ``integral (e^y - 1 - y) rho`` (see :func:`_ts_exp_side`;
-    ``lam (e^{mu + s^2/2} - 1 - mu)``;
-    ``lam [p / (eta_up (eta_up - 1)) + (1-p) / (eta_down (eta_down + 1))]``)
-    plus the big-jump mean ``integral_{|y|>1} y rho``.  NIG, whose
+    Tempered sides (tempered stable, VG and Kou) and Merton: the
+    full-line moment ``integral (e^y - 1 - y) rho`` (see
+    :func:`_ts_exp_side`; ``lam (e^{mu + s^2/2} - 1 - mu)``) plus the
+    big-jump mean ``integral_{|y|>1} y rho``.  NIG, whose
     one-sided truncated means diverge: the Laplace exponent
     ``d (sqrt(a^2 - b^2) - sqrt(a^2 - (b+1)^2))`` minus the small-jump
     drift (Cont & Tankov 2004, ch. 4).
@@ -729,12 +730,11 @@ def exp_compensator(model: LevyModel) -> float:
         return 0.0
     p = model.params
     fam = model.family
-    if fam == "tempered_stable" and p["c_plus"] > 0.0 and p["lam_plus"] <= 1.0:
-        raise ParameterError("exponential moment diverges: need lam_plus > 1")
-    if fam == "variance_gamma" and p["lam_plus"] <= 1.0:
-        raise ParameterError("exponential moment diverges: need lam_plus > 1")
-    if fam == "kou" and p["p_up"] > 0.0 and p["eta_up"] <= 1.0:
-        raise ParameterError("exponential moment diverges: need eta_up > 1")
+    sides = _sides(model)
+    c_up, _, lam_up = sides[0] if sides else (0.0, 0.0, 0.0)
+    if c_up > 0.0 and lam_up <= 1.0:
+        raise ParameterError(f"exponential moment diverges: the up-jump "
+                             f"tempering rate {lam_up:.6g} is not above 1")
     if fam == "nig" and p["shape"] - p["skew"] <= 1.0:
         raise ParameterError("exponential moment diverges: need shape - skew > 1")
 
@@ -745,21 +745,12 @@ def exp_compensator(model: LevyModel) -> float:
             laplace = d * (2.0 * b + 1.0) / (math.sqrt(a * a - b * b)
                                              + math.sqrt(a * a - (b + 1.0) ** 2))
             return laplace - _nig_small_jump_drift(a, b, d)
-        if fam == "tempered_stable":
-            full = (_ts_exp_side(p["c_plus"], p["alpha_plus"], p["lam_plus"], 1.0)
-                    + _ts_exp_side(p["c_minus"], p["alpha_minus"],
-                                   p["lam_minus"], -1.0))
-        elif fam == "variance_gamma":
-            full = (_ts_exp_side(p["c"], 0.0, p["lam_plus"], 1.0)
-                    + _ts_exp_side(p["c"], 0.0, p["lam_minus"], -1.0))
-        elif fam == "merton":
+        if sides is not None:
+            plus, minus = sides
+            full = _ts_exp_side(*plus, 1.0) + _ts_exp_side(*minus, -1.0)
+        else:  # merton
             mu, sd = p["jump_mean"], p["jump_std"]
             full = p["intensity"] * (math.expm1(mu + 0.5 * sd * sd) - mu)
-        else:  # kou
-            pu, up, down = p["p_up"], p["eta_up"], p["eta_down"]
-            full = p["intensity"] * (
-                (pu / (up * (up - 1.0)) if pu > 0.0 else 0.0)
-                + (1.0 - pu) / (down * (down + 1.0)))
         return full + jump_moment(model, 1, 1.0, math.inf)
     except OverflowError as exc:
         raise ParameterError(

@@ -2,8 +2,9 @@
 
 The state follows an Euler scheme: drift and diffusion from the
 coefficient field, plus jumps.  The model alone fixes the sampling plan
-(``_build_scheme``).  Finite-activity families (:data:`EXACT_FAMILIES`)
-sample every jump.  The others sample the jumps above the split radius
+(``_build_scheme``).  A model whose density is bounded at 0
+(:attr:`~jumpstop.levy.LevyModel.bounded_density`: no jumps, Merton, Kou)
+samples every jump.  The others sample the jumps above the split radius
 :data:`DEFAULT_SPLIT` and replace the ones below it by a Brownian term
 of their variance (Asmussen & Rosinski 2001).  The sampled jumps arrive
 as a compound Poisson whose sizes are drawn by inverse CDF on a
@@ -65,7 +66,6 @@ from .errors import NumericalError, ParameterError
 from .grids import CoefficientField
 from .levy import LevyModel
 
-EXACT_FAMILIES = ("none", "merton", "kou")
 DEFAULT_SPLIT = 0.01
 #: largest compound-Poisson arrival rate above the split radius
 INTENSITY_CAP = 1e6
@@ -218,7 +218,7 @@ def _side_table(model: LevyModel, lo: float, hi: float,
         t = np.geomspace(lo, hi, _TABLE_PANELS + 1)
     else:
         t = np.linspace(0.0, hi, _TABLE_PANELS + 1)
-    # finite-activity densities are bounded at 0, but the density helper
+    # a density sampled from 0 is bounded there, but the density helper
     # rejects y = 0 outright; nudge that single node
     t_eval = np.where(t > 0.0, t, hi * 1e-12)
     dens = np.asarray(levy.density(model, sign * t_eval), dtype=float)
@@ -230,14 +230,14 @@ def _side_table(model: LevyModel, lo: float, hi: float,
 
 
 def _build_scheme(model: LevyModel) -> _JumpScheme:
-    """The model's sampling plan.  Finite-activity families sample every
+    """The model's sampling plan.  A density bounded at 0 samples every
     jump (split 0); the others sample the jumps above
     :data:`DEFAULT_SPLIT` and replace the ones below it by a Brownian
     term of their variance.  A drift compensates the jumps from the split
     to 1, as the lattice operator does."""
     if model.is_trivial:
         return _TRIVIAL_SCHEME
-    split = 0.0 if model.family in EXACT_FAMILIES else DEFAULT_SPLIT
+    split = 0.0 if model.bounded_density else DEFAULT_SPLIT
     hi = levy.truncation_radius(model, _TAIL_TOL)
     plus = _side_table(model, split, hi, +1.0)
     minus = _side_table(model, split, hi, -1.0)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpstop import levy
+from jumpstop import levy, mc
 from jumpstop.errors import DomainError, ParameterError
+from jumpstop.generator import build_operator
+from jumpstop.grids import CoefficientField, SpaceTimeGrid
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +595,75 @@ def test_exp_compensator_matches_log_variable_rule(c_m, c_p, a_m, a_p, l_m, l_p)
     down, down_scale = _ts_side_by_rule(c_m, a_m, l_m, -1.0)
     got = levy.exp_compensator(model)
     assert abs(got - (up + down)) <= 1e-10 * (up_scale + down_scale)
+
+
+# ---------------------------------------------------------------------------
+# Kou and variance gamma as tempered-stable sides
+# ---------------------------------------------------------------------------
+
+OPERATOR_FIELDS = ("radius", "cell_mass", "far_kernel", "corr_kernel",
+                   "core_stencil", "far_mass", "compensator", "core_var",
+                   "fv_core")
+
+
+def _kou_as_tempered_stable(lam, p, eta_up, eta_down):
+    return levy.tempered_stable(lam * (1 - p) * eta_down, lam * p * eta_up,
+                                -1.0, -1.0, eta_down, eta_up)
+
+
+@pytest.mark.parametrize("args", [(1.0, 0.4, 12.0, 8.0), (1.0, 0.5, 1.05, 3.0)],
+                         ids=["kou", "kou_slow"])
+def test_kou_is_the_tempered_stable_shape_alpha_minus_one(args):
+    kou, ts = levy.kou(*args), _kou_as_tempered_stable(*args)
+    y = np.concatenate([-np.geomspace(1e-9, 5.0, 200),
+                        np.geomspace(1e-9, 5.0, 200)])
+    assert np.array_equal(levy.density(kou, y), levy.density(ts, y))
+    assert levy.exp_compensator(kou) == levy.exp_compensator(ts)
+    assert levy.truncation_radius(kou) == levy.truncation_radius(ts)
+    grid = SpaceTimeGrid(-2.0, 2.0, 1.5, 120, 1.0, 10)
+    op_kou, op_ts = build_operator(kou, grid), build_operator(ts, grid)
+    for name in OPERATOR_FIELDS:
+        assert np.array_equal(getattr(op_kou, name), getattr(op_ts, name)), \
+            name
+    assert kou.bounded_density and ts.bounded_density
+    coeffs = CoefficientField.constants(0.02, 0.0, 0.04)
+    batches = [mc.simulate(m, coeffs, 0.0, 1.0, 2000, 8, 7)
+               for m in (kou, ts)]
+    assert np.array_equal(batches[0].terminal, batches[1].terminal)
+    assert np.array_equal(batches[0].jump_counts, batches[1].jump_counts)
+
+
+def test_variance_gamma_is_the_tempered_stable_shape_alpha_zero():
+    vg = MODELS["vg"]
+    c = vg.params["c"]
+    ts = levy.tempered_stable(c, c, 0.0, 0.0, vg.params["lam_minus"],
+                              vg.params["lam_plus"])
+    y = np.concatenate([-np.geomspace(1e-9, 5.0, 200),
+                        np.geomspace(1e-9, 5.0, 200)])
+    want = c / np.abs(y) * np.exp(-np.where(y > 0.0, vg.params["lam_plus"],
+                                            vg.params["lam_minus"]) * np.abs(y))
+    for model in (vg, ts):
+        assert np.allclose(levy.density(model, y), want, rtol=4e-16, atol=0.0)
+    assert levy.exp_compensator(vg) == levy.exp_compensator(ts)
+    assert not vg.bounded_density
+
+
+@pytest.mark.parametrize("model, bounded", [
+    (levy.none(), True), (MODELS["merton"], True), (MODELS["kou"], True),
+    (MODELS["vg"], False), (MODELS["nig"], False), (MODELS["ts_sym"], False),
+    (levy.tempered_stable(0.5, 0.0, -1.5, 1.5, 3.0, 3.0), True),
+    (levy.tempered_stable(0.5, 0.5, -1.0, -0.5, 3.0, 3.0), False),
+])
+def test_density_bounded_at_zero_exactly_where_every_active_side_has_alpha_at_most_minus_one(
+        model, bounded):
+    assert model.bounded_density is bounded
+    values = levy.density(model, np.array([-1e-12, 1e-12]))
+    assert bool(np.all(values < 1e3)) is bounded
+
+
+def test_divergent_exponential_moment_names_the_rate():
+    for model, rate in ((levy.kou(1.0, 0.5, 0.8, 3.0), "0.8"),
+                        (levy.tempered_stable(0.1, 0.1, 1.5, 1.5, 3.0, 0.9),
+                         "0.9")):
+        with pytest.raises(ParameterError, match=f"rate {rate} is not above 1"):
+            levy.exp_compensator(model)
