@@ -1,8 +1,9 @@
 """The two compiled scipy extensions a solve calls, loaded on their own.
 
 The march needs only LAPACK ``dgbtrf``/``dgbtrs`` from
-``scipy.linalg._flapack``, and the tempered-stable, VG and NIG closed
-forms only ``gamma``, ``gammaincc``, ``exp1``, ``zetac`` and ``k1e`` from
+``scipy.linalg._flapack``, and the tempered-side (tempered-stable, VG,
+Kou) and NIG closed forms only ``gamma``, ``gammainc``, ``gammaincc``,
+``exp1``, ``zetac`` and ``k1e`` from
 ``scipy.special._special_ufuncs``.  Importing ``scipy.linalg`` or
 ``scipy.special`` for them runs the packages' Python layers, which cost
 about 0.3 s of start-up per run (``scipy._lib._array_api`` alone pulls in

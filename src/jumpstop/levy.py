@@ -74,8 +74,8 @@ QUAD_REL_TOL = 1e-10
 #: inner cutoff below which a frozen power-law floor replaces quadrature
 _FLOOR = 1e-14
 
-#: the compiled module behind scipy.special's gamma, gammaincc, exp1,
-#: zetac and k1e
+#: the compiled module behind scipy.special's gamma, gammainc, gammaincc,
+#: exp1, zetac and k1e
 _UFUNCS = "scipy.special._special_ufuncs"
 
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -501,19 +501,25 @@ def _upper_gamma_near_zero(s: float, x: float) -> float:
 
 def _ts_power_integral(c: float, a: float, lam: float, k: float,
                        lo: float, hi: float) -> float:
-    """integral_lo^hi y^k * c y^{-1-a} e^{-lam y} dy with 0 <= lo < hi <= inf."""
+    """integral_lo^hi y^k * c y^{-1-a} e^{-lam y} dy with 0 <= lo < hi <= inf.
+
+    From ``lo = 0`` it is the lower incomplete gamma ``gamma(s, lam hi)``,
+    read as ``P(s, lam hi) Gamma(s)``: ``Gamma(s) - Gamma(s, lam hi)``
+    cancels when ``lam hi`` is small, to pure rounding at ``lam hi =
+    1e-14`` and ``s = 3``.
+    """
     if c == 0.0:
         return 0.0
     s = k - a
-    hi_term = 0.0 if not math.isfinite(hi) else _upper_gamma(s, lam * hi)
     if lo <= 0.0:
         if s <= 0.0:
             raise UnsupportedOperation("divergent small-jump integral")
         special = _load(_UFUNCS)
-        lo_term = float(special.gamma(s))
+        part = float(special.gammainc(s, lam * hi) * special.gamma(s))
     else:
-        lo_term = _upper_gamma(s, lam * lo)
-    return c * lam ** (a - k) * (lo_term - hi_term)
+        hi_term = 0.0 if not math.isfinite(hi) else _upper_gamma(s, lam * hi)
+        part = _upper_gamma(s, lam * lo) - hi_term
+    return c * lam ** (a - k) * part
 
 
 def _merton_trunc_moments(model: LevyModel, lo: float, hi: float):

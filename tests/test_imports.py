@@ -88,7 +88,8 @@ same["sys.modules"] = (
     sys.modules["scipy.linalg._flapack"].dgbtrf is scipy.linalg.lapack.dgbtrf
     and ufuncs is sys.modules["scipy.special._special_ufuncs"])
 same.update({f"levy.{n}": getattr(ufuncs, n) is getattr(scipy.special, n)
-             for n in ("gamma", "gammaincc", "exp1", "zetac", "k1e")})
+             for n in ("gamma", "gammainc", "gammaincc", "exp1", "zetac",
+                       "k1e")})
 mark("identity", same=same)
 print(json.dumps(stages))
 """

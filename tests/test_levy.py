@@ -667,3 +667,35 @@ def test_divergent_exponential_moment_names_the_rate():
                          "0.9")):
         with pytest.raises(ParameterError, match=f"rate {rate} is not above 1"):
             levy.exp_compensator(model)
+
+
+# integral_{|y| <= eps} y^2 rho(y) dy at 40 digits, rounded to 20.
+# Generated once with mpmath (not a dependency), summing the tempered
+# sides (c, a, lam) of levy._sides(model):
+#
+#   mp.mp.dps = 40
+#   sum(mp.mpf(c) * mp.mpf(lam) ** (mp.mpf(a) - 2)
+#       * mp.gammainc(2 - mp.mpf(a), 0, mp.mpf(lam) * mp.mpf(eps))
+#       for c, a, lam in levy._sides(model))
+SMALL_VAR_FROM_ZERO = {
+    ("kou_slow", 0.01): 6.6251152847522588896e-7,
+    ("kou_slow", 1e-06): 6.7499873718890779587e-19,
+    ("kou_slow", 1e-14): 6.7499999999998737689e-43,
+    ("vg", 0.01): 0.00030555029575226529909,
+    ("vg", 1e-06): 3.3333041117533084353e-12,
+    ("vg", 1e-14): 3.3333333333330412562e-28,
+    ("ts15", 1e-06): 0.00079999920000072002579,
+    ("ts15", 1e-14): 7.9999999999999204394e-8,
+}
+SMALL_VAR_MODELS = {"kou_slow": levy.kou(1.0, 0.5, 1.05, 3.0),
+                    "vg": MODELS["vg"],
+                    "ts15": levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)}
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_VAR_FROM_ZERO))
+def test_small_var_from_zero_is_the_lower_incomplete_gamma(key):
+    # Gamma(s) - Gamma(s, lam eps) cancelled: 2.8e-11 off for kou_slow at
+    # eps = 0.01, 2e-10 for ts15 and every digit for Kou and VG at 1e-14
+    name, eps = key
+    got = levy.tails(SMALL_VAR_MODELS[name], eps).small_var
+    assert got == pytest.approx(SMALL_VAR_FROM_ZERO[key], rel=1e-14, abs=0.0)
