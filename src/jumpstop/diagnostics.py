@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NumericalError
 from .grids import GridFunction, SpaceTimeGrid
 
 __all__ = [
@@ -130,7 +130,8 @@ def stopping_rule(value: GridFunction, payoff, tol: float):
     A state ``x`` at time to expiry ``s`` stops where the node nearest to
     it, on the level nearest to ``s``, is in :func:`partition`'s contact
     set at the same ``tol``; states past the grid read its end node.
-    Each call forms the contact set of the one level it reads.
+    Each call forms the contact set of the one level it reads.  A
+    non-finite state reads no node: it is a :class:`NumericalError`.
     """
     grid = value.grid
     x = grid.nodes
@@ -141,6 +142,11 @@ def stopping_rule(value: GridFunction, payoff, tol: float):
         n = min(max(round(s / dt), 0), grid.nt)
         contact = _contact(value.values[:, n] - g, g, tol)
         i = np.clip(np.rint((y - x0) / h), 0, grid.nx)
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise NumericalError(
+                f"diagnostics.stopping_rule: non-finite state "
+                f"{np.ravel(y)[bad[0]]} at time to expiry {s:.6g}")
         return contact[i.astype(np.intp)]
     return rule
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jumpstop import diagnostics, harness, payoff
-from jumpstop.errors import InvariantViolation
+from jumpstop.errors import InvariantViolation, NumericalError
 from jumpstop.grids import GridFunction, SpaceTimeGrid
 
 GRID = SpaceTimeGrid(-1.0, 1.0, 1.0, 40, 1.0, 4)
@@ -133,6 +133,17 @@ def test_stopping_rule_reads_the_partition_labels():
         assert rule(np.array([x[-1] + 5.0]), n * dt)[0] == level[-1]
     np.testing.assert_array_equal(rule(x, 1.0 + 3.0 * dt), stop[:, -1])
     np.testing.assert_array_equal(rule(x, -dt), stop[:, 0])
+
+
+@pytest.mark.parametrize("state", [np.nan, np.inf, -np.inf])
+def test_stopping_rule_rejects_a_non_finite_state(state):
+    # a NaN state once became node index -2**63 and an IndexError
+    rule = diagnostics.stopping_rule(_contact_surface(), PUT, 1e-3)
+    y = np.array([0.0, state, 0.1])
+    with pytest.raises(NumericalError,
+                       match=rf"diagnostics.stopping_rule: non-finite state "
+                             rf"-?(nan|inf) at time to expiry 0.5"):
+        rule(y, 0.5)
 
 
 def test_run_exits_3_on_an_obstacle_dip(tmp_path, monkeypatch):

@@ -2,9 +2,10 @@
 
 Import and set-up time is paid on every ``jumpstop solve``.  The march
 takes ``dgbtrf``/``dgbtrs`` from the compiled ``scipy.linalg._flapack``,
-and the tempered-stable, VG and NIG closed forms take their ufuncs from
-the compiled ``scipy.special._special_ufuncs``; both are loaded on their
-own (``jumpstop._scipy_ext``), without the ``scipy.linalg`` or
+and the closed forms of tempered sides (tempered stable, VG, Kou) and
+NIG take their ufuncs from the compiled
+``scipy.special._special_ufuncs``; both are loaded on their own
+(``jumpstop._scipy_ext``), without the ``scipy.linalg`` or
 ``scipy.special`` packages, whose Python layers pull in
 ``scipy._lib._array_api``, ``numpy.testing`` and ``numpy.f2py``.
 ``scipy.integrate`` (which pulls in ``scipy.optimize``) loads only for
@@ -34,7 +35,7 @@ SRC = Path(jumpstop.__file__).resolve().parents[1]
 NIG = (6.0, -1.0, 0.3)
 FLAPACK = "scipy.linalg._flapack"
 UFUNCS = "scipy.special._special_ufuncs"
-RUNS = ("merton_penalized", "merton_european", "tempered_stable")
+RUNS = ("merton_penalized", "merton_european", "kou", "tempered_stable")
 ARTIFACTS = ("surface.csv", "boundary.csv", "diagnostics.json",
              "effective_config.json", "summary.txt")
 
@@ -73,6 +74,8 @@ merton = {"family": "merton", "jump_params": [1.5, -0.05, 0.25]}
 run("merton_penalized", merton,
     {"nt": 40, "mode": "penalized", "eps_schedule": [0.2, 0.1]})
 run("merton_european", merton, {"nt": 40, "mode": "european"})
+run("kou", {"family": "kou", "jump_params": [1.0, 0.4, 12.0, 8.0]},
+    {"nt": 40, "mode": "european"})
 run("tempered_stable", {"family": "tempered_stable",
                         "jump_params": [0.2, 0.2, 1.5, 1.5, 3.0, 3.0]},
     {"nt": 100, "mode": "projected"})
@@ -125,6 +128,12 @@ def test_cli_and_harness_import_no_special_integrate_or_optimize(stages):
 def test_merton_run_with_monte_carlo_loads_none(stages, stage):
     assert stages[stage]["code"] == 0, stages[stage]["log"]
     assert stages[stage]["loaded"] == [FLAPACK]
+
+
+def test_kou_run_with_monte_carlo_loads_the_ufuncs_only(stages):
+    # the first run that needs them, so the load is the Kou run's own
+    assert stages["kou"]["code"] == 0, stages["kou"]["log"]
+    assert stages["kou"]["loaded"] == [FLAPACK, UFUNCS]
 
 
 def test_tempered_stable_run_loads_special_only(stages):

@@ -184,6 +184,21 @@ def test_operator_and_surface_do_not_read_the_eps_schedule(mode,
     assert len(built) == 3 and _same_operator(built[-1], cfgs[0].op)
 
 
+@pytest.mark.parametrize("mode", ["projected", "european"])
+def test_surface_is_time_homogeneous(mode):
+    # the surface is indexed by time to expiry, so with constant
+    # coefficients a horizon of 1 in 200 steps read at level m is a
+    # horizon of 0.5 in 100 steps read at level m, bit for bit
+    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    coeffs = CoefficientField.constants(A, R - A - levy.exp_compensator(mod),
+                                        R)
+    solve = solve_vi if mode == "projected" else solve_european
+    long, short = (solve(SolveConfig(SpaceTimeGrid(-0.5, 0.5, 1.5, 200, t, nt),
+                                     mod, coeffs, payoff.put(1.0), mode=mode))
+                   for t, nt in ((1.0, 200), (0.5, 100)))
+    assert long.value.values[:, :101].tobytes() == short.value.values.tobytes()
+
+
 def test_plan_steps_caps_the_step_at_a_quarter_grid_step():
     # far mass alone would allow about 122 steps for ts15 at nx = 400
     coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
