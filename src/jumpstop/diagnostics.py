@@ -139,14 +139,13 @@ def stopping_rule(value: GridFunction, payoff, tol: float):
     x0, h, dt = x[0], grid.h, grid.dt
 
     def rule(y, s):
+        if not np.isfinite(y).all():
+            raise NumericalError(
+                f"diagnostics.stopping_rule: non-finite state "
+                f"{y[~np.isfinite(y)][0]} at time to expiry {s:.6g}")
         n = min(max(round(s / dt), 0), grid.nt)
         contact = _contact(value.values[:, n] - g, g, tol)
         i = np.clip(np.rint((y - x0) / h), 0, grid.nx)
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            raise NumericalError(
-                f"diagnostics.stopping_rule: non-finite state "
-                f"{np.ravel(y)[bad[0]]} at time to expiry {s:.6g}")
         return contact[i.astype(np.intp)]
     return rule
 

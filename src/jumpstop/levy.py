@@ -121,8 +121,8 @@ class LevyModel:
     @property
     def bounded_density(self) -> bool:
         """True when ``rho`` is bounded at 0, so every jump can be sampled:
-        no jumps, Merton, or tempered sides (:func:`_sides`) whose every
-        side with ``c > 0`` has ``alpha <= -1``, as Kou's do."""
+        no jumps, Merton, or tempered sides with ``alpha <= -1`` wherever
+        ``c > 0``, as Kou's."""
         sides = _sides(self)
         if sides is None:
             return self.family in ("none", "merton")
@@ -501,13 +501,9 @@ def _upper_gamma_near_zero(s: float, x: float) -> float:
 
 def _ts_power_integral(c: float, a: float, lam: float, k: float,
                        lo: float, hi: float) -> float:
-    """integral_lo^hi y^k * c y^{-1-a} e^{-lam y} dy with 0 <= lo < hi <= inf.
-
-    From ``lo = 0`` it is the lower incomplete gamma ``gamma(s, lam hi)``,
-    read as ``P(s, lam hi) Gamma(s)``: ``Gamma(s) - Gamma(s, lam hi)``
-    cancels when ``lam hi`` is small, to pure rounding at ``lam hi =
-    1e-14`` and ``s = 3``.
-    """
+    """integral_lo^hi y^k * c y^{-1-a} e^{-lam y} dy with 0 <= lo < hi <= inf;
+    from ``lo = 0`` the lower incomplete gamma ``P(s, lam hi) Gamma(s)``,
+    as ``Gamma(s) - Gamma(s, lam hi)`` cancels where ``lam hi`` is small."""
     if c == 0.0:
         return 0.0
     s = k - a

@@ -2,8 +2,7 @@
 
 The state follows an Euler scheme: drift and diffusion from the
 coefficient field, plus jumps.  The model alone fixes the sampling plan
-(``_build_scheme``).  A model whose density is bounded at 0
-(:attr:`~jumpstop.levy.LevyModel.bounded_density`: no jumps, Merton, Kou)
+(``_build_scheme``).  A density bounded at 0 (``LevyModel.bounded_density``)
 samples every jump.  The others sample the jumps above the split radius
 :data:`DEFAULT_SPLIT` and replace the ones below it by a Brownian term
 of their variance (Asmussen & Rosinski 2001).  The sampled jumps arrive
