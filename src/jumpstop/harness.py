@@ -380,51 +380,41 @@ def _risk_neutral(p: ProblemBlock, model: LevyModel) -> bool:
     return math.isclose(p.drift, neutral, rel_tol=0.0, abs_tol=1e-12)
 
 
-def _oracle_selection(rc: RunConfig, cfg: SolveConfig) -> set:
-    which = set(rc.oracle.which)
-    if "none" in which:
-        return set()
-    names = which - {"auto"}
-    if "auto" in which:
-        if cfg.model.is_trivial and cfg.payoff.kind == "put":
-            names.add("binomial")
-        if cfg.model.family == "merton" and cfg.payoff.kind == "put" \
-                and cfg.mode == "european":
-            names.add("series")
-        if rc.oracle.mc_paths > 0:
-            names.add("mc")
-    if names & {"binomial", "series"} \
-            and not _risk_neutral(rc.problem, cfg.model):
-        # the tree and the series price under the risk-neutral drift only
-        names -= {"binomial", "series"}
-    return names
-
-
-def _reference_price(rc: RunConfig, cfg: SolveConfig, names: set,
-                     x: float, horizon: float) -> tuple[str, float] | None:
-    """Closed-form/tree reference at probe ``x`` over ``horizon``, if any."""
+def _references(rc: RunConfig, cfg: SolveConfig) -> dict:
+    """The references whose assumptions cover the run, by name, each a
+    ``price(s0, horizon)``: the binomial tree for a jump-free put
+    (American unless European) and the Merton series for a European
+    Merton put.  Both also need the risk-neutral drift, which
+    :func:`_probe_rows` checks."""
     p = rc.problem
-    if cfg.payoff.kind != "put" or horizon <= 0.0:
-        return None
-    s0 = math.exp(x)
-    if "binomial" in names and cfg.model.is_trivial:
-        price = oracles.binomial_put(
-            s0, p.strike, p.rate, p.sigma, horizon,
-            steps=_BINOMIAL_STEPS,
+    put = cfg.payoff.kind == "put"
+    refs = {}
+    if put and cfg.model.is_trivial:
+        refs["binomial"] = lambda s0, horizon: oracles.binomial_put(
+            s0, p.strike, p.rate, p.sigma, horizon, steps=_BINOMIAL_STEPS,
             american=cfg.mode != "european")
-        return "binomial", price
-    if "series" in names and cfg.model.family == "merton" \
-            and cfg.mode == "european":
-        lam, mu, sd = (p.jump_params + [0.0] * 3)[:3]
-        return "series", oracles.merton_put(
-            s0, p.strike, p.rate, p.sigma, horizon, lam, mu, sd)
-    return None
+    if put and cfg.model.family == "merton" and cfg.mode == "european":
+        refs["series"] = lambda s0, horizon: oracles.merton_put(
+            s0, p.strike, p.rate, p.sigma, horizon, *p.jump_params)
+    return refs
 
 
 def _probe_rows(rc: RunConfig, cfg: SolveConfig,
                 report: SolveReport) -> list[dict]:
-    """Per-probe comparison table: PDE vs oracle vs path lower bound."""
-    names = _oracle_selection(rc, cfg)
+    """Per-probe comparison table: PDE vs oracle vs path lower bound.
+
+    ``oracle.which`` names the wanted checks (``auto``: all of them,
+    ``none``: no check); of the references that cover the run, the wanted
+    ones price the probes, and a wanted one outside its assumptions is
+    skipped."""
+    which = set(rc.oracle.which)
+    wanted = set() if "none" in which else \
+        set(_ORACLE_NAMES) if "auto" in which else which
+    refs = {name: price for name, price in _references(rc, cfg).items()
+            if name in wanted}
+    if refs and not _risk_neutral(rc.problem, cfg.model):
+        # the tree and the series price under the risk-neutral drift only
+        refs = {}
     european = cfg.mode == "european"
     # the terminal estimate reads the last level only, and with constant
     # coefficients one step over the horizon has the exact law of many
@@ -434,14 +424,14 @@ def _probe_rows(rc: RunConfig, cfg: SolveConfig,
     for x, t in _normalized_probes(rc):
         horizon = cfg.grid.t_final - t
         row: dict = {"x": x, "t": t, "pde": _value_at(report, cfg, x, t)}
-        ref = _reference_price(rc, cfg, names, x, horizon)
-        if ref is not None:
-            row["oracle"], row["oracle_value"] = ref
+        if refs and horizon > 0.0:
+            row["oracle"], price = next(iter(refs.items()))
+            row["oracle_value"] = price(math.exp(x), horizon)
             row["abs_gap"] = abs(row["pde"] - row["oracle_value"])
             scale = abs(row["oracle_value"])
             row["rel_gap"] = row["abs_gap"] / scale if scale > 0 else None
         rows.append(row)
-    mc_on = "mc" in names and rc.oracle.mc_paths > 0
+    mc_on = "mc" in wanted and rc.oracle.mc_paths > 0
     kind = "terminal" if european else "lower_bound"
     if mc_on and not european:
         # the lattice's own contact set
@@ -504,25 +494,25 @@ def _hard_checks(cfg: SolveConfig, report: SolveReport,
                                                res_min, -tol)
         checks["residual_bound"] = CheckResult(res_max <= bound,
                                                res_max, bound)
+
+    def keep_worst(name, observed, bound, sign):
+        # a row passes at sign * observed <= sign * bound; one worse than
+        # the kept row replaces it, failing if either failed
+        prev = checks.get(name)
+        if prev is None or sign * observed > sign * prev.observed:
+            checks[name] = CheckResult(
+                sign * observed <= sign * bound
+                and (prev is None or prev.passed), observed, bound)
+
     for row in rows:
         if "oracle_value" in row and row.get("rel_gap") is not None:
-            name = f"oracle_{row['oracle']}"
             gate = max(_ORACLE_REL_GATE * abs(row["oracle_value"]),
                        1e-3 * cfg.payoff.bound)
-            ok = row["abs_gap"] <= gate
-            prev = checks.get(name)
-            if prev is None or row["abs_gap"] > prev.observed:
-                checks[name] = CheckResult(ok and (prev is None
-                                                   or prev.passed),
-                                           row["abs_gap"], gate)
+            keep_worst(f"oracle_{row['oracle']}", row["abs_gap"], gate, 1.0)
         if row.get("mc_kind") == "lower_bound":
             margin = row["pde"] - (row["mc_value"]
                                    - 4.0 * row["mc_stderr"])
-            prev = checks.get("mc_dominance")
-            ok = margin >= 0.0
-            if prev is None or margin < prev.observed:
-                checks["mc_dominance"] = CheckResult(
-                    ok and (prev is None or prev.passed), margin, 0.0)
+            keep_worst("mc_dominance", margin, 0.0, -1.0)
     return checks
 
 
