@@ -296,8 +296,10 @@ def _density_array(model: LevyModel, y: np.ndarray) -> np.ndarray:
     if sides is not None:
         up = y > 0.0
         cc, aa, rate = (np.where(up, v_p, v_m) for v_p, v_m in zip(*sides))
-        with np.errstate(divide="ignore", over="ignore"):
-            return cc * ay ** (-1.0 - aa) * np.exp(-rate * ay)
+        # a side of weight 0 is 0 even where its power overflows
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rho = cc * ay ** (-1.0 - aa) * np.exp(-rate * ay)
+        return np.where(cc == 0.0, 0.0, rho)
     if model.family == "merton":
         z = (y - p["jump_mean"]) / p["jump_std"]
         return p["intensity"] * np.exp(-0.5 * z * z) / (p["jump_std"] * math.sqrt(2.0 * math.pi))

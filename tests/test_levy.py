@@ -49,6 +49,21 @@ def test_density_tempered_stable_point():
     assert levy.density(m, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_density_of_a_side_with_weight_zero_is_zero_where_its_power_overflows():
+    # the up side has c = 0 and alpha = 1.5: y**-2.5 overflows below about
+    # 1e-124, and 0 * inf must not turn into NaN; the down side (alpha =
+    # -1.5) is c |y|**0.5 e^{-lam |y|}
+    m = levy.tempered_stable(0.5, 0.0, -1.5, 1.5, 3.0, 3.0)
+    y = np.array([1e-200, 1e-130, 0.3, -1e-200, -0.3])
+    got = levy.density(m, y)
+    assert got[:3].tolist() == [0.0, 0.0, 0.0]
+    assert got[3] == 0.5 * 1e-100 * math.exp(-3e-200)
+    assert got[4] == pytest.approx(0.5 * math.sqrt(0.3) * math.exp(-0.9),
+                                   rel=1e-15)
+    assert levy.density(m, 1e-200) == 0.0
+
+
 def test_density_merton_is_scaled_normal():
     m = levy.merton(2.0, 0.0, 0.1)
     want = 2.0 / (0.1 * math.sqrt(2 * math.pi)) * math.exp(-0.5 * (0.05 / 0.1) ** 2)
