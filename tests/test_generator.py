@@ -20,10 +20,11 @@ import pytest
 
 from jumpstop import levy, payoff
 from jumpstop.errors import ParameterError
-from jumpstop.generator import (NEAR_GHOSTS, apply_local, apply_nonlocal,
-                                apply_nonlocal_ext, apply_nonlocal_grid,
-                                build_operator, core_band, ghost_term,
-                                ghost_terms, operator_summary)
+from jumpstop.generator import (NEAR_GHOSTS, _cell_edges, apply_local,
+                                apply_nonlocal, apply_nonlocal_ext,
+                                apply_nonlocal_grid, build_operator,
+                                core_band, ghost_term, ghost_terms,
+                                operator_summary)
 from jumpstop.grids import (CoefficientField, GridFunction, PayoffGhosts,
                             SpaceTimeGrid, extend_slice)
 from jumpstop.solver import SolveConfig, solve_vi
@@ -80,6 +81,20 @@ def _explicit_jump_rate(op, profile="monotone"):
 def test_annihilates_constants(ops, name):
     out = apply_nonlocal(ops[name], _gf(lambda x: np.ones_like(x)))
     assert np.max(np.abs(out)) <= 1e-10 * max(1.0, ops[name].far_mass)
+
+
+def test_jumps_inside_the_core_leave_no_cells_and_annihilate_constants():
+    # h = 0.5 puts the core edge 2h at 1, the truncation radius of narrow
+    # Merton jumps: no cell lies past the core, whose stencil alone
+    # carries the jumps' second moment
+    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 8, 0.5, 4)
+    op = build_operator(levy.merton(1.0, 0.0, 0.05), grid)
+    assert _cell_edges(grid.h, 2.0 * grid.h, op.radius) is None
+    assert op.cell_mass.size == 0 and op.far_mass == 0.0
+    assert op.core_var == pytest.approx(0.05 ** 2, rel=1e-12)
+    ones = GridFunction(grid, np.ones(grid.nx + 1), extension="clamp_payoff",
+                        payoff=np.ones_like)
+    assert np.max(np.abs(apply_nonlocal(op, ones))) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -808,6 +808,30 @@ def test_cli_selftest():
     assert cli.main(["selftest"]) == 0
 
 
+def test_selftest_names_a_failing_case_and_exits_3(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("constants must be annihilated")
+    monkeypatch.setattr(harness, "_selftest_cases",
+                        lambda: [("fine", lambda: None), ("broken", broken)])
+    assert cli.main(["selftest"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS fine", "FAIL broken: constants must be annihilated",
+        "selftest failed: broken"]
+
+
+def test_compare_seed_overrides_the_config(tmp_path):
+    cfg_path = make_config(tmp_path, oracle={"mc_paths": 2000, "mc_steps": 8})
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(cfg_path), "--seed", "7",
+                     "--out", str(out)]) == 0
+    header, line = (out / "compare.csv").read_text().splitlines()
+    got = float(line.split(",")[header.split(",").index("mc_value")])
+    rc = harness.RunConfig.from_path(cfg_path)
+    default = harness.compare(rc)[0]["mc_value"]
+    rc.oracle.seed = 7
+    assert got == harness.compare(rc)[0]["mc_value"] != default
+
+
 def test_cli_solve_and_compare(tmp_path, capsys):
     cfg_path = make_config(tmp_path)
     out = tmp_path / "out"

@@ -65,6 +65,18 @@ def test_soft_capped_call_constants_frozen():
     assert c(6.0) == pytest.approx(0.8, abs=1e-8)
 
 
+@pytest.mark.parametrize("cap", [0.6, 1.0, 1.5, 4.0])
+def test_soft_capped_call_lipschitz_is_the_largest_slope(cap):
+    # g' = s e^{-(s - strike)/cap} on s = e^x > strike peaks at s =
+    # max(strike, cap): strike below the cap's value, cap e^{strike/cap - 1}
+    # from cap = strike up; the chords of a fine grid reach it from below
+    c = po.soft_capped_call(1.0, cap)
+    xs = np.linspace(-1.0, math.log(cap) + 1.0, 10**6 + 1)
+    slopes = np.diff(c(xs)) / np.diff(xs)
+    assert slopes.max() <= c.lipschitz + 1e-9
+    assert slopes.max() == pytest.approx(c.lipschitz, rel=1e-5)
+
+
 def test_soft_capped_call_semiconvexity_sampled():
     """Discrete second difference >= -J everywhere (smooth part is exact)."""
     c = po.soft_capped_call(1.0, 0.8)

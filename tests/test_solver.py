@@ -199,6 +199,28 @@ def test_surface_is_time_homogeneous(mode):
     assert long.value.values[:, :101].tobytes() == short.value.values.tobytes()
 
 
+@pytest.mark.parametrize("mode", ["projected", "european"])
+def test_put_surface_scales_with_the_strike(mode):
+    # V(x; K) = K V(x - ln K; 1): with the window shifted by ln K the
+    # lattice does the same arithmetic up to rounding.  For K in [0.3, 10]
+    # the largest difference measured 2.0-2.8 (projected) and 3.5-6.8
+    # (European) times max|u| * eps on this grid; the bound is 16.
+    # Penalized mode does not scale: its one width sets the penalty (in
+    # value units) and the obstacle's mollification (in log-price units).
+    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
+    coeffs = CoefficientField.constants(A, R - A - levy.exp_compensator(mod),
+                                        R)
+    solve = solve_vi if mode == "projected" else solve_european
+    strike = 1.7
+    shift = math.log(strike)
+    unit, scaled = (
+        solve(SolveConfig(SpaceTimeGrid(-0.5 + s, 0.5 + s, 1.5, 200, 1.0, 200),
+                          mod, coeffs, payoff.put(k), mode=mode)).value.values
+        for k, s in ((1.0, 0.0), (strike, shift)))
+    bound = 16.0 * np.abs(scaled).max() * np.finfo(float).eps
+    assert np.abs(scaled - strike * unit).max() <= bound
+
+
 def test_plan_steps_caps_the_step_at_a_quarter_grid_step():
     # far mass alone would allow about 122 steps for ts15 at nx = 400
     coeffs = CoefficientField.constants(0.02, 0.01, 0.04)
