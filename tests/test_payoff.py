@@ -68,8 +68,8 @@ def test_soft_capped_call_constants_frozen():
 @pytest.mark.parametrize("cap", [0.6, 1.0, 1.5, 4.0])
 def test_soft_capped_call_lipschitz_is_the_largest_slope(cap):
     # g' = s e^{-(s - strike)/cap} on s = e^x > strike peaks at s =
-    # max(strike, cap): strike below the cap's value, cap e^{strike/cap - 1}
-    # from cap = strike up; the chords of a fine grid reach it from below
+    # max(strike, cap): the strike when cap < strike, else cap e^{strike/cap
+    # - 1}; the chords of a fine grid reach it from below
     c = po.soft_capped_call(1.0, cap)
     xs = np.linspace(-1.0, math.log(cap) + 1.0, 10**6 + 1)
     slopes = np.diff(c(xs)) / np.diff(xs)
