@@ -496,13 +496,15 @@ def _hard_checks(cfg: SolveConfig, report: SolveReport,
                                                res_max, bound)
 
     def keep_worst(name, observed, bound, sign):
-        # a row passes at sign * observed <= sign * bound; one worse than
-        # the kept row replaces it, failing if either failed
+        # a row passes at sign * observed <= sign * bound, and the check
+        # only if every row passes its own bound: a failing row replaces
+        # a passing one, and among rows that both pass or both fail, the
+        # larger sign * observed stays
+        passed = sign * observed <= sign * bound
         prev = checks.get(name)
-        if prev is None or sign * observed > sign * prev.observed:
-            checks[name] = CheckResult(
-                sign * observed <= sign * bound
-                and (prev is None or prev.passed), observed, bound)
+        if prev is None or (not passed, sign * observed) > \
+                (not prev.passed, sign * prev.observed):
+            checks[name] = CheckResult(passed, observed, bound)
 
     for row in rows:
         if "oracle_value" in row and row.get("rel_gap") is not None:

@@ -1,39 +1,52 @@
 """Path-sampling cross-checks for the lattice solver.
 
-The state follows an Euler scheme: drift and diffusion from the
-coefficient field, plus jumps.  The model alone fixes the sampling plan
-(``_build_scheme``).  A density bounded at 0 (``LevyModel.bounded_density``)
-samples every jump.  The others sample the jumps above the split radius
-:data:`DEFAULT_SPLIT` and replace the ones below it by a Brownian term
-of their variance (Asmussen & Rosinski 2001).  The sampled jumps arrive
-as a compound Poisson whose sizes are drawn by inverse CDF on a
-tabulated density (family-agnostic, no rejection tuning).  The
-truncation-at-one compensation of the integro-differential operator is
-carried as an extra drift, so the simulated process and the lattice
-operator describe the same dynamics.  An arrival rate above
-:data:`INTENSITY_CAP` is a model the sampler rejects.
+The jumps are additive, so the law of one step's increment is fixed by
+the step ``dt``; the nondegenerate diffusion makes it smooth.  With
+constant coefficients the increment has the characteristic function
+``exp(dt [iu (b + m1) - a u^2 + psi(u)])``, ``psi`` the fully
+compensated exponent of the jumps
+(:func:`~jumpstop.levy.characteristic_exponent`) and ``m1`` their mean
+beyond 1, so a step is one uniform per path mapped through a tabulated
+inverse CDF (Chen, Feng & Lin 2012; Feng & Lin 2013).  One inverse FFT
+gives the density on a window sized from the step's standard deviation
+and the jump measure's ``truncation_radius``; its trapezoid sums give
+the CDF (:func:`_step_table`).  The table draws the model's jumps
+uncut up to its window, where the measure's tail mass is
+``_TAIL_TOL = 1e-10``, while the lattice operator cuts them at
+``truncation_radius`` with tail mass 1e-8; that difference is far
+below the Monte Carlo's standard error.
+
+The table's error budget: mass beyond the window (the jumps' tail mass
+``_TAIL_TOL`` per unit time, then twelve standard deviations more), the
+transform's aliasing and cut frequencies (``|phi| < e^-37``), and the
+lookup's linear interpolation of the CDF between nodes a
+``_CELLS_PER_SD = 64``-th of a standard deviation apart, which adds
+about a third of the squared spacing, ``8e-5`` of the step's variance.
+On the five families at ``dt`` = 1/64 and 1 the density's mass is
+within 4.2e-13 of 1, its mean within 1.7e-10 standard deviations and
+its variance within 6.6e-10 relative; the drawn law's variance is at
+most 6.7e-5 relative above the step's.
+
+Fields that are not constant (Python API only) split the diffusion at
+the floor ``coeffs.lambda_floor``: the table holds the jumps and the
+Gaussian of the floor, and a normal draw per path adds the drift and
+the diffusion above the floor.  A model without jumps draws one normal
+per path and step.
 
 A batch holds two rows of ``n_paths`` states, the current one and the
-next, and each Euler step writes the next row in place; no row outlives
-the step after it.  A step draws one normal per path, then the jumps of
-all paths together: one pooled Poisson count, a uniform ``int32`` owner
-per jump, and one uniform level per jump that picks both the side and
-the size.  The number of jump draws thus follows the number of jumps,
-not ``n_paths * n_steps``.  The owners come in one call; the levels are
-drawn, sized and added to their paths in blocks of ``_JUMP_BLOCK``
-jumps, so besides the two rows the jump work holds one block and 4
-bytes per jump of the step.
-Sizes come from a table of equal-mass level buckets over the tabulated
-cumulative mass.  Each bucket names the one panel that holds all its
-levels strictly inside, so a size is one O(1) lookup and ``np.interp``'s
-own formula on that panel, bit for bit; the few buckets that span
-panels send their levels to ``np.interp`` itself.
+next, and each step writes the next row in place; no row outlives the
+step after it.  The uniforms are drawn into the next row and the
+increments written over them.  The lookup reads a table of equal-mass
+level buckets over the tabulated cumulative mass.  Each bucket names
+the one panel that holds all its levels strictly inside, so an
+increment is one O(1) lookup and ``np.interp``'s own formula on that
+panel, bit for bit; the few buckets that span panels send their levels
+to ``np.interp`` itself.
 
 With constant coefficients the increment over a horizon has the law of
-one such step over all of it: the normal, the drift and the pooled
-Poisson count all scale with ``dt``, and a sum of independent normals
-(or Poisson counts) is again one.  A batch of ``n_steps = 1`` thus draws
-the terminal state exactly in law (Cont & Tankov 2004, secs. 6.2-6.3).
+one such step over all of it, so a batch of ``n_steps = 1`` draws the
+terminal state exactly in law, up to the table's error (Cont & Tankov
+2004, secs. 6.2-6.3).
 
 Estimates are watchers of :func:`simulate`: it hands each of them
 every row as the row is finished, and each values its paths from the
@@ -65,15 +78,21 @@ from .errors import NumericalError, ParameterError
 from .grids import CoefficientField
 from .levy import LevyModel
 
-DEFAULT_SPLIT = 0.01
-#: largest compound-Poisson arrival rate above the split radius
-INTENSITY_CAP = 1e6
-_TABLE_PANELS = 4096
-_BUCKETS = 1 << 17
-_BUILD_BLOCK = 1 << 13
-#: jumps that mc.simulate draws, sizes and adds to their paths at a time
-_JUMP_BLOCK = 1 << 14
+#: the jump measure's tail mass beyond the radius that sizes the window
 _TAIL_TOL = 1e-10
+#: standard deviations of the step that the table reaches past the radius
+_WINDOW_SDS = 12.0
+#: table cells per standard deviation of the step, at least
+_CELLS_PER_SD = 64
+#: ``-log |phi|`` that the Gaussian part reaches at the table's largest
+#: frequency; ``phi`` is below ``e^-37 = 8.5e-17`` past it
+_DECAY = 37.0
+#: most points a step table may have
+_MAX_POINTS = 1 << 18
+#: largest gap between the tabulated density's mass and 1
+_MASS_TOL = 1e-9
+#: level buckets that _StepTable.build places at a time
+_BUILD_BLOCK = 1 << 13
 
 
 class MCEstimate(NamedTuple):
@@ -84,172 +103,143 @@ class MCEstimate(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# jump sampling scheme
+# the step law: density from the characteristic function, inverse CDF
+
+
+def _step_density(model: LevyModel, dt: float, a: float,
+                  drift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and density of the increment whose characteristic function
+    is ``exp(dt [iu drift - a u^2 + psi(u)])`` (``psi``:
+    :func:`~jumpstop.levy.characteristic_exponent`), from one inverse
+    FFT.
+
+    The window is centred on the mean ``dt drift`` and reaches the
+    radius beyond which the jump measure holds mass ``_TAIL_TOL``, plus
+    ``_WINDOW_SDS`` standard deviations for the sum of the jumps inside
+    it and the Gaussian part (a compound Poisson step of a few jumps
+    reaches past the radius of one).  Its spacing is ``1/_CELLS_PER_SD``
+    of a standard deviation, and fine enough that the Gaussian part
+    alone takes ``|phi|`` below ``e^-_DECAY`` at the largest frequency;
+    the point count is the next power of two, at most ``_MAX_POINTS``.
+    The frequencies past the one where the Gaussian part alone reaches
+    ``e^-_DECAY`` carry ``phi = 0``.
+    """
+    mean = dt * drift
+    sd = math.sqrt(dt * (2.0 * a + levy.jump_moment(model, 2, 0.0,
+                                                    math.inf)))
+    half = levy.truncation_radius(model, _TAIL_TOL) + _WINDOW_SDS * sd
+    dx = min(sd / _CELLS_PER_SD, math.pi * math.sqrt(a * dt / _DECAY))
+    n = 1 << math.ceil(math.log2(2.0 * half / dx))
+    if n > _MAX_POINTS:
+        raise ParameterError(
+            f"mc.simulate: a step of dt = {dt:.4g} over the diffusion "
+            f"floor {a:.4g} needs {n} table points, above the cap "
+            f"{_MAX_POINTS}; raise the floor")
+    dx = 2.0 * half / n
+    x0 = mean - half
+    du = 2.0 * math.pi / (n * dx)
+    u = du * np.arange(min(n // 2 + 1,
+                           int(math.sqrt(_DECAY / (a * dt)) / du) + 2))
+    # phi(u) e^{-iu x0} at u >= 0; the density at x0 + j dx is the
+    # inverse transform of its conjugate, scaled by 1 / dx
+    expo = dt * (1j * u * drift - a * u * u
+                 + levy.characteristic_exponent(model, u)) - 1j * u * x0
+    dens = np.fft.irfft(np.exp(expo.conj()), n) / dx
+    return x0 + dx * np.arange(n), dens
 
 
 @dataclass(frozen=True)
-class _JumpTable:
-    """Signed jump sizes as a function of one level ``w`` in ``[0, rate)``.
+class _StepTable:
+    """Increments as a function of one uniform level ``w`` in ``[0, 1)``:
+    ``np.interp(w, cdf, nodes)`` on the tabulated cumulative mass, which
+    runs from 0 to 1.
 
-    ``w < mass_plus`` is a positive jump at level ``w`` of the positive
-    side's cumulative mass ``cdf_plus``; the rest are negative jumps at
-    level ``w - mass_plus`` of ``cdf_minus``.  With ``w`` uniform, one
-    draw thus picks both the side and the inverse-CDF level, each with
-    its law.
-
-    The panels of both sides, positive first, carry the level ``shift``
-    of their side (0, or ``mass_plus`` on the negative side), their left
-    ``cdf`` node ``lo``, and the slope and left magnitude with the side's
-    sign folded in; one more panel after them has a NaN slope.  Level
-    bucket ``j`` holds the levels with ``int(w * scale) == j`` (the last
-    bucket also every level above), and ``panel[j]`` names the panel
-    that holds all of them strictly inside, or else the NaN panel: the
-    bucket spans two panels or both sides, lies on a panel of infinite
-    slope, or is the last.  The index is the smallest unsigned type that
-    holds it, so the bucket table is 256 KiB for two sides of 4,096
-    panels.
+    Panel ``k`` runs from ``cdf[k]`` and ``nodes[k]`` with the ``slope``
+    that ``np.interp`` gives it; the last node is a panel of slope 0.
+    Level bucket ``j`` holds the levels with ``int(w * buckets) == j``
+    (the last bucket also every level above), and ``panel[j]`` names the
+    panel that holds all of them strictly inside, or else the last node:
+    the bucket spans two panels, lies on a panel of no mass, or is the
+    last.  The bucket count is a power of two, so ``w * buckets`` and
+    the bucket edges are exact, and there are at least four per panel:
+    with one per panel, 17% of the levels of a 1-step Merton table went
+    to ``np.interp``, with four 5%.  The bucket index is ``np.intp``: a
+    narrower one costs a conversion on every gather.
     """
 
-    mass_plus: float
-    cdf_plus: np.ndarray
-    mag_plus: np.ndarray
-    cdf_minus: np.ndarray
-    mag_minus: np.ndarray
-    panel: np.ndarray
-    shift: np.ndarray
-    lo: np.ndarray
+    cdf: np.ndarray
+    nodes: np.ndarray
     slope: np.ndarray
-    base: np.ndarray
-    scale: float
+    panel: np.ndarray
 
     @classmethod
-    def build(cls, plus: tuple, minus: tuple) -> "_JumpTable":
-        (mass_p, cdf_p, mag_p), (mass_m, cdf_m, mag_m) = plus, minus
-        n_p = cdf_p.size - 1
+    def build(cls, cdf: np.ndarray, nodes: np.ndarray) -> "_StepTable":
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.concatenate([np.diff(mag_p) / np.diff(cdf_p),
-                                    -(np.diff(mag_m) / np.diff(cdf_m)),
-                                    [np.nan]])
-        shift = np.concatenate([np.zeros(n_p), np.full(cdf_m.size - 1,
-                                                       mass_p), [0.0]])
-        lo = np.concatenate([cdf_p[:-1], cdf_m[:-1], [0.0]])
-        hi = np.concatenate([cdf_p[1:], cdf_m[1:], [0.0]])
-        base = np.concatenate([mag_p[:-1], -mag_m[:-1], [0.0]])
-        scale = _BUCKETS / (mass_p + mass_m)
-        nan_panel = slope.size - 1
-        panel = np.empty(_BUCKETS, dtype=np.min_scalar_type(nan_panel))
-        # in blocks of buckets: one pass over the whole table held about
-        # 5 MB of temporaries, which could stay in the heap and raise
-        # the run's peak memory
-        for j0 in range(0, _BUCKETS, _BUILD_BLOCK):
-            # w * scale and the edge j / scale each round by half an ulp
-            # at most, so two ulps past each edge hold every level of the
-            # bucket: v0 <= w <= v1
-            edge = np.arange(j0, j0 + _BUILD_BLOCK + 1) / scale
-            v0 = np.nextafter(np.nextafter(edge[:-1], -np.inf), -np.inf)
-            v1 = np.nextafter(np.nextafter(edge[1:], np.inf), np.inf)
-            if j0 + _BUILD_BLOCK == _BUCKETS:
+            slope = np.diff(nodes) / np.diff(cdf)
+        miss = slope.size
+        buckets = 4 << (miss - 1).bit_length()
+        panel = np.empty(buckets, dtype=np.intp)
+        # in blocks of buckets: building ts15's 65,536 buckets at dt =
+        # 1/64 in one pass peaked at 2.7 MB, in blocks at 0.9 MB (the
+        # 0.5 MB index included)
+        for j0 in range(0, buckets, _BUILD_BLOCK):
+            edge = np.arange(j0, j0 + min(_BUILD_BLOCK, buckets) + 1) \
+                / buckets
+            v0, v1 = edge[:-1], edge[1:]
+            if j0 + _BUILD_BLOCK >= buckets:
                 v1[-1] = np.inf
-            # buckets from the s-th on start at mass_plus or above, so on
-            # the negative side; one before them that reaches mass_plus
-            # is inside no positive panel, as the last one ends there
-            s = int(np.searchsorted(v0, mass_p))
-            v0[s:] -= mass_p
-            v1[s:] -= mass_p
-            k = np.concatenate([
-                np.searchsorted(cdf_p, v0[:s], side="right") - 1,
-                np.searchsorted(cdf_m, v0[s:], side="right") + (n_p - 1)])
-            np.maximum(k, 0, out=k)
-            # levels map to panel levels monotonically, so the two ends
+            k = np.searchsorted(cdf, v0, side="right") - 1
+            # levels map to increments monotonically, so the two ends
             # decide, and np.interp's own formula holds strictly inside a
-            # panel; a level before the first node or past the last gives
-            # panel 0 or the NaN panel, and fails the test there
-            inside = (lo[k] < v0) & (v1 < hi[k]) & np.isfinite(slope[k])
-            panel[j0:j0 + _BUILD_BLOCK] = np.where(inside, k, nan_panel)
-        return cls(mass_p, cdf_p, mag_p, cdf_m, mag_m, panel, shift, lo,
-                   slope, base, scale)
+            # panel
+            inside = (cdf[k] < v0) & (v1 <= cdf[k + 1]) \
+                & np.isfinite(slope[k])
+            panel[j0:j0 + v0.size] = np.where(inside, k, miss)
+        return cls(cdf, nodes, np.append(slope, 0.0), panel)
 
-    def sizes(self, w: np.ndarray) -> np.ndarray:
-        """Signed sizes at levels ``w >= 0``: bit for bit
-        ``np.interp(w, cdf_plus, mag_plus)`` where ``w < mass_plus`` and
-        ``-np.interp(w - mass_plus, cdf_minus, mag_minus)`` elsewhere.
+    def draw(self, w: np.ndarray) -> np.ndarray:
+        """The increments at levels ``w >= 0``, written over ``w``: bit for
+        bit ``np.interp(w, cdf, nodes)``.
 
-        The value is ``np.interp``'s own formula on the bucket's panel
-        (negating is exact, so the folded sign changes no bit); levels
-        whose bucket names the NaN panel go to ``np.interp`` on their
-        own side.
+        The value is ``np.interp``'s own formula on the bucket's panel;
+        the levels whose bucket names the last node go to ``np.interp``
+        itself.
         """
-        k = (w * self.scale).astype(np.intp)
-        np.minimum(k, _BUCKETS - 1, out=k)
-        k[...] = self.panel[k]  # bucket -> panel, in place
-        out = w - self.shift.take(k)
-        out -= self.lo.take(k)
-        out *= self.slope.take(k)
-        out += self.base.take(k)
-        miss = np.flatnonzero(np.isnan(out))
+        k = (w * self.panel.size).astype(np.intp)
+        np.minimum(k, self.panel.size - 1, out=k)
+        k = self.panel.take(k)
+        miss = np.flatnonzero(k == self.slope.size - 1)
+        wm = w[miss]
+        w -= self.cdf.take(k)
+        w *= self.slope.take(k)
+        w += self.nodes.take(k)
         if miss.size:
-            wm = w[miss]
-            pos = wm < self.mass_plus
-            out[miss[pos]] = np.interp(wm[pos], self.cdf_plus,
-                                       self.mag_plus)
-            out[miss[~pos]] = -np.interp(wm[~pos] - self.mass_plus,
-                                         self.cdf_minus, self.mag_minus)
-        return out
+            w[miss] = np.interp(wm, self.cdf, self.nodes)
+        return w
 
 
-@dataclass(frozen=True)
-class _JumpScheme:
-    """Frozen sampling plan for one model: rates and inverse-CDF tables."""
-
-    small_var: float   # variance rate of the substituted Brownian term
-    comp_drift: float  # drift carried for truncation-at-one compensation
-    rate: float        # compound-Poisson arrival rate (mass of the tables)
-    table: _JumpTable | None
-
-
-_TRIVIAL_SCHEME = _JumpScheme(0.0, 0.0, 0.0, None)
-
-
-def _side_table(model: LevyModel, lo: float, hi: float,
-                sign: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cumulative mass of the density over one side, on a graded grid."""
-    if lo > 0.0:
-        t = np.geomspace(lo, hi, _TABLE_PANELS + 1)
-    else:
-        t = np.linspace(0.0, hi, _TABLE_PANELS + 1)
-    # a density sampled from 0 is bounded there, but the density helper
-    # rejects y = 0 outright; nudge that single node
-    t_eval = np.where(t > 0.0, t, hi * 1e-12)
-    dens = np.asarray(levy.density(model, sign * t_eval), dtype=float)
+def _step_table(model: LevyModel, dt: float, a: float,
+                drift: float) -> _StepTable:
+    """The inverse CDF of the increment of :func:`_step_density`: the
+    density clipped at 0 (the transform's ringing), its cumulative
+    trapezoid sums scaled to total mass 1, with the flat ends cut to one
+    node each.  A total mass more than ``_MASS_TOL`` from 1 is a law the
+    window does not hold."""
+    nodes, dens = _step_density(model, dt, a, drift)
+    np.maximum(dens, 0.0, out=dens)
     # the trapezoid sums of scipy's cumulative_trapezoid, term for term,
     # without importing scipy.integrate
-    mass = np.concatenate(
-        ([0.0], np.cumsum(np.diff(t) * (dens[1:] + dens[:-1]) / 2.0)))
-    return float(mass[-1]), mass, t
-
-
-def _build_scheme(model: LevyModel) -> _JumpScheme:
-    """The model's sampling plan.  A density bounded at 0 samples every
-    jump (split 0); the others sample the jumps above
-    :data:`DEFAULT_SPLIT` and replace the ones below it by a Brownian
-    term of their variance.  A drift compensates the jumps from the split
-    to 1, as the lattice operator does."""
-    if model.is_trivial:
-        return _TRIVIAL_SCHEME
-    split = 0.0 if model.bounded_density else DEFAULT_SPLIT
-    hi = levy.truncation_radius(model, _TAIL_TOL)
-    plus = _side_table(model, split, hi, +1.0)
-    minus = _side_table(model, split, hi, -1.0)
-    rate = plus[0] + minus[0]
-    if rate > INTENSITY_CAP:
-        raise ParameterError(
-            f"jump arrival rate {rate:.4g} above the split radius "
-            f"{split:.4g} exceeds the cap {INTENSITY_CAP:.4g}")
-    # a model with no jump mass above the split (zero intensity)
-    # simulates as a diffusion
-    table = _JumpTable.build(plus, minus) if rate > 0.0 else None
-    return _JumpScheme(levy.jump_moment(model, 2, 0.0, split),
-                       levy.jump_moment(model, 1, split, 1.0), rate, table)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(nodes)
+                                           * (dens[1:] + dens[:-1]) / 2.0)))
+    mass = cdf[-1]
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise NumericalError(
+            f"mc.simulate: the step table of dt = {dt:.4g} holds mass "
+            f"{mass:.12g}, not 1")
+    cdf /= mass
+    first = int(np.searchsorted(cdf, 0.0, side="right")) - 1
+    last = int(np.searchsorted(cdf, 1.0, side="left")) + 1
+    return _StepTable.build(cdf[first:last], nodes[first:last])
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +248,10 @@ def _build_scheme(model: LevyModel) -> _JumpScheme:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """What a batch leaves once its rows are gone: the time levels, the
-    states at the last of them, and the number of sampled (above-split)
-    jumps per path."""
+    """What a batch leaves once its rows are gone: the time levels and the
+    states at the last of them.  ``jump_counts`` is all zeros: a step
+    draws its whole increment, not its jumps; the benchmark's tracer
+    (``perfbench/tracing.py``) still reads it."""
 
     times: np.ndarray
     terminal: np.ndarray
@@ -278,7 +269,7 @@ class PathBatch:
 def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
              T: float, n_paths: int, n_steps: int, seed: int,
              watchers: Sequence[Callable] = ()) -> PathBatch:
-    """Euler paths of the state started at ``x0`` over horizon ``T``.
+    """Paths of the state started at ``x0`` over horizon ``T``.
 
     The batch holds two rows of ``n_paths`` states, ``x`` and the next
     one, and each step writes the next row in place.  Each watcher is
@@ -288,49 +279,63 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
     keeps.  Each row is checked for non-finite states before the
     watchers see it, the last one too.
     The counter-based generator (Philox) makes the batch
-    reproducible bit-for-bit from ``seed``.  Each step draws, in this
-    order: one standard normal per path; the pooled jump count ``N ~
-    Poisson(rate * dt * n_paths)``; ``N`` owners uniform over the paths;
-    and one uniform level in ``[0, rate)`` per jump, which picks both the
-    side and the size (:class:`_JumpTable`).  By Poisson splitting this
-    is the law of independent ``Poisson(rate * dt)`` counts per path with
-    independent sizes, so the number of draws grows with the number of
-    jumps, not with ``n_paths * n_steps``.  Sizes read the tabulated
-    inverse CDF through a bucket table in O(1) per jump and equal
-    ``np.interp`` on it bit for bit.  The owners are drawn as ``int32``
-    in one call, the same Philox stream and generator state as ``int64``
-    owners for ``n_paths <= 2**31``.  The levels are drawn
-    ``_JUMP_BLOCK`` at a time (the same stream as one call), sized and
-    added to their paths with ``np.add.at`` in draw order: beyond the two
-    rows and the counts, the step's jumps hold 4 bytes each and the rest
-    is one block.  With constant coefficients the normal's scale and
-    shift are two floats computed once; otherwise step ``n`` reads the
-    fields at the time to expiry ``T - times[n]``.
+    reproducible bit-for-bit from ``seed``.
 
     Diffusion uses ``sqrt(2 a)`` so the paths match the operator
-    convention ``a u'' + b u'``; the variance of the jumps below the
-    model's split radius is folded into the same normal draw (the sum of
-    independent centered normals is normal).
+    convention ``a u'' + b u'``.  Each step draws, in this order:
+
+    * a model with jumps and constant coefficients: one uniform per
+      path, mapped through the step table (:class:`_StepTable`) of the
+      whole increment, ``exp(dt [iu (b + m1) - a u^2 + psi(u)])`` with
+      ``m1 = jump_moment(model, 1, 1, inf)``;
+    * a model with jumps and fields that are not constant: one uniform
+      per path through the table of the jumps and the Gaussian of the
+      floor ``coeffs.lambda_floor``, ``exp(dt [iu m1 - floor u^2 +
+      psi(u)])``, then one standard normal per path for the rest,
+      ``b dt + sqrt(2 (a - floor) dt) z``, with the fields read at the
+      time to expiry ``T - times[n]``; a state where ``a`` is below the
+      floor is a :class:`NumericalError`;
+    * a model without jumps (``psi`` = 0): one standard normal per path,
+      ``b dt + sqrt(2 a dt) z``.
+
+    The uniforms are drawn into the spare row and the increments written
+    over them, so a step holds the two rows and a few index arrays of
+    the row's size.
     """
     if n_paths < 1 or n_steps < 1:
         raise ParameterError("need n_paths >= 1 and n_steps >= 1")
     if not T > 0.0:
         raise ParameterError("horizon T must be positive")
-    scheme = _build_scheme(model)
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
     x = np.full(n_paths, float(x0))
     nxt = np.empty(n_paths)
-    jump_counts = np.zeros(n_paths, dtype=np.int64)
     sq_dt = math.sqrt(dt)
+    # Re psi(1) = integral (cos y - 1) rho(y) dy is 0 for no jumps only
+    jumps = float(levy.characteristic_exponent(model, 1.0).real) != 0.0
+    floor = 0.0
+    if jumps:
+        m1 = levy.jump_moment(model, 1, 1.0, math.inf)
+        if coeffs.constant:
+            a = float(np.asarray(coeffs.a(x[:1], T), dtype=float).flat[0])
+            b = float(np.asarray(coeffs.b(x[:1], T), dtype=float).flat[0])
+            table = _step_table(model, dt, a, b + m1)
+        else:
+            floor = coeffs.lambda_floor
+            table = _step_table(model, dt, floor, m1)
 
-    def normal_part(x, t):
+    def normal_part(x, t, n):
         # scale and shift of the normal draw z: dx = vol z + drift
         a = np.asarray(coeffs.a(x, t), dtype=float)
         b = np.asarray(coeffs.b(x, t), dtype=float)
-        return (np.sqrt(2.0 * a + scheme.small_var) * sq_dt,
-                (b - scheme.comp_drift) * dt)
+        low = np.flatnonzero(a < floor)
+        if low.size:
+            raise NumericalError(
+                f"mc.simulate: step {n} reads diffusion "
+                f"{float(np.ravel(a)[low[0]]):.6g} below the floor "
+                f"{floor:.6g} at state {float(x[low[0]]):.6g}")
+        return np.sqrt(2.0 * (a - floor)) * sq_dt, b * dt
     def show(x, n):
         # a watcher sees finite states only: a rule reading a NaN state
         # would fail, or stop it, before the batch could be rejected
@@ -339,35 +344,29 @@ def simulate(model: LevyModel, coeffs: CoefficientField, x0: float,
                 "mc.simulate: the paths have non-finite states")
         for watch in watchers:
             watch(x, n, times)
-    if coeffs.constant:
+    if coeffs.constant and not jumps:
         # one value through the same IEEE operations is every element of
         # the per-step arrays
-        vol, drift = (float(v.flat[0]) for v in normal_part(x[:1], T))
+        vol, drift = (float(v.flat[0]) for v in normal_part(x[:1], T, 0))
     for n in range(n_steps):
         show(x, n)
         if not coeffs.constant:
-            vol, drift = normal_part(x, T - times[n])
+            vol, drift = normal_part(x, T - times[n], n)
         # the next row holds dx, then x + dx
-        dx = rng.standard_normal(n_paths, out=nxt)
-        dx *= vol
-        dx += drift
-        if scheme.rate > 0.0:
-            total = int(rng.poisson(scheme.rate * dt * n_paths))
-            owner = rng.integers(n_paths, size=total, dtype=np.int32)
-            for j in range(0, total, _JUMP_BLOCK):
-                m = min(_JUMP_BLOCK, total - j)
-                w = rng.random(m)
-                w *= scheme.rate
-                # np.add.at converts other index types on every call
-                o = owner[j:j + m].astype(np.intp)
-                np.add.at(dx, o, scheme.table.sizes(w))
-                np.add.at(jump_counts, o, 1)
-            del owner  # before the next step draws its own
+        if jumps:
+            dx = table.draw(rng.random(n_paths, out=nxt))
+            if not coeffs.constant:
+                dx += rng.standard_normal(n_paths) * vol
+                dx += drift
+        else:
+            dx = rng.standard_normal(n_paths, out=nxt)
+            dx *= vol
+            dx += drift
         dx += x
         x, nxt = dx, x
     del nxt
     show(x, n_steps)
-    return PathBatch(times, x, jump_counts)
+    return PathBatch(times, x, np.zeros(n_paths, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

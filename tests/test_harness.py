@@ -948,6 +948,31 @@ def test_failed_check_line_gives_observed_value_and_bound(tmp_path):
         checks["oracle_binomial"]["bound"] == pytest.approx(1e-3)
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["passing_first",
+                                                 "failing_first"])
+def test_a_check_fails_when_any_row_fails_its_own_gate(order):
+    # gap 0.004 under its gate 0.005 (1% of 0.5), and gap 0.002 over its
+    # gate 0.001 (the floor 1e-3 of the reward bound): the smaller gap
+    # fails, in either order, and the check reports it
+    rc = harness.RunConfig.from_dict({
+        "problem": MERTON_JUMPS,
+        "numerics": {"nx": 60, "nt": 40, "mode": "european"}})
+    cfg = rc.build_solve_config()
+    report = harness._solve(cfg)
+    rows = [{"oracle": "merton", "oracle_value": value, "abs_gap": gap,
+             "rel_gap": gap / value}
+            for value, gap in ((0.5, 0.004), (0.05, 0.002))][::order]
+    check = harness._hard_checks(cfg, report, None, rows, None)[
+        "oracle_merton"]
+    assert (check.passed, check.observed, check.bound) == (False, 0.002,
+                                                           1e-3)
+    # the same two rows both under their gates: the larger gap stays
+    rows[1 if order == 1 else 0]["abs_gap"] = 0.0005
+    check = harness._hard_checks(cfg, report, None, rows, None)[
+        "oracle_merton"]
+    assert check.passed and check.observed == 0.004
+
+
 def test_every_check_has_a_layer():
     # a failed-check line names the layer from harness._CHECK_LAYERS
     seen = set()

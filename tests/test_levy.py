@@ -641,12 +641,13 @@ def test_kou_is_the_tempered_stable_shape_alpha_minus_one(args):
     for name in OPERATOR_FIELDS:
         assert np.array_equal(getattr(op_kou, name), getattr(op_ts, name)), \
             name
-    assert kou.bounded_density and ts.bounded_density
+    u = np.linspace(-40.0, 40.0, 81)
+    assert np.array_equal(levy.characteristic_exponent(kou, u),
+                          levy.characteristic_exponent(ts, u))
     coeffs = CoefficientField.constants(0.02, 0.0, 0.04)
     batches = [mc.simulate(m, coeffs, 0.0, 1.0, 2000, 8, 7)
                for m in (kou, ts)]
     assert np.array_equal(batches[0].terminal, batches[1].terminal)
-    assert np.array_equal(batches[0].jump_counts, batches[1].jump_counts)
 
 
 def test_variance_gamma_is_the_tempered_stable_shape_alpha_zero():
@@ -660,19 +661,6 @@ def test_variance_gamma_is_the_tempered_stable_shape_alpha_zero():
     for model in (vg, ts):
         assert np.allclose(levy.density(model, y), want, rtol=4e-16, atol=0.0)
     assert levy.exp_compensator(vg) == levy.exp_compensator(ts)
-
-
-@pytest.mark.parametrize("model, bounded", [
-    (levy.none(), True), (MODELS["merton"], True), (MODELS["kou"], True),
-    (MODELS["vg"], False), (MODELS["nig"], False), (MODELS["ts_sym"], False),
-    (levy.tempered_stable(0.5, 0.0, -1.5, 1.5, 3.0, 3.0), True),
-    (levy.tempered_stable(0.5, 0.5, -1.0, -0.5, 3.0, 3.0), False),
-])
-def test_density_bounded_at_zero_exactly_where_every_active_side_has_alpha_at_most_minus_one(
-        model, bounded):
-    assert model.bounded_density is bounded
-    values = levy.density(model, np.array([-1e-12, 1e-12]))
-    assert bool(np.all(values < 1e3)) is bounded
 
 
 def test_divergent_exponential_moment_names_the_rate():
@@ -713,3 +701,73 @@ def test_small_var_from_zero_is_the_lower_incomplete_gamma(key):
     name, eps = key
     got = levy.tails(SMALL_VAR_MODELS[name], eps).small_var
     assert got == pytest.approx(SMALL_VAR_FROM_ZERO[key], rel=1e-14, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the characteristic exponent
+# ---------------------------------------------------------------------------
+
+PSI_MODELS = {
+    **{f"ts_alpha_{a}": levy.tempered_stable(0.3, 0.2, a, a, 3.0, 2.0)
+       for a in (-1.0, 0.0, 0.5, 0.999, 1.0, 1.001, 1.5)},
+    "merton": MODELS["merton"], "kou": levy.kou(4.0, 0.3, 10.0, 5.0),
+    "vg": MODELS["vg"], "nig": MODELS["nig"],
+}
+
+
+def _psi_by_quadrature(model, u):
+    """``integral (e^{iuy} - 1 - iuy) rho(y) dy`` side by side, each part
+    written without cancellation near 0: ``cos(uy) - 1 = -2 sin^2(uy/2)``
+    and ``sin(uy) - uy`` by its series where ``|uy| < 0.01``."""
+    def re(t):
+        return -2.0 * math.sin(0.5 * u * t) ** 2
+
+    def im(t):
+        v = u * t
+        if abs(v) < 1e-2:
+            return -v ** 3 / 6.0 + v ** 5 / 120.0 - v ** 7 / 5040.0
+        return math.sin(v) - v
+    real = sum(levy.integrate_density(model, re, 0.0, math.inf, side=side)
+               for side in "+-")
+    imag = levy.integrate_density(model, im, 0.0, math.inf, side="+") \
+        - levy.integrate_density(model, im, 0.0, math.inf, side="-")
+    return complex(real, imag)
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("name", sorted(PSI_MODELS))
+def test_characteristic_exponent_is_the_compensated_integral(name):
+    # both branches of a tempered side: the series (|u / lam| <= 1/4)
+    # and the log form; the quadrature agrees to 3e-11 at worst
+    model = PSI_MODELS[name]
+    got = levy.characteristic_exponent(model, np.array([0.3, 5.0]))
+    for u, psi in zip((0.3, 5.0), got):
+        want = _psi_by_quadrature(model, u)
+        assert abs(psi - want) <= 1e-9 * abs(want), u
+
+
+@pytest.mark.parametrize("name", sorted(PSI_MODELS))
+def test_characteristic_exponent_gives_the_martingale_drift(name):
+    # at u = -i the risk-neutral drift b = r - a - exp_compensator makes
+    # b + m1 + a + psi(-i) = r, with m1 the jumps' mean beyond 1
+    model = PSI_MODELS[name]
+    a, r = 0.02, 0.04
+    b = r - a - levy.exp_compensator(model)
+    m1 = levy.jump_moment(model, 1, 1.0, math.inf)
+    psi = complex(levy.characteristic_exponent(model, -1j))
+    assert abs(b + m1 + a + psi.real - r) <= 1e-14
+    assert psi.imag == 0.0
+
+
+def test_characteristic_exponent_is_hermitian_and_zero_without_jumps():
+    u = np.linspace(0.0, 30.0, 31)
+    for model in PSI_MODELS.values():
+        psi = levy.characteristic_exponent(model, u)
+        assert psi[0] == 0.0
+        assert np.array_equal(levy.characteristic_exponent(model, -u),
+                              psi.conj())
+        # Re psi(u) = integral (cos uy - 1) rho <= 0
+        assert (psi.real[1:] < 0.0).all()
+    assert not levy.characteristic_exponent(levy.none(), u).any()
+    assert not levy.characteristic_exponent(levy.merton(0.0, 0.1, 0.2),
+                                            u).any()

@@ -113,46 +113,6 @@ def test_gaussian_terminal_moments():
     assert abs(xT.var(ddof=1) - SIG ** 2) <= 4.0 * se_var
 
 
-def test_jump_count_matches_poisson_rate(merton_batch):
-    lam, T = 1.5, 1.0
-    se = np.sqrt(lam * T / merton_batch.n_paths)
-    assert abs(merton_batch.jump_counts.mean() - lam * T) <= 4.0 * se
-    # finite-activity family: every jump sampled, nothing substituted
-    mod, _ = merton_setup()
-    scheme = mc._build_scheme(mod)
-    assert scheme.small_var == 0.0
-    assert scheme.comp_drift == levy.jump_moment(mod, 1, 0.0, 1.0)
-
-
-def test_jump_count_variance_matches_poisson(merton_batch):
-    # per-path counts are Poisson(lam T): variance equal to the mean, with
-    # Var(s^2) ~ (lam T + 2 (lam T)^2) / n; owners that were not uniform
-    # and independent would spread or bunch the counts
-    mean = 1.5
-    n = merton_batch.n_paths
-    counts = merton_batch.jump_counts
-    se_var = np.sqrt((mean + 2.0 * mean * mean) / n)
-    assert abs(counts.var(ddof=1) - mean) <= 4.0 * se_var
-    assert abs(counts.mean() - mean) <= 4.0 * np.sqrt(mean / n)
-
-
-def test_positive_jump_fraction_matches_side_mass():
-    # no diffusion and the compensating drift cancelled exactly, so each
-    # step's increment is the sum of its jumps; at rate * dt = 0.01 almost
-    # every nonzero increment is a single jump
-    mod = levy.kou(4.0, 0.3, 10.0, 5.0)
-    scheme = mc._build_scheme(mod)
-    batch, states = simulate_states(
-        mod, degenerate_coeffs(scheme.comp_drift, 0.0), 0.0, 1.0, 2000, 400,
-        19)
-    inc = np.diff(states, axis=1)
-    moved = inc != 0.0
-    assert moved.sum() >= 0.99 * batch.jump_counts.sum()
-    p = scheme.table.mass_plus / scheme.rate
-    frac = (inc > 0.0).sum() / moved.sum()
-    assert abs(frac - p) <= 4.0 * np.sqrt(p * (1.0 - p) / moved.sum())
-
-
 table_models = pytest.mark.parametrize("model", [
     levy.merton(1.5, -0.05, 0.25), levy.kou(4.0, 0.3, 10.0, 5.0),
     levy.variance_gamma(0.2, 0.3, -0.1), levy.nig(6.0, -1.0, 0.3),
@@ -160,88 +120,85 @@ table_models = pytest.mark.parametrize("model", [
     ids=["merton", "kou", "vg", "nig", "ts"])
 
 
-def _interp_sizes(table, w):
-    return np.where(w < table.mass_plus,
-                    np.interp(w, table.cdf_plus, table.mag_plus),
-                    -np.interp(w - table.mass_plus, table.cdf_minus,
-                               table.mag_minus))
+def risk_neutral_drift(model):
+    """``b + m1`` of the put's risk-neutral constants: the mean rate of
+    the step."""
+    return R - A - levy.exp_compensator(model) + \
+        levy.jump_moment(model, 1, 1.0, math.inf)
 
 
 @table_models
 def test_guided_inverse_cdf_is_np_interp_bit_for_bit(model):
-    table = mc._build_scheme(model).table
-    plus = (table.mass_plus, table.cdf_plus, table.mag_plus)
-    minus = (float(table.cdf_minus[-1]), table.cdf_minus, table.mag_minus)
     rng = np.random.default_rng(3)
-    # each side in turn first, so its levels are the draws themselves
-    for first, second in ((plus, minus), (minus, plus)):
-        tab = mc._JumpTable.build(first, second)
-        mass, cdf = first[0], first[1]
-        rate = first[0] + second[0]
+    for dt in (1.0 / 64, 1.0):
+        table = mc._step_table(model, dt, A, risk_neutral_drift(model))
+        cdf = table.cdf
         edges = np.concatenate([
-            [0.0, mass, np.nextafter(mass, np.inf), rate,
-             np.nextafter(rate, np.inf)],
-            cdf, np.nextafter(cdf[1:], 0.0), mass + second[1]])
-        for w in (rng.random(1_000_000) * rate, edges):
-            assert np.array_equal(tab.sizes(w), _interp_sizes(tab, w))
+            [0.0, 1.0, np.nextafter(1.0, 0.0)],
+            cdf, np.nextafter(cdf[1:], 0.0), np.nextafter(cdf[:-1], 1.0)])
+        for w in (rng.random(1_000_000), edges):
+            want = np.interp(w, cdf, table.nodes)
+            assert np.array_equal(table.draw(w.copy()), want)
 
 
 @st.composite
-def side_tables(draw):
-    """One side's ``(mass, cdf, mag)``: monotone, with flat panels (equal
-    sizes), vertical ones (no mass) or no mass at all."""
+def step_tables(draw):
+    """``(cdf, nodes)`` from 0 to 1: monotone, with flat panels (equal
+    increments), vertical ones (no mass) or one panel holding all."""
     n = draw(st.integers(1, 40))
     steps = st.one_of(st.just(0.0), st.floats(1e-6, 2.0))
-    if draw(st.booleans()):
-        cdf = np.cumsum([0.0] + draw(st.lists(steps, min_size=n,
-                                              max_size=n)))
-    else:
-        cdf = np.zeros(n + 1)
-    mag = draw(st.floats(0.0, 0.5)) + np.cumsum(
+    cdf = np.cumsum([0.0] + draw(st.lists(steps, min_size=n, max_size=n)))
+    assume(cdf[-1] > 0.0)
+    cdf /= cdf[-1]
+    nodes = draw(st.floats(-0.5, 0.5)) + np.cumsum(
         [0.0] + draw(st.lists(steps, min_size=n, max_size=n)))
-    return float(cdf[-1]), cdf, mag
+    return cdf, nodes
 
 
 @settings(max_examples=60, deadline=None)
-@given(plus=side_tables(), minus=side_tables(), seed=st.integers(0, 2**32))
-def test_bucket_table_is_np_interp_bit_for_bit(plus, minus, seed):
-    rate = plus[0] + minus[0]
-    assume(rate > 0.0)
-    tab = mc._JumpTable.build(plus, minus)
-    # every bucket edge and its neighbours, the side switch and the end
-    edge = np.arange(mc._BUCKETS + 1) / tab.scale
-    special = np.array([0.0, plus[0], rate])
+@given(table=step_tables(), seed=st.integers(0, 2**32))
+def test_bucket_table_is_np_interp_bit_for_bit(table, seed):
+    cdf, nodes = table
+    tab = mc._StepTable.build(cdf, nodes)
+    # every bucket edge and its neighbours, the nodes and the end
+    edge = np.arange(tab.panel.size + 1) / tab.panel.size
     levels = np.concatenate([
-        edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
-        special, np.nextafter(special, np.inf),
-        np.nextafter(special, -np.inf)[1:],
-        np.random.default_rng(seed).random(20_000) * rate])
-    assert np.array_equal(tab.sizes(levels), _interp_sizes(tab, levels))
+        edge, np.nextafter(edge, -np.inf)[1:], np.nextafter(edge, np.inf),
+        cdf, np.nextafter(cdf, 1.0),
+        np.random.default_rng(seed).random(20_000)])
+    assert np.array_equal(tab.draw(levels.copy()),
+                          np.interp(levels, cdf, nodes))
 
 
 def _reference_simulate(model, coeffs, x0, T, n_paths, n_steps, seed):
-    """A plain Euler loop in the documented draw order: per-step
-    coefficient arrays, jump sizes from ``np.interp`` on the table."""
-    scheme = mc._build_scheme(model)
+    """A plain loop in the documented draw order: per-step coefficient
+    arrays, increments from ``np.interp`` on the step table."""
     rng = np.random.Generator(np.random.Philox(seed))
     dt = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
     rows = [np.full(n_paths, float(x0))]
-    counts = np.zeros(n_paths, dtype=np.int64)
+    jumps = levy.characteristic_exponent(model, 1.0).real != 0.0
+    if jumps:
+        m1 = levy.jump_moment(model, 1, 1.0, math.inf)
+        if coeffs.constant:
+            a, b = (float(f(rows[0][:1], T)[0]) for f in (coeffs.a, coeffs.b))
+            table = mc._step_table(model, dt, a, b + m1)
+        else:
+            floor = coeffs.lambda_floor
+            table = mc._step_table(model, dt, floor, m1)
     for n in range(n_steps):
         x = rows[-1]
         a, b = coeffs.a(x, T - times[n]), coeffs.b(x, T - times[n])
-        vol = np.sqrt(2.0 * a + scheme.small_var) * math.sqrt(dt)
-        dx = rng.standard_normal(n_paths) * vol \
-            + (b - scheme.comp_drift) * dt
-        if scheme.rate > 0.0:
-            total = int(rng.poisson(scheme.rate * dt * n_paths))
-            owner = rng.integers(n_paths, size=total)
-            w = rng.random(total) * scheme.rate
-            np.add.at(dx, owner, _interp_sizes(scheme.table, w))
-            counts += np.bincount(owner, minlength=n_paths)
+        if not jumps:
+            dx = rng.standard_normal(n_paths) * (np.sqrt(2.0 * a)
+                                                 * math.sqrt(dt)) + b * dt
+        else:
+            dx = np.interp(rng.random(n_paths), table.cdf, table.nodes)
+            if not coeffs.constant:
+                dx = dx + rng.standard_normal(n_paths) * (
+                    np.sqrt(2.0 * (a - floor)) * math.sqrt(dt)) + b * dt
         rows.append(x + dx)
-    return np.stack(rows, axis=1), counts
+    return np.stack(rows, axis=1)
 
 
 @pytest.mark.parametrize("model", [
@@ -258,100 +215,124 @@ def test_simulate_is_the_reference_loop_bit_for_bit(model, constant):
         CoefficientField(
             a=lambda x, t: np.full_like(np.asarray(x, dtype=float), A),
             b=lambda x, t: np.full_like(np.asarray(x, dtype=float), b),
-            r=lambda x, t: np.full_like(np.asarray(x, dtype=float), R))
+            r=lambda x, t: np.full_like(np.asarray(x, dtype=float), R),
+            lambda_floor=0.5 * A)
     assert coeffs.constant is constant
     batch, got = simulate_states(model, coeffs, 0.1, 1.0, 2000, 16, 29)
-    states, counts = _reference_simulate(model, coeffs, 0.1, 1.0, 2000,
-                                         16, 29)
+    states = _reference_simulate(model, coeffs, 0.1, 1.0, 2000, 16, 29)
     assert np.array_equal(got, states)
     assert np.array_equal(batch.terminal, states[:, -1])
-    assert np.array_equal(batch.jump_counts, counts)
+    assert not batch.jump_counts.any()
 
 
-@pytest.mark.parametrize("block", [1, 7, 1000])
-@pytest.mark.parametrize("setup", [ts_setup, merton_setup],
-                         ids=["ts", "merton"])
-def test_jump_blocks_are_the_reference_loop_bit_for_bit(setup, block,
-                                                        monkeypatch):
-    # steps of about 3,100 (ts) and 19 (merton) jumps: blocks of one
-    # jump, several blocks with a partial last one, and one partial block
-    monkeypatch.setattr(mc, "_JUMP_BLOCK", block)
-    model, coeffs = setup()
-    batch, got = simulate_states(model, coeffs, 0.1, 1.0, 50, 4, 31)
-    states, counts = _reference_simulate(model, coeffs, 0.1, 1.0, 50, 4,
-                                         31)
-    assert np.array_equal(got, states)
-    assert np.array_equal(batch.jump_counts, counts)
-
-
-def test_one_step_of_150k_jumps_is_the_reference_loop_bit_for_bit():
-    # the shape of a European Merton check: every jump in one step
+def test_one_step_european_batch_is_the_reference_loop_bit_for_bit():
+    # the shape of a European Merton check: the whole horizon in one step
     model, coeffs = merton_setup()
-    batch, got = simulate_states(model, coeffs, 0.0, 1.0, 100_000, 1, 37)
-    states, counts = _reference_simulate(model, coeffs, 0.0, 1.0, 100_000,
-                                         1, 37)
-    assert counts.sum() > 140_000
+    _, got = simulate_states(model, coeffs, 0.0, 1.0, 100_000, 1, 37)
+    states = _reference_simulate(model, coeffs, 0.0, 1.0, 100_000, 1, 37)
     assert np.array_equal(got, states)
-    assert np.array_equal(batch.jump_counts, counts)
-
-
-def _largest_step(rate, T, n_paths, n_steps, seed):
-    """Jumps of the largest step of a batch, replaying its draws."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    largest = 0
-    for _ in range(n_steps):
-        rng.standard_normal(n_paths)
-        total = int(rng.poisson(rate * (T / n_steps) * n_paths))
-        rng.integers(n_paths, size=total, dtype=np.int32)
-        rng.random(total)
-        largest = max(largest, total)
-    return largest
 
 
 @pytest.mark.parametrize("n_paths", [20_000, 80_000])
-def test_jump_kernel_working_set_is_fixed(n_paths):
-    # beyond two rows of states, the jump counts and the step's int32
-    # owners, simulate holds the table (640 KiB) and one block of jumps
-    # (640 KiB), whatever the batch size or the number of steps; sizing a
-    # whole step at once held about 37 bytes per jump, and keeping every
-    # row held 8 bytes per path and step
+def test_step_working_set_is_fixed(n_paths):
+    # beyond two rows of states and the zero jump counts, simulate holds
+    # the step table of dt and a few arrays of the row's size, whatever
+    # the number of steps; keeping every row held 8 bytes per path and
+    # step.  Both batches step by dt = 1/64, so they share the table
     model, coeffs = ts_setup()
-    rate = mc._build_scheme(model).rate
     # a first batch fills the caches that live past it
     mc.simulate(model, coeffs, 0.0, 1.0, 10, 1, 41)
     rest = {}
-    for n_steps in (16, 64):
+    for T, n_steps in ((0.25, 16), (1.0, 64)):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            batch = mc.simulate(model, coeffs, 0.0, 1.0, n_paths, n_steps,
-                                41)
+            batch = mc.simulate(model, coeffs, 0.0, T, n_paths, n_steps, 41)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        largest = _largest_step(rate, 1.0, n_paths, n_steps, 41)
-        assert largest > 15 * n_paths * 16 / n_steps
-        rest[n_steps] = peak - 4 * largest
-        excess = rest[n_steps] - 2 * batch.terminal.nbytes \
+        rest[n_steps] = peak - 2 * batch.terminal.nbytes \
             - batch.jump_counts.nbytes
-        assert excess < 2 * 2**20, n_steps
+        assert rest[n_steps] < 4 * batch.terminal.nbytes + 2 * 2**20, \
+            (n_steps, rest[n_steps])
         del batch
     assert abs(rest[64] - rest[16]) < 256 * 2**10
 
 
 @table_models
-@pytest.mark.parametrize("lo", [0.0, mc.DEFAULT_SPLIT],
-                         ids=["linspace", "geomspace"])
-def test_side_table_is_cumulative_trapezoid_bit_for_bit(model, lo):
+@pytest.mark.parametrize("dt", [1.0 / 64, 1.0], ids=["dt64", "dt1"])
+def test_step_table_is_the_clipped_density_cumulative_trapezoid(model, dt):
     from scipy.integrate import cumulative_trapezoid
-    hi = levy.truncation_radius(model, mc._TAIL_TOL)
-    for sign in (1.0, -1.0):
-        total, mass, t = mc._side_table(model, lo, hi, sign)
-        assert t[0] == lo and t[-1] == hi
-        dens = levy.density(model, sign * np.where(t > 0.0, t, hi * 1e-12))
-        ref = cumulative_trapezoid(dens, t, initial=0.0)
-        assert mass.view(np.int64).tolist() == ref.view(np.int64).tolist()
-        assert total == ref[-1]
+    drift = risk_neutral_drift(model)
+    nodes, dens = mc._step_density(model, dt, A, drift)
+    table = mc._step_table(model, dt, A, drift)
+    cdf = cumulative_trapezoid(np.maximum(dens, 0.0), nodes, initial=0.0)
+    cdf /= cdf[-1]
+    # the flat ends cut to one node each
+    first = np.flatnonzero(cdf == 0.0)[-1]
+    last = np.flatnonzero(cdf == 1.0)[0]
+    assert np.array_equal(table.nodes, nodes[first:last + 1])
+    assert np.array_equal(table.cdf, cdf[first:last + 1])
+    assert table.cdf[0] == 0.0 and table.cdf[-1] == 1.0
+
+
+@table_models
+@pytest.mark.parametrize("dt", [1.0 / 64, 1.0], ids=["dt64", "dt1"])
+def test_step_table_moments_match_the_cumulants(model, dt):
+    # the tabulated density, by its trapezoid sums, against the step's
+    # closed-form mean dt (b + m1) and variance dt (2 a + m2): mass to
+    # 1e-11, mean to 1e-9 standard deviations, variance to 1e-8 relative
+    # (at worst 4.2e-13 on ts at dt = 1/64, and 1.7e-10 and 6.6e-10 on
+    # Merton at dt = 1/64, whose few-jump sums reach farthest)
+    drift = risk_neutral_drift(model)
+    mean = dt * drift
+    var = dt * (2.0 * A + levy.jump_moment(model, 2, 0.0, math.inf))
+    nodes, dens = mc._step_density(model, dt, A, drift)
+    weight = np.diff(nodes, prepend=nodes[0]) / 2.0 \
+        + np.diff(nodes, append=nodes[-1]) / 2.0
+    mass = weight @ dens
+    got_mean = (weight * nodes) @ dens
+    got_var = (weight * (nodes - got_mean) ** 2) @ dens
+    assert abs(mass - 1.0) <= 1e-11
+    assert abs(got_mean - mean) <= 1e-9 * math.sqrt(var)
+    assert abs(got_var / var - 1.0) <= 1e-8
+    # the law the lookup draws, uniform between the nodes: the mean to
+    # 1e-9 standard deviations; the variance gains about a third of the
+    # squared spacing, at most 6.7e-5 of it at 64 nodes per standard
+    # deviation
+    table = mc._step_table(model, dt, A, drift)
+    cell, lo, hi = np.diff(table.cdf), table.nodes[:-1], table.nodes[1:]
+    law_mean = cell @ (lo + hi) / 2.0
+    law_var = cell @ (lo * lo + lo * hi + hi * hi) / 3.0 - law_mean ** 2
+    assert abs(law_mean - mean) <= 1e-9 * math.sqrt(var)
+    assert 0.0 < law_var / var - 1.0 <= 1e-4
+
+
+def _merton_cdf(x, dt, drift, upper=False):
+    """P(X <= x), or P(X > x), of the Merton step with diffusion A: a
+    Poisson(lam dt) mixture of normals, each of ``k`` jumps."""
+    lam, mu, sd = 1.5, -0.05, 0.25
+    total = 0.0
+    for k in range(60):
+        weight = math.exp(-lam * dt + k * math.log(lam * dt)
+                          - math.lgamma(k + 1))
+        z = (x - dt * (drift - lam * mu) - k * mu) / \
+            math.sqrt(2.0 * (2.0 * A * dt + k * sd * sd))
+        total += weight * 0.5 * math.erfc(-z if not upper else z)
+    return total
+
+
+@pytest.mark.parametrize("dt", [1.0 / 64, 1.0], ids=["dt64", "dt1"])
+def test_step_table_quantiles_in_both_tails(dt):
+    # the table's quantiles at 1e-6 and 1 - 1e-6 hold those tail masses
+    # of the closed-form law to 1e-3 relative (at worst 6.5e-5)
+    model, _ = merton_setup()
+    drift = risk_neutral_drift(model)
+    table = mc._step_table(model, dt, A, drift)
+    p = 1e-6
+    low, high = np.interp([p, 1.0 - p], table.cdf, table.nodes)
+    assert abs(_merton_cdf(low, dt, drift) / p - 1.0) <= 1e-3
+    assert abs(_merton_cdf(high, dt, drift, upper=True) / p - 1.0) <= 1e-3
 
 
 def test_watchers_see_every_row_in_two_reused_buffers():
@@ -374,21 +355,9 @@ def test_watchers_see_every_row_in_two_reused_buffers():
     assert batch.n_paths == 1000 and batch.n_steps == 16
 
 
-def test_split_scheme_for_infinite_activity():
-    mod = levy.nig(6.0, -1.0, 0.3)
-    b = R - A - levy.exp_compensator(mod)
-    coeffs = CoefficientField.constants(A, b, R)
-    batch = mc.simulate(mod, coeffs, 0.0, 0.5, 20_000, 32, 23)
-    scheme = mc._build_scheme(mod)
-    assert mc.DEFAULT_SPLIT == 0.01
-    assert scheme.small_var == pytest.approx(levy.tails(mod, 0.01).small_var)
-    assert np.all(np.isfinite(batch.terminal))
-    assert batch.jump_counts.mean() > 1.0  # activity above the split is high
-
-
 def test_zero_intensity_simulates_as_a_diffusion():
-    # no jump mass above the split: no jump table, no jump draws, and the
-    # same random stream as the jump-free model
+    # psi = 0: no step table, a normal per path and step, and the same
+    # random stream as the jump-free model
     batch, states = simulate_states(levy.merton(0.0, -0.05, 0.25),
                                     diffusion_coeffs(), 0.0, 1.0, 1000, 16, 5)
     _, plain = simulate_states(levy.none(), diffusion_coeffs(), 0.0, 1.0,
@@ -429,14 +398,35 @@ def test_simulate_argument_validation():
         mc.simulate(levy.none(), diffusion_coeffs(), 0.0, 0.0, 10, 8, 1)
 
 
-def test_intensity_cap_error_suggests_larger_split(monkeypatch):
-    # the cap message names the split radius that was too small
-    mod = levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0)
-    monkeypatch.setattr(mc, "DEFAULT_SPLIT", 1e-6)
+def test_fields_below_the_floor_stop_the_batch():
+    # the table holds the Gaussian of the floor; a diffusion below it
+    # names the step and the state
+    model, _ = ts_setup()
+    low_late = CoefficientField(
+        a=lambda x, t: np.full(np.shape(x), A if t > 0.5 else 0.1 * A),
+        b=lambda x, t: np.zeros(np.shape(x)),
+        r=lambda x, t: np.full(np.shape(x), R), lambda_floor=0.5 * A,
+        time_dependent=True)
+    rec = RowRecorder()
+    with pytest.raises(NumericalError,
+                       match=r"mc.simulate: step 4 reads diffusion 0.002 "
+                             r"below the floor 0.01 at state -?\d\.\d+"):
+        mc.simulate(model, low_late, -0.2, 1.0, 100, 8, 1, watchers=[rec])
+    assert len(rec.rows) == 5
+
+
+def test_a_floor_too_small_for_the_table_names_the_floor():
+    # the default floor of a field, 1e-8, leaves the Gaussian part of a
+    # step of 1/64 narrower than a table of 2**18 points resolves
+    model, _ = ts_setup()
+    fields = CoefficientField(
+        a=lambda x, t: np.full(np.shape(x), A),
+        b=lambda x, t: np.zeros(np.shape(x)),
+        r=lambda x, t: np.full(np.shape(x), R))
     with pytest.raises(ParameterError,
-                       match=r"above the split radius 1e-06 exceeds the "
-                             r"cap 1e\+06"):
-        mc.simulate(mod, diffusion_coeffs(), 0.0, 1.0, 10, 8, 1)
+                       match=r"over the diffusion floor 1e-08 needs \d+ "
+                             r"table points, above the cap 262144"):
+        mc.simulate(model, fields, 0.0, 1.0, 10, 64, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +451,17 @@ def _mean_var_gaps(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     (levy.tempered_stable(0.2, 0.2, 1.5, 1.5, 3.0, 3.0), 20_000)],
     ids=["merton", "kou", "ts15"])
 def test_one_step_terminal_law_matches_many_steps(model, n_paths):
-    # constant coefficients: the increment over T has the law of one Euler
-    # step over T (Gaussian part, compensating drift and a Poisson(rate T)
-    # count of table jumps), so terminal states and per-path jump counts of
-    # a 1-step batch match a 64-step one; T != 1 keeps dt and sqrt(dt)
-    # apart
+    # constant coefficients: the increment over T has the law of one step
+    # over T, each from its own table, so the terminal states of a 1-step
+    # batch match a 64-step one; T != 1 keeps dt and sqrt(dt) apart
     coeffs = CoefficientField.constants(
         A, R - A - levy.exp_compensator(model), R)
     T = 0.5
     one = mc.simulate(model, coeffs, 0.0, T, n_paths, 1, 101)
     many = mc.simulate(model, coeffs, 0.0, T, n_paths, 64, 102)
     assert one.n_steps == 1
-    if model.family == "tempered_stable":
-        assert mc._build_scheme(model).small_var > 0.0
-    for u, v in ((one.terminal, many.terminal),
-                 (one.jump_counts, many.jump_counts)):
-        mean_gap, var_gap = _mean_var_gaps(u, v)
-        assert mean_gap <= 4.0 and var_gap <= 4.0
+    mean_gap, var_gap = _mean_var_gaps(one.terminal, many.terminal)
+    assert mean_gap <= 4.0 and var_gap <= 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +664,7 @@ def _fields_setup():
         return lambda x, t: v * (1.0 + 0.1 * np.tanh(np.asarray(x, float))
                                  + 0.05 * t)
     coeffs = CoefficientField(a=full(A), b=full(b), r=full(R),
-                              time_dependent=True)
+                              lambda_floor=0.5 * A, time_dependent=True)
     assert not coeffs.constant
     return model, coeffs
 
@@ -776,23 +760,6 @@ def test_policy_matches_the_boolean_mask_policy_with_a_state_rate(ts_rule):
     got = value.result
     assert got == _mask_lower_bound(states, batch.times, PUT, rate, ts_rule)
     assert got.stderr > 0.0
-
-
-def test_halving_the_split_keeps_the_tempered_stable_lower_bound(
-        ts_rule, monkeypatch):
-    # the Gaussian stand-in for jumps below the split radius is the
-    # split's only approximation (Asmussen & Rosinski 2001); halving the
-    # split must move the ts15 lower bound by less than 3 combined
-    # standard errors
-    mod, coeffs = ts_setup()
-    found = []
-    for eps in (0.01, 0.005):
-        monkeypatch.setattr(mc, "DEFAULT_SPLIT", eps)
-        found += estimates((mod, coeffs, 0.0, 1.0, 20_000, 16, 7),
-                           mc.stopping_lower_bound(PUT, R, ts_rule))
-    coarse, fine = found
-    assert abs(fine.price - coarse.price) <= \
-        3.0 * np.hypot(coarse.stderr, fine.stderr)
 
 
 # ---------------------------------------------------------------------------

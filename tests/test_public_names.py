@@ -99,9 +99,6 @@ _SHARED_FIELDS = {
     "solver.SolveConfig.anchor": ("src/jumpstop/solver.py", "cfg.anchor"),
     "solver.SolveReport.anchor": ("src/jumpstop/diagnostics.py",
                                   "report.anchor"),
-    "mc._JumpTable.base": ("src/jumpstop/mc.py", "self.base.take"),
-    "payoff.MollifiedPayoff.base": ("src/jumpstop/payoff.py",
-                                    "self.base.kinks"),
     "diagnostics.CheckResult.bound": ("src/jumpstop/harness.py",
                                       "checks[name].bound"),
     "payoff.PayoffSpec.bound": ("src/jumpstop/payoff.py", "self.base.bound"),
@@ -134,13 +131,6 @@ _SHARED_FIELDS = {
                                   "PayoffGhosts(self.grid, self.payoff)"),
     "harness.ProblemBlock.payoff": ("src/jumpstop/harness.py", "p.payoff"),
     "solver.SolveConfig.payoff": ("src/jumpstop/harness.py", "cfg.payoff"),
-    "harness.ProblemBlock.rate": ("src/jumpstop/harness.py", "p.rate"),
-    "mc._JumpScheme.rate": ("src/jumpstop/mc.py", "scheme.rate"),
-    "levy.TailIntegrals.small_var": ("src/jumpstop/penalty.py",
-                                     "t.small_var"),
-    "mc._JumpScheme.small_var": ("src/jumpstop/mc.py", "scheme.small_var"),
-    "mc._JumpScheme.table": ("src/jumpstop/mc.py", "scheme.table"),
-    "payoff.PayoffSpec.table": ("src/jumpstop/payoff.py", "spec.table"),
     "grids.SpaceTimeGrid.x_hi": ("src/jumpstop/grids.py", "self.x_hi"),
     "harness.NumericsBlock.x_hi": ("src/jumpstop/harness.py", "n.x_hi"),
     "grids.SpaceTimeGrid.x_lo": ("src/jumpstop/grids.py", "self.x_lo"),
