@@ -15,7 +15,8 @@ the anchor value and the vanishing region exact.  Inside the band
 ``z = (y - eps/2)/w``, ``F(z) = integral min(z - u, 0) k(u) du`` and
 ``F'(z) = 1 - K(z)``, fixed functions of the kernel ``k``.  Both are
 tabulated once, on first use, by the payoff module's Gauss-Legendre
-rule on 4,097 nodes of ``[-1, 1]``, and read back by cubic Hermite
+rule on 4,097 nodes ``z`` of ``[-1, 1]``, each over its live panel
+``[z, 1]`` alone, and read back by cubic Hermite
 interpolation (``F'' = -k`` is exact); the value matches the direct
 quadrature to about ``1e-15 * |p0|``.
 """
@@ -31,7 +32,7 @@ from . import levy
 from .errors import ParameterError
 from .grids import CoefficientField, SpaceTimeGrid
 from .levy import LevyModel
-from .payoff import PayoffSpec, bump_kernel, kernel_averages
+from .payoff import PayoffSpec, bump_kernel, panel_averages
 
 __all__ = ["PenaltySpec", "anchor", "build"]
 
@@ -43,9 +44,13 @@ _RAMP_NODES = 4097
 def _ramp_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``F``, ``F' = 1 - K`` and ``F'' = -k`` on the table nodes."""
     z = np.linspace(-1.0, 1.0, _RAMP_NODES)
-    f, fp = kernel_averages((lambda t: np.minimum(t, 0.0),
-                             lambda t: np.where(t < 0.0, 1.0, 0.0)),
-                            z, 1.0, (0.0,))
+    # both integrands vanish on the panel [-1, z] of the kink at 0, so
+    # only the live panel [z, 1] is summed: the same bits as the
+    # two-panel kernel_average
+    f, fp = panel_averages((lambda t: np.minimum(t, 0.0),
+                            lambda t: np.where(t < 0.0, 1.0, 0.0)),
+                           z, 1.0, 0.5 * (1.0 - z)[None],
+                           0.5 * (1.0 + z)[None])
     table = (f, fp, -bump_kernel(z))
     for col in table:  # shared by every caller
         col.flags.writeable = False
@@ -86,48 +91,52 @@ class PenaltySpec:
 
     def value(self, y) -> np.ndarray | float:
         """Penalty at separation ``y = v - g`` (scalar or array)."""
-        arr = np.asarray(y, dtype=float)
-        out = self._eval(np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
+        return self._scalar_or_array(self._eval, y)
 
     def slope(self, y) -> np.ndarray | float:
         """Derivative of the penalty (scalar or array)."""
-        arr = np.asarray(y, dtype=float)
-        out = self._eval_slope(np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
+        return self._scalar_or_array(self._eval_slope, y)
 
-    def _band(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mask of the mollified band and its points in table units."""
+    def _scalar_or_array(self, fn, y) -> np.ndarray | float:
+        """``fn`` at ``y``: a float when neither ``y`` nor the widths have
+        an axis, else one value per point of their broadcast."""
+        arr = np.asarray(y, dtype=float)
+        out = fn(np.atleast_1d(arr))
+        return float(out[0]) if arr.ndim == np.ndim(self.eps) == 0 else out
+
+    def _band(self, y: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """Indices of the mollified band's points, and those points in
+        table units."""
         d = y - 0.5 * self.eps
-        band = np.abs(d) < self.kernel_width
-        return band, d[band] / self._on(self.kernel_width, band)
+        at = np.nonzero(np.abs(d) < self.kernel_width)
+        return at, d[at] / self._on(self.kernel_width, at)
 
     @staticmethod
-    def _on(c, band: np.ndarray):
-        """A scalar, or a per-column constant read at the band's points."""
-        return np.broadcast_to(c, band.shape)[band] if np.ndim(c) else c
+    def _on(c, at: tuple):
+        """A scalar, or a per-column constant read at the band's columns."""
+        return c[at[-1]] if np.ndim(c) else c
 
     def _eval(self, y: np.ndarray) -> np.ndarray:
         if self.p0 == 0.0:
             return np.zeros(np.broadcast_shapes(y.shape, np.shape(self.eps)))
         out = self._template(y)
-        band, z = self._band(y)
+        at, z = self._band(y)
         if z.size:
             f, fp, _ = _ramp_table()
-            ramp = self._on(self.slope_max * self.kernel_width, band) * \
+            ramp = self._on(self.slope_max * self.kernel_width, at) * \
                 _hermite(z, f, fp)
             # interpolation may round just above zero near the band edge
-            out[band] = np.minimum(ramp, 0.0)
+            out[at] = np.minimum(ramp, 0.0)
         return out
 
     def _eval_slope(self, y: np.ndarray) -> np.ndarray:
         if self.p0 == 0.0:
             return np.zeros(np.broadcast_shapes(y.shape, np.shape(self.eps)))
         out = np.where(y < 0.5 * self.eps, self.slope_max, 0.0)
-        band, z = self._band(y)
+        at, z = self._band(y)
         if z.size:
             _, fp, fpp = _ramp_table()
-            out[band] = self._on(self.slope_max, band) * _hermite(z, fp, fpp)
+            out[at] = self._on(self.slope_max, at) * _hermite(z, fp, fpp)
         return out
 
 

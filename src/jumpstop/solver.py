@@ -256,11 +256,13 @@ class _Workspace:
             s_now, s_new = n * dt, (n + 1) * dt
             far, core = self._far_rows, self._core_cols
             for k, ghosts in enumerate(self.ghosts):
+                # the jump term reads the widest reach (op.n_ext >= ng
+                # ghosts a side) first, so the payoff is evaluated once
+                far[k] = generator.ghost_term(op, ghosts, "monotone", s_now)
                 left, right = ghosts.take(ng, ng)
                 dl, dr = ghosts.discount(s_now)
                 np.multiply(left, dl, out=self.near[:ng, k])
                 np.multiply(right, dr, out=self.near[-ng:, k])
-                far[k] = generator.ghost_term(op, ghosts, "monotone", s_now)
                 np.multiply(dt,
                             generator.ghost_term(op, ghosts, "core", s_new),
                             out=core[:, k])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jumpstop import (cli, diagnostics, generator, harness, levy, mc, payoff,
-                      solver)
+                      penalty, solver)
 from jumpstop.errors import ConfigError, ParameterError
 from jumpstop.grids import CoefficientField, GridFunction
 
@@ -248,15 +248,23 @@ def test_run_writes_full_artifact_set(tmp_path):
     assert (out / "summary.txt").read_text().startswith("mode=projected")
 
 
-def test_run_artifacts_byte_identical_on_rerun(tmp_path):
-    cfg_path = make_config(tmp_path, oracle={"mc_paths": 12000,
-                                             "mc_steps": 16, "seed": 5})
+@pytest.mark.parametrize("mode", ["projected", "penalized", "european"])
+def test_run_artifacts_byte_identical_on_rerun(tmp_path, mode):
+    # the default penalized schedule fails its binomial gate (exit 3), so
+    # the exit codes are compared along with the bytes
+    cfg_path = make_config(tmp_path, numerics={"mode": mode},
+                           oracle={"mc_paths": 12000, "mc_steps": 16,
+                                   "seed": 5})
     out = tmp_path / "out"
     names = ["surface.csv", "boundary.csv", "diagnostics.json",
              "summary.txt", "effective_config.json"]
-    assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+    penalty._ramp_table()
+    code = harness.run(cfg_path, out_dir=out, stream=io.StringIO())
+    assert code in (0, 3)
     first = {n: (out / n).read_bytes() for n in names}
-    assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == 0
+    # a freshly built ramp table against the cached one
+    penalty._ramp_table.cache_clear()
+    assert harness.run(cfg_path, out_dir=out, stream=io.StringIO()) == code
     for n in names:
         assert (out / n).read_bytes() == first[n], n
 

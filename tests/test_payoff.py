@@ -211,3 +211,38 @@ def test_kernel_average_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _at_image(b, eps, side):
+    """Points near ``b + side*eps`` whose image ``(x - b)/eps`` is
+    exactly ``side``."""
+    x0 = b + side * eps
+    near = x0 + np.spacing(x0) * np.arange(-8, 9)
+    return near[(near - b) / eps == side]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("eps", (0.1, 0.125))
+def test_one_panel_rule_is_the_general_rule_bit_for_bit(spec, eps):
+    """Points whose support holds no kink take one full-support panel
+    with constant weights; the general rule, which also sums their empty
+    panels, gives the same bits, on blocks and on single points.  Points
+    at an image of exactly -1 or 1 are on the one-panel side."""
+    f = lambda t: po.values(spec, t)  # noqa: E731
+    edges = np.concatenate([_at_image(b, eps, s)
+                            for b in spec.kinks for s in (-1.0, 1.0)])
+    assert edges.size >= 2 * len(spec.kinks)
+    x = np.concatenate([np.linspace(-1.5, 1.5, 601), edges,
+                        np.nextafter(edges, np.inf),
+                        np.nextafter(edges, -np.inf)])
+    images = (x - np.array(spec.kinks)[:, None]) / eps
+    cut = (np.abs(images) < 1.0).any(axis=0)
+    assert 0 < cut.sum() < x.size and not cut[601:601 + edges.size].any()
+    want = po._cut_averages((f,), x, eps, spec.kinks)[0]
+    got = po.kernel_average(f, x, eps, spec.kinks)
+    assert got.tobytes() == want.tobytes()
+    one = po.panel_averages((f,), x[~cut], eps)[0]
+    assert one.tobytes() == want[~cut].tobytes()
+    for i in range(x.size):
+        pt = po.kernel_average(f, x[i:i + 1], eps, spec.kinks)
+        assert pt.tobytes() == want[i:i + 1].tobytes(), x[i]

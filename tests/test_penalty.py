@@ -186,6 +186,15 @@ def test_column_widths_give_each_column_its_scalar_bits():
         for k, eps in enumerate(widths):
             want = getattr(build(eps, -1.17), name)(y[:, k])
             assert got[:, k].tobytes() == want.tobytes(), (name, eps)
+        # a scalar y broadcasts across the columns too
+        for y0 in (0.09, 0.05, 0.0125, 0.0, -0.3):
+            got = getattr(block, name)(y0)
+            assert got.shape == (len(widths),)
+            for k, eps in enumerate(widths):
+                want = getattr(build(eps, -1.17), name)(y0)
+                assert got[k].tobytes() == np.float64(want).tobytes(), \
+                    (name, eps, y0)
+    assert isinstance(build(0.1, -1.17).value(0.09), float)
     with pytest.raises(ParameterError):
         build(np.array([0.2, 1.0]), -1.0)
     assert not build(np.array(widths), 0.0).value(y).any()

@@ -1185,6 +1185,33 @@ def test_residual_reuses_the_solve_ghosts(mode, monkeypatch):
         np.testing.assert_array_equal(got[ok, n], want[ok])
 
 
+@pytest.mark.parametrize("mode", ["penalized", "projected", "european"])
+def test_payoff_ghosts_evaluate_their_payoff_once(mode, monkeypatch):
+    """Each column's far field evaluates its payoff once, at the widest
+    reach, over a whole march and the residual that reuses it."""
+    calls = []
+
+    class CountingGhosts(PayoffGhosts):
+        def __init__(self, grid, fn, decay=None):
+            def counted(x):
+                calls.append((id(self), np.size(x)))
+                return fn(x)
+            super().__init__(grid, counted, decay)
+
+    monkeypatch.setattr(solver, "PayoffGhosts", CountingGhosts)
+    mod, coeffs = merton_setup()
+    grid = SpaceTimeGrid(-0.5, 0.5, 1.0, 80, 0.5, 40)
+    eps = (0.2, 0.1) if mode == "penalized" else ()
+    cfg = SolveConfig(grid, mod, coeffs, payoff.put(1.0),
+                      eps_schedule=eps, mode=mode)
+    rep = solve_european(cfg) if mode == "european" else solve_vi(cfg)
+    residual_vi(rep.value, cfg)
+    owners = [owner for owner, _ in calls]
+    assert len(owners) == max(1, len(eps))
+    assert len(set(owners)) == len(owners)
+    assert {n for _, n in calls} == {2 * cfg.op.n_ext}
+
+
 @pytest.mark.parametrize("varying", [False, True],
                          ids=["constants", "fields"])
 def test_european_residual_reads_the_far_field_of_each_level(varying):
